@@ -62,7 +62,6 @@ class BarrierSpec:
     domain: BarrierDomain
     center: np.ndarray
     half_width: np.ndarray
-    exponent: int = 4
     active_from: float = 0.0
 
     def __post_init__(self) -> None:
@@ -70,8 +69,6 @@ class BarrierSpec:
         object.__setattr__(self, "half_width", np.asarray(self.half_width, dtype=float))
         if np.any(self.half_width <= 0.0):
             raise ValueError("half_width must be strictly positive")
-        if self.exponent < 2 or self.exponent % 2 != 0:
-            raise ValueError("exponent must be an even integer >= 2")
         n_expected = {
             BarrierDomain.ALTITUDE_POSITION: 1,
             BarrierDomain.ALTITUDE_POSVEL: 2,
@@ -148,19 +145,12 @@ def pole_place(delta: int, poles) -> np.ndarray:
     return coeffs[1:][::-1].copy()  # [k0, ..., k_{delta-1}]
 
 
-def _require_quartic(spec: "BarrierSpec") -> None:
-    # The closed-form chains below are derived for the rectellipse r=4.
-    if spec.exponent != 4:
-        raise ValueError("Lie-derivative chains require exponent 4")
-
-
 def rectellipse_h(values: Sequence[float], spec: BarrierSpec) -> float:
-    """h = 1 - sum_j ((x_j - c_j)/p_j)^r ; >= 0 inside the safe region."""
-    r = float(spec.exponent)
+    """h = 1 - sum_j ((x_j - c_j)/p_j)^4 ; >= 0 inside the safe region."""
     total = 0.0
     for x, c, p in zip(values, spec.center.tolist(), spec.half_width.tolist(), strict=True):
-        # numpy's pow, not float ** r: the two can round differently.
-        total += float(np.power((x - c) / p, r))
+        # numpy's pow, not float ** 4: the two can round differently.
+        total += float(np.power((x - c) / p, 4.0))
     return 1.0 - total
 
 
@@ -169,7 +159,6 @@ def altitude_row(
 ) -> tuple[float, float, float, np.ndarray]:
     """Float core of the two altitude chains: (a, b, h, H) of the row
     a * f + b >= 0 at altitude z, climb rate zd and attitude entry R33."""
-    _require_quartic(spec)
     if spec.domain is BarrierDomain.ALTITUDE_POSITION:
         # ECBF, delta=2, h(z) = 1 - ((z-c)/p_z)^4.
         c, pz = float(spec.center[0]), float(spec.half_width[0])
@@ -191,30 +180,6 @@ def altitude_row(
         a = 4.0 * zd**3 * R33 / (vz**4 * params.m)
         return a, Lfh + gains.alpha * h, h, np.array([h])
     raise ValueError(f"not an altitude barrier: {spec.domain}")
-
-
-def _altitude_chain(state: QuadState, spec: BarrierSpec, gains: EcbfGains,
-                    params: QuadParams) -> ConstraintRow:
-    a, b, h, H = altitude_row(
-        spec, gains, float(state.r[2]), float(state.v[2]), float(state.R[2, 2]), params
-    )
-    return ConstraintRow(np.array([a]), b, h, H)
-
-
-def altitude_position_chain(
-    state: QuadState, spec: BarrierSpec, gains: EcbfGains, params: QuadParams
-) -> ConstraintRow:
-    """ECBF row (delta=2) for h(z) = 1 - ((z-c)/p_z)^4; decision variable = thrust."""
-    assert spec.domain is BarrierDomain.ALTITUDE_POSITION
-    return _altitude_chain(state, spec, gains, params)
-
-
-def altitude_posvel_chain(
-    state: QuadState, spec: BarrierSpec, gains: EcbfGains, params: QuadParams
-) -> ConstraintRow:
-    """CBF row (delta=1) for h(z, zdot) = 1 - ((z-c)/p_z)^4 - (zdot/v_z)^4."""
-    assert spec.domain is BarrierDomain.ALTITUDE_POSVEL
-    return _altitude_chain(state, spec, gains, params)
 
 
 def lateral_chain_terms(state: QuadState, params: QuadParams) -> LateralChainTerms:
@@ -274,7 +239,6 @@ def lateral_position_chain(
     exact for zero-order-hold thrust.
     """
     assert spec.domain is BarrierDomain.LATERAL_POSITION
-    _require_quartic(spec)
     terms = lateral_chain_terms(state, params)
     cx, cy = spec.center
     px4, py4 = spec.half_width**4
@@ -314,7 +278,6 @@ def lateral_velocity_chain(
 ) -> ConstraintRow:
     """ECBF row (delta=3) for h(xdot, ydot); decision variable = [tau_x, tau_y]."""
     assert spec.domain is BarrierDomain.LATERAL_VELOCITY
-    _require_quartic(spec)
     terms = lateral_chain_terms(state, params)
     vx4, vy4 = spec.half_width**4
     terms_xy = _lateral_kinematics(state, f_applied, params, terms)

@@ -1,10 +1,10 @@
 """Command-line front end: run scenarios, validate them, export traces.
 
 Subcommands:
-  run <scenario> [--out DIR] [--dt S] [--seed N]   simulate and write trace files
-  presets                                          list built-in scenarios
-  check <scenario>                                 validate without running
-  oracle                                           finite-difference chain check
+  run <scenario> [--out DIR] [--dt S]   simulate and write trace files
+  presets                               list built-in scenarios
+  check <scenario>                      validate without running
+  oracle                                finite-difference chain check
 
 ``<scenario>`` is either a YAML file path or ``presets:<name>``.
 Exit codes: 0 success, 1 validation error, 2 non-finite state abort.
@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import os
 import sys
-import tempfile
 import time
 
 from .barriers import BarrierDomain
@@ -42,8 +41,10 @@ _H_COLUMNS = (
 
 
 def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    # os.open with mode 0o666 lets the kernel apply the umask, as open() does;
+    # mkstemp's mode 0600 would survive the rename.
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -139,8 +140,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("scenario", help="YAML scenario file or presets:<name>")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--dt", type=float, default=None, help="override step size [s]")
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="reserved for future noise injection; must be 0")
 
     sub.add_parser("presets", help="list built-in scenario presets")
 
@@ -181,9 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         print("ok")
         return 0
 
-    if args.seed != 0:
-        print("error: --seed is reserved and must be 0 (or absent)", file=sys.stderr)
-        return 1
     if args.dt is not None:
         if args.dt <= 0:
             print("error: --dt must be positive", file=sys.stderr)

@@ -40,9 +40,9 @@ _FILTER_KEYS = {"high", "low", "infeasible_policy"}
 _GAIN_KEYS = {"kp", "kd", "k_r", "k_psi", "k_omega"}
 _PARAM_KEYS = {
     "g_mps2", "m_kg", "ix_kgm2", "iy_kgm2", "iz_kgm2",
-    "f_max_n", "tau_max_x_nm", "tau_max_y_nm", "l_m", "k_f", "k_w",
+    "f_max_n", "tau_max_x_nm", "tau_max_y_nm",
 }
-_BARRIER_COMMON = {"domain", "active_from_s", "exponent", "poles", "alpha"}
+_BARRIER_COMMON = {"domain", "active_from_s", "poles", "alpha"}
 _BARRIER_KEYS = {
     "altitude_position": {"c_z_m", "p_z_m"},
     "altitude_posvel": {"c_z_m", "p_z_m", "v_z_mps"},
@@ -149,9 +149,6 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
                 _num(prm, "tau_max_x_nm", 20.0, "params"),
                 _num(prm, "tau_max_y_nm", 20.0, "params"),
             ),
-            L=_num(prm, "l_m", 0.24, "params"),
-            k_f=_num(prm, "k_f", 0.88, "params"),
-            k_w=_num(prm, "k_w", 1.00, "params"),
         )
     except ValueError as exc:
         raise ScenarioError(f"'params': {exc}") from None
@@ -220,7 +217,6 @@ def _barrier_from_dict(entry: dict, where: str) -> ScheduledBarrier:
             domain=domain,
             center=np.array(center),
             half_width=np.array(half_width),
-            exponent=int(entry.get("exponent", 4)),
             active_from=_num(entry, "active_from_s", 0.0, where),
         )
         gains = EcbfGains(delta=delta, poles=poles)

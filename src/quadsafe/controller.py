@@ -55,14 +55,6 @@ class Reference:
     psi_d: float = 0.0
 
 
-@dataclass(frozen=True)
-class NominalCommand:
-    f_hat: float
-    tau_hat: np.ndarray
-    r_ddot_cmd: np.ndarray
-    omega_cmd: np.ndarray
-
-
 def position_loop(state: QuadState, ref: Reference, gains: ControllerGains) -> np.ndarray:
     """Commanded acceleration: feedforward plus PD on (desired - actual)."""
     return np.array([
@@ -137,20 +129,6 @@ def body_rate_loop(
         min(max(tau_y, -bound_z), bound_z),
         min(max(tau_z, -bound_z), bound_z),
     ])
-
-
-def nominal_command(
-    state: QuadState,
-    ref: Reference,
-    gains: ControllerGains,
-    params: QuadParams,
-) -> NominalCommand:
-    """Full cascade without safety filtering (thrust used as-is downstream)."""
-    r_ddot_cmd = position_loop(state, ref, gains)
-    f_hat = thrust_from_accel(r_ddot_cmd[2], state.R[2, 2], params)
-    omega_cmd = attitude_loop(state, r_ddot_cmd, f_hat, ref.psi_d, gains, params)
-    tau_hat = body_rate_loop(state, omega_cmd, gains, params)
-    return NominalCommand(f_hat, tau_hat, r_ddot_cmd, omega_cmd)
 
 
 def _wrap_angle(a: float) -> float:

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_Z_W = np.array([0.0, 0.0, 1.0])
-
 
 class NonFiniteState(RuntimeError):
     """Raised when an integration step produces NaN or Inf."""
@@ -34,11 +32,6 @@ class QuadParams:
     Iz: float = 0.182        # kg m^2
     f_max: float = 36.0      # N, total thrust bound
     tau_max: tuple[float, float] = (20.0, 20.0)  # N m, bounds about x_B, y_B
-    # Geometry/motor constants, carried for completeness; unused by the
-    # total-thrust/moment interface.
-    L: float = 0.24
-    k_f: float = 0.88
-    k_w: float = 1.00
 
     def __post_init__(self) -> None:
         for name in ("g", "m", "Ix", "Iy", "Iz"):
@@ -48,10 +41,6 @@ class QuadParams:
             raise ValueError("actuator bounds must be nonnegative")
         if self.f_max <= self.m * self.g:
             raise ValueError("f_max must exceed hover thrust m*g")
-
-    @property
-    def inertia(self) -> np.ndarray:
-        return np.diag([self.Ix, self.Iy, self.Iz])
 
 
 @dataclass(frozen=True)
@@ -82,46 +71,15 @@ class ControlInput:
     tau: np.ndarray
 
 
-@dataclass(frozen=True)
-class StateDerivative:
-    r_dot: np.ndarray
-    R_dot: np.ndarray
-    v_dot: np.ndarray
-    omega_dot: np.ndarray
-
-
-def skew(w: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix such that skew(w) @ x == cross(w, x)."""
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
-
-
-def deriv(state: QuadState, u: ControlInput, params: QuadParams) -> StateDerivative:
-    """Continuous-time dynamics: rdot=v, vdot=g*z_w - R z_w f/m, Rdot=R[w]x,
-    wdot = I^-1 (tau - w x I w)."""
-    R = state.R
-    w = state.omega
-    v_dot = params.g * _Z_W - R[:, 2] * (u.f / params.m)
-    R_dot = R @ skew(w)
-    gyro = np.array([
-        (params.Iz - params.Iy) * w[1] * w[2],
-        (params.Ix - params.Iz) * w[0] * w[2],
-        (params.Iy - params.Ix) * w[0] * w[1],
-    ])
-    w_dot = (u.tau - gyro) / np.array([params.Ix, params.Iy, params.Iz])
-    return StateDerivative(state.v.copy(), R_dot, v_dot, w_dot)
-
-
-def _deriv_flat(
+def deriv(
     x: list[float], f: float, tau: list[float], params: QuadParams,
     k: list[float] | None = None, h: float = 0.0,
 ) -> list[float]:
     """Vector field at x + h * k (at x if k is None) under thrust f and
     moments tau, in plain float arithmetic on the flat state [r, R row-major,
-    v, omega]. r does not enter it, so its stage value is never formed."""
+    v, omega]: rdot = v, Rdot = R [omega]x, vdot = g z_w - R z_w f/m,
+    omegadot = I^-1 (tau - omega x I omega). r does not enter it, so its
+    stage value is never formed."""
     (_, _, _, R00, R01, R02, R10, R11, R12, R20, R21, R22, vx, vy, vz, p, q, r) = x
     if k is not None:
         (_, _, _, k00, k01, k02, k10, k11, k12, k20, k21, k22, kx, ky, kz, kp, kq, kr) = k
@@ -153,10 +111,10 @@ def rk4_flat(
     dt may be negative (backward flow for finite-difference stencils).
     """
     h2 = 0.5 * dt
-    k1 = _deriv_flat(x0, f, tau, params)
-    k2 = _deriv_flat(x0, f, tau, params, k1, h2)
-    k3 = _deriv_flat(x0, f, tau, params, k2, h2)
-    k4 = _deriv_flat(x0, f, tau, params, k3, dt)
+    k1 = deriv(x0, f, tau, params)
+    k2 = deriv(x0, f, tau, params, k1, h2)
+    k3 = deriv(x0, f, tau, params, k2, h2)
+    k4 = deriv(x0, f, tau, params, k3, dt)
     dt6 = dt / 6.0
     return [
         a + dt6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)

@@ -19,8 +19,7 @@ from .barriers import (
     BarrierDomain,
     BarrierSpec,
     EcbfGains,
-    altitude_position_chain,
-    altitude_posvel_chain,
+    altitude_row,
     lateral_position_chain,
     lateral_velocity_chain,
 )
@@ -55,21 +54,19 @@ def evaluate_chain(
     u: ControlInput,
 ) -> tuple[np.ndarray, float]:
     """Analytic (H, L_f^d h + L_g L_f^(d-1) h . u) at one state."""
-    if domain is BarrierDomain.ALTITUDE_POSITION:
-        row = altitude_position_chain(state, spec, gains, params)
-        u_var = np.array([u.f])
-    elif domain is BarrierDomain.ALTITUDE_POSVEL:
-        row = altitude_posvel_chain(state, spec, gains, params)
-        u_var = np.array([u.f])
-    elif domain is BarrierDomain.LATERAL_POSITION:
-        row = lateral_position_chain(state, u.f, spec, gains, params)
-        u_var = u.tau[:2]
+    if domain in (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL):
+        a, b, _, H = altitude_row(
+            spec, gains, float(state.r[2]), float(state.v[2]), float(state.R[2, 2]), params
+        )
+        a_dot_u = a * float(u.f)
     else:
-        row = lateral_velocity_chain(state, u.f, spec, gains, params)
-        u_var = u.tau[:2]
-    lf_top = row.b - float(gains.K @ row.H)  # L_f^d h
-    total = lf_top + float(row.a @ u_var)
-    return row.H, total
+        chain = (lateral_position_chain if domain is BarrierDomain.LATERAL_POSITION
+                 else lateral_velocity_chain)
+        row = chain(state, u.f, spec, gains, params)
+        b, H = row.b, row.H
+        a_dot_u = float(row.a @ u.tau[:2])
+    lf_top = b - float(gains.K @ H)  # L_f^d h
+    return H, lf_top + a_dot_u
 
 
 def flow(state: QuadState, u: ControlInput, params: QuadParams, dt: float) -> QuadState:

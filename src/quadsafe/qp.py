@@ -24,8 +24,6 @@ from .barriers import (
     BarrierSpec,
     ConstraintRow,
     EcbfGains,
-    altitude_position_chain,  # noqa: F401 -- unused here; perfbench's tracer looks it up
-    altitude_posvel_chain,  # noqa: F401 -- likewise
     altitude_row,
     lateral_position_chain,
     lateral_velocity_chain,
@@ -67,7 +65,7 @@ class QpSolution:
     u_star: np.ndarray
     status: QpStatus
     active_set: tuple[int, ...] = ()
-    kkt_residual: float = 0.0
+    primal_residual: float = 0.0
 
 
 def solve_qp(p: QpProblem) -> QpSolution:
@@ -274,7 +272,8 @@ def thrust_filter(
     policy: InfeasiblePolicy = InfeasiblePolicy.LEAST_INFEASIBLE,
     last: float | None = None,
 ) -> tuple[float, tuple[float, QpStatus, tuple[int, ...], float], list[tuple]]:
-    """Float core of filter_thrust at altitude z, climb rate zd and R33.
+    """High-level QP: modify thrust f_hat to honor the active altitude
+    barriers at altitude z, climb rate zd and attitude entry R33.
 
     Returns the applied thrust, the QP's solve_interval result and the
     (a, b, h, H) of each active barrier's row.
@@ -285,35 +284,13 @@ def thrust_filter(
     f_star = solution[0]
     if solution[1] is QpStatus.INFEASIBLE:
         p = QpProblem(
-            np.array([u_hat]), _constraint_rows(rows), np.array([0.0]), np.array([params.f_max])
+            np.array([u_hat]),
+            tuple(ConstraintRow(np.array([a]), b, h, H) for a, b, h, H in rows),
+            np.array([0.0]),
+            np.array([params.f_max]),
         )
         f_star = float(_fallback(p, policy, None if last is None else np.array([last]))[0])
     return f_star, solution, rows
-
-
-def filter_thrust(
-    state: QuadState,
-    f_hat: float,
-    active_specs: list[tuple[BarrierSpec, EcbfGains]],
-    params: QuadParams,
-    policy: InfeasiblePolicy = InfeasiblePolicy.LEAST_INFEASIBLE,
-    last: float | None = None,
-) -> FilterResult:
-    """High-level QP: modify thrust to honor the active altitude barriers."""
-    f_star, (u, status, active, residual), rows = thrust_filter(
-        float(state.r[2]), float(state.v[2]), float(state.R[2, 2]), float(f_hat),
-        active_specs, params, policy, last,
-    )
-    return FilterResult(
-        np.array([f_star]),
-        QpSolution(np.array([u]), status, active, residual),
-        _constraint_rows(rows),
-    )
-
-
-def _constraint_rows(rows: list[tuple]) -> tuple[ConstraintRow, ...]:
-    """ConstraintRows of thrust_filter's (a, b, h, H) row tuples."""
-    return tuple(ConstraintRow(np.array([a]), b, h, H) for a, b, h, H in rows)
 
 
 def filter_torque(

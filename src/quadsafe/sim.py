@@ -25,9 +25,7 @@ from .barriers import (
 )
 from .controller import ControllerGains, Reference
 from .dynamics import QuadParams, QuadState, advance, euler_of_R, flat_of
-from .dynamics import step  # noqa: F401 -- not called by run; perfbench's tracer looks it up here
 from .qp import InfeasiblePolicy, QpStatus, filter_torque, thrust_filter
-from .qp import filter_thrust  # noqa: F401 -- likewise
 
 ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)
 LATERAL_DOMAINS = (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY)

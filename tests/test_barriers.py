@@ -10,8 +10,7 @@ from quadsafe.barriers import (
     EcbfGains,
     InvalidPoles,
     LateralSingular,
-    altitude_position_chain,
-    altitude_posvel_chain,
+    altitude_row,
     barrier_h,
     lateral_chain_terms,
     lateral_position_chain,
@@ -61,11 +60,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 0.0])
 
-    def test_even_exponent(self):
-        with pytest.raises(ValueError):
-            BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0],
-                        exponent=3)
-
     def test_gains_degree_bounds(self):
         with pytest.raises(ValueError):
             EcbfGains(5, (-1.0, -1.0, -1.0, -1.0, -1.0))
@@ -106,7 +100,7 @@ class TestRectellipse:
             for _ in range(100):
                 vals = rng.normal(size=n) * 3.0
                 s = (vals - spec.center) / spec.half_width
-                assert rectellipse_h(vals, spec) == float(1.0 - np.sum(s**spec.exponent))
+                assert rectellipse_h(vals, spec) == float(1.0 - np.sum(s**4))
 
     def test_barrier_h_picks_domain_states(self):
         s = QuadState(r=np.array([0.3, -0.2, 1.0]), v=np.array([0.5, 0.1, -0.4]))
@@ -121,15 +115,14 @@ class TestAltitudeChains:
         p = QuadParams()
         spec = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0])
         gains = EcbfGains(2, (-3.0, -4.0))
-        s = QuadState(r=np.array([0.0, 0.0, 1.0]), v=np.array([0.0, 0.0, 0.5]))
-        row = altitude_position_chain(s, spec, gains, p)
+        a, b, h_value, H = altitude_row(spec, gains, 1.0, 0.5, 1.0, p)
         h = 1.0 - (1.0 / 2.0) ** 4
         hdot = -4.0 * 1.0**3 * 0.5 / 2.0**4
-        assert row.h_value == pytest.approx(h)
-        assert np.allclose(row.H, [h, hdot])
+        assert h_value == pytest.approx(h)
+        assert np.allclose(H, [h, hdot])
         lf2 = -4.0 * p.g / 16.0 - 12.0 * 0.25 / 16.0
-        assert row.b == pytest.approx(lf2 + 12.0 * h + 7.0 * hdot)
-        assert row.a[0] == pytest.approx(4.0 * 1.0 / (16.0 * p.m))
+        assert b == pytest.approx(lf2 + 12.0 * h + 7.0 * hdot)
+        assert a == pytest.approx(4.0 * 1.0 / (16.0 * p.m))
 
     def test_position_chain_thrust_direction(self):
         # Above center and rising: more thrust must push hddot up (a > 0
@@ -137,23 +130,20 @@ class TestAltitudeChains:
         p = QuadParams()
         spec = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0])
         gains = EcbfGains(2, (-3.0, -4.0))
-        up = altitude_position_chain(
-            QuadState(r=np.array([0, 0, 1.5])), spec, gains, p)
-        dn = altitude_position_chain(
-            QuadState(r=np.array([0, 0, -1.5])), spec, gains, p)
-        assert up.a[0] > 0.0 > dn.a[0]
+        a_up = altitude_row(spec, gains, 1.5, 0.0, 1.0, p)[0]
+        a_dn = altitude_row(spec, gains, -1.5, 0.0, 1.0, p)[0]
+        assert a_up > 0.0 > a_dn
 
     def test_posvel_chain_hand_computed(self):
         p = QuadParams()
         spec = BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.0], [2.0, 0.75])
         gains = EcbfGains(1, (-1.0,))
-        s = QuadState(r=np.array([0.0, 0.0, 1.0]), v=np.array([0.0, 0.0, 0.5]))
-        row = altitude_posvel_chain(s, spec, gains, p)
+        a, b, h_value, _ = altitude_row(spec, gains, 1.0, 0.5, 1.0, p)
         h = 1.0 - (1.0 / 2.0) ** 4 - (0.5 / 0.75) ** 4
         lfh = -4.0 * 0.5 / 16.0 - 4.0 * 0.5**3 * p.g / 0.75**4
-        assert row.h_value == pytest.approx(h)
-        assert row.b == pytest.approx(lfh + 1.0 * h)
-        assert row.a[0] == pytest.approx(4.0 * 0.5**3 / (0.75**4 * p.m))
+        assert h_value == pytest.approx(h)
+        assert b == pytest.approx(lfh + 1.0 * h)
+        assert a == pytest.approx(4.0 * 0.5**3 / (0.75**4 * p.m))
 
 
 class TestLateralChains:
@@ -205,20 +195,23 @@ def test_chain_h_sizes():
     s = QuadState(r=np.array([0.5, -0.3, 0.8]), v=np.array([0.2, 0.1, -0.3]),
                   R=R_of_euler(0.1, -0.1, 0.2), omega=np.array([0.3, -0.2, 0.1]))
     f = p.m * p.g
-    rows = {
-        2: altitude_position_chain(
-            s, BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0]),
-            EcbfGains(2, (-3.0, -4.0)), p),
-        1: altitude_posvel_chain(
-            s, BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.0], [2.0, 0.75]),
-            EcbfGains(1, (-1.0,)), p),
-        4: lateral_position_chain(
-            s, f, BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0]),
-            EcbfGains(4, (-3.0, -4.0, -5.0, -6.0)), p),
-        3: lateral_velocity_chain(
-            s, f, BarrierSpec(BarrierDomain.LATERAL_VELOCITY, [0.0, 0.0], [1.25, 0.9]),
-            EcbfGains(3, (-3.0, -4.0, -5.0)), p),
+    z, zd, R33 = float(s.r[2]), float(s.v[2]), float(s.R[2, 2])
+    lat_pos = lateral_position_chain(
+        s, f, BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0]),
+        EcbfGains(4, (-3.0, -4.0, -5.0, -6.0)), p)
+    lat_vel = lateral_velocity_chain(
+        s, f, BarrierSpec(BarrierDomain.LATERAL_VELOCITY, [0.0, 0.0], [1.25, 0.9]),
+        EcbfGains(3, (-3.0, -4.0, -5.0)), p)
+    h_and_H = {
+        2: altitude_row(
+            BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0]),
+            EcbfGains(2, (-3.0, -4.0)), z, zd, R33, p)[2:],
+        1: altitude_row(
+            BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.0], [2.0, 0.75]),
+            EcbfGains(1, (-1.0,)), z, zd, R33, p)[2:],
+        4: (lat_pos.h_value, lat_pos.H),
+        3: (lat_vel.h_value, lat_vel.H),
     }
-    for delta, row in rows.items():
-        assert len(row.H) == delta
-        assert row.H[0] == pytest.approx(row.h_value)
+    for delta, (h, H) in h_and_H.items():
+        assert len(H) == delta
+        assert H[0] == pytest.approx(h)

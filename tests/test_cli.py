@@ -2,6 +2,7 @@
 
 import csv
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ class TestSubcommands:
         assert main(["oracle", "--states", "5"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("section,key", [
+        ("barriers", "exponent"), ("params", "l_m"), ("params", "k_f"), ("params", "k_w"),
+    ])
+    def test_check_rejects_removed_keys(self, tmp_path, capsys, section, key):
+        # Keys the model never used: check must refuse them, so that run
+        # never meets them.
+        text = TINY_SCENARIO
+        if section == "params":
+            text += f"params: {{{key}: 6}}\n"
+        else:
+            text = text.replace("p_z_m: 2.0}", f"p_z_m: 2.0, {key}: 6}}")
+        path = tmp_path / "removed.yaml"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
 
 class TestRunExport:
     def test_run_writes_trace_files(self, tiny_file, tmp_path):
@@ -100,8 +117,17 @@ class TestRunExport:
     def test_bad_dt_rejected(self, tiny_file, tmp_path, capsys):
         assert main(["run", tiny_file, "--out", str(tmp_path), "--dt", "-1"]) == 1
 
-    def test_nonzero_seed_rejected(self, tiny_file, tmp_path, capsys):
-        assert main(["run", tiny_file, "--out", str(tmp_path), "--seed", "7"]) == 1
+    def test_exported_files_follow_umask(self, tiny_file, tmp_path):
+        out = str(tmp_path / "out")
+        umask = 0o022
+        old = os.umask(umask)
+        try:
+            assert main(["run", tiny_file, "--out", out]) == 0
+        finally:
+            os.umask(old)
+        for fname in ("trace.csv", "events.csv", "summary.txt"):
+            mode = stat.S_IMODE(os.stat(os.path.join(out, fname)).st_mode)
+            assert mode == 0o666 & ~umask, (fname, oct(mode))
 
     def test_events_csv_has_header(self, tiny_file, tmp_path):
         out = str(tmp_path / "out")

@@ -11,7 +11,6 @@ from quadsafe.controller import (
     _wrap_angle,
     attitude_loop,
     body_rate_loop,
-    nominal_command,
     position_loop,
     thrust_from_accel,
 )
@@ -144,9 +143,15 @@ class TestBodyRateLoop:
 class TestNominalCommand:
     def test_hover_fixed_point(self):
         p = QuadParams()
-        cmd = nominal_command(QuadState(), hover_ref(), ControllerGains(), p)
-        assert cmd.f_hat == pytest.approx(p.m * p.g)
-        assert np.allclose(cmd.tau_hat, 0.0, atol=1e-12)
+        g = ControllerGains()
+        s = QuadState()
+        ref = hover_ref()
+        acc = position_loop(s, ref, g)
+        f_hat = thrust_from_accel(acc[2], s.R[2, 2], p)
+        omega_cmd = attitude_loop(s, acc, f_hat, ref.psi_d, g, p)
+        tau_hat = body_rate_loop(s, omega_cmd, g, p)
+        assert f_hat == pytest.approx(p.m * p.g)
+        assert np.allclose(tau_hat, 0.0, atol=1e-12)
 
 
 class TestWrapAngle:

@@ -11,8 +11,8 @@ from quadsafe.dynamics import (
     R_of_euler,
     deriv,
     euler_of_R,
+    flat_of,
     project_to_rotation,
-    skew,
     step,
 )
 
@@ -57,53 +57,59 @@ class TestStateValidation:
             QuadState(R=R).validate()
 
 
-class TestSkew:
-    def test_matches_cross_product(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            w, x = rng.normal(size=3), rng.normal(size=3)
-            assert np.allclose(skew(w) @ x, np.cross(w, x))
-
-    def test_antisymmetric(self):
-        S = skew(np.array([1.0, -2.0, 3.0]))
-        assert np.allclose(S, -S.T)
-
-
 class TestVectorField:
+    """The flat vector field; layout [r, R row-major, v, omega]."""
+
+    @staticmethod
+    def field(state, f, tau, p):
+        return np.array(deriv(flat_of(state), f, list(tau), p))
+
     def test_free_fall_accelerates_along_world_z(self):
         # Sign convention: vdot = g z_w - R z_w f/m, so zero thrust gives +g.
         p = QuadParams()
-        d = deriv(QuadState(), ControlInput(f=0.0, tau=np.zeros(3)), p)
-        assert np.allclose(d.v_dot, [0.0, 0.0, p.g])
+        d = self.field(QuadState(), 0.0, np.zeros(3), p)
+        assert np.allclose(d[12:15], [0.0, 0.0, p.g])
 
     def test_hover_thrust_cancels_gravity(self):
         p = QuadParams()
-        d = deriv(QuadState(), ControlInput(f=p.m * p.g, tau=np.zeros(3)), p)
-        assert np.allclose(d.v_dot, 0.0, atol=1e-12)
-        assert np.allclose(d.R_dot, 0.0)
-        assert np.allclose(d.omega_dot, 0.0)
+        d = self.field(QuadState(), p.m * p.g, np.zeros(3), p)
+        assert np.allclose(d[12:15], 0.0, atol=1e-12)
+        assert np.allclose(d[3:12], 0.0)
+        assert np.allclose(d[15:], 0.0)
 
     def test_tilt_produces_lateral_acceleration(self):
         p = QuadParams()
         theta = 0.3
         s = QuadState(R=R_of_euler(0.0, theta, 0.0))
-        d = deriv(s, ControlInput(f=p.m * p.g, tau=np.zeros(3)), p)
+        d = self.field(s, p.m * p.g, np.zeros(3), p)
         # Pitch forward: thrust axis tips, x picks up -R13 f/m.
-        assert d.v_dot[0] == pytest.approx(-np.sin(theta) * p.g, rel=1e-12)
+        assert d[12] == pytest.approx(-np.sin(theta) * p.g, rel=1e-12)
 
     def test_torque_maps_through_inertia(self):
         p = QuadParams()
         tau = np.array([0.5, -0.3, 0.2])
-        d = deriv(QuadState(), ControlInput(f=0.0, tau=tau), p)
-        assert np.allclose(d.omega_dot, tau / np.array([p.Ix, p.Iy, p.Iz]))
+        d = self.field(QuadState(), 0.0, tau, p)
+        assert np.allclose(d[15:], tau / np.array([p.Ix, p.Iy, p.Iz]))
 
     def test_gyroscopic_coupling(self):
         p = QuadParams()
         w = np.array([1.0, 2.0, 3.0])
-        d = deriv(QuadState(omega=w), ControlInput(f=0.0, tau=np.zeros(3)), p)
+        d = self.field(QuadState(omega=w), 0.0, np.zeros(3), p)
         Iw = np.array([p.Ix, p.Iy, p.Iz]) * w
         expected = -np.cross(w, Iw) / np.array([p.Ix, p.Iy, p.Iz])
-        assert np.allclose(d.omega_dot, expected)
+        assert np.allclose(d[15:], expected)
+
+    def test_rotation_block_is_R_times_skew_omega(self):
+        # Rdot = R [w]x, where [w]x x = w x x: column j of [w]x is w x e_j.
+        p = QuadParams()
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            s = random_state(rng)
+            w_hat = np.cross(s.omega, np.eye(3)).T
+            assert np.allclose(w_hat, -w_hat.T)
+            d = self.field(s, 4.0, rng.normal(size=3), p)
+            assert np.allclose(d[3:12].reshape(3, 3), s.R @ w_hat, atol=1e-12)
+            assert np.array_equal(d[:3], s.v)
 
 
 class TestStep:

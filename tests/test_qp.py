@@ -10,11 +10,11 @@ from quadsafe.qp import (
     QpProblem,
     QpSolution,
     QpStatus,
-    filter_thrust,
     filter_torque,
     kkt_residual,
     least_infeasible,
     solve_qp,
+    thrust_filter,
 )
 
 
@@ -167,26 +167,24 @@ class TestFilters:
         self.vel_gains = EcbfGains(3, (-3.0, -4.0, -5.0))
 
     def test_thrust_pass_through_deep_inside(self):
-        state = QuadState()  # hover at the center of the region
+        # Hover at the center of the region: z = 0, zdot = 0, level.
         f_hat = self.params.m * self.params.g
-        res = filter_thrust(state, f_hat, [(self.alt_spec, self.alt_gains)],
-                            self.params)
-        assert res.u_star[0] == pytest.approx(f_hat)
-        assert res.solution.status is QpStatus.OPTIMAL
+        f_star, (_, status, _, _), _ = thrust_filter(
+            0.0, 0.0, 1.0, f_hat, [(self.alt_spec, self.alt_gains)], self.params)
+        assert f_star == pytest.approx(f_hat)
+        assert status is QpStatus.OPTIMAL
 
     def test_thrust_intervenes_near_boundary(self):
         # Climbing fast just below the upper z limit: thrust must rise above
         # nominal to brake (thrust opposes +z motion in this frame).
-        state = QuadState(r=np.array([0.0, 0.0, 1.95]),
-                          v=np.array([0.0, 0.0, 2.0]))
         f_hat = self.params.m * self.params.g
-        res = filter_thrust(state, f_hat, [(self.alt_spec, self.alt_gains)],
-                            self.params)
-        assert res.u_star[0] > f_hat
+        f_star, _, _ = thrust_filter(
+            1.95, 2.0, 1.0, f_hat, [(self.alt_spec, self.alt_gains)], self.params)
+        assert f_star > f_hat
 
     def test_thrust_rejects_lateral_domain(self):
         with pytest.raises(ValueError):
-            filter_thrust(QuadState(), 4.0, [(self.vel_spec, self.vel_gains)],
+            thrust_filter(0.0, 0.0, 1.0, 4.0, [(self.vel_spec, self.vel_gains)],
                           self.params)
 
     def test_torque_pass_through_deep_inside(self):
@@ -205,9 +203,8 @@ class TestFilters:
         p = problem_1d(5.0, [row(0.0, -1.0)])
         sol = solve_qp(p)
         assert sol.status is QpStatus.INFEASIBLE
-        state = QuadState(r=np.array([0.0, 0.0, 3.0]),
-                          v=np.array([0.0, 0.0, 5.0]))
-        res = filter_thrust(state, 4.0, [(self.alt_spec, self.alt_gains)],
-                            self.params, policy=InfeasiblePolicy.NOMINAL)
+        f_star, _, _ = thrust_filter(
+            3.0, 5.0, 1.0, 4.0, [(self.alt_spec, self.alt_gains)],
+            self.params, policy=InfeasiblePolicy.NOMINAL)
         # Whatever the feasibility outcome, the result stays in the box.
-        assert 0.0 <= res.u_star[0] <= self.params.f_max
+        assert 0.0 <= f_star <= self.params.f_max
