@@ -8,14 +8,13 @@ reproducing the trajectory-rectification experiments.
 
 from .barriers import BarrierDomain, BarrierSpec, EcbfGains, pole_place, rectellipse_h
 from .controller import ControllerGains, Reference
-from .dynamics import ControlInput, QuadParams, QuadState
+from .dynamics import QuadParams, QuadState
 from .qp import InfeasiblePolicy, QpProblem, QpSolution, solve_qp
 from .sim import Scenario, ScheduledBarrier, TraceRecord, reference_at, run
 
 __all__ = [
     "BarrierDomain",
     "BarrierSpec",
-    "ControlInput",
     "ControllerGains",
     "EcbfGains",
     "InfeasiblePolicy",

@@ -7,10 +7,14 @@ Four barrier families are supported:
 * lateral position (relative degree 4, input = [tau_x, tau_y])
 * lateral velocity (relative degree 3, input = [tau_x, tau_y])
 
-Each chain returns a linear constraint row  a . u + b >= 0  encoding the
-(E)CBF condition  L_f^d h + L_g L_f^(d-1) h . u + K' H >= 0.  All higher
-derivatives of position are closed-form functions of the rigid-body state;
-no numerical differentiation is involved.
+Both levels build one row shape, (a, b, h, H): the linear constraint
+a . u + b >= 0 encoding the (E)CBF condition
+L_f^d h + L_g L_f^(d-1) h . u + K' H >= 0, the barrier value h and the
+chain H = [h, L_f h, ..., L_f^(d-1) h]. altitude_row builds it over the
+thrust, lateral_row over [tau_x, tau_y] (with the kinematic terms of
+lateral_chain_terms, shared by both lateral barriers). All higher
+derivatives of position are closed-form functions of the flat rigid-body
+state; no numerical differentiation is involved.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import QuadParams, QuadState
+from .dynamics import QuadParams
 
 DET_MIN = 1e-3  # lower bound on |det W| before the lateral map is declared singular
 
@@ -107,16 +111,6 @@ class EcbfGains:
 
 
 @dataclass(frozen=True)
-class ConstraintRow:
-    """Linear safety constraint a . u + b >= 0 over the QP decision variable."""
-
-    a: np.ndarray
-    b: float
-    h_value: float
-    H: np.ndarray  # [h, L_f h, ..., L_f^(d-1) h]
-
-
-@dataclass(frozen=True)
 class LateralChainTerms:
     """Shared kinematic terms for the lateral chains (paper's W, V, A, J, L)."""
 
@@ -182,26 +176,26 @@ def altitude_row(
     raise ValueError(f"not an altitude barrier: {spec.domain}")
 
 
-def lateral_chain_terms(state: QuadState, params: QuadParams) -> LateralChainTerms:
-    """Kinematic terms shared by both lateral chains.
+def lateral_chain_terms(x: list[float], params: QuadParams) -> LateralChainTerms:
+    """Kinematic terms shared by both lateral chains, at the flat state x.
 
     W maps (Rdot13, Rdot23) to R33*(p, q); its inverse V, the exact Vdot
     (from Rdot = R [w]x), and the drift/input maps J, L of the second
     derivative of (R13, R23).
     """
-    R = state.R
-    p, q, r_rate = (float(w) for w in state.omega)
-    W = np.array([[R[1, 0], -R[0, 0]], [R[1, 1], -R[0, 1]]])
+    R11, R12, R13, R21, R22, R23, R31, R32, R33 = x[3:12]
+    p, q, r_rate = x[15:18]
+    W = np.array([[R21, -R11], [R22, -R12]])
     detW = W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]
     if abs(detW) < DET_MIN:
         raise LateralSingular(f"|det W| = {abs(detW):.2e} below {DET_MIN}")
     V = np.array([[W[1, 1], -W[0, 1]], [-W[1, 0], W[0, 0]]]) / detW
     # Entry-wise Rdot from Rdot = R [w]x.
-    Rd11 = R[0, 1] * r_rate - R[0, 2] * q
-    Rd21 = R[1, 1] * r_rate - R[1, 2] * q
-    Rd12 = -R[0, 0] * r_rate + R[0, 2] * p
-    Rd22 = -R[1, 0] * r_rate + R[1, 2] * p
-    R33dot = R[2, 0] * q - R[2, 1] * p
+    Rd11 = R12 * r_rate - R13 * q
+    Rd21 = R22 * r_rate - R23 * q
+    Rd12 = -R11 * r_rate + R13 * p
+    Rd22 = -R21 * r_rate + R23 * p
+    R33dot = R31 * q - R32 * p
     Wdot = np.array([[Rd21, -Rd11], [Rd22, -Rd12]])
     Vdot = -V @ Wdot @ V
     A = np.array([p, q])
@@ -211,105 +205,82 @@ def lateral_chain_terms(state: QuadState, params: QuadParams) -> LateralChainTer
             (params.Iz - params.Ix) / params.Iy * p * r_rate,
         ]
     )
-    R33 = float(R[2, 2])
     J = R33dot * (V @ A) + R33 * (Vdot @ A) + R33 * (V @ gyro)
     L_mat = R33 * V @ np.diag([1.0 / params.Ix, 1.0 / params.Iy])
-    return LateralChainTerms(W=W, V=V, A=A, Vdot=Vdot, R33dot=float(R33dot), J=J, L_mat=L_mat)
+    return LateralChainTerms(W=W, V=V, A=A, Vdot=Vdot, R33dot=R33dot, J=J, L_mat=L_mat)
 
 
-def _lateral_kinematics(state: QuadState, f: float, params: QuadParams, terms: LateralChainTerms):
-    """First three time derivatives of (x, y) under frozen thrust f."""
-    R = state.R
-    xy_d = state.v[:2].copy()
-    xy_dd = -(f / params.m) * np.array([R[0, 2], R[1, 2]])
-    xy_ddd = -(f / params.m) * R[2, 2] * (terms.V @ terms.A)
-    return xy_d, xy_dd, xy_ddd
-
-
-def lateral_position_chain(
-    state: QuadState,
-    f_applied: float,
+def lateral_row(
     spec: BarrierSpec,
     gains: EcbfGains,
+    x: list[float],
+    f: float,
+    terms: LateralChainTerms,
     params: QuadParams,
-) -> ConstraintRow:
-    """ECBF row (delta=4) for h(x, y); decision variable = [tau_x, tau_y].
+) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """Core of the two lateral chains: (a, b, h, H) of the row
+    a . [tau_x, tau_y] + b >= 0 at the flat state x, with the kinematic
+    terms of lateral_chain_terms(x, params).
 
-    The thrust already fixed for this step enters the drift; the chain is
+    The thrust f already fixed for this step enters the drift; the chain is
     exact for zero-order-hold thrust.
     """
-    assert spec.domain is BarrierDomain.LATERAL_POSITION
-    terms = lateral_chain_terms(state, params)
+    # First three time derivatives of (x, y) under frozen thrust f.
+    xy_d = np.array(x[12:14])
+    xy_dd = -(f / params.m) * np.array([x[5], x[8]])
+    xy_ddd = -(f / params.m) * x[11] * (terms.V @ terms.A)
+    fm4 = 4.0 * f / params.m
     cx, cy = spec.center
     px4, py4 = spec.half_width**4
-    sx = float(state.r[0]) - cx
-    sy = float(state.r[1]) - cy
+    if spec.domain is BarrierDomain.LATERAL_POSITION:
+        sx, sy = x[0] - cx, x[1] - cy
+    elif spec.domain is BarrierDomain.LATERAL_VELOCITY:
+        sx, sy = x[12] - cx, x[13] - cy
+    else:
+        raise ValueError(f"not a lateral barrier: {spec.domain}")
     eta = [np.array([sx**i / px4, sy**i / py4]) for i in range(4)]
-    xy_d, xy_dd, xy_ddd = _lateral_kinematics(state, f_applied, params, terms)
-
     h = 1.0 - sx**4 / px4 - sy**4 / py4
-    Lfh = -4.0 * eta[3] @ xy_d
-    Lf2h = -4.0 * eta[3] @ xy_dd - 12.0 * eta[2] @ xy_d**2
-    Lf3h = (
-        -4.0 * eta[3] @ xy_ddd
-        - 36.0 * eta[2] @ (xy_d * xy_dd)
-        - 24.0 * eta[1] @ xy_d**3
-    )
-    fm4 = 4.0 * f_applied / params.m
-    Lf4h = (
-        fm4 * eta[3] @ terms.J
-        - 48.0 * eta[2] @ (xy_d * xy_ddd)
-        - 36.0 * eta[2] @ xy_dd**2
-        - 144.0 * eta[1] @ (xy_d**2 * xy_dd)
-        - 24.0 * eta[0] @ xy_d**4
-    )
     a = fm4 * (eta[3] @ terms.L_mat)
-    H = np.array([h, Lfh, Lf2h, Lf3h])
-    b = Lf4h + float(gains.K @ H)
-    return ConstraintRow(a=a, b=b, h_value=h, H=H)
 
-
-def lateral_velocity_chain(
-    state: QuadState,
-    f_applied: float,
-    spec: BarrierSpec,
-    gains: EcbfGains,
-    params: QuadParams,
-) -> ConstraintRow:
-    """ECBF row (delta=3) for h(xdot, ydot); decision variable = [tau_x, tau_y]."""
-    assert spec.domain is BarrierDomain.LATERAL_VELOCITY
-    terms = lateral_chain_terms(state, params)
-    vx4, vy4 = spec.half_width**4
-    terms_xy = _lateral_kinematics(state, f_applied, params, terms)
-    xy_d, xy_dd, xy_ddd = terms_xy
-    sx = float(xy_d[0]) - float(spec.center[0])
-    sy = float(xy_d[1]) - float(spec.center[1])
-    mu = [np.array([sx**i / vx4, sy**i / vy4]) for i in range(4)]
-
-    h = 1.0 - sx**4 / vx4 - sy**4 / vy4
-    Lfh = -4.0 * mu[3] @ xy_dd
-    Lf2h = -4.0 * mu[3] @ xy_ddd - 12.0 * mu[2] @ xy_dd**2
-    fm4 = 4.0 * f_applied / params.m
+    if spec.domain is BarrierDomain.LATERAL_POSITION:
+        # ECBF, delta=4, h(x, y) = 1 - ((x-c_x)/p_x)^4 - ((y-c_y)/p_y)^4.
+        Lfh = -4.0 * eta[3] @ xy_d
+        Lf2h = -4.0 * eta[3] @ xy_dd - 12.0 * eta[2] @ xy_d**2
+        Lf3h = (
+            -4.0 * eta[3] @ xy_ddd
+            - 36.0 * eta[2] @ (xy_d * xy_dd)
+            - 24.0 * eta[1] @ xy_d**3
+        )
+        Lf4h = (
+            fm4 * eta[3] @ terms.J
+            - 48.0 * eta[2] @ (xy_d * xy_ddd)
+            - 36.0 * eta[2] @ xy_dd**2
+            - 144.0 * eta[1] @ (xy_d**2 * xy_dd)
+            - 24.0 * eta[0] @ xy_d**4
+        )
+        H = np.array([h, Lfh, Lf2h, Lf3h])
+        return a, Lf4h + float(gains.K @ H), h, H
+    # ECBF, delta=3, h(xdot, ydot) = 1 - ((xdot-c_x)/v_x)^4 - ((ydot-c_y)/v_y)^4.
+    Lfh = -4.0 * eta[3] @ xy_dd
+    Lf2h = -4.0 * eta[3] @ xy_ddd - 12.0 * eta[2] @ xy_dd**2
     Lf3h = (
-        fm4 * mu[3] @ terms.J
-        - 36.0 * mu[2] @ (xy_dd * xy_ddd)
-        - 24.0 * mu[1] @ xy_dd**3
+        fm4 * eta[3] @ terms.J
+        - 36.0 * eta[2] @ (xy_dd * xy_ddd)
+        - 24.0 * eta[1] @ xy_dd**3
     )
-    a = fm4 * (mu[3] @ terms.L_mat)
     H = np.array([h, Lfh, Lf2h])
-    b = Lf3h + float(gains.K @ H)
-    return ConstraintRow(a=a, b=b, h_value=h, H=H)
+    return a, Lf3h + float(gains.K @ H), h, H
 
 
-def barrier_h(state: QuadState, spec: BarrierSpec) -> float:
-    """Current barrier value for any domain (logging/diagnostics)."""
+def barrier_h(x: list[float], spec: BarrierSpec) -> float:
+    """Current barrier value for any domain at the flat state x."""
     domain = spec.domain
     if domain is BarrierDomain.ALTITUDE_POSITION:
-        values = (float(state.r[2]),)
+        values = x[2:3]
     elif domain is BarrierDomain.ALTITUDE_POSVEL:
-        values = (float(state.r[2]), float(state.v[2]))
+        values = (x[2], x[14])
     elif domain is BarrierDomain.LATERAL_POSITION:
-        values = state.r[:2].tolist()
+        values = x[0:2]
     else:
-        values = state.v[:2].tolist()
+        values = x[12:14]
     return rectellipse_h(values, spec)

@@ -160,6 +160,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "oracle":
+        if args.states < 1:
+            print("error: --states must be at least 1", file=sys.stderr)
+            return 1
         ok = True
         for chk in check_all_chains(n_states=args.states):
             print(
@@ -181,10 +184,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.dt is not None:
-        if args.dt <= 0:
-            print("error: --dt must be positive", file=sys.stderr)
+        try:
+            scenario = dataclasses.replace(scenario, dt=args.dt)
+        except ValueError as exc:
+            print(f"error: --dt {args.dt}: {exc}", file=sys.stderr)
             return 1
-        scenario = dataclasses.replace(scenario, dt=args.dt)
 
     t0 = time.perf_counter()
     try:

@@ -8,6 +8,7 @@ instead of silently falling back to defaults.
 from __future__ import annotations
 
 import io
+import math
 from typing import Any
 
 import numpy as np
@@ -64,14 +65,18 @@ def _check_keys(table: dict, allowed: set, where: str) -> None:
 
 def _num(table: dict, key: str, default: float, where: str) -> float:
     val = table.get(key, default)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ScenarioError(f"'{where}.{key}' must be a number, got {val!r}")
+    if not _is_number(val):
+        raise ScenarioError(f"'{where}.{key}' must be a number (finite), got {val!r}")
     return float(val)
+
+
+def _is_number(val: Any) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
 
 
 def _vec3(table: dict, key: str, default, where: str) -> np.ndarray:
     val = table.get(key, default)
-    if not (isinstance(val, (list, tuple)) and len(val) == 3):
+    if not (isinstance(val, (list, tuple)) and len(val) == 3 and all(map(_is_number, val))):
         raise ScenarioError(f"'{where}.{key}' must be a list of 3 numbers")
     return np.array([float(v) for v in val])
 
@@ -83,8 +88,6 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     _check_keys(run, _RUN_KEYS, "run")
     duration = _num(run, "duration_s", 40.0, "run")
     dt = _num(run, "dt_s", 1e-3, "run")
-    if duration <= 0 or dt <= 0:
-        raise ScenarioError("'run.duration_s' and 'run.dt_s' must be positive")
 
     init = data.get("initial", {})
     _check_keys(init, _INITIAL_KEYS, "initial")
@@ -181,7 +184,7 @@ def _barrier_from_dict(entry: dict, where: str) -> ScheduledBarrier:
     if not isinstance(entry, dict) or "domain" not in entry:
         raise ScenarioError(f"'{where}' must be a mapping with a 'domain' key")
     domain_name = entry["domain"]
-    if domain_name not in _BARRIER_KEYS:
+    if not isinstance(domain_name, str) or domain_name not in _BARRIER_KEYS:
         raise ScenarioError(
             f"'{where}.domain' must be one of {sorted(_BARRIER_KEYS)}, got {domain_name!r}"
         )
@@ -210,7 +213,10 @@ def _barrier_from_dict(entry: dict, where: str) -> ScheduledBarrier:
     else:
         if "alpha" in entry:
             raise ScenarioError(f"'{where}.alpha' only applies to relative-degree-1 barriers")
-        poles = tuple(float(p) for p in entry.get("poles", DEFAULT_POLES[delta]))
+        poles = entry.get("poles", DEFAULT_POLES[delta])
+        if not (isinstance(poles, (list, tuple)) and all(map(_is_number, poles))):
+            raise ScenarioError(f"'{where}.poles' must be a list of {delta} numbers")
+        poles = tuple(float(p) for p in poles)
 
     try:
         spec = BarrierSpec(
@@ -227,11 +233,14 @@ def _barrier_from_dict(entry: dict, where: str) -> ScheduledBarrier:
 
 def load_scenario(source: str | io.TextIOBase) -> Scenario:
     """Parse a YAML scenario file (path or open stream)."""
-    if isinstance(source, str):
-        with open(source, "r") as f:
-            data = yaml.safe_load(f)
-    else:
-        data = yaml.safe_load(source)
+    try:
+        if isinstance(source, str):
+            with open(source, "rb") as f:
+                data = yaml.safe_load(f)
+        else:
+            data = yaml.safe_load(source)
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"not valid YAML: {exc}") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):

@@ -2,7 +2,8 @@
 
 Position loop -> commanded accelerations and thrust; attitude loop ->
 commanded body rates via first-order regulation of the R13/R23 entries;
-body-rate loop -> nominal moments by inverting the Euler equation.
+body-rate loop -> nominal moments by inverting the Euler equation. Each
+loop reads the flat state x = [r, R row-major, v, omega].
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import QuadParams, QuadState, euler_of_R
+from .dynamics import QuadParams
 
 R33_MIN = 0.2
 SIN_THETA_MAX = 0.9
@@ -55,13 +56,13 @@ class Reference:
     psi_d: float = 0.0
 
 
-def position_loop(state: QuadState, ref: Reference, gains: ControllerGains) -> np.ndarray:
+def position_loop(x: list[float], ref: Reference, gains: ControllerGains) -> np.ndarray:
     """Commanded acceleration: feedforward plus PD on (desired - actual)."""
     return np.array([
         a + kp * (rd - r) + kd * (vd - v)
         for a, kp, rd, r, kd, vd, v in zip(
-            ref.a_d.tolist(), gains.Kp.tolist(), ref.r_d.tolist(), state.r.tolist(),
-            gains.Kd.tolist(), ref.v_d.tolist(), state.v.tolist(),
+            ref.a_d.tolist(), gains.Kp.tolist(), ref.r_d.tolist(), x[:3],
+            gains.Kd.tolist(), ref.v_d.tolist(), x[12:15],
         )
     ])
 
@@ -75,22 +76,22 @@ def thrust_from_accel(z_ddot_cmd: float, R33: float, params: QuadParams) -> floa
 
 
 def attitude_loop(
-    state: QuadState,
+    x: list[float],
     r_ddot_cmd: np.ndarray,
     f: float,
+    psi: float,
     psi_d: float,
     gains: ControllerGains,
     params: QuadParams,
-    psi: float | None = None,
 ) -> np.ndarray:
     """Commanded body rates [p_cmd, q_cmd, r_cmd].
 
     Lateral: commanded R13/R23 from inverting the translational dynamics
     (xddot = -R13 f/m), regulated first-order with gain k_R, then mapped to
-    (p, q) through W/R33. Yaw: proportional on the wrapped heading error;
-    psi is the current yaw, taken from state.R when not given.
+    (p, q) through W/R33. Yaw: proportional on the wrapped error between the
+    desired yaw psi_d and the current yaw psi.
     """
-    (R11, R12, R13), (R21, R22, R23), (_, _, R33) = state.R.tolist()
+    R11, R12, R13, R21, R22, R23, _, _, R33 = x[3:12]
     if R33 < R33_MIN:
         raise AttitudeSingular(f"R33 = {R33:.3f} below {R33_MIN}")
     f_min = THRUST_FLOOR_FRAC * params.m * params.g
@@ -102,32 +103,31 @@ def attitude_loop(
     Rdot23_cmd = gains.k_R * (R23_cmd - R23)
     W = np.array([[R21, -R11], [R22, -R12]])
     p_cmd, q_cmd = W.dot(np.array([Rdot13_cmd, Rdot23_cmd])).tolist()
-    if psi is None:
-        _, _, psi = euler_of_R(state.R)
     err = _wrap_angle(psi_d - psi)
     r_cmd = gains.k_psi * err
     return np.array([p_cmd / R33, q_cmd / R33, r_cmd])
 
 
 def body_rate_loop(
-    state: QuadState,
+    x: list[float],
     omega_cmd: np.ndarray,
     gains: ControllerGains,
     params: QuadParams,
 ) -> np.ndarray:
-    """Nominal moments: tau = I*wdot_cmd + w x I w, clamped to actuator bounds."""
-    p, q, r = state.omega.tolist()
+    """Nominal moments: tau = I*wdot_cmd + w x I w, clamped to actuator
+    bounds; tau_z shares the y bound tau_max[1]."""
+    p, q, r = x[15:18]
     kp, kq, kr = gains.k_omega.tolist()
     p_cmd, q_cmd, r_cmd = np.asarray(omega_cmd, float).tolist()
     Ix, Iy, Iz = params.Ix, params.Iy, params.Iz
-    bound_xy, bound_z = params.tau_max[0], params.tau_max[1]
+    bound_x, bound_y = params.tau_max
     tau_x = Ix * (kp * (p_cmd - p)) + (Iz - Iy) * q * r
     tau_y = Iy * (kq * (q_cmd - q)) + (Ix - Iz) * p * r
     tau_z = Iz * (kr * (r_cmd - r)) + (Iy - Ix) * p * q
     return np.array([
-        min(max(tau_x, -bound_xy), bound_xy),
-        min(max(tau_y, -bound_z), bound_z),
-        min(max(tau_z, -bound_z), bound_z),
+        min(max(tau_x, -bound_x), bound_x),
+        min(max(tau_y, -bound_y), bound_y),
+        min(max(tau_z, -bound_y), bound_y),
     ])
 
 

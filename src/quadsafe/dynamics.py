@@ -23,7 +23,11 @@ class NonFiniteState(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadParams:
-    """Physical parameters of the quadrotor (defaults: desk-scale platform)."""
+    """Physical parameters of the quadrotor (defaults: desk-scale platform).
+
+    tau_max bounds the moments about x_B and y_B; the yaw moment tau_z
+    shares the y bound tau_max[1].
+    """
 
     g: float = 9.81          # m/s^2
     m: float = 0.45          # kg
@@ -45,7 +49,11 @@ class QuadParams:
 
 @dataclass(frozen=True)
 class QuadState:
-    """Full rigid-body state: r [m], R (body-to-world), v [m/s], omega [rad/s]."""
+    """Full rigid-body state: r [m], R (body-to-world), v [m/s], omega [rad/s].
+
+    The validated initial state of a scenario; the step loop and its
+    kernels run on its flat form (flat_of).
+    """
 
     r: np.ndarray = field(default_factory=lambda: np.zeros(3))
     R: np.ndarray = field(default_factory=lambda: np.eye(3))
@@ -61,14 +69,6 @@ class QuadState:
             raise ValueError(f"R not orthonormal: max |R'R - I| = {err:.3e}")
         if abs(np.linalg.det(self.R) - 1.0) > tol:
             raise ValueError("det(R) != 1")
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """Total thrust f [N] and body moments tau [N m]."""
-
-    f: float
-    tau: np.ndarray
 
 
 def deriv(
@@ -124,17 +124,13 @@ def rk4_flat(
 
 def flat_of(state: QuadState) -> list[float]:
     """The 18 state floats [r, R row-major, v, omega]."""
-    return state.r.tolist() + state.R.ravel().tolist() + state.v.tolist() + state.omega.tolist()
+    return np.concatenate([state.r, state.R.ravel(), state.v, state.omega], dtype=float).tolist()
 
 
-def state_of(x: list[float]) -> QuadState:
-    """QuadState of a flat state, with R projected back onto SO(3)."""
-    return QuadState(
-        np.array(x[:3]),
-        project_to_rotation(np.array(x[3:12]).reshape(3, 3)),
-        np.array(x[12:15]),
-        np.array(x[15:18]),
-    )
+def project_flat(x: list[float]) -> list[float]:
+    """The flat state x with its R block projected back onto SO(3)."""
+    R = project_to_rotation(np.array(x[3:12]).reshape(3, 3))
+    return x[:3] + R.ravel().tolist() + x[12:]
 
 
 def project_to_rotation(R: np.ndarray) -> np.ndarray:
@@ -154,35 +150,30 @@ def _det3(M: list[list[float]]) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def step(state: QuadState, u: ControlInput, params: QuadParams, dt: float) -> QuadState:
-    """One classical RK4 step under zero-order-hold input; R re-projected to SO(3)."""
-    return advance(flat_of(state), float(u.f), u.tau.tolist(), params, dt)[1]
-
-
 def advance(
     x: list[float], f: float, tau: list[float], params: QuadParams, dt: float
-) -> tuple[list[float], QuadState]:
-    """step on the flat state: the next flat state and the same state as a
-    QuadState, R re-projected to SO(3) in both."""
+) -> list[float]:
+    """One classical RK4 step of the flat state under zero-order-hold thrust f
+    and moments tau; R re-projected to SO(3)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     x1 = rk4_flat(x, f, tau, params, dt)
     if not all(map(math.isfinite, x1)):
         raise NonFiniteState("integration produced non-finite values")
-    state = state_of(x1)
-    return x1[:3] + state.R.ravel().tolist() + x1[12:], state
+    return project_flat(x1)
 
 
 _GIMBAL_TOL = 1.0 - 1e-9
 
 
-def euler_of_R(R: np.ndarray) -> tuple[float, float, float]:
-    """Z-Y-X Euler angles (roll phi, pitch theta, yaw psi) of R = Rz Ry Rx.
+def euler_of_R(x: list[float]) -> tuple[float, float, float]:
+    """Z-Y-X Euler angles (roll phi, pitch theta, yaw psi) of the flat
+    state's R = Rz Ry Rx.
 
     Near the pitch singularity (|R31| -> 1) the roll/yaw split is ambiguous;
     roll is set to zero and yaw absorbs the remaining in-plane rotation.
     """
-    (R11, R12, _), (R21, R22, _), (R31, R32, R33) = R.tolist()
+    R11, R12, _, R21, R22, _, R31, R32, R33 = x[3:12]
     r31 = min(max(R31, -1.0), 1.0)
     # arcsin/arctan2 stay numpy calls: they can round differently from math's.
     if abs(r31) > _GIMBAL_TOL:

@@ -20,10 +20,10 @@ from .barriers import (
     BarrierSpec,
     EcbfGains,
     altitude_row,
-    lateral_position_chain,
-    lateral_velocity_chain,
+    lateral_chain_terms,
+    lateral_row,
 )
-from .dynamics import ControlInput, QuadParams, QuadState, flat_of, rk4_flat, state_of
+from .dynamics import QuadParams, QuadState, flat_of, project_flat, rk4_flat
 
 FD_DT = 1e-4        # central-difference half step
 FD_SUBSTEPS = 4     # RK4 substeps per half step
@@ -46,41 +46,39 @@ class ChainCheck:
 
 
 def evaluate_chain(
-    state: QuadState,
-    domain: BarrierDomain,
+    x: list[float],
     spec: BarrierSpec,
     gains: EcbfGains,
     params: QuadParams,
-    u: ControlInput,
+    f: float,
+    tau: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """Analytic (H, L_f^d h + L_g L_f^(d-1) h . u) at one state."""
-    if domain in (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL):
-        a, b, _, H = altitude_row(
-            spec, gains, float(state.r[2]), float(state.v[2]), float(state.R[2, 2]), params
-        )
-        a_dot_u = a * float(u.f)
+    """Analytic (H, L_f^d h + L_g L_f^(d-1) h . u) at the flat state x under
+    thrust f and moments tau."""
+    if spec.domain in (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL):
+        a, b, _, H = altitude_row(spec, gains, x[2], x[14], x[11], params)
+        a_dot_u = a * f
     else:
-        chain = (lateral_position_chain if domain is BarrierDomain.LATERAL_POSITION
-                 else lateral_velocity_chain)
-        row = chain(state, u.f, spec, gains, params)
-        b, H = row.b, row.H
-        a_dot_u = float(row.a @ u.tau[:2])
+        a, b, _, H = lateral_row(spec, gains, x, f, lateral_chain_terms(x, params), params)
+        a_dot_u = float(a @ tau[:2])
     lf_top = b - float(gains.K @ H)  # L_f^d h
     return H, lf_top + a_dot_u
 
 
-def flow(state: QuadState, u: ControlInput, params: QuadParams, dt: float) -> QuadState:
-    """Frozen-input flow over a signed interval dt (small, for stencils).
+def flow(
+    x: list[float], f: float, tau: np.ndarray, params: QuadParams, dt: float
+) -> list[float]:
+    """Frozen-input flow of the flat state over a signed interval dt (small,
+    for stencils); R re-projected to SO(3) at the end.
 
     RK4 is valid for negative steps, so backward stencil points integrate
     the same vector field with a negative step size.
     """
     h = dt / FD_SUBSTEPS
-    f, tau = float(u.f), u.tau.tolist()
-    x = flat_of(state)
+    tau = tau.tolist()
     for _ in range(FD_SUBSTEPS):
         x = rk4_flat(x, f, tau, params, h)
-    return state_of(x)
+    return project_flat(x)
 
 
 def default_spec(domain: BarrierDomain) -> BarrierSpec:
@@ -95,8 +93,9 @@ def default_spec(domain: BarrierDomain) -> BarrierSpec:
 
 def random_state_and_input(
     rng: np.random.Generator, spec: BarrierSpec, params: QuadParams
-) -> tuple[QuadState, ControlInput]:
-    """Random state inside the safe set with a modest random frozen input."""
+) -> tuple[QuadState, float, np.ndarray]:
+    """Random state inside the safe set with a modest random frozen input
+    (thrust f, moments tau)."""
     from .dynamics import R_of_euler
 
     r = rng.uniform(-1.5, 1.5, size=3)
@@ -106,11 +105,8 @@ def random_state_and_input(
     angles = rng.uniform(-0.25, 0.25, size=3)
     omega = rng.uniform(-1.0, 1.0, size=3)
     state = QuadState(r=r, R=R_of_euler(*angles), v=v, omega=omega)
-    u = ControlInput(
-        f=float(rng.uniform(0.5, 1.8) * params.m * params.g),
-        tau=rng.uniform(-0.5, 0.5, size=3),
-    )
-    return state, u
+    f = float(rng.uniform(0.5, 1.8) * params.m * params.g)
+    return state, f, rng.uniform(-0.5, 0.5, size=3)
 
 
 def check_chain(
@@ -130,12 +126,11 @@ def check_chain(
     worst_lower = 0.0
     worst_top = 0.0
     for _ in range(n_states):
-        state, u = random_state_and_input(rng, spec, params)
-        H0, total0 = evaluate_chain(state, domain, spec, gains, params, u)
-        sp = flow(state, u, params, FD_DT)
-        sm = flow(state, u, params, -FD_DT)
-        Hp, _ = evaluate_chain(sp, domain, spec, gains, params, u)
-        Hm, _ = evaluate_chain(sm, domain, spec, gains, params, u)
+        state, f, tau = random_state_and_input(rng, spec, params)
+        x = flat_of(state)
+        H0, total0 = evaluate_chain(x, spec, gains, params, f, tau)
+        Hp, _ = evaluate_chain(flow(x, f, tau, params, FD_DT), spec, gains, params, f, tau)
+        Hm, _ = evaluate_chain(flow(x, f, tau, params, -FD_DT), spec, gains, params, f, tau)
         scale = max(1.0, float(np.max(np.abs(H0))), abs(total0))
         for k in range(delta):
             fd = (Hp[k] - Hm[k]) / (2.0 * FD_DT)

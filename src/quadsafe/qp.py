@@ -7,6 +7,10 @@ stacked barrier rows (a . u + b >= 0) and actuator box bounds:
 * low level: 2-D moment vector, solved by exhaustive active-set (KKT)
   enumeration, exact at this dimension.
 
+Each filter builds one (a, b, h, H) row per active barrier (altitude_row,
+lateral_row) and returns (applied input, QP solution, rows); the QP itself
+sees only the (a, b) pairs.
+
 On infeasibility the configurable fallback keeps the simulation alive; the
 default picks the least-infeasible admissible input (min-max violation).
 """
@@ -19,16 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barriers import (
-    BarrierDomain,
-    BarrierSpec,
-    ConstraintRow,
-    EcbfGains,
-    altitude_row,
-    lateral_position_chain,
-    lateral_velocity_chain,
-)
-from .dynamics import QuadParams, QuadState
+from .barriers import BarrierSpec, EcbfGains, altitude_row, lateral_chain_terms, lateral_row
+from .dynamics import QuadParams
 
 _A_EPS = 1e-12       # below this, a row does not involve the decision variable
 _FEAS_TOL = 1e-9
@@ -51,7 +47,7 @@ class QpProblem:
     """min 1/2 ||u - u_hat||^2  s.t.  a_i . u + b_i >= 0,  lower <= u <= upper."""
 
     u_hat: np.ndarray
-    rows: tuple[ConstraintRow, ...]
+    rows: tuple[tuple[np.ndarray, float], ...]  # (a_i, b_i)
     lower: np.ndarray
     upper: np.ndarray
 
@@ -78,7 +74,7 @@ def solve_qp(p: QpProblem) -> QpSolution:
 
 def _constraint_list(p: QpProblem) -> list[tuple[np.ndarray, float]]:
     """Barrier rows followed by box faces, all as a . u + b >= 0."""
-    cons = [(np.asarray(r.a, dtype=float), float(r.b)) for r in p.rows]
+    cons = [(np.asarray(a, dtype=float), float(b)) for a, b in p.rows]
     for j in range(p.dim):
         e = np.zeros(p.dim)
         e[j] = 1.0
@@ -90,7 +86,7 @@ def _constraint_list(p: QpProblem) -> list[tuple[np.ndarray, float]]:
 def _solve_1d(p: QpProblem) -> QpSolution:
     u, status, active, residual = solve_interval(
         float(p.u_hat[0]), float(p.lower[0]), float(p.upper[0]),
-        [(float(row.a[0]), float(row.b)) for row in p.rows],
+        [(float(a[0]), float(b)) for a, b in p.rows],
     )
     return QpSolution(np.array([u]), status, active, residual)
 
@@ -118,14 +114,17 @@ def solve_interval(
     if lo > hi:
         return min(max(u_hat, lower), upper), QpStatus.INFEASIBLE, (), 0.0
     u = min(max(u_hat, lo), hi)
-    active = []
-    if u == lo and lo_idx >= 0:
-        active.append(lo_idx)
-    if u == hi and hi_idx >= 0:
-        active.append(hi_idx)
+    # A row is active when the projection moves u_hat onto it, as in _solve_2d:
+    # a nominal input that already satisfies every row passes with none active.
+    if u_hat < lo and lo_idx >= 0:
+        active = (lo_idx,)
+    elif u_hat > hi and hi_idx >= 0:
+        active = (hi_idx,)
+    else:
+        active = ()
     # Largest violation over the rows and the two box faces (_constraint_list order).
     residual = max(0.0, *[-(a * u + b) for a, b in rows], -(u + -lower), -(-u + upper))
-    return u, QpStatus.OPTIMAL, tuple(active), residual
+    return u, QpStatus.OPTIMAL, active, residual
 
 
 def _solve_2d(p: QpProblem) -> QpSolution:
@@ -217,7 +216,7 @@ def least_infeasible(p: QpProblem) -> np.ndarray:
     from scipy.optimize import linprog
 
     n = p.dim
-    rows = [(np.asarray(r.a, float), float(r.b)) for r in p.rows]
+    rows = [(np.asarray(a, float), float(b)) for a, b in p.rows]
     if not rows:
         return np.clip(p.u_hat, p.lower, p.upper)
     A_ub = np.array([np.concatenate([-a, [-1.0]]) for a, _ in rows])
@@ -232,10 +231,7 @@ def least_infeasible(p: QpProblem) -> np.ndarray:
     slack = t_star * (1.0 + 1e-9) + 1e-12
     relaxed = QpProblem(
         u_hat=p.u_hat,
-        rows=tuple(
-            ConstraintRow(a=r.a, b=r.b + slack, h_value=r.h_value, H=r.H)
-            for r in p.rows
-        ),
+        rows=tuple((a, b + slack) for a, b in p.rows),
         lower=p.lower,
         upper=p.upper,
     )
@@ -243,13 +239,6 @@ def least_infeasible(p: QpProblem) -> np.ndarray:
     if sol.status is QpStatus.OPTIMAL:
         return sol.u_star
     return res.x[:n]
-
-
-@dataclass
-class FilterResult:
-    u_star: np.ndarray
-    solution: QpSolution
-    rows: tuple[ConstraintRow, ...]
 
 
 def _fallback(
@@ -285,7 +274,7 @@ def thrust_filter(
     if solution[1] is QpStatus.INFEASIBLE:
         p = QpProblem(
             np.array([u_hat]),
-            tuple(ConstraintRow(np.array([a]), b, h, H) for a, b, h, H in rows),
+            tuple((np.array([a]), b) for a, b, _, _ in rows),
             np.array([0.0]),
             np.array([params.f_max]),
         )
@@ -294,37 +283,33 @@ def thrust_filter(
 
 
 def filter_torque(
-    state: QuadState,
+    x: list[float],
     tau_hat_xy: np.ndarray,
     f_star_applied: float,
     active_specs: list[tuple[BarrierSpec, EcbfGains]],
     params: QuadParams,
     policy: InfeasiblePolicy = InfeasiblePolicy.LEAST_INFEASIBLE,
     last: np.ndarray | None = None,
-) -> FilterResult:
-    """Low-level QP: modify [tau_x, tau_y] given the thrust fixed this step.
+) -> tuple[np.ndarray, QpSolution, list[tuple]]:
+    """Low-level QP: modify [tau_x, tau_y] at the flat state x given the
+    thrust fixed this step.
 
-    Raises LateralSingular (from the chains) when the attitude is near the
-    W-inversion singularity; the caller decides the pass-through policy.
+    Returns the applied moments, the QP's solution and the (a, b, h, H) of
+    each active barrier's row. Raises LateralSingular (from
+    lateral_chain_terms) when the attitude is near the W-inversion
+    singularity; the caller decides the pass-through policy.
     """
-    rows = []
-    for spec, gains in active_specs:
-        if spec.domain is BarrierDomain.LATERAL_POSITION:
-            rows.append(lateral_position_chain(state, f_star_applied, spec, gains, params))
-        elif spec.domain is BarrierDomain.LATERAL_VELOCITY:
-            rows.append(lateral_velocity_chain(state, f_star_applied, spec, gains, params))
-        else:
-            raise ValueError(f"not a lateral barrier: {spec.domain}")
+    terms = lateral_chain_terms(x, params)
+    rows = [lateral_row(spec, gains, x, f_star_applied, terms, params)
+            for spec, gains in active_specs]
     bound = np.array([params.tau_max[0], params.tau_max[1]])
     p = QpProblem(
         u_hat=np.clip(np.asarray(tau_hat_xy, float), -bound, bound),
-        rows=tuple(rows),
+        rows=tuple((a, b) for a, b, _, _ in rows),
         lower=-bound,
         upper=bound,
     )
     sol = solve_qp(p)
     if sol.status is QpStatus.OPTIMAL:
-        u = sol.u_star
-    else:
-        u = _fallback(p, policy, last)
-    return FilterResult(u, sol, tuple(rows))
+        return sol.u_star, sol, rows
+    return _fallback(p, policy, last), sol, rows

@@ -75,8 +75,12 @@ class Scenario:
     infeasible_policy: InfeasiblePolicy = InfeasiblePolicy.LEAST_INFEASIBLE
 
     def __post_init__(self) -> None:
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValueError("duration and dt must be positive")
+        steps = self.duration / self.dt if self.dt > 0 else math.nan
+        if not (self.duration > 0 and math.isfinite(steps) and round(steps) >= 1):
+            raise ValueError(
+                f"duration ({self.duration} s) and dt ({self.dt} s) must be positive "
+                "and give at least one step"
+            )
         by_domain: dict[BarrierDomain, list[float]] = {}
         for sb in self.barriers:
             by_domain.setdefault(sb.spec.domain, []).append(sb.spec.active_from)
@@ -147,13 +151,9 @@ def run(scenario: Scenario) -> list[TraceRecord]:
     gains = scenario.gains
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
-    init = scenario.initial_state
-    init.validate(tol=1e-6)
-    # Every state, the first one included, owns its arrays, so the trace
-    # records them without copies. x holds the same state as 18 floats.
-    state = QuadState(r=np.array(init.r, float), R=np.array(init.R, float),
-                      v=np.array(init.v, float), omega=np.array(init.omega, float))
-    x = flat_of(state)
+    scenario.initial_state.validate(tol=1e-6)
+    # The state, as 18 floats [r, R row-major, v, omega].
+    x = flat_of(scenario.initial_state)
     trace: list[TraceRecord] = []
     prev_active: dict[BarrierDomain, float] = {}
     last_f: float | None = None
@@ -186,11 +186,11 @@ def run(scenario: Scenario) -> list[TraceRecord]:
         h_vals: dict[BarrierDomain, float] = {}
         H_vals: dict[BarrierDomain, np.ndarray] = {}
         for sb in active:
-            h_vals[sb.spec.domain] = barrier_h(state, sb.spec)
+            h_vals[sb.spec.domain] = barrier_h(x, sb.spec)
 
-        euler = euler_of_R(state.R)
-        z, R33, zd = x[2], x[11], x[14]  # flat layout: r, R row-major, v, omega
-        r_ddot_cmd = ctl.position_loop(state, ref, gains)
+        euler = euler_of_R(x)
+        z, R33, zd = x[2], x[11], x[14]
+        r_ddot_cmd = ctl.position_loop(x, ref, gains)
         try:
             f_hat = ctl.thrust_from_accel(float(r_ddot_cmd[2]), R33, params)
         except ctl.AttitudeSingular:
@@ -213,7 +213,7 @@ def run(scenario: Scenario) -> list[TraceRecord]:
 
         try:
             omega_cmd = ctl.attitude_loop(
-                state, r_ddot_cmd, f_star, ref.psi_d, gains, params, psi=euler[2]
+                x, r_ddot_cmd, f_star, euler[2], ref.psi_d, gains, params
             )
         except (ctl.AttitudeSingular, ctl.ThrustTooSmall) as exc:
             omega_cmd = np.zeros(3)
@@ -222,22 +222,20 @@ def run(scenario: Scenario) -> list[TraceRecord]:
                 if isinstance(exc, ctl.AttitudeSingular)
                 else "thrust-floor:rates"
             )
-        tau_hat = ctl.body_rate_loop(state, omega_cmd, gains, params)
+        tau_hat = ctl.body_rate_loop(x, omega_cmd, gains, params)
 
         qp_lo_status = ""
         m_star = tau_hat[:2]
         if scenario.filter_low and lo_active:
             try:
-                res = filter_torque(
-                    state, tau_hat[:2], f_star,
-                    lo_specs, params,
-                    policy=scenario.infeasible_policy, last=last_m,
+                m_star, solution, rows = filter_torque(
+                    x, tau_hat[:2], f_star,
+                    lo_specs, params, scenario.infeasible_policy, last_m,
                 )
-                m_star = res.u_star
-                qp_lo_status = res.solution.status.value
-                for sb, row in zip(lo_active, res.rows):
-                    H_vals[sb.spec.domain] = row.H
-                if res.solution.status is QpStatus.INFEASIBLE:
+                qp_lo_status = solution.status.value
+                for sb, (_, _, _, H) in zip(lo_active, rows):
+                    H_vals[sb.spec.domain] = H
+                if solution.status is QpStatus.INFEASIBLE:
                     events.append("infeasible:low")
             except LateralSingular:
                 bound = np.array([params.tau_max[0], params.tau_max[1]])
@@ -248,10 +246,11 @@ def run(scenario: Scenario) -> list[TraceRecord]:
         m_star = np.asarray(m_star, float)
         tau_z = float(tau_hat[2])
         trace.append(TraceRecord(  # positional, in field order: faster than 16 keywords
-            t, state.r, euler, state.v, state.omega, ref, f_hat, tau_hat, f_star, m_star,
-            tau_z, h_vals, H_vals, qp_hi_status, qp_lo_status, tuple(events),
+            t, np.array(x[:3]), euler, np.array(x[12:15]), np.array(x[15:]), ref,
+            f_hat, tau_hat, f_star, m_star, tau_z, h_vals, H_vals,
+            qp_hi_status, qp_lo_status, tuple(events),
         ))
-        x, state = advance(x, f_star, [*m_star.tolist(), tau_z], params, dt)
+        x = advance(x, f_star, [*m_star.tolist(), tau_z], params, dt)
         last_f = f_star
         last_m = m_star
     return trace

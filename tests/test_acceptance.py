@@ -15,7 +15,6 @@ from quadsafe.cli import main
 from quadsafe.config import load_preset
 from quadsafe.oracle import check_all_chains
 from quadsafe.qp import (
-    ConstraintRow,
     QpProblem,
     QpStatus,
     kkt_residual,
@@ -151,8 +150,7 @@ def _random_qp(rng):
         lower, upper = np.array([-20.0, -20.0]), np.array([20.0, 20.0])
         u_hat = rng.uniform(-30.0, 30.0, size=2)
     rows = tuple(
-        ConstraintRow(a=rng.normal(size=dim), b=float(rng.normal(scale=5.0)),
-                      h_value=0.0, H=np.zeros(1))
+        (rng.normal(size=dim), float(rng.normal(scale=5.0)))
         for _ in range(rng.integers(0, 4))
     )
     return QpProblem(u_hat=u_hat, rows=rows, lower=lower, upper=upper)
@@ -171,8 +169,8 @@ def _grid_argmin(p, n=2001):
 
     def feasible(pts):
         ok = np.all((pts >= p.lower - 1e-9) & (pts <= p.upper + 1e-9), axis=1)
-        for row in p.rows:
-            ok &= pts @ row.a + row.b >= -1e-9
+        for a, b in p.rows:
+            ok &= pts @ a + b >= -1e-9
         return ok
 
     best, best_obj = None, np.inf
@@ -192,20 +190,19 @@ def _grid_argmin(p, n=2001):
     if p.dim == 1:
         cand = [np.clip(p.u_hat, p.lower, p.upper)[None, :],
                 p.lower[None, :], p.upper[None, :]]
-        for row in p.rows:
-            if abs(row.a[0]) > 1e-12:
-                cand.append(np.array([[-row.b / row.a[0]]]))
+        for a, b in p.rows:
+            if abs(a[0]) > 1e-12:
+                cand.append(np.array([[-b / a[0]]]))
         consider(np.vstack(cand))
         return best
 
     # dim == 2: parameterize each boundary as base + t*d and sample it twice
     # (coarse pass over its full extent, fine pass around the best point).
     lines = []
-    for row in p.rows:
-        nrm = np.linalg.norm(row.a)
+    for a, b in p.rows:
+        nrm = np.linalg.norm(a)
         if nrm > 1e-12:
-            lines.append((-row.b * row.a / nrm**2,
-                          np.array([-row.a[1], row.a[0]]) / nrm))
+            lines.append((-b * a / nrm**2, np.array([-a[1], a[0]]) / nrm))
     for j in (0, 1):
         d = np.zeros(2)
         d[1 - j] = 1.0
@@ -253,11 +250,7 @@ def test_a6_qp_exactness():
     for _ in range(200):
         p = _random_qp(rng)
         u_hat = np.clip(p.u_hat, p.lower, p.upper)
-        margin_rows = tuple(
-            ConstraintRow(a=r.a, b=float(-r.a @ u_hat + abs(r.b) + 1.0),
-                          h_value=0.0, H=np.zeros(1))
-            for r in p.rows
-        )
+        margin_rows = tuple((a, float(-a @ u_hat + abs(b) + 1.0)) for a, b in p.rows)
         p2 = QpProblem(u_hat=u_hat, rows=margin_rows, lower=p.lower, upper=p.upper)
         sol = solve_qp(p2)
         assert sol.status is QpStatus.OPTIMAL

@@ -13,12 +13,11 @@ from quadsafe.barriers import (
     altitude_row,
     barrier_h,
     lateral_chain_terms,
-    lateral_position_chain,
-    lateral_velocity_chain,
+    lateral_row,
     pole_place,
     rectellipse_h,
 )
-from quadsafe.dynamics import QuadParams, QuadState, R_of_euler
+from quadsafe.dynamics import QuadParams, QuadState, R_of_euler, flat_of
 from quadsafe.oracle import check_chain
 
 
@@ -103,11 +102,11 @@ class TestRectellipse:
                 assert rectellipse_h(vals, spec) == float(1.0 - np.sum(s**4))
 
     def test_barrier_h_picks_domain_states(self):
-        s = QuadState(r=np.array([0.3, -0.2, 1.0]), v=np.array([0.5, 0.1, -0.4]))
+        x = flat_of(QuadState(r=np.array([0.3, -0.2, 1.0]), v=np.array([0.5, 0.1, -0.4])))
         spec_z = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0])
-        assert barrier_h(s, spec_z) == pytest.approx(1.0 - (1.0 / 2.0) ** 4)
+        assert barrier_h(x, spec_z) == pytest.approx(1.0 - (1.0 / 2.0) ** 4)
         spec_v = BarrierSpec(BarrierDomain.LATERAL_VELOCITY, [0.0, 0.0], [1.0, 1.0])
-        assert barrier_h(s, spec_v) == pytest.approx(1.0 - 0.5**4 - 0.1**4)
+        assert barrier_h(x, spec_v) == pytest.approx(1.0 - 0.5**4 - 0.1**4)
 
 
 class TestAltitudeChains:
@@ -148,30 +147,38 @@ class TestAltitudeChains:
 
 class TestLateralChains:
     def test_singular_attitude_raises(self):
-        s = QuadState(R=R_of_euler(0.0, np.pi / 2 - 1e-4, 0.0))
+        x = flat_of(QuadState(R=R_of_euler(0.0, np.pi / 2 - 1e-4, 0.0)))
         with pytest.raises(LateralSingular):
-            lateral_chain_terms(s, QuadParams())
+            lateral_chain_terms(x, QuadParams())
 
     def test_det_w_equals_r33(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            s = QuadState(R=R_of_euler(*rng.uniform(-0.5, 0.5, size=3)))
-            terms = lateral_chain_terms(s, QuadParams())
+            R = R_of_euler(*rng.uniform(-0.5, 0.5, size=3))
+            terms = lateral_chain_terms(flat_of(QuadState(R=R)), QuadParams())
             det = np.linalg.det(terms.W)
-            assert det == pytest.approx(s.R[2, 2], rel=1e-12)
+            assert det == pytest.approx(R[2, 2], rel=1e-12)
 
     def test_v_inverts_w(self):
-        s = QuadState(R=R_of_euler(0.2, -0.3, 0.7), omega=np.array([0.1, 0.2, 0.3]))
-        terms = lateral_chain_terms(s, QuadParams())
+        x = flat_of(QuadState(R=R_of_euler(0.2, -0.3, 0.7), omega=np.array([0.1, 0.2, 0.3])))
+        terms = lateral_chain_terms(x, QuadParams())
         assert np.allclose(terms.V @ terms.W, np.eye(2), atol=1e-12)
 
     def test_torque_gain_nonzero_near_boundary(self):
         p = QuadParams()
         spec = BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0])
         gains = EcbfGains(4, (-3.0, -4.0, -5.0, -6.0))
-        s = QuadState(r=np.array([1.8, 0.0, 0.0]))
-        row = lateral_position_chain(s, p.m * p.g, spec, gains, p)
-        assert np.linalg.norm(row.a) > 0.0
+        x = flat_of(QuadState(r=np.array([1.8, 0.0, 0.0])))
+        a, _, _, _ = lateral_row(spec, gains, x, p.m * p.g, lateral_chain_terms(x, p), p)
+        assert np.linalg.norm(a) > 0.0
+
+    def test_rejects_altitude_domain(self):
+        p = QuadParams()
+        x = flat_of(QuadState())
+        with pytest.raises(ValueError):
+            lateral_row(BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0]),
+                        EcbfGains(2, (-3.0, -4.0)), x, p.m * p.g,
+                        lateral_chain_terms(x, p), p)
 
 
 @pytest.mark.parametrize("domain", list(BarrierDomain))
@@ -192,16 +199,11 @@ def test_relative_degrees():
 
 def test_chain_h_sizes():
     p = QuadParams()
-    s = QuadState(r=np.array([0.5, -0.3, 0.8]), v=np.array([0.2, 0.1, -0.3]),
-                  R=R_of_euler(0.1, -0.1, 0.2), omega=np.array([0.3, -0.2, 0.1]))
+    x = flat_of(QuadState(r=np.array([0.5, -0.3, 0.8]), v=np.array([0.2, 0.1, -0.3]),
+                          R=R_of_euler(0.1, -0.1, 0.2), omega=np.array([0.3, -0.2, 0.1])))
     f = p.m * p.g
-    z, zd, R33 = float(s.r[2]), float(s.v[2]), float(s.R[2, 2])
-    lat_pos = lateral_position_chain(
-        s, f, BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0]),
-        EcbfGains(4, (-3.0, -4.0, -5.0, -6.0)), p)
-    lat_vel = lateral_velocity_chain(
-        s, f, BarrierSpec(BarrierDomain.LATERAL_VELOCITY, [0.0, 0.0], [1.25, 0.9]),
-        EcbfGains(3, (-3.0, -4.0, -5.0)), p)
+    z, zd, R33 = x[2], x[14], x[11]
+    terms = lateral_chain_terms(x, p)
     h_and_H = {
         2: altitude_row(
             BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0]),
@@ -209,8 +211,12 @@ def test_chain_h_sizes():
         1: altitude_row(
             BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.0], [2.0, 0.75]),
             EcbfGains(1, (-1.0,)), z, zd, R33, p)[2:],
-        4: (lat_pos.h_value, lat_pos.H),
-        3: (lat_vel.h_value, lat_vel.H),
+        4: lateral_row(
+            BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0]),
+            EcbfGains(4, (-3.0, -4.0, -5.0, -6.0)), x, f, terms, p)[2:],
+        3: lateral_row(
+            BarrierSpec(BarrierDomain.LATERAL_VELOCITY, [0.0, 0.0], [1.25, 0.9]),
+            EcbfGains(3, (-3.0, -4.0, -5.0)), x, f, terms, p)[2:],
     }
     for delta, (h, H) in h_and_H.items():
         assert len(H) == delta

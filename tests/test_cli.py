@@ -55,6 +55,13 @@ class TestSubcommands:
         assert main(["oracle", "--states", "5"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_oracle_rejects_no_states(self, capsys):
+        # Checking no state at all must not report PASS.
+        assert main(["oracle", "--states", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("error:")
+
     @pytest.mark.parametrize("section,key", [
         ("barriers", "exponent"), ("params", "l_m"), ("params", "k_f"), ("params", "k_w"),
     ])
@@ -70,6 +77,30 @@ class TestSubcommands:
         path.write_text(text)
         assert main(["check", str(path)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,extra", [
+    ("run: {duration_s: 0.0004, dt_s: 0.001}\n", []),          # rounds to zero steps
+    ("presets:stress-infeasible", ["--dt", "100"]),            # zero steps after --dt
+    (TINY_SCENARIO.replace("p_z_m: 2.0}", "p_z_m: 2.0, poles: 3}"), []),
+    (TINY_SCENARIO.replace("p_z_m: 2.0}", "p_z_m: 2.0, poles: [a, b]}"), []),
+    ("run: {duration_s: [1\n", []),                             # malformed YAML
+    ("run: {duration_s: .inf}\n", []),
+    ("barriers:\n  - {domain: [1]}\n", []),
+    ("gains: {kp: [[1], 2, 3]}\n", []),
+    (b"run: {duration_s: \xc3\x28}\n", []),                       # not UTF-8
+], ids=["zero-steps", "dt-override-zero-steps", "scalar-poles", "string-poles",
+        "malformed-yaml", "infinite-duration", "list-domain", "nested-gain", "invalid-utf8"])
+def test_bad_input_exits_1_without_traceback(tmp_path, capsys, text, extra):
+    scenario = text
+    if isinstance(text, bytes) or not text.startswith("presets:"):
+        scenario = str(tmp_path / "bad.yaml")
+        data = text if isinstance(text, bytes) else text.encode()
+        (tmp_path / "bad.yaml").write_bytes(data)
+    assert main(["run", scenario, "--out", str(tmp_path / "out"), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestRunExport:

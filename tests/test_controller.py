@@ -14,7 +14,9 @@ from quadsafe.controller import (
     position_loop,
     thrust_from_accel,
 )
-from quadsafe.dynamics import QuadParams, QuadState, R_of_euler
+from quadsafe.dynamics import QuadParams, QuadState, R_of_euler, euler_of_R, flat_of
+
+HOVER = flat_of(QuadState())
 
 
 def hover_ref():
@@ -41,7 +43,7 @@ class TestPositionLoop:
     def test_zero_error_gives_feedforward(self):
         ref = Reference(r_d=np.zeros(3), v_d=np.zeros(3),
                         a_d=np.array([0.1, 0.2, 0.3]), psi_d=0.0)
-        out = position_loop(QuadState(), ref, ControllerGains())
+        out = position_loop(HOVER, ref, ControllerGains())
         assert np.allclose(out, ref.a_d)
 
     def test_error_sign_is_stabilizing(self):
@@ -49,7 +51,7 @@ class TestPositionLoop:
         g = ControllerGains()
         ref = Reference(r_d=np.array([1.0, 0.0, 0.0]), v_d=np.zeros(3),
                         a_d=np.zeros(3), psi_d=0.0)
-        out = position_loop(QuadState(), ref, g)
+        out = position_loop(HOVER, ref, g)
         assert out[0] == pytest.approx(g.Kp[0] * 1.0)
 
 
@@ -82,7 +84,7 @@ class TestThrustFromAccel:
 class TestAttitudeLoop:
     def test_hover_equilibrium_commands_zero_rates(self):
         p = QuadParams()
-        w = attitude_loop(QuadState(), np.zeros(3), p.m * p.g, 0.0,
+        w = attitude_loop(HOVER, np.zeros(3), p.m * p.g, 0.0, 0.0,
                           ControllerGains(), p)
         assert np.allclose(w, 0.0, atol=1e-12)
 
@@ -90,66 +92,74 @@ class TestAttitudeLoop:
         # Want xddot > 0 -> need R13 < 0 (x picks up -R13 f/m), and
         # Rdot13 = q R11 - p R12 = q at identity, so pitch rate q < 0.
         p = QuadParams()
-        w = attitude_loop(QuadState(), np.array([2.0, 0.0, 0.0]), p.m * p.g,
-                          0.0, ControllerGains(), p)
+        w = attitude_loop(HOVER, np.array([2.0, 0.0, 0.0]), p.m * p.g,
+                          0.0, 0.0, ControllerGains(), p)
         assert w[1] < 0.0
         assert abs(w[0]) < 1e-12
 
     def test_yaw_error_commands_yaw_rate(self):
         p = QuadParams()
         g = ControllerGains()
-        w = attitude_loop(QuadState(), np.zeros(3), p.m * p.g, 0.5, g, p)
+        w = attitude_loop(HOVER, np.zeros(3), p.m * p.g, 0.0, 0.5, g, p)
         assert w[2] == pytest.approx(g.k_psi * 0.5)
 
     def test_tilt_command_saturates(self):
         # Huge lateral demand must clamp the commanded sin(tilt) at 0.9.
         p = QuadParams()
         g = ControllerGains()
-        w = attitude_loop(QuadState(), np.array([1e4, 0.0, 0.0]), p.m * p.g, 0.0, g, p)
-        w_bigger = attitude_loop(QuadState(), np.array([1e6, 0.0, 0.0]),
-                                 p.m * p.g, 0.0, g, p)
+        w = attitude_loop(HOVER, np.array([1e4, 0.0, 0.0]), p.m * p.g, 0.0, 0.0, g, p)
+        w_bigger = attitude_loop(HOVER, np.array([1e6, 0.0, 0.0]),
+                                 p.m * p.g, 0.0, 0.0, g, p)
         assert np.allclose(w, w_bigger)
 
     def test_thrust_floor_raises(self):
         p = QuadParams()
         with pytest.raises(ThrustTooSmall):
-            attitude_loop(QuadState(), np.zeros(3), 0.01, 0.0, ControllerGains(), p)
+            attitude_loop(HOVER, np.zeros(3), 0.01, 0.0, 0.0, ControllerGains(), p)
 
     def test_steep_tilt_raises(self):
         p = QuadParams()
-        s = QuadState(R=R_of_euler(0.0, 1.5, 0.0))
+        x = flat_of(QuadState(R=R_of_euler(0.0, 1.5, 0.0)))
         with pytest.raises(AttitudeSingular):
-            attitude_loop(s, np.zeros(3), p.m * p.g, 0.0, ControllerGains(), p)
+            attitude_loop(x, np.zeros(3), p.m * p.g, euler_of_R(x)[2], 0.0,
+                          ControllerGains(), p)
 
 
 class TestBodyRateLoop:
     def test_zero_error_zero_torque(self):
-        tau = body_rate_loop(QuadState(), np.zeros(3), ControllerGains(), QuadParams())
+        tau = body_rate_loop(HOVER, np.zeros(3), ControllerGains(), QuadParams())
         assert np.allclose(tau, 0.0)
 
     def test_proportional_on_rate_error(self):
         p = QuadParams()
         g = ControllerGains()
-        tau = body_rate_loop(QuadState(), np.array([1.0, 0.0, 0.0]), g, p)
+        tau = body_rate_loop(HOVER, np.array([1.0, 0.0, 0.0]), g, p)
         assert tau[0] == pytest.approx(p.Ix * g.k_omega[0] * 1.0)
 
     def test_clamped_to_actuator_bounds(self):
         p = QuadParams()
-        tau = body_rate_loop(QuadState(), np.array([1e4, -1e4, 0.0]),
+        tau = body_rate_loop(HOVER, np.array([1e4, -1e4, 0.0]),
                              ControllerGains(), p)
         assert tau[0] == p.tau_max[0] and tau[1] == -p.tau_max[1]
+
+    def test_yaw_shares_y_bound(self):
+        # tau_z is clamped with tau_max[1]; there is no separate yaw bound.
+        p = QuadParams(tau_max=(1.0, 2.0))
+        tau = body_rate_loop(HOVER, np.array([0.0, 0.0, 1e4]), ControllerGains(), p)
+        assert tau[2] == 2.0
+        tau = body_rate_loop(HOVER, np.array([0.0, 0.0, -1e4]), ControllerGains(), p)
+        assert tau[2] == -2.0
 
 
 class TestNominalCommand:
     def test_hover_fixed_point(self):
         p = QuadParams()
         g = ControllerGains()
-        s = QuadState()
         ref = hover_ref()
-        acc = position_loop(s, ref, g)
-        f_hat = thrust_from_accel(acc[2], s.R[2, 2], p)
-        omega_cmd = attitude_loop(s, acc, f_hat, ref.psi_d, g, p)
-        tau_hat = body_rate_loop(s, omega_cmd, g, p)
+        acc = position_loop(HOVER, ref, g)
+        f_hat = thrust_from_accel(acc[2], HOVER[11], p)
+        omega_cmd = attitude_loop(HOVER, acc, f_hat, euler_of_R(HOVER)[2], ref.psi_d, g, p)
+        tau_hat = body_rate_loop(HOVER, omega_cmd, g, p)
         assert f_hat == pytest.approx(p.m * p.g)
         assert np.allclose(tau_hat, 0.0, atol=1e-12)
 
@@ -180,7 +190,8 @@ class TestArrayFormulation:
                           v=rng.normal(size=3), omega=rng.normal(size=3))
             ref = Reference(r_d=rng.normal(size=3), v_d=rng.normal(size=3),
                             a_d=rng.normal(size=3), psi_d=float(rng.uniform(-3, 3)))
-            acc = position_loop(s, ref, g)
+            x = flat_of(s)
+            acc = position_loop(x, ref, g)
             assert np.array_equal(
                 acc, ref.a_d + g.Kp * (ref.r_d - s.r) + g.Kd * (ref.v_d - s.v))
 
@@ -192,7 +203,7 @@ class TestArrayFormulation:
             pq = (W @ np.array([g.k_R * (R13_cmd - R[0, 2]),
                                 g.k_R * (R23_cmd - R[1, 2])])) / R[2, 2]
             psi = float(np.arctan2(R[1, 0], R[0, 0]))
-            w_cmd = attitude_loop(s, acc, f, ref.psi_d, g, p)
+            w_cmd = attitude_loop(x, acc, f, euler_of_R(x)[2], ref.psi_d, g, p)
             assert np.array_equal(
                 w_cmd, [pq[0], pq[1], g.k_psi * _wrap_angle(ref.psi_d - psi)])
 
@@ -201,5 +212,5 @@ class TestArrayFormulation:
                              (p.Iy - p.Ix) * w[0] * w[1]])
             tau = np.array([p.Ix, p.Iy, p.Iz]) * (g.k_omega * (w_cmd - w)) + gyro
             bound = np.array([p.tau_max[0], p.tau_max[1], p.tau_max[1]])
-            assert np.array_equal(body_rate_loop(s, w_cmd, g, p),
+            assert np.array_equal(body_rate_loop(x, w_cmd, g, p),
                                   np.clip(tau, -bound, bound))

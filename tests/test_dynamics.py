@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from quadsafe.dynamics import (
-    ControlInput,
     NonFiniteState,
     QuadParams,
     QuadState,
     R_of_euler,
+    advance,
     deriv,
     euler_of_R,
     flat_of,
     project_to_rotation,
-    step,
 )
 
 
@@ -113,46 +112,47 @@ class TestVectorField:
 
 
 class TestStep:
+    """advance: one RK4 step of the flat state, R re-projected."""
+
     def test_rotation_stays_orthonormal(self):
         p = QuadParams()
-        s = QuadState(omega=np.array([2.0, -1.5, 1.0]))
-        u = ControlInput(f=p.m * p.g, tau=np.array([0.3, -0.2, 0.1]))
+        x = flat_of(QuadState(omega=np.array([2.0, -1.5, 1.0])))
         for _ in range(500):
-            s = step(s, u, p, 1e-3)
-        assert np.allclose(s.R @ s.R.T, np.eye(3), atol=1e-9)
-        assert np.linalg.det(s.R) == pytest.approx(1.0, abs=1e-9)
+            x = advance(x, p.m * p.g, [0.3, -0.2, 0.1], p, 1e-3)
+        R = np.array(x[3:12]).reshape(3, 3)
+        assert np.allclose(R @ R.T, np.eye(3), atol=1e-9)
+        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-9)
 
     def test_fourth_order_convergence(self):
         # Halving dt should shrink the one-interval error by about 2^4.
         p = QuadParams()
         rng = np.random.default_rng(3)
-        s0 = random_state(rng)
-        u = ControlInput(f=5.0, tau=np.array([0.4, -0.6, 0.2]))
+        x0 = flat_of(random_state(rng))
+        tau = [0.4, -0.6, 0.2]
 
         def integrate(n, dt):
-            s = s0
+            x = x0
             for _ in range(n):
-                s = step(s, u, p, dt)
-            return s
+                x = advance(x, 5.0, tau, p, dt)
+            return np.array(x)
 
         ref = integrate(256, 0.04 / 256)
         errs = []
         for n in (2, 4):
-            s = integrate(n, 0.04 / n)
+            x = integrate(n, 0.04 / n)
             errs.append(
-                np.linalg.norm(s.v - ref.v) + np.linalg.norm(s.r - ref.r)
-                + np.linalg.norm(s.omega - ref.omega)
+                np.linalg.norm(x[12:15] - ref[12:15]) + np.linalg.norm(x[:3] - ref[:3])
+                + np.linalg.norm(x[15:] - ref[15:])
             )
         assert errs[1] < errs[0] / 10.0
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            step(QuadState(), ControlInput(f=1.0, tau=np.zeros(3)), QuadParams(), 0.0)
+            advance(flat_of(QuadState()), 1.0, [0.0, 0.0, 0.0], QuadParams(), 0.0)
 
     def test_nonfinite_input_raises(self):
-        u = ControlInput(f=float("inf"), tau=np.zeros(3))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteState):
-            step(QuadState(), u, QuadParams(), 1e-3)
+            advance(flat_of(QuadState()), float("inf"), [0.0, 0.0, 0.0], QuadParams(), 1e-3)
 
     def test_bitwise_equal_to_array_rk4(self):
         # The float kernel keeps numpy's operation order, so trajectories
@@ -160,7 +160,7 @@ class TestStep:
         p = QuadParams()
         rng = np.random.default_rng(17)
 
-        def vector_field(x, u):
+        def vector_field(x, f, tau):
             R = x[3:12].reshape(3, 3)
             pw, qw, rw = x[15], x[16], x[17]
             out = np.empty(18)
@@ -168,28 +168,29 @@ class TestStep:
             out[3:12:3] = R[:, 1] * rw - R[:, 2] * qw
             out[4:12:3] = R[:, 2] * pw - R[:, 0] * rw
             out[5:12:3] = R[:, 0] * qw - R[:, 1] * pw
-            fm = u.f / p.m
+            fm = f / p.m
             out[12:15] = -R[:, 2] * fm
             out[14] = p.g - R[2, 2] * fm
-            out[15] = (u.tau[0] - (p.Iz - p.Iy) * qw * rw) / p.Ix
-            out[16] = (u.tau[1] - (p.Ix - p.Iz) * pw * rw) / p.Iy
-            out[17] = (u.tau[2] - (p.Iy - p.Ix) * pw * qw) / p.Iz
+            out[15] = (tau[0] - (p.Iz - p.Iy) * qw * rw) / p.Ix
+            out[16] = (tau[1] - (p.Ix - p.Iz) * pw * rw) / p.Iy
+            out[17] = (tau[2] - (p.Iy - p.Ix) * pw * qw) / p.Iz
             return out
 
         for _ in range(50):
             s = random_state(rng)
-            u = ControlInput(f=float(rng.uniform(0.0, 36.0)), tau=rng.normal(size=3))
+            f, tau = float(rng.uniform(0.0, 36.0)), rng.normal(size=3)
             dt = float(rng.uniform(1e-4, 1e-2))
             x0 = np.concatenate([s.r, s.R.ravel(), s.v, s.omega])
-            k1 = vector_field(x0, u)
-            k2 = vector_field(x0 + 0.5 * dt * k1, u)
-            k3 = vector_field(x0 + 0.5 * dt * k2, u)
-            k4 = vector_field(x0 + dt * k3, u)
+            k1 = vector_field(x0, f, tau)
+            k2 = vector_field(x0 + 0.5 * dt * k1, f, tau)
+            k3 = vector_field(x0 + 0.5 * dt * k2, f, tau)
+            k4 = vector_field(x0 + dt * k3, f, tau)
             x1 = x0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            new = step(s, u, p, dt)
-            assert np.array_equal(new.r, x1[:3]) and np.array_equal(new.v, x1[12:15])
-            assert np.array_equal(new.omega, x1[15:])
-            assert np.array_equal(new.R, project_to_rotation(x1[3:12].reshape(3, 3)))
+            new = np.array(advance(flat_of(s), f, tau.tolist(), p, dt))
+            assert np.array_equal(new[:3], x1[:3]) and np.array_equal(new[12:15], x1[12:15])
+            assert np.array_equal(new[15:], x1[15:])
+            assert np.array_equal(new[3:12].reshape(3, 3),
+                                  project_to_rotation(x1[3:12].reshape(3, 3)))
 
 
 class TestRotationUtilities:
@@ -210,7 +211,7 @@ class TestRotationUtilities:
         for _ in range(50):
             phi, theta, psi = rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4), rng.uniform(-3.1, 3.1)
             R = R_of_euler(phi, theta, psi)
-            phi2, theta2, psi2 = euler_of_R(R)
+            phi2, theta2, psi2 = euler_of_R(flat_of(QuadState(R=R)))
             assert np.allclose(R_of_euler(phi2, theta2, psi2), R, atol=1e-9)
 
     def test_euler_bitwise_equal_to_array_form(self):
@@ -220,10 +221,10 @@ class TestRotationUtilities:
             theta = float(-np.arcsin(np.clip(R[2, 0], -1.0, 1.0)))
             expected = (float(np.arctan2(R[2, 1], R[2, 2])), theta,
                         float(np.arctan2(R[1, 0], R[0, 0])))
-            assert euler_of_R(R) == expected
+            assert euler_of_R(flat_of(QuadState(R=R))) == expected
 
     def test_euler_gimbal_branch(self):
         R = R_of_euler(0.0, np.pi / 2, 0.0)
-        phi, theta, psi = euler_of_R(R)
+        phi, theta, psi = euler_of_R(flat_of(QuadState(R=R)))
         assert theta == pytest.approx(np.pi / 2, abs=1e-6)
         assert np.isfinite(phi) and np.isfinite(psi)

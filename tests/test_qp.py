@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from quadsafe.barriers import BarrierDomain, BarrierSpec, ConstraintRow, EcbfGains
-from quadsafe.dynamics import QuadParams, QuadState
+from quadsafe.barriers import BarrierDomain, BarrierSpec, EcbfGains
+from quadsafe.dynamics import QuadParams, QuadState, flat_of
 from quadsafe.qp import (
     InfeasiblePolicy,
     QpProblem,
@@ -19,8 +19,7 @@ from quadsafe.qp import (
 
 
 def row(a, b):
-    a = np.atleast_1d(np.asarray(a, float))
-    return ConstraintRow(a=a, b=float(b), h_value=0.0, H=np.zeros(1))
+    return np.atleast_1d(np.asarray(a, float)), float(b)
 
 
 def problem_1d(u_hat, rows, lo=0.0, hi=36.0):
@@ -127,8 +126,8 @@ class TestPlanar:
             p = problem_2d(rng.normal(size=2) * 4.0, rows, bound=5.0)
             sol = solve_qp(p)
             feas = np.ones(len(pts), dtype=bool)
-            for r in rows:
-                feas &= pts @ r.a + r.b >= -1e-9
+            for a, b in rows:
+                feas &= pts @ a + b >= -1e-9
             if sol.status is QpStatus.OPTIMAL and np.any(feas):
                 grid_best = np.min(np.sum((pts[feas] - p.u_hat) ** 2, axis=1))
                 ours = np.sum((sol.u_star - p.u_hat) ** 2)
@@ -188,15 +187,16 @@ class TestFilters:
                           self.params)
 
     def test_torque_pass_through_deep_inside(self):
-        state = QuadState()
         tau = np.array([0.3, -0.2])
-        res = filter_torque(state, tau, self.params.m * self.params.g,
-                            [(self.vel_spec, self.vel_gains)], self.params)
-        assert np.allclose(res.u_star, tau)
+        m_star, sol, rows = filter_torque(flat_of(QuadState()), tau, self.params.m * self.params.g,
+                                          [(self.vel_spec, self.vel_gains)], self.params)
+        assert np.allclose(m_star, tau)
+        assert sol.status is QpStatus.OPTIMAL
+        assert len(rows) == 1 and len(rows[0][3]) == 3
 
     def test_torque_rejects_altitude_domain(self):
         with pytest.raises(ValueError):
-            filter_torque(QuadState(), np.zeros(2), 4.0,
+            filter_torque(flat_of(QuadState()), np.zeros(2), 4.0,
                           [(self.alt_spec, self.alt_gains)], self.params)
 
     def test_nominal_policy_returns_clamped_nominal(self):
@@ -208,3 +208,50 @@ class TestFilters:
             self.params, policy=InfeasiblePolicy.NOMINAL)
         # Whatever the feasibility outcome, the result stays in the box.
         assert 0.0 <= f_star <= self.params.f_max
+
+
+class TestDegenerate:
+    """Duplicate rows, a nominal input on a row's boundary, and no rows."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_duplicate_rows(self, dim):
+        # Each problem once with its rows as given and once with every row
+        # repeated: same minimizer, and KKT still holds.
+        rng = np.random.default_rng(41 + dim)
+        problem = problem_1d if dim == 1 else problem_2d
+        n_optimal = 0
+        for _ in range(100):
+            rows = [row(rng.normal(size=dim), rng.normal()) for _ in range(rng.integers(1, 3))]
+            u_hat = rng.normal(size=dim) * 5.0 if dim == 2 else rng.normal() * 5.0
+            single, doubled = problem(u_hat, rows), problem(u_hat, rows + rows)
+            sol, sol2 = solve_qp(single), solve_qp(doubled)
+            assert sol2.status is sol.status
+            if sol.status is QpStatus.OPTIMAL:
+                n_optimal += 1
+                assert np.array_equal(sol2.u_star, sol.u_star)
+                assert kkt_residual(doubled, sol2) <= 1e-8
+        assert n_optimal >= 50
+
+    @pytest.mark.parametrize("dim,u_hat,a,b", [
+        (1, 2.5, 2.0, -5.0),                # lower end of the interval
+        (1, 2.5, -2.0, 5.0),                # upper end of the interval
+        (2, [2.0, 3.0], [1.0, -1.0], 1.0),
+        (2, [0.5, -4.0], [0.0, 2.0], 8.0),
+    ])
+    def test_nominal_on_boundary_passes_through(self, dim, u_hat, a, b):
+        # a . u_hat + b == 0 exactly: no projection, and the row is reported
+        # inactive at both dimensions.
+        p = (problem_1d if dim == 1 else problem_2d)(u_hat, [row(a, b)])
+        assert float(np.dot(p.rows[0][0], p.u_hat)) + b == 0.0
+        sol = solve_qp(p)
+        assert sol.status is QpStatus.OPTIMAL
+        assert np.array_equal(sol.u_star, p.u_hat)
+        assert sol.active_set == ()
+        assert kkt_residual(p, sol) == 0.0
+
+    def test_least_infeasible_without_rows_clamps_nominal(self):
+        for p, expected in [(problem_1d(50.0, []), [36.0]),
+                            (problem_1d(-3.0, []), [0.0]),
+                            (problem_2d([25.0, -30.0], []), [20.0, -20.0])]:
+            assert np.array_equal(least_infeasible(p), expected)
+            assert np.array_equal(solve_qp(p).u_star, expected)

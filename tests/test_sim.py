@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from quadsafe import qp
 from quadsafe.barriers import BarrierDomain, BarrierSpec, EcbfGains
+from quadsafe.config import load_preset
 from quadsafe.controller import ControllerGains
 from quadsafe.dynamics import QuadState
 from quadsafe.sim import (
@@ -148,7 +150,23 @@ class TestRun:
             Scenario(duration=-1.0)
         with pytest.raises(ValueError):
             Scenario(dt=0.0)
+        with pytest.raises(ValueError):  # rounds to zero steps
+            Scenario(duration=0.0004, dt=1e-3)
+        with pytest.raises(ValueError):
+            Scenario(dt=float("nan"))
 
     def test_dt_override_keeps_step_count_consistent(self):
         sc = dataclasses.replace(Scenario(duration=0.01), dt=2e-3)
         assert len(run(sc)) == 5
+
+
+def test_lateral_chain_terms_once_per_step(monkeypatch):
+    # fig7 has both lateral barriers active: they share one set of terms.
+    calls = []
+    terms = qp.lateral_chain_terms
+    monkeypatch.setattr(qp, "lateral_chain_terms",
+                        lambda x, params: calls.append(x) or terms(x, params))
+    trace = run(dataclasses.replace(load_preset("fig7-unified"), duration=0.2))
+    assert len(trace) == 200
+    assert all(rec.qp_lo_status == "optimal" for rec in trace)
+    assert len(calls) == len(trace)
