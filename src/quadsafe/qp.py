@@ -5,7 +5,9 @@ stacked barrier rows (a . u + b >= 0) and actuator box bounds:
 
 * high level: scalar thrust, solved by exact interval intersection;
 * low level: 2-D moment vector, solved by exhaustive active-set (KKT)
-  enumeration, exact at this dimension.
+  enumeration, exact at this dimension. The candidates are screened in
+  plain floats and only those the screen cannot rule out are evaluated with
+  numpy, so the result is bitwise that of evaluating all of them with numpy.
 
 Each filter builds one (a, b, h, H) row per active barrier (altitude_row,
 lateral_row) and returns (applied input, QP solution, rows); the QP itself
@@ -29,6 +31,12 @@ from .dynamics import QuadParams
 _A_EPS = 1e-12       # below this, a row does not involve the decision variable
 _FEAS_TOL = 1e-9
 _LAMBDA_TOL = 1e-12
+_NORM2_CLEAR = 1.001e-24  # |a|^2 at or above this: norm(a) >= _A_EPS in any rounding
+# The 2-D screen's margin, relative to a bound on each float test's rounding
+# (about 1e5 unit roundoffs); pairs with a Frobenius condition number above
+# _SCREEN_KAPPA always take the numpy path.
+_SCREEN_MARGIN = 1e-11
+_SCREEN_KAPPA = 1e10
 
 
 class QpStatus(enum.Enum):
@@ -72,14 +80,21 @@ def solve_qp(p: QpProblem) -> QpSolution:
     raise ValueError("solver supports dim 1 or 2 only")
 
 
-def _constraint_list(p: QpProblem) -> list[tuple[np.ndarray, float]]:
-    """Barrier rows followed by box faces, all as a . u + b >= 0."""
-    cons = [(np.asarray(a, dtype=float), float(b)) for a, b in p.rows]
+# Box faces e_j, -e_j (with its -0.0 entries) as (array, list of floats) pairs.
+_BOX_FACES = {n: [(face, face.tolist()) for e in np.eye(n) for face in (e, -e)] for n in (1, 2)}
+
+
+def _constraint_list(p: QpProblem) -> list[tuple[np.ndarray, float, list[float]]]:
+    """Barrier rows followed by box faces, all as a . u + b >= 0, each as
+    (a, b, a's entries as floats)."""
+    cons = []
+    for a, b in p.rows:
+        a = np.asarray(a, dtype=float)
+        cons.append((a, float(b), a.tolist()))
+    faces = _BOX_FACES[p.dim]
     for j in range(p.dim):
-        e = np.zeros(p.dim)
-        e[j] = 1.0
-        cons.append((e.copy(), -float(p.lower[j])))
-        cons.append((-e, float(p.upper[j])))
+        (e, e_list), (minus_e, minus_e_list) = faces[2 * j], faces[2 * j + 1]
+        cons += [(e, -float(p.lower[j]), e_list), (minus_e, float(p.upper[j]), minus_e_list)]
     return cons
 
 
@@ -128,15 +143,51 @@ def solve_interval(
 
 
 def _solve_2d(p: QpProblem) -> QpSolution:
+    """Exhaustive KKT enumeration: the nominal input, the projection onto each
+    row and the vertex of each pair of rows, keeping the nearest feasible
+    candidate whose multipliers are nonnegative.
+
+    Each candidate is first screened in plain floats (Cramer's rule for the
+    vertices). A candidate is dropped only when a float test fails by more
+    than _SCREEN_MARGIN times a bound on its rounding, so the numpy test would
+    fail too; NaN, overflow and pairs worse conditioned than _SCREEN_KAPPA
+    never pass the screen's comparisons and go to the numpy path. The
+    survivors are evaluated with numpy in enumeration order, so the result is
+    the same as evaluating every candidate with numpy.
+    """
     cons = _constraint_list(p)
-    # Rows not involving u must hold on their own.
-    for a, b in cons[: len(p.rows)]:
-        if np.linalg.norm(a) < _A_EPS and b < -_FEAS_TOL:
-            return QpSolution(np.clip(p.u_hat, p.lower, p.upper), QpStatus.INFEASIBLE)
-    cons_idx = [(i, a, b) for i, (a, b) in enumerate(cons) if np.linalg.norm(a) >= _A_EPS]
+    live = []  # rows involving u: (index, a, b, a0, a1, |a|_1, |a|^2, margin * |b|)
+    for i, (a, b, (a0, a1)) in enumerate(cons):
+        n2 = a0 * a0 + a1 * a1
+        if not n2 >= _NORM2_CLEAR:  # zero, NaN or near _A_EPS: numpy's norm decides
+            norm = np.linalg.norm(a)
+            # Rows not involving u must hold on their own.
+            if i < len(p.rows) and norm < _A_EPS and b < -_FEAS_TOL:
+                return QpSolution(np.clip(p.u_hat, p.lower, p.upper), QpStatus.INFEASIBLE)
+            if not norm >= _A_EPS:
+                continue
+        live.append((i, a, b, a0, a1, abs(a0) + abs(a1), n2, _SCREEN_MARGIN * abs(b)))
+
+    x0, x1 = p.u_hat.tolist()
+    s = abs(x0) + abs(x1)
+
+    def clearly_infeasible(u0: float, u1: float, scale: float) -> bool:
+        # scale bounds |u|_1 plus the point's float-vs-numpy error.
+        ms = _SCREEN_MARGIN * scale
+        for _, _, b, a0, a1, n1, _, mb in live:
+            if a0 * u0 + a1 * u1 + b + n1 * ms + mb < -_FEAS_TOL:
+                return True
+        return False
+
+    vals = [a0 * x0 + a1 * x1 + b for _, _, b, a0, a1, _, _, _ in live]
+    margins = [n1 * _SCREEN_MARGIN * s + mb for _, _, _, _, _, n1, _, mb in live]
+    if all(v - m >= -_FEAS_TOL for v, m in zip(vals, margins)):
+        # u_hat is feasible: it has objective 0, so no candidate can replace it.
+        u = p.u_hat.astype(float)
+        return QpSolution(u, QpStatus.OPTIMAL, (), _primal_residual(cons, u))
 
     def feasible(u: np.ndarray) -> bool:
-        return all(a @ u + b >= -_FEAS_TOL for _, a, b in cons_idx)
+        return all(a @ u + b >= -_FEAS_TOL for _, a, b, *_ in live)
 
     best: tuple[float, np.ndarray, tuple[int, ...]] | None = None
 
@@ -148,17 +199,43 @@ def _solve_2d(p: QpProblem) -> QpSolution:
         if best is None or obj < best[0] - 1e-15:
             best = (obj, u, active)
 
-    consider(p.u_hat.astype(float).copy(), ())
-    for (i, a, b) in cons_idx:
+    if not any(v + m < -_FEAS_TOL for v, m in zip(vals, margins)):
+        consider(p.u_hat.astype(float).copy(), ())
+    for (i, a, b, a0, a1, n1, n2, mb), v in zip(live, vals):
+        lam = -v / n2
+        if lam + (n1 * _SCREEN_MARGIN * s + mb) / n2 + _SCREEN_MARGIN * abs(lam) < -_LAMBDA_TOL:
+            continue
+        u0, u1 = x0 + lam * a0, x1 + lam * a1
+        if clearly_infeasible(u0, u1, abs(u0) + abs(u1) + s):
+            continue
         viol = a @ p.u_hat + b
         lam = -viol / float(a @ a)
         if lam >= -_LAMBDA_TOL:
             consider(p.u_hat + lam * a, (i,))
-    for (i, ai, bi), (j, aj, bj) in itertools.combinations(cons_idx, 2):
-        A = np.array([ai, aj])
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        if abs(det) < 1e-12:
+    for (i, ai, bi, ai0, ai1, n1i, n2i, _), (j, aj, bj, aj0, aj1, n1j, n2j, _) in (
+        itertools.combinations(live, 2)
+    ):
+        det = ai0 * aj1 - ai1 * aj0  # the same float numpy computes from [ai, aj]
+        abs_det = abs(det)
+        if abs_det < 1e-12:
             continue
+        kappa = (n2i + n2j) / abs_det  # Frobenius condition number of [ai, aj]
+        if kappa <= _SCREEN_KAPPA:
+            u0 = (bj * ai1 - bi * aj1) / det
+            u1 = (bi * aj0 - bj * ai0) / det
+            d0, d1 = u0 - x0, u1 - x1
+            lam_i = (d0 * aj1 - d1 * aj0) / det
+            lam_j = (d1 * ai0 - d0 * ai1) / det
+            scale = abs(u0) + abs(u1) + s
+            # numpy takes the multipliers from the normal equations (condition
+            # kappa^2), so this test can only drop a pair while kappa^2 * margin < 1.
+            m = _SCREEN_MARGIN * kappa * (
+                kappa * (abs(lam_i) + abs(lam_j)) + (n1i + n1j) * scale / abs_det)
+            if lam_i + m < -_LAMBDA_TOL or lam_j + m < -_LAMBDA_TOL:
+                continue
+            if clearly_infeasible(u0, u1, kappa * scale):
+                continue
+        A = np.array([ai, aj])
         try:
             u = np.linalg.solve(A, -np.array([bi, bj]))
             lam = np.linalg.solve(A @ A.T, A @ (u - p.u_hat))
@@ -169,19 +246,20 @@ def _solve_2d(p: QpProblem) -> QpSolution:
     if best is None:
         return QpSolution(np.clip(p.u_hat, p.lower, p.upper), QpStatus.INFEASIBLE)
     obj, u, active = best
-    return QpSolution(u, QpStatus.OPTIMAL, active, _primal_residual(p, u))
+    return QpSolution(u, QpStatus.OPTIMAL, active, _primal_residual(cons, u))
 
 
-def _primal_residual(p: QpProblem, u: np.ndarray) -> float:
+def _primal_residual(cons: list[tuple[np.ndarray, float, list[float]]], u: np.ndarray) -> float:
     res = 0.0
-    for a, b in _constraint_list(p):
+    for a, b, _ in cons:
         res = max(res, -(float(a @ u) + b))
     return max(res, 0.0)
 
 
 def kkt_residual(p: QpProblem, sol: QpSolution) -> float:
-    """Max norm of the full KKT residual at sol (stationarity with
-    nonnegative multipliers over tight constraints, plus primal violation)."""
+    """KKT residual at sol: the larger of the stationarity residual's 2-norm
+    (nonnegative multipliers over the tight constraints, or the gradient
+    itself when none is tight) and the largest primal violation."""
     from scipy.optimize import nnls
 
     if sol.status is not QpStatus.OPTIMAL:
@@ -189,7 +267,7 @@ def kkt_residual(p: QpProblem, sol: QpSolution) -> float:
     cons = _constraint_list(p)
     u = sol.u_star
     tight = [
-        a for a, b in cons
+        a for a, b, _ in cons
         if np.linalg.norm(a) >= _A_EPS
         and abs(a @ u + b) <= 1e-7 * (1.0 + abs(b) + np.linalg.norm(a) * np.linalg.norm(u))
     ]
@@ -198,8 +276,8 @@ def kkt_residual(p: QpProblem, sol: QpSolution) -> float:
         A = np.array(tight)
         _, stat = nnls(A.T, grad)
     else:
-        stat = float(np.max(np.abs(grad))) if grad.size else 0.0
-    return max(float(stat), _primal_residual(p, u))
+        stat = np.linalg.norm(grad)
+    return max(float(stat), _primal_residual(cons, u))
 
 
 def least_infeasible(p: QpProblem) -> np.ndarray:

@@ -1,9 +1,17 @@
 """Safety-filter QP solvers: exactness, KKT conditions, and fallbacks."""
 
+import dataclasses
+import itertools
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import quadsafe.qp as qp
 from quadsafe.barriers import BarrierDomain, BarrierSpec, EcbfGains
+from quadsafe.config import load_preset
 from quadsafe.dynamics import QuadParams, QuadState, flat_of
 from quadsafe.qp import (
     InfeasiblePolicy,
@@ -16,6 +24,7 @@ from quadsafe.qp import (
     solve_qp,
     thrust_filter,
 )
+from quadsafe.sim import run
 
 
 def row(a, b):
@@ -255,3 +264,354 @@ class TestDegenerate:
                             (problem_2d([25.0, -30.0], []), [20.0, -20.0])]:
             assert np.array_equal(least_infeasible(p), expected)
             assert np.array_equal(solve_qp(p).u_star, expected)
+
+
+class TestKktResidual:
+    def test_stationarity_is_a_2_norm_without_tight_rows(self):
+        # Nothing is tight at u_star, so the residual is the gradient's 2-norm
+        # (0.8e-8 * sqrt(2)), as nnls reports it when rows are tight.
+        p = problem_2d([0.0, 0.0], [])
+        sol = QpSolution(np.array([0.8e-8, 0.8e-8]), QpStatus.OPTIMAL)
+        assert kkt_residual(p, sol) == pytest.approx(0.8e-8 * np.sqrt(2.0), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reference 2-D solver: the exhaustive numpy KKT enumeration that the
+# float-screened solver must reproduce bit for bit. Copied verbatim (only the
+# names carry a ref_ prefix); it evaluates every candidate with numpy.
+
+REF_A_EPS = 1e-12
+REF_FEAS_TOL = 1e-9
+REF_LAMBDA_TOL = 1e-12
+
+
+def ref_constraint_list(p: QpProblem) -> list[tuple[np.ndarray, float]]:
+    """Barrier rows followed by box faces, all as a . u + b >= 0."""
+    cons = [(np.asarray(a, dtype=float), float(b)) for a, b in p.rows]
+    for j in range(p.dim):
+        e = np.zeros(p.dim)
+        e[j] = 1.0
+        cons.append((e.copy(), -float(p.lower[j])))
+        cons.append((-e, float(p.upper[j])))
+    return cons
+
+
+def ref_solve_2d(p: QpProblem) -> QpSolution:
+    cons = ref_constraint_list(p)
+    # Rows not involving u must hold on their own.
+    for a, b in cons[: len(p.rows)]:
+        if np.linalg.norm(a) < REF_A_EPS and b < -REF_FEAS_TOL:
+            return QpSolution(np.clip(p.u_hat, p.lower, p.upper), QpStatus.INFEASIBLE)
+    cons_idx = [(i, a, b) for i, (a, b) in enumerate(cons) if np.linalg.norm(a) >= REF_A_EPS]
+
+    def feasible(u: np.ndarray) -> bool:
+        return all(a @ u + b >= -REF_FEAS_TOL for _, a, b in cons_idx)
+
+    best: tuple[float, np.ndarray, tuple[int, ...]] | None = None
+
+    def consider(u: np.ndarray, active: tuple[int, ...]) -> None:
+        nonlocal best
+        if not feasible(u):
+            return
+        obj = 0.5 * float(np.sum((u - p.u_hat) ** 2))
+        if best is None or obj < best[0] - 1e-15:
+            best = (obj, u, active)
+
+    consider(p.u_hat.astype(float).copy(), ())
+    for (i, a, b) in cons_idx:
+        viol = a @ p.u_hat + b
+        lam = -viol / float(a @ a)
+        if lam >= -REF_LAMBDA_TOL:
+            consider(p.u_hat + lam * a, (i,))
+    for (i, ai, bi), (j, aj, bj) in itertools.combinations(cons_idx, 2):
+        A = np.array([ai, aj])
+        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        if abs(det) < 1e-12:
+            continue
+        try:
+            u = np.linalg.solve(A, -np.array([bi, bj]))
+            lam = np.linalg.solve(A @ A.T, A @ (u - p.u_hat))
+        except np.linalg.LinAlgError:  # near-parallel pair, ill-conditioned
+            continue
+        if np.all(lam >= -REF_LAMBDA_TOL):
+            consider(u, (i, j))
+    if best is None:
+        return QpSolution(np.clip(p.u_hat, p.lower, p.upper), QpStatus.INFEASIBLE)
+    obj, u, active = best
+    return QpSolution(u, QpStatus.OPTIMAL, active, ref_primal_residual(p, u))
+
+
+def ref_primal_residual(p: QpProblem, u: np.ndarray) -> float:
+    res = 0.0
+    for a, b in ref_constraint_list(p):
+        res = max(res, -(float(a @ u) + b))
+    return max(res, 0.0)
+
+
+# ---------------------------------------------------------------------------
+
+
+def assert_bitwise_as_reference(p: QpProblem) -> QpSolution:
+    with np.errstate(all="ignore"):  # NaN and inf inputs are among the cases
+        got, want = solve_qp(p), ref_solve_2d(p)
+    assert got.status is want.status
+    assert got.u_star.dtype == want.u_star.dtype
+    assert got.u_star.tobytes() == want.u_star.tobytes(), (got.u_star, want.u_star)
+    assert got.active_set == want.active_set
+    assert struct.pack("<d", got.primal_residual) == struct.pack("<d", want.primal_residual)
+    return got
+
+
+def perp(a):
+    """a rotated by +90 degrees, with a's norm."""
+    return np.array([-a[1], a[0]])
+
+
+ADVERSARIAL_KINDS = (
+    "plain", "on_row", "near_row", "zero_multiplier_vertex", "duplicate",
+    "near_parallel", "ill_conditioned_vertex", "axis_parallel", "zero_row", "scaled",
+    "nonfinite",
+)
+NEAR_ROW_OFFSETS = (1e-9, -1e-9, 1e-9 * (1 + 2**-30), -1e-9 * (1 - 2**-30),
+                    5e-10, -5e-10, 2e-9, -2e-9, 1e-12, -1e-12)
+ZERO_ROWS = ((0.0, 0.0), (1e-12, 0.0), (0.0, -1e-12), (1e-12 * (1 - 2**-40), 0.0),
+             (7.0710678118654752e-13, 7.0710678118654752e-13), (1e-13, -1e-13))
+NONFINITE = (np.nan, np.inf, -np.inf)
+
+
+def adversarial_problem(kind, rng):
+    """A 2-D QP built to sit on one of the screen's edges: the nominal input
+    on or within 1e-9 of a row, a vertex that coincides with a projection (a
+    multiplier of ~0), duplicate rows, near-parallel pairs (|det| ~ 1e-12 and
+    ~ 1e-6 * scale), a near-parallel pair whose vertex is the optimum or a
+    zero-multiplier vertex with a third row through it, rows nearly parallel
+    to a box face, zero rows, row scales 1e+-6, or NaN/inf in a, b or
+    u_hat."""
+    bound = float(rng.choice([20.0, 5.0, 1e-3, 1e4]))
+    u_hat = rng.normal(size=2) * bound * float(rng.choice([0.3, 1.0, 2.0]))
+    rows = [(rng.normal(size=2) * 10.0 ** rng.uniform(-1, 3), float(rng.normal() * 100.0))
+            for _ in range(int(rng.integers(1, 4)))]
+    if kind == "on_row":
+        a = rows[0][0]
+        rows[0] = (a, -float(a @ u_hat))
+    elif kind == "near_row":
+        a = rows[0][0]
+        rows[0] = (a, -float(a @ u_hat) + float(rng.choice(NEAR_ROW_OFFSETS)))
+    elif kind == "zero_multiplier_vertex":
+        # u_hat projects onto row 0 at v, and row 1 passes through v.
+        v = rng.uniform(-bound, bound, size=2)
+        a0, a1 = rows[0][0], rng.normal(size=2) * 10.0 ** rng.uniform(-1, 3)
+        u_hat = v - rng.uniform(0.0, 2.0) * a0 / float(a0 @ a0) * bound
+        rows[:2] = [(a0, -float(a0 @ v)), (a1, -float(a1 @ v))]
+    elif kind == "duplicate":
+        rows = rows + rows[: int(rng.integers(1, len(rows) + 1))]
+    elif kind == "near_parallel":
+        a0, b0 = rows[0]
+        det = float(rng.choice([1e-12, 1.5e-12, 1e-11, 1e-6 * float(a0 @ a0)]))
+        a1 = a0 + det / float(a0 @ a0) * perp(a0) * float(rng.choice([1.0, -1.0]))
+        b1 = b0 * float(rng.choice([1.0, 1.0 + 1e-9, 0.5])) + float(rng.normal()) * 1e-6
+        rows.insert(int(rng.integers(0, len(rows))), (a1, b1))
+    elif kind == "ill_conditioned_vertex":
+        # Rows 0 and 1 meet at v at an angle of 1e-9..1e-5 rad; u_hat sits in
+        # their normal cone (v is the optimum) or projects onto row 0 at v
+        # (row 1's multiplier is ~0); row 2 passes within ~1e-7 of v.
+        v = rng.uniform(-bound, bound, size=2)
+        a0 = rows[0][0]
+        a1 = a0 + 10.0 ** rng.uniform(-9, -5) * perp(a0) * float(rng.choice([1.0, -1.0]))
+        a2 = rng.normal(size=2) * 10.0 ** rng.uniform(0, 3)
+        t = rng.uniform(0.1, 2.0) * bound
+        if rng.random() < 0.5:
+            u_hat = v - t * (a0 / np.sqrt(a0 @ a0) + a1 / np.sqrt(a1 @ a1))
+        else:
+            u_hat = v - t * a0 / np.sqrt(a0 @ a0)
+        offset = -1e-9 + float(rng.choice([0.0, 1.0])) * rng.uniform(-3e-7, 3e-7)
+        rows = [(a0, -float(a0 @ v)), (a1, -float(a1 @ v)), (a2, -float(a2 @ v) + offset)]
+    elif kind == "axis_parallel":
+        # A large row whose direction is within ~1e-9 of a box face's.
+        big = 10.0 ** rng.uniform(2, 4)
+        tiny = float(rng.normal()) * 10.0 ** rng.uniform(-12, -6)
+        a = np.array([tiny, big]) if rng.random() < 0.5 else np.array([big, tiny])
+        rows[0] = (a * float(rng.choice([1.0, -1.0])), float(rng.normal() * big * bound))
+    elif kind == "zero_row":
+        z = np.array(ZERO_ROWS[int(rng.integers(0, len(ZERO_ROWS)))])
+        b = float(rng.choice([-1.0, -2e-9, -1e-9, -5e-10, 0.0, 1.0]))
+        rows.insert(int(rng.integers(0, len(rows) + 1)), (z, b))
+    elif kind == "scaled":
+        rows = [(a * 10.0 ** float(rng.choice([-6, 6])), b * 10.0 ** float(rng.choice([-6, 0, 6])))
+                for a, b in rows]
+        if rng.random() < 0.5:  # orthogonal rows of scales 1e6 and 1e-6 meeting at the optimum
+            rows[:1] = [(np.array([1e6, 0.0]), -1e6 * 0.5 * bound),
+                        (np.array([0.0, 1e-6]), -1e-6 * 0.5 * bound)]
+            u_hat = np.array([0.0, 0.0])
+    elif kind == "nonfinite":
+        value = NONFINITE[int(rng.integers(0, 3))]
+        where = int(rng.integers(0, 3))
+        if where == 0:
+            u_hat[int(rng.integers(0, 2))] = value
+        else:
+            k = int(rng.integers(0, len(rows)))
+            a, b = rows[k]
+            if where == 1:
+                a = a.copy()
+                a[int(rng.integers(0, 2))] = value
+            else:
+                b = value
+            rows[k] = (a, b)
+    return QpProblem(u_hat=u_hat, rows=tuple(rows), lower=np.array([-bound, -bound]),
+                     upper=np.array([bound, bound]))
+
+
+class TestScreenedSolverIsBitwiseTheEnumeration:
+    """solve_qp on 2-D problems returns exactly what evaluating every KKT
+    candidate with numpy returns: the same u_star bytes, status, active set
+    and primal residual."""
+
+    @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
+    def test_seeded_adversarial_cases(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        statuses = set()
+        for _ in range(300):
+            statuses.add(assert_bitwise_as_reference(adversarial_problem(kind, rng)).status)
+        if kind != "nonfinite":
+            assert QpStatus.OPTIMAL in statuses
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        kind=st.sampled_from(ADVERSARIAL_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        u_hat=st.tuples(*[st.floats(-1e4, 1e4, allow_nan=False)] * 2),
+        extra=st.lists(st.tuples(st.floats(-1e3, 1e3, allow_nan=False),
+                                 st.floats(-1e3, 1e3, allow_nan=False),
+                                 st.floats(-1e4, 1e4, allow_nan=False)), max_size=2),
+    )
+    def test_hypothesis_cases(self, kind, seed, u_hat, extra):
+        # The drawn rows and nominal (exact values, zeros, subnormal-sized
+        # entries) are added to an adversarial problem, and also stand alone.
+        base = adversarial_problem(kind, np.random.default_rng(seed))
+        rows = base.rows + tuple((np.array([a0, a1]), b) for a0, a1, b in extra)
+        for p in (QpProblem(base.u_hat, rows, base.lower, base.upper),
+                  QpProblem(np.array(u_hat), rows, base.lower, base.upper),
+                  problem_2d(u_hat, [(np.array([a0, a1]), b) for a0, a1, b in extra])):
+            assert_bitwise_as_reference(p)
+
+    def test_every_qp_of_a_fig7_second(self, monkeypatch):
+        # The lateral QPs that fig7-unified actually poses in its first second.
+        problems = []
+        solve = qp.solve_qp
+
+        def recording(p):
+            problems.append(p)
+            return solve(p)
+
+        monkeypatch.setattr(qp, "solve_qp", recording)
+        run(dataclasses.replace(load_preset("fig7-unified"), duration=1.0))
+        assert len(problems) == 1000
+        for p in problems:
+            assert_bitwise_as_reference(p)
+
+    def test_feasible_nominal_needs_no_linear_solve(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            u_hat = rng.uniform(-20.0, 20.0, size=2)
+            rows = [(a, -float(a @ u_hat) + rng.uniform(0.0, 5.0))
+                    for a in rng.normal(size=(int(rng.integers(0, 4)), 2)) * 100.0]
+            p = problem_2d(u_hat, rows)
+            sol = solve_qp(p)
+            assert sol.active_set == () and np.array_equal(sol.u_star, u_hat)
+        assert calls == []
+        assert_bitwise_as_reference(p)  # the reference does solve
+        assert calls != []
+
+
+# ---------------------------------------------------------------------------
+# An independent oracle for least_infeasible: the least worst violation t*,
+# found without an LP solver.
+
+
+def bound_on_violation(t_star):
+    """least_infeasible relaxes every row by t*(1 + 1e-9) + 1e-12, so that the
+    LP's rounding cannot make the relaxed QP infeasible, and then takes the
+    point nearest the nominal: its worst violation may use all of that."""
+    return t_star * (1.0 + 1e-9) + 1e-9
+
+
+def worst_violation(rows, u):
+    return max([0.0] + [-(float(np.dot(a, u)) + b) for a, b in rows])
+
+
+def min_max_violation_1d(rows, lo, hi):
+    """t* = min over [lo, hi] of max(0, max_i -(a_i u + b_i)), a convex
+    piecewise-linear function, so its minimum sits at a box end, a zero of a
+    row or a crossing of two rows."""
+    points = [lo, hi]
+    for (a, b), (c, d) in itertools.combinations(rows, 2):
+        if a != c:
+            points.append((d - b) / (a - c))
+    points += [-b / a for a, b in rows if a != 0.0]
+    return min(worst_violation([(np.array([a]), b) for a, b in rows], np.array([u]))
+               for u in points if lo <= u <= hi)
+
+
+def min_max_violation_2d(rows, lower, upper):
+    """t* of the epigraph LP  min t  s.t.  a_i . u + b_i + t >= 0, t >= 0,
+    lower <= u <= upper, by enumerating its vertices: every triple of its
+    constraints taken as equalities, kept when the point satisfies the rest."""
+    cons = [(np.array([a[0], a[1], 1.0]), b) for a, b in rows]
+    cons.append((np.array([0.0, 0.0, 1.0]), 0.0))
+    for j in range(2):
+        e = np.zeros(3)
+        e[j] = 1.0
+        cons += [(e, -lower[j]), (-e, upper[j])]
+    best = np.inf
+    for triple in itertools.combinations(cons, 3):
+        G = np.array([g for g, _ in triple])
+        if abs(np.linalg.det(G)) < 1e-12:
+            continue
+        x = np.linalg.solve(G, -np.array([h for _, h in triple]))
+        if all(g @ x + h >= -1e-9 * (1.0 + abs(h)) for g, h in cons):
+            best = min(best, x[2])
+    return best
+
+
+class TestLeastInfeasibleOracle:
+    def test_1d_matches_breakpoint_enumeration(self):
+        rng = np.random.default_rng(31)
+        n_infeasible = 0
+        for _ in range(150):
+            rows = [(float(a), float(b)) for a, b in rng.normal(size=(int(rng.integers(2, 5)), 2))]
+            rows[0] = (abs(rows[0][0]), rows[0][1] - 3.0)  # u >= something large-ish
+            lo, hi = -1.0, 1.0
+            t_star = min_max_violation_1d(rows, lo, hi)
+            if t_star <= 0.0:
+                continue
+            n_infeasible += 1
+            p = problem_1d(0.5 * rng.normal(), [row(a, b) for a, b in rows], lo, hi)
+            u = least_infeasible(p)
+            assert lo <= u[0] <= hi
+            assert worst_violation(p.rows, u) <= bound_on_violation(t_star), (rows, u, t_star)
+        assert n_infeasible >= 50
+
+    def test_2d_matches_epigraph_vertex_enumeration(self):
+        rng = np.random.default_rng(37)
+        n_infeasible = 0
+        for _ in range(150):
+            rows = [row(rng.normal(size=2), rng.normal() - 2.0)
+                    for _ in range(int(rng.integers(2, 5)))]
+            p = problem_2d(rng.normal(size=2), rows, bound=1.0)
+            t_star = min_max_violation_2d(rows, p.lower, p.upper)
+            if t_star <= 1e-9:
+                continue
+            n_infeasible += 1
+            u = least_infeasible(p)
+            assert np.all(p.lower <= u) and np.all(u <= p.upper), u
+            assert worst_violation(rows, u) <= bound_on_violation(t_star), (rows, u, t_star)
+        assert n_infeasible >= 50
