@@ -11,8 +11,10 @@ Both levels build one row shape, (a, b, h, H): the linear constraint
 a . u + b >= 0 encoding the (E)CBF condition
 L_f^d h + L_g L_f^(d-1) h . u + K' H >= 0, the barrier value h and the
 chain H = [h, L_f h, ..., L_f^(d-1) h]. altitude_row builds it over the
-thrust, lateral_row over [tau_x, tau_y] (with the kinematic terms of
-lateral_chain_terms, shared by both lateral barriers). All higher
+thrust; lateral_rows builds the rows of all active lateral barriers over
+[tau_x, tau_y] at once, from one set of shared kinematic terms, with each
+family of small products (2x2 matrix, matrix-vector, vector-matrix, 2-vector
+dot, pow) in one batched call of the numpy kernel that rounds it. All higher
 derivatives of position are closed-form functions of the flat rigid-body
 state; no numerical differentiation is involved.
 """
@@ -28,6 +30,8 @@ import numpy as np
 from .dynamics import QuadParams
 
 DET_MIN = 1e-3  # lower bound on |det W| before the lateral map is declared singular
+_POWERS = (3.0, 3.0, 4.0, 4.0, 3.0, 3.0)  # of (xdot, ydot, xdot, ydot, xddot, yddot)
+_POW_SAFE = 1e77  # |v| ** 4 stays finite below this
 
 
 class LateralSingular(ValueError):
@@ -67,6 +71,11 @@ class BarrierSpec:
     center: np.ndarray
     half_width: np.ndarray
     active_from: float = 0.0
+    # Float copies for the per-step kernels: center, half_width and
+    # half_width ** 4 (numpy's pow).
+    c: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    p: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    p4: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
@@ -83,6 +92,9 @@ class BarrierSpec:
             raise ValueError(
                 f"{self.domain.value} expects {n_expected} constrained state(s)"
             )
+        object.__setattr__(self, "c", tuple(self.center.tolist()))
+        object.__setattr__(self, "p", tuple(self.half_width.tolist()))
+        object.__setattr__(self, "p4", tuple((self.half_width**4).tolist()))
 
 
 @dataclass(frozen=True)
@@ -110,19 +122,6 @@ class EcbfGains:
         return float(self.K[0])
 
 
-@dataclass(frozen=True)
-class LateralChainTerms:
-    """Shared kinematic terms for the lateral chains (paper's W, V, A, J, L)."""
-
-    W: np.ndarray
-    V: np.ndarray
-    A: np.ndarray
-    Vdot: np.ndarray
-    R33dot: float
-    J: np.ndarray
-    L_mat: np.ndarray
-
-
 def pole_place(delta: int, poles) -> np.ndarray:
     """Chain gains from desired closed-loop poles.
 
@@ -141,10 +140,11 @@ def pole_place(delta: int, poles) -> np.ndarray:
 
 def rectellipse_h(values: Sequence[float], spec: BarrierSpec) -> float:
     """h = 1 - sum_j ((x_j - c_j)/p_j)^4 ; >= 0 inside the safe region."""
+    scaled = [(x - c) / p for x, c, p in zip(values, spec.c, spec.p, strict=True)]
+    # numpy's pow, not float ** 4: the two can round differently.
     total = 0.0
-    for x, c, p in zip(values, spec.center.tolist(), spec.half_width.tolist(), strict=True):
-        # numpy's pow, not float ** 4: the two can round differently.
-        total += float(np.power((x - c) / p, 4.0))
+    for s4 in np.power(scaled, 4.0).tolist():
+        total += s4
     return 1.0 - total
 
 
@@ -155,7 +155,7 @@ def altitude_row(
     a * f + b >= 0 at altitude z, climb rate zd and attitude entry R33."""
     if spec.domain is BarrierDomain.ALTITUDE_POSITION:
         # ECBF, delta=2, h(z) = 1 - ((z-c)/p_z)^4.
-        c, pz = float(spec.center[0]), float(spec.half_width[0])
+        (c,), (pz,) = spec.c, spec.p
         s = z - c
         pz4 = pz**4
         h = 1.0 - (s / pz) ** 4
@@ -167,7 +167,7 @@ def altitude_row(
         return a, Lf2h + float(gains.K.dot(H)), h, H
     if spec.domain is BarrierDomain.ALTITUDE_POSVEL:
         # CBF, delta=1, h(z, zdot) = 1 - ((z-c)/p_z)^4 - (zdot/v_z)^4.
-        cz, pz, vz = float(spec.center[0]), float(spec.half_width[0]), float(spec.half_width[1])
+        cz, (pz, vz) = spec.c[0], spec.p
         s = z - cz
         h = 1.0 - (s / pz) ** 4 - (zd / vz) ** 4
         Lfh = -4.0 * s**3 * zd / pz**4 - 4.0 * zd**3 * params.g / vz**4
@@ -176,100 +176,140 @@ def altitude_row(
     raise ValueError(f"not an altitude barrier: {spec.domain}")
 
 
-def lateral_chain_terms(x: list[float], params: QuadParams) -> LateralChainTerms:
-    """Kinematic terms shared by both lateral chains, at the flat state x.
-
-    W maps (Rdot13, Rdot23) to R33*(p, q); its inverse V, the exact Vdot
-    (from Rdot = R [w]x), and the drift/input maps J, L of the second
-    derivative of (R13, R23).
-    """
-    R11, R12, R13, R21, R22, R23, R31, R32, R33 = x[3:12]
-    p, q, r_rate = x[15:18]
-    W = np.array([[R21, -R11], [R22, -R12]])
-    detW = W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]
-    if abs(detW) < DET_MIN:
-        raise LateralSingular(f"|det W| = {abs(detW):.2e} below {DET_MIN}")
-    V = np.array([[W[1, 1], -W[0, 1]], [-W[1, 0], W[0, 0]]]) / detW
-    # Entry-wise Rdot from Rdot = R [w]x.
-    Rd11 = R12 * r_rate - R13 * q
-    Rd21 = R22 * r_rate - R23 * q
-    Rd12 = -R11 * r_rate + R13 * p
-    Rd22 = -R21 * r_rate + R23 * p
-    R33dot = R31 * q - R32 * p
-    Wdot = np.array([[Rd21, -Rd11], [Rd22, -Rd12]])
-    Vdot = -V @ Wdot @ V
-    A = np.array([p, q])
-    gyro = np.array(
-        [
-            (params.Iy - params.Iz) / params.Ix * q * r_rate,
-            (params.Iz - params.Ix) / params.Iy * p * r_rate,
-        ]
-    )
-    J = R33dot * (V @ A) + R33 * (Vdot @ A) + R33 * (V @ gyro)
-    L_mat = R33 * V @ np.diag([1.0 / params.Ix, 1.0 / params.Iy])
-    return LateralChainTerms(W=W, V=V, A=A, Vdot=Vdot, R33dot=R33dot, J=J, L_mat=L_mat)
-
-
-def lateral_row(
-    spec: BarrierSpec,
-    gains: EcbfGains,
+def lateral_rows(
     x: list[float],
     f: float,
-    terms: LateralChainTerms,
+    specs: Sequence[tuple[BarrierSpec, EcbfGains]],
     params: QuadParams,
-) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """Core of the two lateral chains: (a, b, h, H) of the row
-    a . [tau_x, tau_y] + b >= 0 at the flat state x, with the kinematic
-    terms of lateral_chain_terms(x, params).
+) -> list[tuple[np.ndarray, float, float, np.ndarray]]:
+    """(a, b, h, H) of the row a . [tau_x, tau_y] + b >= 0 of each lateral
+    (spec, gains) pair, at the flat state x.
 
-    The thrust f already fixed for this step enters the drift; the chain is
-    exact for zero-order-hold thrust.
+    The thrust f already fixed for this step enters the drift; the chains
+    are exact for zero-order-hold thrust. All rows share the kinematic terms:
+    W = [[R21, -R11], [R22, -R12]], which maps (Rdot13, Rdot23) to R33*(p, q),
+    its inverse V, the exact Vdot (from Rdot = R [w]x), and the drift/input
+    maps J, L of the second derivative of (R13, R23).
+
+    Elementwise arithmetic runs on floats, which round as numpy's elementwise
+    operations do (the powers of the offsets use libm's pow, as numpy's
+    scalar ** does). Every product that floats cannot reproduce goes, with
+    all others of its kind, through one batched call of the numpy kernel
+    that computes it: the 2x2 matrix products, the matrix-vector and
+    vector-matrix products, the 2-vector dots (np.vecdot, the kernel of a
+    1-D a @ b), and numpy's pow for the cubes and fourth powers of the
+    derivatives of (x, y).
     """
-    # First three time derivatives of (x, y) under frozen thrust f.
-    xy_d = np.array(x[12:14])
-    xy_dd = -(f / params.m) * np.array([x[5], x[8]])
-    xy_ddd = -(f / params.m) * x[11] * (terms.V @ terms.A)
-    fm4 = 4.0 * f / params.m
-    cx, cy = spec.center
-    px4, py4 = spec.half_width**4
-    if spec.domain is BarrierDomain.LATERAL_POSITION:
-        sx, sy = x[0] - cx, x[1] - cy
-    elif spec.domain is BarrierDomain.LATERAL_VELOCITY:
-        sx, sy = x[12] - cx, x[13] - cy
-    else:
-        raise ValueError(f"not a lateral barrier: {spec.domain}")
-    eta = [np.array([sx**i / px4, sy**i / py4]) for i in range(4)]
-    h = 1.0 - sx**4 / px4 - sy**4 / py4
-    a = fm4 * (eta[3] @ terms.L_mat)
+    for spec, _ in specs:
+        if spec.domain not in (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY):
+            raise ValueError(f"not a lateral barrier: {spec.domain}")
+    R11, R12, R13, R21, R22, R23, R31, R32, R33 = x[3:12]
+    p, q, r = x[15:18]
+    det = R21 * -R12 - -R11 * R22  # det W
+    if abs(det) < DET_MIN:
+        raise LateralSingular(f"|det W| = {abs(det):.2e} below {DET_MIN}")
+    V00, V01, V10, V11 = -R12 / det, R11 / det, -R22 / det, R21 / det
+    # Entry-wise Rdot from Rdot = R [w]x.
+    Rd11 = R12 * r - R13 * q
+    Rd21 = R22 * r - R23 * q
+    Rd12 = -R11 * r + R13 * p
+    Rd22 = -R21 * r + R23 * p
+    R33dot = R31 * q - R32 * p
+    Ix, Iy, Iz = params.Ix, params.Iy, params.Iz
+    mats = np.array([
+        -V00, -V01, -V10, -V11,
+        R33 * V00, R33 * V01, R33 * V10, R33 * V11,
+        Rd21, -Rd11, Rd22, -Rd12,  # Wdot
+        1.0 / Ix, 0.0, 0.0, 1.0 / Iy,
+        V00, V01, V10, V11,
+        0.0, 0.0, 0.0, 0.0,  # Vdot goes here
+        p, q, (Iy - Iz) / Ix * q * r, (Iz - Ix) / Iy * p * r,  # A and the gyroscopic term
+    ]).reshape(7, 2, 2)
+    # (-V) Wdot, and L = (R33 V) diag(1/Ix, 1/Iy).
+    prods = mats[0:2] @ mats[2:4]
+    np.matmul(prods[0], mats[4], out=mats[5])  # Vdot = (-V) Wdot V
+    # V A, V gyro, Vdot A and (unused) Vdot gyro.
+    (VA0, VA1), (Vg0, Vg1), (VdA0, VdA1), _ = (
+        mats[4:6, None] @ mats[6].reshape(2, 2, 1)
+    ).reshape(4, 2).tolist()
+    J0 = R33dot * VA0 + R33 * VdA0 + R33 * Vg0
+    J1 = R33dot * VA1 + R33 * VdA1 + R33 * Vg1
 
-    if spec.domain is BarrierDomain.LATERAL_POSITION:
-        # ECBF, delta=4, h(x, y) = 1 - ((x-c_x)/p_x)^4 - ((y-c_y)/p_y)^4.
-        Lfh = -4.0 * eta[3] @ xy_d
-        Lf2h = -4.0 * eta[3] @ xy_dd - 12.0 * eta[2] @ xy_d**2
-        Lf3h = (
-            -4.0 * eta[3] @ xy_ddd
-            - 36.0 * eta[2] @ (xy_d * xy_dd)
-            - 24.0 * eta[1] @ xy_d**3
-        )
-        Lf4h = (
-            fm4 * eta[3] @ terms.J
-            - 48.0 * eta[2] @ (xy_d * xy_ddd)
-            - 36.0 * eta[2] @ xy_dd**2
-            - 144.0 * eta[1] @ (xy_d**2 * xy_dd)
-            - 24.0 * eta[0] @ xy_d**4
-        )
-        H = np.array([h, Lfh, Lf2h, Lf3h])
-        return a, Lf4h + float(gains.K @ H), h, H
-    # ECBF, delta=3, h(xdot, ydot) = 1 - ((xdot-c_x)/v_x)^4 - ((ydot-c_y)/v_y)^4.
-    Lfh = -4.0 * eta[3] @ xy_dd
-    Lf2h = -4.0 * eta[3] @ xy_ddd - 12.0 * eta[2] @ xy_dd**2
-    Lf3h = (
-        fm4 * eta[3] @ terms.J
-        - 36.0 * eta[2] @ (xy_dd * xy_ddd)
-        - 24.0 * eta[1] @ xy_dd**3
-    )
-    H = np.array([h, Lfh, Lf2h])
-    return a, Lf3h + float(gains.K @ H), h, H
+    # First three time derivatives of (x, y) under frozen thrust f; their
+    # squares are products (numpy's ** 2 is x * x), their cubes and fourth
+    # powers numpy's pow.
+    xd0, xd1 = x[12], x[13]
+    c = -(f / params.m)
+    xdd0, xdd1 = c * x[5], c * x[8]
+    cR33 = c * R33
+    xddd0, xddd1 = cR33 * VA0, cR33 * VA1
+    fm4 = 4.0 * f / params.m
+    xd3_0, xd3_1, xd4_0, xd4_1, xdd3_0, xdd3_1 = np.power(
+        [xd0, xd1, xd0, xd1, xdd0, xdd1], _POWERS
+    ).tolist()
+
+    # Every chain entry is a difference of 2-vector dots u . w, taken in the
+    # order numpy took them one by one. pairs holds u0, u1, w0, w1 of each
+    # dot of each row, then eta3 of each row, for fm4 (eta3 @ L).
+    pairs: list[float] = []
+    eta3: list[float] = []
+    h_values = []
+    for spec, _ in specs:
+        (cx, cy), (px4, py4) = spec.c, spec.p4
+        position = spec.domain is BarrierDomain.LATERAL_POSITION
+        sx, sy = (x[0] - cx, x[1] - cy) if position else (xd0 - cx, xd1 - cy)
+        if not (abs(sx) < _POW_SAFE and abs(sy) < _POW_SAFE):
+            # float ** raises OverflowError where numpy's scalar ** gives inf.
+            sx, sy = np.float64(sx), np.float64(sy)
+        e0x, e1x, e2x, e3x = sx**0 / px4, sx**1 / px4, sx**2 / px4, sx**3 / px4
+        e0y, e1y, e2y, e3y = sy**0 / py4, sy**1 / py4, sy**2 / py4, sy**3 / py4
+        h_values.append(1.0 - sx**4 / px4 - sy**4 / py4)
+        eta3 += (e3x, e3y, 0.0, 0.0)
+        m4x, m4y = -4.0 * e3x, -4.0 * e3y
+        if position:
+            # ECBF, delta=4, h(x, y) = 1 - ((x-c_x)/p_x)^4 - ((y-c_y)/p_y)^4.
+            pairs += (
+                m4x, m4y, xd0, xd1,  # Lf h
+                m4x, m4y, xdd0, xdd1,  # Lf2 h
+                12.0 * e2x, 12.0 * e2y, xd0 * xd0, xd1 * xd1,
+                m4x, m4y, xddd0, xddd1,  # Lf3 h
+                36.0 * e2x, 36.0 * e2y, xd0 * xdd0, xd1 * xdd1,
+                24.0 * e1x, 24.0 * e1y, xd3_0, xd3_1,
+                fm4 * e3x, fm4 * e3y, J0, J1,  # Lf4 h
+                48.0 * e2x, 48.0 * e2y, xd0 * xddd0, xd1 * xddd1,
+                36.0 * e2x, 36.0 * e2y, xdd0 * xdd0, xdd1 * xdd1,
+                144.0 * e1x, 144.0 * e1y, xd0 * xd0 * xdd0, xd1 * xd1 * xdd1,
+                24.0 * e0x, 24.0 * e0y, xd4_0, xd4_1,
+            )
+        else:
+            # ECBF, delta=3, h(xdot, ydot) = 1 - ((xdot-c_x)/v_x)^4 - ((ydot-c_y)/v_y)^4.
+            pairs += (
+                m4x, m4y, xdd0, xdd1,  # Lf h
+                m4x, m4y, xddd0, xddd1,  # Lf2 h
+                12.0 * e2x, 12.0 * e2y, xdd0 * xdd0, xdd1 * xdd1,
+                fm4 * e3x, fm4 * e3y, J0, J1,  # Lf3 h
+                36.0 * e2x, 36.0 * e2y, xdd0 * xddd0, xdd1 * xddd1,
+                24.0 * e1x, 24.0 * e1y, xdd3_0, xdd3_1,
+            )
+    n = len(pairs) // 4
+    vecs = np.array(pairs + eta3).reshape(-1, 2, 2)
+    dots = np.vecdot(vecs[:n, 0], vecs[:n, 1]).tolist()
+    a_rows = fm4 * (vecs[n:, :1] @ prods[1])
+
+    rows = []
+    k = 0
+    for (spec, gains), h, a in zip(specs, h_values, a_rows):
+        if spec.domain is BarrierDomain.LATERAL_POSITION:
+            d = dots[k:k + 11]
+            H = np.array([h, d[0], d[1] - d[2], d[3] - d[4] - d[5]])
+            top = d[6] - d[7] - d[8] - d[9] - d[10]
+        else:
+            d = dots[k:k + 6]
+            H = np.array([h, d[0], d[1] - d[2]])
+            top = d[3] - d[4] - d[5]
+        k += len(d)
+        rows.append((a[0], top + float(gains.K @ H), h, H))
+    return rows
 
 
 def barrier_h(x: list[float], spec: BarrierSpec) -> float:

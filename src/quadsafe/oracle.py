@@ -20,8 +20,7 @@ from .barriers import (
     BarrierSpec,
     EcbfGains,
     altitude_row,
-    lateral_chain_terms,
-    lateral_row,
+    lateral_rows,
 )
 from .dynamics import QuadParams, QuadState, flat_of, project_flat, rk4_flat
 
@@ -59,7 +58,7 @@ def evaluate_chain(
         a, b, _, H = altitude_row(spec, gains, x[2], x[14], x[11], params)
         a_dot_u = a * f
     else:
-        a, b, _, H = lateral_row(spec, gains, x, f, lateral_chain_terms(x, params), params)
+        ((a, b, _, H),) = lateral_rows(x, f, [(spec, gains)], params)
         a_dot_u = float(a @ tau[:2])
     lf_top = b - float(gains.K @ H)  # L_f^d h
     return H, lf_top + a_dot_u

@@ -10,8 +10,11 @@ stacked barrier rows (a . u + b >= 0) and actuator box bounds:
   numpy, so the result is bitwise that of evaluating all of them with numpy.
 
 Each filter builds one (a, b, h, H) row per active barrier (altitude_row,
-lateral_row) and returns (applied input, QP solution, rows); the QP itself
-sees only the (a, b) pairs.
+lateral_rows) and returns (applied input, QP solution, rows); the QP itself
+sees only the (a, b) pairs. Where the 2-D solver needs every a . u at once
+(its feasibility test and the primal residual), one broadcast np.vecdot
+computes them with the kernel of a 1-D a @ u, so each equals the separate
+product bit for bit.
 
 On infeasibility the configurable fallback keeps the simulation alive; the
 default picks the least-infeasible admissible input (min-max violation).
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barriers import BarrierSpec, EcbfGains, altitude_row, lateral_chain_terms, lateral_row
+from .barriers import BarrierSpec, EcbfGains, altitude_row, lateral_rows
 from .dynamics import QuadParams
 
 _A_EPS = 1e-12       # below this, a row does not involve the decision variable
@@ -84,9 +87,12 @@ def solve_qp(p: QpProblem) -> QpSolution:
 _BOX_FACES = {n: [(face, face.tolist()) for e in np.eye(n) for face in (e, -e)] for n in (1, 2)}
 
 
-def _constraint_list(p: QpProblem) -> list[tuple[np.ndarray, float, list[float]]]:
+def _constraint_list(
+    p: QpProblem,
+) -> tuple[list[tuple[np.ndarray, float, list[float]]], np.ndarray]:
     """Barrier rows followed by box faces, all as a . u + b >= 0, each as
-    (a, b, a's entries as floats)."""
+    (a, b, a's entries as floats); and all the a's stacked, for the
+    broadcast np.vecdot that evaluates every a . u at once."""
     cons = []
     for a, b in p.rows:
         a = np.asarray(a, dtype=float)
@@ -95,7 +101,7 @@ def _constraint_list(p: QpProblem) -> list[tuple[np.ndarray, float, list[float]]
     for j in range(p.dim):
         (e, e_list), (minus_e, minus_e_list) = faces[2 * j], faces[2 * j + 1]
         cons += [(e, -float(p.lower[j]), e_list), (minus_e, float(p.upper[j]), minus_e_list)]
-    return cons
+    return cons, np.array([a_list for _, _, a_list in cons])
 
 
 def _solve_1d(p: QpProblem) -> QpSolution:
@@ -155,7 +161,7 @@ def _solve_2d(p: QpProblem) -> QpSolution:
     survivors are evaluated with numpy in enumeration order, so the result is
     the same as evaluating every candidate with numpy.
     """
-    cons = _constraint_list(p)
+    cons, a_stack = _constraint_list(p)
     live = []  # rows involving u: (index, a, b, a0, a1, |a|_1, |a|^2, margin * |b|)
     for i, (a, b, (a0, a1)) in enumerate(cons):
         n2 = a0 * a0 + a1 * a1
@@ -184,10 +190,13 @@ def _solve_2d(p: QpProblem) -> QpSolution:
     if all(v - m >= -_FEAS_TOL for v, m in zip(vals, margins)):
         # u_hat is feasible: it has objective 0, so no candidate can replace it.
         u = p.u_hat.astype(float)
-        return QpSolution(u, QpStatus.OPTIMAL, (), _primal_residual(cons, u))
+        return QpSolution(u, QpStatus.OPTIMAL, (), _primal_residual(cons, a_stack, u))
 
     def feasible(u: np.ndarray) -> bool:
-        return all(a @ u + b >= -_FEAS_TOL for _, a, b, *_ in live)
+        # Every a . u in one np.vecdot: the kernel of a 1-D a @ u, which the
+        # 2-D A @ u (BLAS gemv) is not.
+        a_u = np.vecdot(a_stack, u).tolist()
+        return all(a_u[i] + b >= -_FEAS_TOL for i, _, b, *_ in live)
 
     best: tuple[float, np.ndarray, tuple[int, ...]] | None = None
 
@@ -246,13 +255,15 @@ def _solve_2d(p: QpProblem) -> QpSolution:
     if best is None:
         return QpSolution(np.clip(p.u_hat, p.lower, p.upper), QpStatus.INFEASIBLE)
     obj, u, active = best
-    return QpSolution(u, QpStatus.OPTIMAL, active, _primal_residual(cons, u))
+    return QpSolution(u, QpStatus.OPTIMAL, active, _primal_residual(cons, a_stack, u))
 
 
-def _primal_residual(cons: list[tuple[np.ndarray, float, list[float]]], u: np.ndarray) -> float:
+def _primal_residual(
+    cons: list[tuple[np.ndarray, float, list[float]]], a_stack: np.ndarray, u: np.ndarray
+) -> float:
     res = 0.0
-    for a, b, _ in cons:
-        res = max(res, -(float(a @ u) + b))
+    for a_u, (_, b, _) in zip(np.vecdot(a_stack, u).tolist(), cons):
+        res = max(res, -(a_u + b))
     return max(res, 0.0)
 
 
@@ -264,7 +275,7 @@ def kkt_residual(p: QpProblem, sol: QpSolution) -> float:
 
     if sol.status is not QpStatus.OPTIMAL:
         return float("inf")
-    cons = _constraint_list(p)
+    cons, a_stack = _constraint_list(p)
     u = sol.u_star
     tight = [
         a for a, b, _ in cons
@@ -277,7 +288,7 @@ def kkt_residual(p: QpProblem, sol: QpSolution) -> float:
         _, stat = nnls(A.T, grad)
     else:
         stat = np.linalg.norm(grad)
-    return max(float(stat), _primal_residual(cons, u))
+    return max(float(stat), _primal_residual(cons, a_stack, u))
 
 
 def least_infeasible(p: QpProblem) -> np.ndarray:
@@ -360,6 +371,12 @@ def thrust_filter(
     return f_star, solution, rows
 
 
+def _clip(v: float, lo: float, hi: float) -> float:
+    """np.clip of one float: NaN passes through, and a tie keeps the bound."""
+    v = v if v > lo or v != v else lo
+    return v if v < hi or v != v else hi
+
+
 def filter_torque(
     x: list[float],
     tau_hat_xy: np.ndarray,
@@ -373,20 +390,15 @@ def filter_torque(
     thrust fixed this step.
 
     Returns the applied moments, the QP's solution and the (a, b, h, H) of
-    each active barrier's row. Raises LateralSingular (from
-    lateral_chain_terms) when the attitude is near the W-inversion
-    singularity; the caller decides the pass-through policy.
+    each active barrier's row. Raises LateralSingular (from lateral_rows)
+    when the attitude is near the W-inversion singularity; the caller
+    decides the pass-through policy.
     """
-    terms = lateral_chain_terms(x, params)
-    rows = [lateral_row(spec, gains, x, f_star_applied, terms, params)
-            for spec, gains in active_specs]
-    bound = np.array([params.tau_max[0], params.tau_max[1]])
-    p = QpProblem(
-        u_hat=np.clip(np.asarray(tau_hat_xy, float), -bound, bound),
-        rows=tuple((a, b) for a, b, _, _ in rows),
-        lower=-bound,
-        upper=bound,
-    )
+    rows = lateral_rows(x, f_star_applied, active_specs, params)
+    (t0, t1), (b0, b1) = tau_hat_xy, params.tau_max
+    lower, upper, u_hat = np.array(
+        [(-b0, -b1), (b0, b1), (_clip(float(t0), -b0, b0), _clip(float(t1), -b1, b1))])
+    p = QpProblem(u_hat, tuple((a, b) for a, b, _, _ in rows), lower, upper)
     sol = solve_qp(p)
     if sol.status is QpStatus.OPTIMAL:
         return sol.u_star, sol, rows

@@ -117,7 +117,9 @@ def reference_at(t: float, cfg: ReferenceConfig) -> Reference:
     r_d, v_d, a_d = [], [], []
     for a, w in zip(cfg.amplitude.tolist(), cfg.frequency.tolist()):
         wt = w * t
-        sin, cos = float(np.sin(wt)), float(np.cos(wt))
+        # math's sin/cos equal numpy's on every preset's w * t (checked in
+        # tests/test_sim.py); math.atan2 differs from np.arctan2, which stays.
+        sin, cos = math.sin(wt), math.cos(wt)
         r_d.append(a * sin)
         v_d.append(a * w * cos)
         a_d.append(-a * (w * w) * sin)

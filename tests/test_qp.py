@@ -348,6 +348,24 @@ def ref_primal_residual(p: QpProblem, u: np.ndarray) -> float:
     return max(res, 0.0)
 
 
+# The float-screened solver's own per-row loops, before every a . u went
+# through one broadcast np.vecdot. Copied verbatim (only the names carry a
+# ref_ prefix): the primal residual over its constraint list, and the
+# feasibility test over the rows involving u.
+
+
+def ref_cons_primal_residual(cons: list[tuple[np.ndarray, float, list[float]]],
+                             u: np.ndarray) -> float:
+    res = 0.0
+    for a, b, _ in cons:
+        res = max(res, -(float(a @ u) + b))
+    return max(res, 0.0)
+
+
+def ref_feasible(live, u: np.ndarray) -> bool:
+    return all(a @ u + b >= -REF_FEAS_TOL for _, a, b, *_ in live)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -509,6 +527,39 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
         assert len(problems) == 1000
         for p in problems:
             assert_bitwise_as_reference(p)
+
+    def test_batched_row_products_are_the_per_row_products(self):
+        # _primal_residual and the feasibility test read every a . u from
+        # one broadcast np.vecdot; each must equal the per-row 1-D a @ u.
+        # Points on or near the rows make the residual a rounding-level
+        # number, so these inputs also tell the stacked A @ u (BLAS gemv,
+        # which rounds differently) from the per-row dot.
+        rng = np.random.default_rng(43)
+        n_gemv_differs = n_feasible = 0
+        for kind in ADVERSARIAL_KINDS:
+            for _ in range(100):
+                p = adversarial_problem(kind, rng)
+                cons, a_stack = qp._constraint_list(p)
+                live = [(i, a, b) for i, (a, b, _) in enumerate(cons)
+                        if np.linalg.norm(a) >= REF_A_EPS]
+                with np.errstate(all="ignore"):
+                    points = [p.u_hat, solve_qp(p).u_star, rng.normal(size=2) * 10.0]
+                    a, b, _ = cons[int(rng.integers(0, len(cons)))]
+                    if np.all(np.isfinite(a)) and float(a @ a) > 0.0:
+                        points.append(points[2] - (float(a @ points[2]) + b) / float(a @ a) * a)
+                    for u in points:
+                        got = qp._primal_residual(cons, a_stack, u)
+                        want = ref_cons_primal_residual(cons, u)
+                        assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
+                        a_u = np.vecdot(a_stack, u).tolist()
+                        feasible = all(a_u[i] + b >= -REF_FEAS_TOL for i, _, b in live)
+                        assert feasible == ref_feasible(live, u)
+                        n_feasible += feasible
+                        gemv = max(0.0, *[-(v + b) for v, (_, b, _) in
+                                          zip((a_stack @ u).tolist(), cons)])
+                        n_gemv_differs += struct.pack("<d", gemv) != struct.pack("<d", want)
+        assert n_feasible >= 100
+        assert n_gemv_differs >= 10, "these inputs no longer tell A @ u from a @ u"
 
     def test_feasible_nominal_needs_no_linear_solve(self, monkeypatch):
         calls = []

@@ -1,13 +1,15 @@
 """Closed-loop scenario simulation: reference, scheduling, and trace output."""
 
 import dataclasses
+import math
+import struct
 
 import numpy as np
 import pytest
 
 from quadsafe import qp
 from quadsafe.barriers import BarrierDomain, BarrierSpec, EcbfGains
-from quadsafe.config import load_preset
+from quadsafe.config import PRESETS, load_preset
 from quadsafe.controller import ControllerGains
 from quadsafe.dynamics import QuadState
 from quadsafe.sim import (
@@ -29,6 +31,22 @@ def alt_barrier(active_from=0.0, half_width=2.0):
 
 
 class TestReference:
+    def test_math_sin_cos_are_numpy_on_every_preset_grid(self):
+        # reference_at evaluates math.sin/math.cos in place of numpy's scalar
+        # np.sin/np.cos; they must agree bit for bit at every w * t a preset
+        # reaches at dt = 1 ms (t = k * dt, as sim.run forms it).
+        pack = struct.Struct("<d").pack
+        n = 0
+        for name in PRESETS:
+            scenario = load_preset(name)
+            dt = 1e-3
+            for w in scenario.reference.frequency.tolist():
+                wt = [w * (k * dt) for k in range(int(round(scenario.duration / dt)))]
+                assert [pack(math.sin(v)) for v in wt] == [pack(float(np.sin(v))) for v in wt]
+                assert [pack(math.cos(v)) for v in wt] == [pack(float(np.cos(v))) for v in wt]
+                n += len(wt)
+        assert n >= 400_000
+
     def test_closed_form_derivatives(self):
         cfg = ReferenceConfig()
         eps = 1e-6
@@ -161,12 +179,14 @@ class TestRun:
 
 
 def test_lateral_chain_terms_once_per_step(monkeypatch):
-    # fig7 has both lateral barriers active: they share one set of terms.
+    # fig7 has both lateral barriers active: one lateral_rows call per step
+    # builds both rows from one set of kinematic terms.
     calls = []
-    terms = qp.lateral_chain_terms
-    monkeypatch.setattr(qp, "lateral_chain_terms",
-                        lambda x, params: calls.append(x) or terms(x, params))
+    rows = qp.lateral_rows
+    monkeypatch.setattr(qp, "lateral_rows",
+                        lambda x, f, specs, params: calls.append(len(specs))
+                        or rows(x, f, specs, params))
     trace = run(dataclasses.replace(load_preset("fig7-unified"), duration=0.2))
     assert len(trace) == 200
     assert all(rec.qp_lo_status == "optimal" for rec in trace)
-    assert len(calls) == len(trace)
+    assert calls == [2] * len(trace)
