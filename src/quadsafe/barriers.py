@@ -95,6 +95,8 @@ class BarrierSpec:
         object.__setattr__(self, "c", tuple(self.center.tolist()))
         object.__setattr__(self, "p", tuple(self.half_width.tolist()))
         object.__setattr__(self, "p4", tuple((self.half_width**4).tolist()))
+        if min(self.p4) == 0.0:  # the chains divide by it
+            raise ValueError("half_width is too small: its fourth power underflows to 0")
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 0.0])
 
+    def test_half_width_fourth_power_nonzero(self):
+        # Below ~1.5e-81 the fourth power underflows to 0 and the chains
+        # would divide by zero; such a spec is rejected when built.
+        BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 1e-80])
+        for domain, n in ((BarrierDomain.ALTITUDE_POSITION, 1),
+                          (BarrierDomain.LATERAL_POSITION, 2)):
+            with pytest.raises(ValueError, match="underflows"):
+                BarrierSpec(domain, [0.0] * n, [1e-90] * n)
+
     def test_gains_degree_bounds(self):
         with pytest.raises(ValueError):
             EcbfGains(5, (-1.0, -1.0, -1.0, -1.0, -1.0))

@@ -89,8 +89,10 @@ class TestSubcommands:
     ("barriers:\n  - {domain: [1]}\n", []),
     ("gains: {kp: [[1], 2, 3]}\n", []),
     (b"run: {duration_s: \xc3\x28}\n", []),                       # not UTF-8
+    (TINY_SCENARIO.replace("p_z_m: 2.0}", "p_z_m: 1.0e-90}"), []),  # p_z^4 underflows to 0
 ], ids=["zero-steps", "dt-override-zero-steps", "scalar-poles", "string-poles",
-        "malformed-yaml", "infinite-duration", "list-domain", "nested-gain", "invalid-utf8"])
+        "malformed-yaml", "infinite-duration", "list-domain", "nested-gain", "invalid-utf8",
+        "underflowing-half-width"])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, text, extra):
     scenario = text
     if isinstance(text, bytes) or not text.startswith("presets:"):
