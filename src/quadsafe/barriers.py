@@ -31,7 +31,6 @@ from .dynamics import QuadParams
 
 DET_MIN = 1e-3  # lower bound on |det W| before the lateral map is declared singular
 _POWERS = (3.0, 3.0, 4.0, 4.0, 3.0, 3.0)  # of (xdot, ydot, xdot, ydot, xddot, yddot)
-_POW_SAFE = 1e77  # |v| ** 4 stays finite below this
 
 
 class LateralSingular(ValueError):
@@ -194,10 +193,10 @@ def lateral_rows(
     maps J, L of the second derivative of (R13, R23).
 
     Elementwise arithmetic runs on floats, which round as numpy's elementwise
-    operations do (the powers of the offsets use libm's pow, as numpy's
-    scalar ** does). Every product that floats cannot reproduce goes, with
-    all others of its kind, through one batched call of the numpy kernel
-    that computes it: the 2x2 matrix products, the matrix-vector and
+    operations do; the offsets from the center are numpy scalars, so their
+    powers are numpy's scalar **. Every product that floats cannot reproduce
+    goes, with all others of its kind, through one batched call of the numpy
+    kernel that computes it: the 2x2 matrix products, the matrix-vector and
     vector-matrix products, the 2-vector dots (np.vecdot, the kernel of a
     1-D a @ b), and numpy's pow for the cubes and fourth powers of the
     derivatives of (x, y).
@@ -250,19 +249,20 @@ def lateral_rows(
         [xd0, xd1, xd0, xd1, xdd0, xdd1], _POWERS
     ).tolist()
 
-    # Every chain entry is a difference of 2-vector dots u . w, taken in the
-    # order numpy took them one by one. pairs holds u0, u1, w0, w1 of each
-    # dot of each row, then eta3 of each row, for fm4 (eta3 @ L).
+    # Every chain entry L_f^k h is a difference of 2-vector dots u . w, taken
+    # in the order numpy took them one by one: the first dot minus the rest.
+    # chain holds, per entry, u0, u1, w0, w1 of each of its dots; eta3 holds
+    # each row's eta3, for fm4 (eta3 @ L).
     pairs: list[float] = []
+    dot_counts: list[list[int]] = []
     eta3: list[float] = []
     h_values = []
     for spec, _ in specs:
         (cx, cy), (px4, py4) = spec.c, spec.p4
         position = spec.domain is BarrierDomain.LATERAL_POSITION
         sx, sy = (x[0] - cx, x[1] - cy) if position else (xd0 - cx, xd1 - cy)
-        if not (abs(sx) < _POW_SAFE and abs(sy) < _POW_SAFE):
-            # float ** raises OverflowError where numpy's scalar ** gives inf.
-            sx, sy = np.float64(sx), np.float64(sy)
+        sx, sy = np.float64(sx), np.float64(sy)
+        # numpy's scalar ** (libm's pow, inf on overflow).
         e0x, e1x, e2x, e3x = sx**0 / px4, sx**1 / px4, sx**2 / px4, sx**3 / px4
         e0y, e1y, e2y, e3y = sy**0 / py4, sy**1 / py4, sy**2 / py4, sy**3 / py4
         h_values.append(1.0 - sx**4 / px4 - sy**4 / py4)
@@ -270,47 +270,49 @@ def lateral_rows(
         m4x, m4y = -4.0 * e3x, -4.0 * e3y
         if position:
             # ECBF, delta=4, h(x, y) = 1 - ((x-c_x)/p_x)^4 - ((y-c_y)/p_y)^4.
-            pairs += (
-                m4x, m4y, xd0, xd1,  # Lf h
-                m4x, m4y, xdd0, xdd1,  # Lf2 h
-                12.0 * e2x, 12.0 * e2y, xd0 * xd0, xd1 * xd1,
-                m4x, m4y, xddd0, xddd1,  # Lf3 h
-                36.0 * e2x, 36.0 * e2y, xd0 * xdd0, xd1 * xdd1,
-                24.0 * e1x, 24.0 * e1y, xd3_0, xd3_1,
-                fm4 * e3x, fm4 * e3y, J0, J1,  # Lf4 h
-                48.0 * e2x, 48.0 * e2y, xd0 * xddd0, xd1 * xddd1,
-                36.0 * e2x, 36.0 * e2y, xdd0 * xdd0, xdd1 * xdd1,
-                144.0 * e1x, 144.0 * e1y, xd0 * xd0 * xdd0, xd1 * xd1 * xdd1,
-                24.0 * e0x, 24.0 * e0y, xd4_0, xd4_1,
+            chain = (
+                (m4x, m4y, xd0, xd1),  # Lf h
+                (m4x, m4y, xdd0, xdd1,  # Lf2 h
+                 12.0 * e2x, 12.0 * e2y, xd0 * xd0, xd1 * xd1),
+                (m4x, m4y, xddd0, xddd1,  # Lf3 h
+                 36.0 * e2x, 36.0 * e2y, xd0 * xdd0, xd1 * xdd1,
+                 24.0 * e1x, 24.0 * e1y, xd3_0, xd3_1),
+                (fm4 * e3x, fm4 * e3y, J0, J1,  # Lf4 h
+                 48.0 * e2x, 48.0 * e2y, xd0 * xddd0, xd1 * xddd1,
+                 36.0 * e2x, 36.0 * e2y, xdd0 * xdd0, xdd1 * xdd1,
+                 144.0 * e1x, 144.0 * e1y, xd0 * xd0 * xdd0, xd1 * xd1 * xdd1,
+                 24.0 * e0x, 24.0 * e0y, xd4_0, xd4_1),
             )
         else:
             # ECBF, delta=3, h(xdot, ydot) = 1 - ((xdot-c_x)/v_x)^4 - ((ydot-c_y)/v_y)^4.
-            pairs += (
-                m4x, m4y, xdd0, xdd1,  # Lf h
-                m4x, m4y, xddd0, xddd1,  # Lf2 h
-                12.0 * e2x, 12.0 * e2y, xdd0 * xdd0, xdd1 * xdd1,
-                fm4 * e3x, fm4 * e3y, J0, J1,  # Lf3 h
-                36.0 * e2x, 36.0 * e2y, xdd0 * xddd0, xdd1 * xddd1,
-                24.0 * e1x, 24.0 * e1y, xdd3_0, xdd3_1,
+            chain = (
+                (m4x, m4y, xdd0, xdd1),  # Lf h
+                (m4x, m4y, xddd0, xddd1,  # Lf2 h
+                 12.0 * e2x, 12.0 * e2y, xdd0 * xdd0, xdd1 * xdd1),
+                (fm4 * e3x, fm4 * e3y, J0, J1,  # Lf3 h
+                 36.0 * e2x, 36.0 * e2y, xdd0 * xddd0, xdd1 * xddd1,
+                 24.0 * e1x, 24.0 * e1y, xdd3_0, xdd3_1),
             )
-    n = len(pairs) // 4
+        for entry in chain:
+            pairs += entry
+        dot_counts.append([len(entry) // 4 for entry in chain])
     vecs = np.array(pairs + eta3).reshape(-1, 2, 2)
+    n = len(pairs) // 4
     dots = np.vecdot(vecs[:n, 0], vecs[:n, 1]).tolist()
     a_rows = fm4 * (vecs[n:, :1] @ prods[1])
 
     rows = []
     k = 0
-    for (spec, gains), h, a in zip(specs, h_values, a_rows):
-        if spec.domain is BarrierDomain.LATERAL_POSITION:
-            d = dots[k:k + 11]
-            H = np.array([h, d[0], d[1] - d[2], d[3] - d[4] - d[5]])
-            top = d[6] - d[7] - d[8] - d[9] - d[10]
-        else:
-            d = dots[k:k + 6]
-            H = np.array([h, d[0], d[1] - d[2]])
-            top = d[3] - d[4] - d[5]
-        k += len(d)
-        rows.append((a[0], top + float(gains.K @ H), h, H))
+    for (_, gains), h, a, counts in zip(specs, h_values, a_rows, dot_counts):
+        entries = []
+        for count in counts:
+            value = dots[k]
+            for d in dots[k + 1:k + count]:
+                value -= d
+            entries.append(value)
+            k += count
+        H = np.array([h, *entries[:-1]])
+        rows.append((a[0], entries[-1] + float(gains.K @ H), h, H))
     return rows
 
 

@@ -101,10 +101,8 @@ def attitude_loop(
     R23_cmd = min(max(-float(r_ddot_cmd[1]) * params.m / f, -SIN_THETA_MAX), SIN_THETA_MAX)
     Rdot13_cmd = gains.k_R * (R13_cmd - R13)
     Rdot23_cmd = gains.k_R * (R23_cmd - R23)
-    # W = [[R21, -R11], [R22, -R12]] and the rate command share one array
-    # (one allocation); the product is the same gemv on the same bytes.
-    W_and_rates = np.array([(R21, -R11), (R22, -R12), (Rdot13_cmd, Rdot23_cmd)])
-    p_cmd, q_cmd = W_and_rates[:2].dot(W_and_rates[2]).tolist()
+    W = np.array([[R21, -R11], [R22, -R12]])
+    p_cmd, q_cmd = W.dot(np.array([Rdot13_cmd, Rdot23_cmd])).tolist()
     err = _wrap_angle(psi_d - psi)
     r_cmd = gains.k_psi * err
     return np.array([p_cmd / R33, q_cmd / R33, r_cmd])

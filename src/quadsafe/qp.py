@@ -377,6 +377,12 @@ def _clip(v: float, lo: float, hi: float) -> float:
     return v if v < hi or v != v else hi
 
 
+def clip_moments(tau_xy, params: QuadParams) -> list[float]:
+    """The nominal (tau_x, tau_y) clipped to +-tau_max, as np.clip does."""
+    (t0, t1), (b0, b1) = tau_xy, params.tau_max
+    return [_clip(float(t0), -b0, b0), _clip(float(t1), -b1, b1)]
+
+
 def filter_torque(
     x: list[float],
     tau_hat_xy: np.ndarray,
@@ -395,9 +401,8 @@ def filter_torque(
     decides the pass-through policy.
     """
     rows = lateral_rows(x, f_star_applied, active_specs, params)
-    (t0, t1), (b0, b1) = tau_hat_xy, params.tau_max
-    lower, upper, u_hat = np.array(
-        [(-b0, -b1), (b0, b1), (_clip(float(t0), -b0, b0), _clip(float(t1), -b1, b1))])
+    b0, b1 = params.tau_max
+    lower, upper, u_hat = np.array([(-b0, -b1), (b0, b1), clip_moments(tau_hat_xy, params)])
     p = QpProblem(u_hat, tuple((a, b) for a, b, _, _ in rows), lower, upper)
     sol = solve_qp(p)
     if sol.status is QpStatus.OPTIMAL:

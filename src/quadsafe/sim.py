@@ -25,7 +25,7 @@ from .barriers import (
 )
 from .controller import ControllerGains, Reference
 from .dynamics import QuadParams, QuadState, advance, euler_of_R, flat_of
-from .qp import InfeasiblePolicy, QpStatus, filter_torque, thrust_filter
+from .qp import InfeasiblePolicy, QpStatus, clip_moments, filter_torque, thrust_filter
 
 ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)
 LATERAL_DOMAINS = (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY)
@@ -240,8 +240,7 @@ def run(scenario: Scenario) -> list[TraceRecord]:
                 if solution.status is QpStatus.INFEASIBLE:
                     events.append("infeasible:low")
             except LateralSingular:
-                bound = np.array([params.tau_max[0], params.tau_max[1]])
-                m_star = np.clip(tau_hat[:2], -bound, bound)
+                m_star = np.array(clip_moments(tau_hat[:2], params))
                 qp_lo_status = "singular"
                 events.append("lateral-singular")
         # Every array recorded below is built afresh each step.
