@@ -10,7 +10,7 @@ from .barriers import BarrierDomain, BarrierSpec, EcbfGains, pole_place, rectell
 from .controller import ControllerGains, Reference
 from .dynamics import QuadParams, QuadState
 from .qp import InfeasiblePolicy, QpProblem, QpSolution, solve_qp
-from .sim import Scenario, ScheduledBarrier, TraceRecord, reference_at, run
+from .sim import Scenario, ScheduledBarrier, Trace, reference_at, run
 
 __all__ = [
     "BarrierDomain",
@@ -25,7 +25,7 @@ __all__ = [
     "Reference",
     "Scenario",
     "ScheduledBarrier",
-    "TraceRecord",
+    "Trace",
     "pole_place",
     "rectellipse_h",
     "reference_at",

@@ -7,8 +7,9 @@ Subcommands:
   oracle                                finite-difference chain check
 
 ``<scenario>`` is either a YAML file path or ``presets:<name>``.
-Exit codes: 0 success, 1 validation error, 2 non-finite state abort.
-QP infeasibility events are data, not failures.
+Exit codes: 0 success, 1 validation error or a run too long to allocate,
+2 non-finite state abort. QP infeasibility events are data, not failures.
+The exports write every float of sim.run's Trace columns as repr(float).
 """
 
 from __future__ import annotations
@@ -19,24 +20,19 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .barriers import BarrierDomain
 from .config import PRESETS, ScenarioError, load_preset, load_scenario
 from .dynamics import NonFiniteState
 from .oracle import check_all_chains
-from .sim import Scenario, TraceRecord, run
+from .sim import Scenario, Trace, TraceTooLong, run
 
 EPS_NUM = 0.02  # discretization slack on barrier invariance, for summaries
 
 TRACE_HEADER = (
     "t,x,y,z,phi,theta,psi,vx,vy,vz,p,q,r_rate,f_hat,F_star,taux_hat,tauy_hat,"
     "Mx_star,My_star,tauz,h_alt,h_altvel,h_latpos,h_latvel,qp_hi_status,qp_lo_status"
-)
-
-_H_COLUMNS = (
-    BarrierDomain.ALTITUDE_POSITION,
-    BarrierDomain.ALTITUDE_POSVEL,
-    BarrierDomain.LATERAL_POSITION,
-    BarrierDomain.LATERAL_VELOCITY,
 )
 
 
@@ -55,57 +51,42 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def trace_csv(trace: Trace) -> str:
+    """trace.csv: one row per step, h cells empty where the column is NaN."""
+    floats = np.column_stack([
+        trace.t, trace.r, trace.euler, trace.v, trace.omega, trace.f_hat, trace.f_star,
+        trace.tau_hat[:, :2], trace.m_star, trace.tau_hat[:, 2],
+    ])
+    cols = [map(repr, col) for col in floats.T.tolist()]
+    for domain in BarrierDomain:  # h_alt, h_altvel, h_latpos, h_latvel
+        cols.append(["" if h != h else repr(h) for h in trace.h[domain].tolist()]
+                    if domain in trace.h else [""] * len(trace))
+    cols += [trace.qp_hi_status, trace.qp_lo_status]
+    return "\n".join([TRACE_HEADER, *map(",".join, zip(*cols))]) + "\n"
 
 
-def trace_csv_lines(records: list[TraceRecord]) -> list[str]:
-    lines = [TRACE_HEADER]
-    for rec in records:
-        phi, theta, psi = rec.euler
-        cols = [
-            _fmt(rec.t),
-            _fmt(rec.r[0]), _fmt(rec.r[1]), _fmt(rec.r[2]),
-            _fmt(phi), _fmt(theta), _fmt(psi),
-            _fmt(rec.v[0]), _fmt(rec.v[1]), _fmt(rec.v[2]),
-            _fmt(rec.omega[0]), _fmt(rec.omega[1]), _fmt(rec.omega[2]),
-            _fmt(rec.f_hat), _fmt(rec.f_star),
-            _fmt(rec.tau_hat[0]), _fmt(rec.tau_hat[1]),
-            _fmt(rec.m_star[0]), _fmt(rec.m_star[1]),
-            _fmt(rec.tau_z),
-        ]
-        for domain in _H_COLUMNS:
-            cols.append(_fmt(rec.h[domain]) if domain in rec.h else "")
-        cols.append(rec.qp_hi_status)
-        cols.append(rec.qp_lo_status)
-        lines.append(",".join(cols))
-    return lines
-
-
-def export_trace(records: list[TraceRecord], out_dir: str, wall_time_s: float = 0.0) -> None:
+def export_trace(trace: Trace, out_dir: str, wall_time_s: float = 0.0) -> None:
     """Write trace.csv, events.csv, summary.txt (atomically) into out_dir."""
-    if not records:
+    if not trace:
         raise ValueError("empty trace")
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "trace.csv"),
-                  "\n".join(trace_csv_lines(records)) + "\n")
+    _atomic_write(os.path.join(out_dir, "trace.csv"), trace_csv(trace))
 
     event_lines = ["t,event_type,detail"]
-    for rec in records:
-        for ev in rec.events:
-            ev_type, _, detail = ev.partition(":")
-            event_lines.append(f"{_fmt(rec.t)},{ev_type},{detail}")
+    for k, ev in trace.events:
+        ev_type, _, detail = ev.partition(":")
+        event_lines.append(f"{float(trace.t[k])!r},{ev_type},{detail}")
     _atomic_write(os.path.join(out_dir, "events.csv"), "\n".join(event_lines) + "\n")
 
     _atomic_write(os.path.join(out_dir, "summary.txt"),
-                  summary_text(records, wall_time_s))
+                  summary_text(trace, wall_time_s))
 
 
-def summary_text(records: list[TraceRecord], wall_time_s: float) -> str:
-    dt = records[1].t - records[0].t if len(records) > 1 else 0.0
-    lines = [f"steps: {len(records)}", f"wall_time_s: {wall_time_s:.3f}"]
-    for domain in _H_COLUMNS:
-        hs = [rec.h[domain] for rec in records if domain in rec.h]
+def summary_text(trace: Trace, wall_time_s: float) -> str:
+    dt = float(trace.t[1] - trace.t[0]) if len(trace) > 1 else 0.0
+    lines = [f"steps: {len(trace)}", f"wall_time_s: {wall_time_s:.3f}"]
+    for domain, col in trace.h.items():
+        hs = [h for h in col.tolist() if h == h]
         if not hs:
             continue
         min_h = min(hs)
@@ -114,9 +95,7 @@ def summary_text(records: list[TraceRecord], wall_time_s: float) -> str:
             f"barrier {domain.value}: min_h={min_h:.6f} "
             f"violation_beyond_eps_s={violation_s:.3f}"
         )
-    n_infeasible = sum(
-        1 for rec in records if any(ev.startswith("infeasible") for ev in rec.events)
-    )
+    n_infeasible = len({k for k, ev in trace.events if ev.startswith("infeasible")})
     lines.append(f"infeasible_steps: {n_infeasible}")
     return "\n".join(lines) + "\n"
 
@@ -192,17 +171,20 @@ def main(argv: list[str] | None = None) -> int:
 
     t0 = time.perf_counter()
     try:
-        records = run(scenario)
+        trace = run(scenario)
+    except TraceTooLong as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except NonFiniteState as exc:
         print(f"error: simulation aborted on non-finite state: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - t0
     try:
-        export_trace(records, args.out, wall)
+        export_trace(trace, args.out, wall)
     except OSError as exc:
         print(f"error writing {args.out}: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(records)} steps to {args.out} ({wall:.2f} s)")
+    print(f"wrote {len(trace)} steps to {args.out} ({wall:.2f} s)")
     return 0
 
 

@@ -204,7 +204,9 @@ def _solve_2d(p: QpProblem) -> QpSolution:
         nonlocal best
         if not feasible(u):
             return
-        obj = 0.5 * float(np.sum((u - p.u_hat) ** 2))
+        u0, u1 = u.tolist()
+        d0, d1 = u0 - x0, u1 - x1
+        obj = 0.5 * (d0 * d0 + d1 * d1)  # 0.5 * np.sum((u - p.u_hat) ** 2), bit for bit
         if best is None or obj < best[0] - 1e-15:
             best = (obj, u, active)
 

@@ -2,9 +2,9 @@
 
 Single-rate loop: analytic sinusoidal reference -> cascaded controller ->
 high-level thrust QP -> attitude/body-rate loops -> low-level torque QP ->
-RK4 dynamics step, with full per-step trace logging. All QP and
-singularity events are recorded in the trace, never fatal; only a
-non-finite state aborts.
+RK4 dynamics step, recorded in a Trace of columns preallocated for the
+known step count. All QP and singularity events are recorded in the
+trace, never fatal; only a non-finite state aborts.
 """
 
 from __future__ import annotations
@@ -92,24 +92,39 @@ class Scenario:
                 )
 
 
-@dataclass(slots=True)
-class TraceRecord:
-    t: float
-    r: np.ndarray
-    euler: tuple[float, float, float]
-    v: np.ndarray
-    omega: np.ndarray
-    ref: Reference
-    f_hat: float
-    tau_hat: np.ndarray
-    f_star: float
-    m_star: np.ndarray
-    tau_z: float
-    h: dict[BarrierDomain, float]
-    H: dict[BarrierDomain, np.ndarray]
-    qp_hi_status: str
-    qp_lo_status: str
-    events: tuple[str, ...] = ()
+class TraceTooLong(Exception):
+    """The run has more steps than its trace can be allocated for."""
+
+
+class Trace:
+    """One run's per-step record; row k of every column is step k (t = k dt).
+
+    The float columns (t, x, euler, f_hat, f_star, tau_hat, m_star and, per
+    scheduled barrier domain d, h[d] and H[d] = [h, L_f h, ...]) are views
+    into one block that run fills with one row write per step; r, v and
+    omega are slices of the flat state x. h[d] is NaN before the barrier's
+    first activation, H[d] on steps where its level built no row. The lists
+    qp_hi_status and qp_lo_status hold a string per step, events
+    (k, "kind:detail") pairs in step order.
+    """
+
+    def __init__(self, n_steps: int, domains: list[BarrierDomain]) -> None:
+        widths = [1, 18, 3, 1, 1, 3, 2] + [1 + RELATIVE_DEGREE[d] for d in domains]
+        try:
+            self.block = np.empty((n_steps, sum(widths)))
+        except (MemoryError, ValueError) as exc:
+            raise TraceTooLong(f"cannot allocate a {n_steps:.3g}-step trace ({exc})") from None
+        edges = np.cumsum([0, *widths]).tolist()
+        cols = [self.block[:, a] if b == a + 1 else self.block[:, a:b]
+                for a, b in zip(edges, edges[1:])]
+        self.t, self.x, self.euler, self.f_hat, self.f_star, self.tau_hat, self.m_star = cols[:7]
+        self.r, self.v, self.omega = self.x[:, :3], self.x[:, 12:15], self.x[:, 15:]
+        self.h = {d: col[:, 0] for d, col in zip(domains, cols[7:])}
+        self.H = {d: col[:, 1:] for d, col in zip(domains, cols[7:])}
+        self.qp_hi_status, self.qp_lo_status, self.events = [], [], []
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def reference_at(t: float, cfg: ReferenceConfig) -> Reference:
@@ -147,16 +162,24 @@ def active_barriers(
     return out
 
 
-def run(scenario: Scenario) -> list[TraceRecord]:
-    """Simulate the closed loop; returns one TraceRecord per step."""
+def run(scenario: Scenario) -> Trace:
+    """Simulate the closed loop; returns the Trace of every step."""
     params = scenario.params
     gains = scenario.gains
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
     scenario.initial_state.validate(tol=1e-6)
+    domains = [d for d in BarrierDomain if any(sb.spec.domain is d for sb in scenario.barriers)]
+    trace = Trace(n_steps, domains)
+    events = trace.events
+    # A step's h and H cells, in block order: d's h at h_cell[d], its H at H_cells[d].
+    h_cell, H_cells, nan_cells = {}, {}, []
+    for d in domains:
+        i = h_cell[d] = len(nan_cells)
+        H_cells[d] = slice(i + 1, i + 1 + RELATIVE_DEGREE[d])
+        nan_cells += [math.nan] * (1 + RELATIVE_DEGREE[d])
     # The state, as 18 floats [r, R row-major, v, omega].
     x = flat_of(scenario.initial_state)
-    trace: list[TraceRecord] = []
     prev_active: dict[BarrierDomain, float] = {}
     last_f: float | None = None
     last_m: np.ndarray | None = None
@@ -166,7 +189,6 @@ def run(scenario: Scenario) -> list[TraceRecord]:
 
     for k in range(n_steps):
         t = k * dt
-        events: list[str] = []
         ref = reference_at(t, scenario.reference)
 
         if t >= next_switch:
@@ -176,7 +198,7 @@ def run(scenario: Scenario) -> list[TraceRecord]:
             for sb in active:
                 domain = sb.spec.domain
                 if prev_active.get(domain) not in (None, sb.spec.active_from):
-                    events.append(f"barrier-switch:{domain.value}")
+                    events.append((k, f"barrier-switch:{domain.value}"))
                 prev_active[domain] = sb.spec.active_from
             hi_specs = [(sb.spec, sb.gains) for sb in hi_active]
             lo_specs = [(sb.spec, sb.gains) for sb in lo_active]
@@ -185,10 +207,9 @@ def run(scenario: Scenario) -> list[TraceRecord]:
                 default=math.inf,
             )
 
-        h_vals: dict[BarrierDomain, float] = {}
-        H_vals: dict[BarrierDomain, np.ndarray] = {}
+        cells = nan_cells.copy()
         for sb in active:
-            h_vals[sb.spec.domain] = barrier_h(x, sb.spec)
+            cells[h_cell[sb.spec.domain]] = barrier_h(x, sb.spec)
 
         euler = euler_of_R(x)
         z, R33, zd = x[2], x[11], x[14]
@@ -197,7 +218,7 @@ def run(scenario: Scenario) -> list[TraceRecord]:
             f_hat = ctl.thrust_from_accel(float(r_ddot_cmd[2]), R33, params)
         except ctl.AttitudeSingular:
             f_hat = min(max(params.m * params.g, 0.0), params.f_max)
-            events.append("attitude-singular:thrust")
+            events.append((k, "attitude-singular:thrust"))
 
         qp_hi_status = ""
         if scenario.filter_high and hi_active:
@@ -207,9 +228,9 @@ def run(scenario: Scenario) -> list[TraceRecord]:
             )
             qp_hi_status = status.value
             for sb, (_, _, _, H) in zip(hi_active, rows):
-                H_vals[sb.spec.domain] = H
+                cells[H_cells[sb.spec.domain]] = H.tolist()
             if status is QpStatus.INFEASIBLE:
-                events.append("infeasible:high")
+                events.append((k, "infeasible:high"))
         else:
             f_star = f_hat
 
@@ -219,11 +240,8 @@ def run(scenario: Scenario) -> list[TraceRecord]:
             )
         except (ctl.AttitudeSingular, ctl.ThrustTooSmall) as exc:
             omega_cmd = np.zeros(3)
-            events.append(
-                "attitude-singular:rates"
-                if isinstance(exc, ctl.AttitudeSingular)
-                else "thrust-floor:rates"
-            )
+            kind = "attitude-singular" if isinstance(exc, ctl.AttitudeSingular) else "thrust-floor"
+            events.append((k, f"{kind}:rates"))
         tau_hat = ctl.body_rate_loop(x, omega_cmd, gains, params)
 
         qp_lo_status = ""
@@ -236,22 +254,19 @@ def run(scenario: Scenario) -> list[TraceRecord]:
                 )
                 qp_lo_status = solution.status.value
                 for sb, (_, _, _, H) in zip(lo_active, rows):
-                    H_vals[sb.spec.domain] = H
+                    cells[H_cells[sb.spec.domain]] = H.tolist()
                 if solution.status is QpStatus.INFEASIBLE:
-                    events.append("infeasible:low")
+                    events.append((k, "infeasible:low"))
             except LateralSingular:
                 m_star = np.array(clip_moments(tau_hat[:2], params))
                 qp_lo_status = "singular"
-                events.append("lateral-singular")
-        # Every array recorded below is built afresh each step.
-        m_star = np.asarray(m_star, float)
-        tau_z = float(tau_hat[2])
-        trace.append(TraceRecord(  # positional, in field order: faster than 16 keywords
-            t, np.array(x[:3]), euler, np.array(x[12:15]), np.array(x[15:]), ref,
-            f_hat, tau_hat, f_star, m_star, tau_z, h_vals, H_vals,
-            qp_hi_status, qp_lo_status, tuple(events),
-        ))
-        x = advance(x, f_star, [*m_star.tolist(), tau_z], params, dt)
+                events.append((k, "lateral-singular"))
+        tau = tau_hat.tolist()
+        m = m_star.tolist()
+        trace.block[k] = [t, *x, *euler, f_hat, f_star, *tau, *m, *cells]
+        trace.qp_hi_status.append(qp_hi_status)
+        trace.qp_lo_status.append(qp_lo_status)
+        x = advance(x, f_star, [*m, tau[2]], params, dt)
         last_f = f_star
         last_m = m_star
     return trace

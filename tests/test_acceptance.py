@@ -36,8 +36,9 @@ def preset_trace(name):
 
 
 def h_series(trace, domain):
-    pts = [(rec.t, rec.h[domain]) for rec in trace if domain in rec.h]
-    return np.array([t for t, _ in pts]), np.array([h for _, h in pts])
+    hs = trace.h[domain]
+    active = ~np.isnan(hs)
+    return trace.t[active], hs[active]
 
 
 def min_h_after_entry(trace, domain):
@@ -71,8 +72,8 @@ def test_a2_altitude_invariance():
         mins[domain] = m
     limit = 2.0
     exceed = sum(
-        1 for rec in trace
-        if abs(reference_at(rec.t, scenario.reference).r_d[2]) > limit
+        1 for t in trace.t.tolist()
+        if abs(reference_at(t, scenario.reference).r_d[2]) > limit
     )
     frac = exceed / len(trace)
     assert frac >= 0.20, f"reference exceeds the limit only {frac:.1%} of steps"
@@ -91,10 +92,10 @@ def test_a3_lateral_invariance_and_tracking():
     # the reference velocity starts at its full sinusoid amplitude).
     margin = 2.0 - 0.5
     errs = [
-        float(np.hypot(rec.r[0] - ref.r_d[0], rec.r[1] - ref.r_d[1]))
-        for rec in trace
-        for ref in [reference_at(rec.t, scenario.reference)]
-        if rec.t >= 2.0 and max(abs(ref.r_d[0]), abs(ref.r_d[1])) <= margin
+        float(np.hypot(x - ref.r_d[0], y - ref.r_d[1]))
+        for t, (x, y) in zip(trace.t.tolist(), trace.r[:, :2].tolist())
+        for ref in [reference_at(t, scenario.reference)]
+        if t >= 2.0 and max(abs(ref.r_d[0]), abs(ref.r_d[1])) <= margin
     ]
     worst_err = max(errs)
     assert worst_err <= 0.15, f"tracking error {worst_err:.3f} m with slack reference"
@@ -110,17 +111,17 @@ def test_a4_mid_flight_tightening():
     # excluded as the spin-up transient from rest (the criterion concerns
     # steady tracking while unconstrained).
     errs = [
-        max(abs(rec.v[0] - ref.v_d[0]), abs(rec.v[1] - ref.v_d[1]))
-        for rec in trace
-        for ref in [reference_at(rec.t, scenario.reference)]
-        if 2.0 <= rec.t < t_switch
+        max(abs(vx - ref.v_d[0]), abs(vy - ref.v_d[1]))
+        for t, (vx, vy) in zip(trace.t.tolist(), trace.v[:, :2].tolist())
+        for ref in [reference_at(t, scenario.reference)]
+        if 2.0 <= t < t_switch
     ]
     pre_err = max(errs)
     assert pre_err <= 0.1, f"pre-switch velocity tracking error {pre_err:.3f}"
     vx_cap, vy_cap = 1.25 * 1.05, 0.9 * 1.05
-    after = [rec for rec in trace if rec.t >= t_switch + 2.0]
-    vx_max = max(abs(rec.v[0]) for rec in after)
-    vy_max = max(abs(rec.v[1]) for rec in after)
+    after = trace.v[trace.t >= t_switch + 2.0]
+    vx_max = float(np.abs(after[:, 0]).max())
+    vy_max = float(np.abs(after[:, 1]).max())
     assert vx_max <= vx_cap, f"|vx| {vx_max:.4f} exceeds {vx_cap}"
     assert vy_max <= vy_cap, f"|vy| {vy_max:.4f} exceeds {vy_cap}"
     print(f"\nA4 mid-flight-tightening (tracking {pre_err:.3f} m/s <= 0.1; after "
@@ -268,10 +269,9 @@ def test_a7_actuator_bounds():
     total = 0
     for name in names:
         trace, _ = preset_trace(name)
-        for rec in trace:
-            assert 0.0 <= rec.f_star <= 36.0, f"{name}: F*={rec.f_star}"
-            assert abs(rec.m_star[0]) <= 20.0 + 1e-12, f"{name}: Mx*={rec.m_star[0]}"
-            assert abs(rec.m_star[1]) <= 20.0 + 1e-12, f"{name}: My*={rec.m_star[1]}"
+        f, m = trace.f_star, trace.m_star
+        assert np.all((0.0 <= f) & (f <= 36.0)), f"{name}: F* in [{f.min()}, {f.max()}]"
+        assert np.all(np.abs(m) <= 20.0 + 1e-12), f"{name}: max |M*| {np.abs(m).max()}"
         total += len(trace)
     print(f"\nA7 actuator-bounds ({total} steps across {len(names)} runs, "
           f"F* in [0, 36] N and |M*| <= 20 N m throughout; bounds live inside "

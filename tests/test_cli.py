@@ -90,9 +90,11 @@ class TestSubcommands:
     ("gains: {kp: [[1], 2, 3]}\n", []),
     (b"run: {duration_s: \xc3\x28}\n", []),                       # not UTF-8
     (TINY_SCENARIO.replace("p_z_m: 2.0}", "p_z_m: 1.0e-90}"), []),  # p_z^4 underflows to 0
+    ("run: {duration_s: 1.0e+12, dt_s: 0.001}\n", []),         # no memory for the trace
+    ("run: {duration_s: 1.0e+300, dt_s: 0.001}\n", []),        # trace size overflows
 ], ids=["zero-steps", "dt-override-zero-steps", "scalar-poles", "string-poles",
         "malformed-yaml", "infinite-duration", "list-domain", "nested-gain", "invalid-utf8",
-        "underflowing-half-width"])
+        "underflowing-half-width", "too-long-run", "too-long-run-overflow"])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, text, extra):
     scenario = text
     if isinstance(text, bytes) or not text.startswith("presets:"):

@@ -2,15 +2,20 @@
 
 A refactor that claims to leave behaviour unchanged must keep these numbers.
 The horizon stops short of fig4's period-2 thrust chatter near the altitude
-limit (from t ~ 4.08 s), which amplifies round-off.
+limit (from t ~ 4.08 s), which amplifies round-off. The trace.csv and
+events.csv exported from the same runs are pinned byte for byte.
 """
 
 import collections
 import dataclasses
+import functools
+import hashlib
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
+from quadsafe.cli import export_trace
 from quadsafe.config import PRESETS, load_preset
 from quadsafe.sim import run
 
@@ -83,25 +88,56 @@ GOLDEN = {
 }
 
 
+# sha256 of (trace.csv, events.csv) exported from each preset's HORIZON_S
+# run: every value is written as repr(float), so a drift in formatting, in
+# column order or in any bit of the trajectory changes them.
+EXPORT_SHA256 = {
+    "fig4-altitude": (
+        "b91d8a3fb1067929968f7c7855524f9c3b704a45ca085f84f8870ad098453bde",
+        "b9e7ce870a800c185d2a930f1c801b0621ab23ffaa1173620b6fe1e0d1cbc7a6",
+    ),
+    "fig5-lateral-pos": (
+        "0671d856c7d65f96741ece26765171e977518d690fd317ab2039dc418068b550",
+        "b9e7ce870a800c185d2a930f1c801b0621ab23ffaa1173620b6fe1e0d1cbc7a6",
+    ),
+    "fig6-velocity-switch": (
+        "56cfaf5f2a7165ba1f4bbfa5d8c50b4ef8b23473c02a8bd7b34fb7e69b8630a2",
+        "eff1972436235c19a26acbeec1a1ef49f328591aa177f33c4672dbf0d266ad8e",
+    ),
+    "fig7-unified": (
+        "4b67583d3e8ce4f7ce2b89fdfaf0429d7e3d234198803fef17d9f62daf7ba3a9",
+        "b9e7ce870a800c185d2a930f1c801b0621ab23ffaa1173620b6fe1e0d1cbc7a6",
+    ),
+    "stress-infeasible": (
+        "3da3ed3164631df09db32d2ca690b9528af542cb19c89447188b9f6c07887958",
+        "5d8f6e5fbc70dd95d979be6edad267f2c27cab8113cc1b08cab80a34151e9c32",
+    ),
+}
+
+
+@functools.cache
+def horizon_run(name: str):
+    return run(dataclasses.replace(load_preset(name), duration=HORIZON_S))
+
+
 def fingerprint(name: str) -> Fingerprint:
-    records = run(dataclasses.replace(load_preset(name), duration=HORIZON_S))
-    last = records[-1]
+    trace = horizon_run(name)
     min_h: dict[str, float] = {}
-    for rec in records:
-        for domain, h in rec.h.items():
-            min_h[domain.value] = min(min_h.get(domain.value, h), h)
-    events = collections.Counter(
-        ev.partition(":")[0] for rec in records for ev in rec.events
-    )
+    for domain, col in trace.h.items():
+        hs = col[~np.isnan(col)]
+        if hs.size:
+            min_h[domain.value] = float(hs.min())
+    events = collections.Counter(ev.partition(":")[0] for _, ev in trace.events)
     return Fingerprint(
-        tuple(last.r.tolist()), tuple(last.v.tolist()), tuple(last.omega.tolist()),
-        tuple(last.euler), float(last.f_star), tuple(last.m_star.tolist()),
+        tuple(trace.r[-1].tolist()), tuple(trace.v[-1].tolist()),
+        tuple(trace.omega[-1].tolist()), tuple(trace.euler[-1].tolist()),
+        float(trace.f_star[-1]), tuple(trace.m_star[-1].tolist()),
         min_h, dict(events),
     )
 
 
 def test_every_preset_is_pinned():
-    assert set(GOLDEN) == set(PRESETS)
+    assert set(GOLDEN) == set(PRESETS) == set(EXPORT_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -110,3 +146,11 @@ def test_preset_fingerprint(name):
     for field in ("r", "v", "omega", "euler", "f_star", "m_star", "min_h"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), abs=ATOL), field
     assert got.events == want.events
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
+def test_exported_bytes(name, tmp_path):
+    export_trace(horizon_run(name), str(tmp_path))
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("trace.csv", "events.csv"))
+    assert got == EXPORT_SHA256[name]

@@ -108,6 +108,19 @@ def test_float_arithmetic_rules():
     same([math.cos(x) for x in wt], [float(np.cos(x)) for x in wt])
 
 
+def test_float_objective_is_the_numpy_sum():
+    # _solve_2d ranks candidates by 0.5 * |u - u_hat|^2 in floats.
+    rng = np.random.default_rng(8)
+    for scale in (1e-8, 1.0, 1e3):
+        u, u_hat = sample(rng, 2, N, 2) * scale
+        want = [0.5 * float(np.sum((a - b) ** 2)) for a, b in zip(u, u_hat)]
+        got = []
+        for (u0, u1), (x0, x1) in zip(u.tolist(), u_hat.tolist()):
+            d0, d1 = u0 - x0, u1 - x1
+            got.append(0.5 * (d0 * d0 + d1 * d1))
+        same(got, want)
+
+
 def test_float_clip_is_np_clip():
     # filter_torque clips the nominal moments in floats.
     values = [0.0, -0.0, 1.0, -1.0, 20.0, -20.0, 25.0, -25.0, 1e-310, -1e-310,

@@ -107,26 +107,38 @@ class TestRun:
             filter_high=False, filter_low=False,
         )
         trace = run(sc)
-        assert max(np.linalg.norm(rec.r) for rec in trace) <= 1e-3
+        assert np.linalg.norm(trace.r, axis=1).max() <= 1e-3
 
     def test_trace_shape_and_fields(self):
         sc = Scenario(duration=0.05, barriers=(alt_barrier(),))
         trace = run(sc)
         assert len(trace) == 50
-        rec = trace[0]
-        assert rec.t == 0.0
-        assert BarrierDomain.ALTITUDE_POSITION in rec.h
-        assert BarrierDomain.ALTITUDE_POSITION in rec.H
-        assert len(rec.H[BarrierDomain.ALTITUDE_POSITION]) == 2
-        assert rec.qp_hi_status == "optimal"
-        assert rec.qp_lo_status == ""  # no lateral barriers scheduled
+        assert trace.t[0] == 0.0
+        assert trace.x.shape == (50, 18) and trace.euler.shape == (50, 3)
+        # Only the scheduled barrier has columns; H is as wide as its degree.
+        assert set(trace.h) == set(trace.H) == {BarrierDomain.ALTITUDE_POSITION}
+        assert not np.isnan(trace.h[BarrierDomain.ALTITUDE_POSITION][0])
+        assert trace.H[BarrierDomain.ALTITUDE_POSITION].shape == (50, 2)
+        assert not np.isnan(trace.H[BarrierDomain.ALTITUDE_POSITION][0]).any()
+        assert trace.qp_hi_status[0] == "optimal"
+        assert trace.qp_lo_status[0] == ""  # no lateral barriers scheduled
+
+    def test_nan_marks_inactive_barriers_and_unbuilt_rows(self):
+        # h is NaN before the barrier's first activation; H is NaN on every
+        # step whose level built no row, here because the filter is off.
+        sc = Scenario(duration=0.05, barriers=(alt_barrier(0.02),), filter_high=False)
+        trace = run(sc)
+        h = trace.h[BarrierDomain.ALTITUDE_POSITION]
+        assert np.array_equal(np.isnan(h), trace.t < 0.02)
+        assert np.isnan(trace.H[BarrierDomain.ALTITUDE_POSITION]).all()
+        assert trace.qp_hi_status == [""] * 50
 
     def test_barrier_switch_event_logged(self):
         sc = Scenario(duration=0.05, barriers=(alt_barrier(0.0, 2.0),
                                                alt_barrier(0.02, 1.9)))
         trace = run(sc)
-        switched = [rec.t for rec in trace
-                    if "barrier-switch:altitude_position" in rec.events]
+        switched = [trace.t[k] for k, ev in trace.events
+                    if ev == "barrier-switch:altitude_position"]
         assert switched and switched[0] == pytest.approx(0.02)
 
     def test_filter_inactive_when_reference_deep_inside(self):
@@ -144,24 +156,24 @@ class TestRun:
         on = run(Scenario(duration=5.0, reference=ref, barriers=barriers))
         off = run(Scenario(duration=5.0, reference=ref,
                            filter_high=False, filter_low=False))
-        worst = max(np.linalg.norm(a.r - b.r) for a, b in zip(on, off))
+        worst = np.linalg.norm(on.r - off.r, axis=1).max()
         assert worst <= 1e-3
 
     def test_initial_state_respected(self):
         s0 = QuadState(r=np.array([0.0, 0.0, 0.5]), v=np.array([1.6, 0.0, 1.2]))
         sc = Scenario(duration=0.002, initial_state=s0)
         trace = run(sc)
-        assert np.allclose(trace[0].r, s0.r)
-        assert np.allclose(trace[0].v, s0.v)
+        assert np.allclose(trace.r[0], s0.r)
+        assert np.allclose(trace.v[0], s0.v)
 
     def test_zero_kp_tracks_velocity(self):
         gains = ControllerGains(Kp=np.array([0.0, 0.0, 12.0]))
         sc = Scenario(duration=8.0, gains=gains,
                       filter_high=False, filter_low=False)
         trace = run(sc)
-        ref = reference_at(trace[-1].t, sc.reference)
-        assert abs(trace[-1].v[0] - ref.v_d[0]) <= 0.05
-        assert abs(trace[-1].v[1] - ref.v_d[1]) <= 0.05
+        ref = reference_at(trace.t[-1], sc.reference)
+        assert abs(trace.v[-1, 0] - ref.v_d[0]) <= 0.05
+        assert abs(trace.v[-1, 1] - ref.v_d[1]) <= 0.05
 
     def test_invalid_scenario_rejected(self):
         with pytest.raises(ValueError):
@@ -178,7 +190,7 @@ class TestRun:
         assert len(run(sc)) == 5
 
 
-def test_lateral_chain_terms_once_per_step(monkeypatch):
+def test_lateral_rows_once_per_step(monkeypatch):
     # fig7 has both lateral barriers active: one lateral_rows call per step
     # builds both rows from one set of kinematic terms.
     calls = []
@@ -188,5 +200,5 @@ def test_lateral_chain_terms_once_per_step(monkeypatch):
                         or rows(x, f, specs, params))
     trace = run(dataclasses.replace(load_preset("fig7-unified"), duration=0.2))
     assert len(trace) == 200
-    assert all(rec.qp_lo_status == "optimal" for rec in trace)
+    assert trace.qp_lo_status == ["optimal"] * len(trace)
     assert calls == [2] * len(trace)
