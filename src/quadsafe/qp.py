@@ -5,9 +5,12 @@ stacked barrier rows (a . u + b >= 0) and actuator box bounds:
 
 * high level: scalar thrust, solved by exact interval intersection;
 * low level: 2-D moment vector, solved by exhaustive active-set (KKT)
-  enumeration, exact at this dimension. The candidates are screened in
-  plain floats and only those the screen cannot rule out are evaluated with
-  numpy, so the result is bitwise that of evaluating all of them with numpy.
+  enumeration, exact at this dimension. First the projection onto the
+  violated row farthest from the nominal is tried: when a KKT certificate
+  shows the enumeration would return it, it is returned at once. Otherwise the
+  candidates are screened in plain floats and only those the screen cannot
+  rule out are evaluated with numpy. Either way the result is bitwise that
+  of evaluating every candidate with numpy.
 
 Each filter builds one (a, b, h, H) row per active barrier (altitude_row,
 lateral_rows) and returns (applied input, QP solution, rows); the QP itself
@@ -153,13 +156,15 @@ def _solve_2d(p: QpProblem) -> QpSolution:
     row and the vertex of each pair of rows, keeping the nearest feasible
     candidate whose multipliers are nonnegative.
 
-    Each candidate is first screened in plain floats (Cramer's rule for the
-    vertices). A candidate is dropped only when a float test fails by more
-    than _SCREEN_MARGIN times a bound on its rounding, so the numpy test would
-    fail too; NaN, overflow and pairs worse conditioned than _SCREEN_KAPPA
-    never pass the screen's comparisons and go to the numpy path. The
-    survivors are evaluated with numpy in enumeration order, so the result is
-    the same as evaluating every candidate with numpy.
+    When the nominal is infeasible, _certified_projection first tries the
+    projection onto the farthest violated row and returns it when its
+    certificate holds. Otherwise each candidate is screened in plain floats
+    (Cramer's rule for the vertices). A candidate is dropped only when a
+    float test fails by more than _SCREEN_MARGIN times a bound on its
+    rounding, so the numpy test would fail too; NaN, overflow and pairs worse
+    conditioned than _SCREEN_KAPPA never pass the screen's comparisons and go
+    to the numpy path. The survivors are evaluated with numpy in enumeration
+    order, so the result is the same as evaluating every candidate with numpy.
     """
     cons, a_stack = _constraint_list(p)
     live = []  # rows involving u: (index, a, b, a0, a1, |a|_1, |a|^2, margin * |b|)
@@ -190,7 +195,11 @@ def _solve_2d(p: QpProblem) -> QpSolution:
     if all(v - m >= -_FEAS_TOL for v, m in zip(vals, margins)):
         # u_hat is feasible: it has objective 0, so no candidate can replace it.
         u = p.u_hat.astype(float)
-        return QpSolution(u, QpStatus.OPTIMAL, (), _primal_residual(cons, a_stack, u))
+        return QpSolution(
+            u, QpStatus.OPTIMAL, (), _primal_residual(cons, np.vecdot(a_stack, u).tolist()))
+    certified = _certified_projection(p, cons, a_stack, live, vals, margins)
+    if certified is not None:
+        return certified
 
     def feasible(u: np.ndarray) -> bool:
         # Every a . u in one np.vecdot: the kernel of a 1-D a @ u, which the
@@ -257,15 +266,82 @@ def _solve_2d(p: QpProblem) -> QpSolution:
     if best is None:
         return QpSolution(np.clip(p.u_hat, p.lower, p.upper), QpStatus.INFEASIBLE)
     obj, u, active = best
-    return QpSolution(u, QpStatus.OPTIMAL, active, _primal_residual(cons, a_stack, u))
+    return QpSolution(
+        u, QpStatus.OPTIMAL, active, _primal_residual(cons, np.vecdot(a_stack, u).tolist()))
 
 
-def _primal_residual(
-    cons: list[tuple[np.ndarray, float, list[float]]], a_stack: np.ndarray, u: np.ndarray
-) -> float:
+def _certified_projection(
+    p: QpProblem,
+    cons: list[tuple[np.ndarray, float, list[float]]],
+    a_stack: np.ndarray,
+    live: list[tuple],
+    vals: list[float],
+    margins: list[float],
+) -> QpSolution | None:
+    """_solve_2d's result when a certificate shows it is the projection u_i
+    onto one row i; None when the certificate does not hold.
+
+    The guess i is the row farthest from u_hat (largest v^2 / |a|^2) among
+    those the screen finds clearly violated there, so the nominal is no
+    candidate. u_i is evaluated with the enumeration's own numpy expressions.
+    For any candidate u_c passing the feasibility test,
+    obj(u_c) = obj(u_i) + lam_i (a_i . u_c + b_i) + 1/2 |u_c - u_i|^2
+    and a_i . u_c + b_i >= -_FEAS_TOL. Every candidate but u_i lies on the
+    line of some row k != i, up to its solve's backward error e_k, so
+    |u_c - u_i| >= |s_k| / |a_k| - e_k with s_k = a_k . u_i + b_k. When for
+    every k that bound makes obj(u_c) exceed obj(u_i) by more than the
+    enumeration's 1e-15 tie margin, the enumeration returns exactly
+    (u_i, (i,)), whatever order it visits the candidates in. The rounding
+    terms are bounded generously (about 100 unit roundoffs) through r,
+    which bounds |u_c|_inf because the box faces are among the rows.
+    """
+    far, guess = 0.0, None
+    for row, v, m in zip(live, vals, margins):
+        if v + m < -_FEAS_TOL and v * v / row[6] > far:
+            far, guess = v * v / row[6], row
+    if guess is None:
+        return None
+    i, a, b, _, _, n1_i, _, _ = guess
+    viol = a @ p.u_hat + b
+    lam = -viol / float(a @ a)
+    u = p.u_hat + lam * a
+    a_u = np.vecdot(a_stack, u).tolist()
+    lam = float(lam)
+    own = a_u[i] + b
+    if not (lam >= 0.0 and own >= -_FEAS_TOL):
+        return None
+    (lo0, lo1), (hi0, hi1) = p.lower.tolist(), p.upper.tolist()
+    r = max(abs(lo0), abs(lo1), abs(hi0), abs(hi1)) * (1.0 + 1e-12) + 2e-9
+    x0, x1 = p.u_hat.tolist()
+    uh = abs(x0) + abs(x1)
+    n1_max = max(row[5] for row in live)
+    # lam times (_FEAS_TOL plus bounds on a_i . u_i + b_i and on the
+    # rounding of the feasibility test), the tie margin, and bounds on the
+    # objectives' rounding and on u_i's distance from u_hat + lam * a_i.
+    rhs = (lam * (_FEAS_TOL + abs(own) + 1e-14 * (n1_i * r + abs(b))) + 1e-15
+           + 1e-14 * (3.0 * r + uh + lam * n1_i) ** 2)
+    for k, _, b_k, _, _, n1, n2, _ in live:
+        if k == i:
+            continue
+        s_k = a_u[k] + b_k
+        if not s_k >= -_FEAS_TOL:
+            return None
+        # |a_k| times the bound on |u_c - u_i|: |s_k| less bounds on its own
+        # rounding and on e_k (a projection's, and a vertex's from LU with
+        # partial pivoting), and 1e-12 of it for the rounding of this test.
+        d = abs(s_k) * (1.0 - 1e-12) - 1e-14 * (
+            n1 * (3.0 * r + uh) + 2.0 * n1_max * r + 2.0 * abs(b_k))
+        if not (d > 0.0 and 0.5 * d * d > rhs * n2):
+            return None
+    return QpSolution(u, QpStatus.OPTIMAL, (i,), _primal_residual(cons, a_u))
+
+
+def _primal_residual(cons: list[tuple[np.ndarray, float, list[float]]], a_u: list[float]
+                     ) -> float:
+    """Largest violation of the constraints, given every a . u (in cons order)."""
     res = 0.0
-    for a_u, (_, b, _) in zip(np.vecdot(a_stack, u).tolist(), cons):
-        res = max(res, -(a_u + b))
+    for v, (_, b, _) in zip(a_u, cons):
+        res = max(res, -(v + b))
     return max(res, 0.0)
 
 
@@ -290,7 +366,7 @@ def kkt_residual(p: QpProblem, sol: QpSolution) -> float:
         _, stat = nnls(A.T, grad)
     else:
         stat = np.linalg.norm(grad)
-    return max(float(stat), _primal_residual(cons, a_stack, u))
+    return max(float(stat), _primal_residual(cons, np.vecdot(a_stack, u).tolist()))
 
 
 def least_infeasible(p: QpProblem) -> np.ndarray:

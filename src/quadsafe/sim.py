@@ -202,14 +202,19 @@ def run(scenario: Scenario) -> Trace:
                 prev_active[domain] = sb.spec.active_from
             hi_specs = [(sb.spec, sb.gains) for sb in hi_active]
             lo_specs = [(sb.spec, sb.gains) for sb in lo_active]
+            # Each active barrier's cells, so that the steps look up none.
+            specs = [sb.spec for sb in active]
+            h_at = [h_cell[spec.domain] for spec in specs]
+            hi_H_at = [H_cells[sb.spec.domain] for sb in hi_active]
+            lo_H_at = [H_cells[sb.spec.domain] for sb in lo_active]
             next_switch = min(
                 (sb.spec.active_from for sb in scenario.barriers if sb.spec.active_from > t),
                 default=math.inf,
             )
 
         cells = nan_cells.copy()
-        for sb in active:
-            cells[h_cell[sb.spec.domain]] = barrier_h(x, sb.spec)
+        for at, h in zip(h_at, barrier_h(x, specs)):
+            cells[at] = h
 
         euler = euler_of_R(x)
         z, R33, zd = x[2], x[11], x[14]
@@ -227,8 +232,8 @@ def run(scenario: Scenario) -> Trace:
                 hi_specs, params, scenario.infeasible_policy, last_f,
             )
             qp_hi_status = status.value
-            for sb, (_, _, _, H) in zip(hi_active, rows):
-                cells[H_cells[sb.spec.domain]] = H.tolist()
+            for at, (_, _, _, H) in zip(hi_H_at, rows):
+                cells[at] = H.tolist()
             if status is QpStatus.INFEASIBLE:
                 events.append((k, "infeasible:high"))
         else:
@@ -253,8 +258,8 @@ def run(scenario: Scenario) -> Trace:
                     lo_specs, params, scenario.infeasible_policy, last_m,
                 )
                 qp_lo_status = solution.status.value
-                for sb, (_, _, _, H) in zip(lo_active, rows):
-                    cells[H_cells[sb.spec.domain]] = H.tolist()
+                for at, (_, _, _, H) in zip(lo_H_at, rows):
+                    cells[at] = H.tolist()
                 if solution.status is QpStatus.INFEASIBLE:
                     events.append((k, "infeasible:low"))
             except LateralSingular:

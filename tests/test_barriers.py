@@ -10,6 +10,7 @@ import pytest
 from quadsafe.barriers import (
     DET_MIN,
     RELATIVE_DEGREE,
+    STATE_INDEX,
     BarrierDomain,
     BarrierSpec,
     EcbfGains,
@@ -132,9 +133,39 @@ class TestRectellipse:
     def test_barrier_h_picks_domain_states(self):
         x = flat_of(QuadState(r=np.array([0.3, -0.2, 1.0]), v=np.array([0.5, 0.1, -0.4])))
         spec_z = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0])
-        assert barrier_h(x, spec_z) == pytest.approx(1.0 - (1.0 / 2.0) ** 4)
+        h_z = pytest.approx(1.0 - (1.0 / 2.0) ** 4)
+        assert barrier_h(x, [spec_z]) == [h_z]
         spec_v = BarrierSpec(BarrierDomain.LATERAL_VELOCITY, [0.0, 0.0], [1.0, 1.0])
-        assert barrier_h(x, spec_v) == pytest.approx(1.0 - 0.5**4 - 0.1**4)
+        h_v = pytest.approx(1.0 - 0.5**4 - 0.1**4)
+        assert barrier_h(x, [spec_v]) == [h_v]
+        assert barrier_h(x, [spec_v, spec_z]) == [h_v, h_z]
+        assert barrier_h(x, []) == []
+
+    def test_barrier_h_is_rectellipse_h_of_each_spec(self):
+        # One pow call over every spec's offsets gives each spec's
+        # rectellipse_h of its own states bit for bit, on random states and
+        # spec lists (all four domains, repeats), with offsets at scales up to
+        # 1e200 (fourth powers overflow to inf) and NaN or infinite entries.
+        rng = np.random.default_rng(37)
+        domains = list(BarrierDomain)
+        n_checked = 0
+        for _ in range(300):
+            specs = []
+            for _ in range(int(rng.integers(1, 7))):
+                d = domains[int(rng.integers(0, 4))]
+                n = len(STATE_INDEX[d])
+                specs.append(BarrierSpec(d, rng.normal(size=n), rng.uniform(0.1, 5.0, size=n)))
+            x = (rng.normal(size=18) * 10.0 ** rng.uniform(-3, 3, size=18)).tolist()
+            for k in rng.choice(18, size=int(rng.integers(0, 4)), replace=False).tolist():
+                x[k] = float(rng.choice([np.nan, np.inf, -np.inf, 1e80, -1e200, 0.0, -0.0]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = barrier_h(x, specs)
+                want = [rectellipse_h([x[k] for k in STATE_INDEX[s.domain]], s) for s in specs]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same_float(g, w)
+                n_checked += 1
+        assert n_checked > 900
 
 
 class TestAltitudeChains:

@@ -388,7 +388,7 @@ def perp(a):
 ADVERSARIAL_KINDS = (
     "plain", "on_row", "near_row", "zero_multiplier_vertex", "duplicate",
     "near_parallel", "ill_conditioned_vertex", "axis_parallel", "zero_row", "scaled",
-    "nonfinite",
+    "nonfinite", "threshold_row", "duplicate_farthest", "tied_farthest", "violates_below_tol",
 )
 NEAR_ROW_OFFSETS = (1e-9, -1e-9, 1e-9 * (1 + 2**-30), -1e-9 * (1 - 2**-30),
                     5e-10, -5e-10, 2e-9, -2e-9, 1e-12, -1e-12)
@@ -461,6 +461,51 @@ def adversarial_problem(kind, rng):
             rows[:1] = [(np.array([1e6, 0.0]), -1e6 * 0.5 * bound),
                         (np.array([0.0, 1e-6]), -1e-6 * 0.5 * bound)]
             u_hat = np.array([0.0, 0.0])
+    elif kind in ("threshold_row", "duplicate_farthest", "violates_below_tol"):
+        # Row 0 is violated at u_hat and farthest from it; u_i is its
+        # projection, evaluated as the solver does.
+        a0 = rng.normal(size=2) * 10.0 ** rng.uniform(-7 if kind == "violates_below_tol" else -4, 1)
+        n0 = a0 / np.sqrt(a0 @ a0)
+        u_hat = rng.uniform(-0.5, 0.5, size=2) * bound
+        rows = [(a0, -float(a0 @ u_hat) - rng.uniform(0.05, 0.4) * bound * np.sqrt(a0 @ a0))]
+        lam = -(a0 @ u_hat + rows[0][1]) / float(a0 @ a0)
+        u_i = u_hat + lam * a0
+        if kind == "threshold_row":
+            # A second row, crossing row 0 at 30..150 degrees or parallel to
+            # it, whose line passes u_i (on its feasible side) at a factor f of
+            # sqrt(2 (lam _FEAS_TOL + 1e-15)), the certificate's main term.
+            t = np.sqrt(2.0 * (lam * REF_FEAS_TOL + 1e-15))
+            f = float(rng.choice([0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 2.0, 10.0, 1e3]))
+            angle = float(rng.choice([0.0, rng.uniform(np.pi / 6, 5 * np.pi / 6)]))
+            c, s = np.cos(angle), np.sin(angle)
+            a1 = np.array([c * n0[0] - s * n0[1], s * n0[0] + c * n0[1]])
+            a1 = a1 * 10.0 ** rng.uniform(-4, 2)
+            rows.append((a1, -float(a1 @ u_i) + f * t * float(np.sqrt(a1 @ a1))))
+        elif kind == "duplicate_farthest":
+            # Row 0 repeated (exactly, or scaled by 2 or 3) before or after it.
+            k = float(rng.choice([1.0, 2.0, 3.0]))
+            rows.insert(int(rng.integers(0, 2)), (a0 * k, rows[0][1] * k))
+        else:
+            # u_i violates a crossing row by less than 1e-9, or a row parallel
+            # to row 0 lies closer to u_hat so that its projection violates
+            # row 0 by less than 1e-9 (it is then the optimum).
+            c = float(rng.choice([0.1, 0.5, 0.9, 0.99]))
+            if rng.random() < 0.5:
+                a1 = rng.normal(size=2) * 10.0 ** rng.uniform(-2, 2)
+                rows.append((a1, -float(a1 @ u_i) - c * REF_FEAS_TOL))
+            else:
+                rows.append((a0, rows[0][1] + c * REF_FEAS_TOL))
+        rows += [(rng.normal(size=2), float(rng.uniform(0.0, 1.0)) * bound)
+                 for _ in range(int(rng.integers(0, 2)))]
+    elif kind == "tied_farthest":
+        # Rows at exactly the same distance from u_hat = 0 (equal b, a's
+        # entries swapped or negated), so each is a farthest row.
+        a, b = rows[0]
+        twin = [np.array([a[1], a[0]]), np.array([-a[0], a[1]]), np.array([a[0], -a[1]]), -a]
+        rows = [(a, -abs(b)), (twin[int(rng.integers(0, 4))], -abs(b))] + rows[1:]
+        if rng.random() < 0.5:
+            rows[:2] = rows[1::-1]
+        u_hat = np.zeros(2)
     elif kind == "nonfinite":
         value = NONFINITE[int(rng.integers(0, 3))]
         where = int(rng.integers(0, 3))
@@ -477,6 +522,36 @@ def adversarial_problem(kind, rng):
             rows[k] = (a, b)
     return QpProblem(u_hat=u_hat, rows=tuple(rows), lower=np.array([-bound, -bound]),
                      upper=np.array([bound, bound]))
+
+
+def record_certificates(monkeypatch) -> list[bool]:
+    """Whether each later _certified_projection call certifies, in order."""
+    outcomes = []
+    certify = qp._certified_projection
+
+    def recording(*args):
+        result = certify(*args)
+        outcomes.append(result is not None)
+        return result
+
+    monkeypatch.setattr(qp, "_certified_projection", recording)
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def fig7_second_qps():
+    """The lateral QPs that fig7-unified poses in its first second."""
+    problems = []
+    solve = qp.solve_qp
+
+    def recording(p):
+        problems.append(p)
+        return solve(p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "solve_qp", recording)
+        run(dataclasses.replace(load_preset("fig7-unified"), duration=1.0))
+    return problems
 
 
 class TestScreenedSolverIsBitwiseTheEnumeration:
@@ -513,20 +588,40 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
                   problem_2d(u_hat, [(np.array([a0, a1]), b) for a0, a1, b in extra])):
             assert_bitwise_as_reference(p)
 
-    def test_every_qp_of_a_fig7_second(self, monkeypatch):
-        # The lateral QPs that fig7-unified actually poses in its first second.
-        problems = []
-        solve = qp.solve_qp
-
-        def recording(p):
-            problems.append(p)
-            return solve(p)
-
-        monkeypatch.setattr(qp, "solve_qp", recording)
-        run(dataclasses.replace(load_preset("fig7-unified"), duration=1.0))
-        assert len(problems) == 1000
-        for p in problems:
+    def test_every_qp_of_a_fig7_second(self, fig7_second_qps):
+        assert len(fig7_second_qps) == 1000
+        for p in fig7_second_qps:
             assert_bitwise_as_reference(p)
+
+    def test_fig7_second_is_certified_without_near_parallel_solves(
+            self, fig7_second_qps, monkeypatch):
+        # On the QPs whose nominal is infeasible, the certified projection
+        # returns at least 95% of the time, and no pair with a Frobenius
+        # condition number above _SCREEN_KAPPA reaches np.linalg.solve.
+        outcomes, kappas = record_certificates(monkeypatch), []
+        solve = np.linalg.solve
+
+        def counting_solve(A, b):
+            kappas.append(np.linalg.cond(A, "fro"))
+            return solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        for p in fig7_second_qps:
+            solve_qp(p)
+        assert len(outcomes) >= 500
+        assert sum(outcomes) >= 0.95 * len(outcomes), (sum(outcomes), len(outcomes))
+        assert all(k <= qp._SCREEN_KAPPA for k in kappas), max(kappas)
+
+    def test_threshold_rows_straddle_the_certificate(self, monkeypatch):
+        # The threshold_row kind must keep the certificate's edge covered:
+        # its second row passes u_i close enough to fail the certificate on
+        # some problems and far enough to pass it on others.
+        outcomes = record_certificates(monkeypatch)
+        rng = np.random.default_rng(sum(map(ord, "threshold_row")))
+        for _ in range(300):
+            with np.errstate(all="ignore"):
+                solve_qp(adversarial_problem("threshold_row", rng))
+        assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
 
     def test_batched_row_products_are_the_per_row_products(self):
         # _primal_residual and the feasibility test read every a . u from
@@ -548,7 +643,7 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
                     if np.all(np.isfinite(a)) and float(a @ a) > 0.0:
                         points.append(points[2] - (float(a @ points[2]) + b) / float(a @ a) * a)
                     for u in points:
-                        got = qp._primal_residual(cons, a_stack, u)
+                        got = qp._primal_residual(cons, np.vecdot(a_stack, u).tolist())
                         want = ref_cons_primal_residual(cons, u)
                         assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
                         a_u = np.vecdot(a_stack, u).tolist()
