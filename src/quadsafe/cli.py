@@ -7,8 +7,9 @@ Subcommands:
   oracle                                finite-difference chain check
 
 ``<scenario>`` is either a YAML file path or ``presets:<name>``.
-Exit codes: 0 success, 1 validation error or a run too long to allocate,
-2 non-finite state abort. QP infeasibility events are data, not failures.
+Exit codes: 0 success, 1 validation error, bad option or a run too long
+to allocate, 2 non-finite state abort. QP infeasibility events are data,
+not failures.
 The exports write every float of sim.run's Trace columns as repr(float).
 """
 
@@ -108,8 +109,18 @@ def _load(spec_arg: str) -> Scenario:
     return load_scenario(spec_arg)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the code for a bad
+    option; argparse's own 2 is the non-finite-state abort here. Subparsers
+    are made of the parser's class, so they exit 1 too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadsafe",
         description="Quadrotor safety-filter simulator (cascaded CBF/ECBF QPs).",
     )

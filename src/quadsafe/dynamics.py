@@ -79,7 +79,12 @@ def deriv(
     moments tau, in plain float arithmetic on the flat state [r, R row-major,
     v, omega]: rdot = v, Rdot = R [omega]x, vdot = g z_w - R z_w f/m,
     omegadot = I^-1 (tau - omega x I omega). r does not enter it, so its
-    stage value is never formed."""
+    stage value is never formed.
+
+    Every entry of x, k, tau and f, and h, may be a float or an equal-length
+    float64 column (one column per state of a batch). The body uses only
+    + - * /, which numpy rounds on float64 columns exactly as on floats, so
+    each column entry gets the bits the float call would give."""
     (_, _, _, R00, R01, R02, R10, R11, R12, R20, R21, R22, vx, vy, vz, p, q, r) = x
     if k is not None:
         (_, _, _, k00, k01, k02, k10, k11, k12, k20, k21, k22, kx, ky, kz, kp, kq, kr) = k
@@ -109,6 +114,8 @@ def rk4_flat(
     and moments tau.
 
     dt may be negative (backward flow for finite-difference stencils).
+    As in deriv, the entries of x0, tau, f and dt may be floats or
+    equal-length float64 columns, with the same bits per entry either way.
     """
     h2 = 0.5 * dt
     k1 = deriv(x0, f, tau, params)
@@ -134,18 +141,32 @@ def project_flat(x: list[float]) -> list[float]:
 
 
 def project_to_rotation(R: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix (polar projection via SVD)."""
+    """Nearest rotation matrix (polar projection via SVD) of a 3x3 R, or of
+    each matrix of a (k, 3, 3) stack.
+
+    A stack goes through one stacked SVD and one batched product, which
+    round each matrix exactly as the single-matrix calls do (see
+    tests/test_kernels.py), so both forms return the same bits per matrix.
+    """
     U, _, Vt = np.linalg.svd(R)
-    Q = U.dot(Vt)
-    if _det3(Q.tolist()) < 0.0:
-        U = U.copy()
-        U[:, -1] = -U[:, -1]
+    if R.ndim == 2:
         Q = U.dot(Vt)
+        if _det3(Q.tolist()) < 0.0:
+            U = U.copy()
+            U[:, -1] = -U[:, -1]
+            Q = U.dot(Vt)
+        return Q
+    Q = U @ Vt
+    flip = _det3(Q.transpose(1, 2, 0)) < 0.0
+    if flip.any():
+        U[flip, :, -1] = -U[flip, :, -1]
+        Q[flip] = U[flip] @ Vt[flip]
     return Q
 
 
-def _det3(M: list[list[float]]) -> float:
+def _det3(M):
     # Only the sign is used: U @ Vt is orthogonal, so det is +-1 up to round-off.
+    # M is a 3x3 nested list of floats, or a (3, 3, k) array for k matrices.
     (a, b, c), (d, e, f), (g, h, i) = M
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 

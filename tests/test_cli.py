@@ -107,6 +107,28 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, text, extra):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run"], ["oracle", "--states", "abc"], ["check", "presets:fig4-altitude", "--bogus"],
+], ids=["run-without-scenario", "non-integer-states", "unknown-flag"])
+def test_usage_error_exits_1_with_usage(capsys, argv):
+    # README's exit-code table: a bad option is 1; 2 is the non-finite abort.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: quadsafe")
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quadsafe")
+
+
 class TestRunExport:
     def test_run_writes_trace_files(self, tiny_file, tmp_path):
         out = str(tmp_path / "out")

@@ -1,9 +1,11 @@
-"""The numpy kernel identities that the batched lateral level and the 2-D QP
-rely on.
+"""The numpy kernel identities that the batched lateral level, the 2-D QP
+and the batched finite-difference oracle rely on.
 
 lateral_rows and the 2-D solver batch many small products into one numpy
 call, each family in the layout the code uses, and must round every product
-as the separate numpy call did. Each test here checks one such identity on
+as the separate numpy call did. The oracle runs many RK4 flows as float64
+columns and re-projects them with one stacked SVD, and must give each flow
+the bits of its own float integration and single-matrix projection. Each test here checks one such identity on
 random data (zeros, -0.0, subnormals and scales 1e-150..1e150 included), so
 that a numpy or BLAS build that breaks one fails here, by name, and not
 only as a bitwise mismatch of a whole row or QP.
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 
+from quadsafe.dynamics import QuadParams, deriv, rk4_flat
 from quadsafe.qp import _clip
 
 N = 4000
@@ -131,3 +134,38 @@ def test_float_clip_is_np_clip():
             got = _clip(v, -bound, bound)
             assert np.array([got]).tobytes() == np.array([want]).tobytes() or (
                 math.isnan(got) and math.isnan(want)), (v, bound, got, want)
+
+
+def test_rk4_on_float64_columns_is_rk4_on_floats():
+    # The oracle's flows: 18 state columns, column inputs and a signed step
+    # per column, NaN and infinities included.
+    rng = np.random.default_rng(9)
+    params = QuadParams()
+    k = 600
+    x = sample(rng, 18, k)
+    x[rng.integers(0, 18, 30), rng.integers(0, k, 30)] = [math.nan, math.inf, -math.inf] * 10
+    f, dt = sample(rng, k), rng.choice([1e-4, -1e-4, 2.5e-5, -2.5e-5, 0.3, -0.3], k)
+    tau = sample(rng, 3, k)
+    with np.errstate(all="ignore"):
+        same(deriv(list(x), f, list(tau), params),
+             np.transpose([deriv(*args, params) for args in
+                           zip(x.T.tolist(), f.tolist(), tau.T.tolist())]))
+        same(rk4_flat(list(x), f, list(tau), params, dt),
+             np.transpose([rk4_flat(*args, params, h) for *args, h in
+                           zip(x.T.tolist(), f.tolist(), tau.T.tolist(), dt.tolist())]))
+
+
+def test_stacked_svd_is_the_single_svd():
+    # project_to_rotation on a (k, 3, 3) stack.
+    rng = np.random.default_rng(10)
+    stack = sample(rng, 600, 3, 3)
+    for got, want in zip(np.linalg.svd(stack), zip(*map(np.linalg.svd, stack))):
+        same(got, np.array(want))
+
+
+def test_batched_3x3_products_are_the_single_dots():
+    # U @ Vt on the stacked SVD factors against the 2-D U.dot(Vt).
+    rng = np.random.default_rng(11)
+    U, _, Vt = np.linalg.svd(sample(rng, 600, 3, 3))
+    same(U @ Vt, [u.dot(vt) for u, vt in zip(U, Vt)])
+    same(U[::2] @ Vt[::2], [u.dot(vt) for u, vt in zip(U[::2], Vt[::2])])
