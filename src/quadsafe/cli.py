@@ -124,7 +124,9 @@ def main(argv: list[str] | None = None) -> int:
         prog="quadsafe",
         description="Quadrotor safety-filter simulator (cascaded CBF/ECBF QPs).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Not required to argparse, which would report a missing command before
+    # an unknown flag; a missing command is reported after parsing instead.
+    sub = parser.add_subparsers(dest="command")
 
     p_run = sub.add_parser("run", help="simulate a scenario and export the trace")
     p_run.add_argument("scenario", help="YAML scenario file or presets:<name>")
@@ -142,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     p_oracle.add_argument("--states", type=int, default=100)
 
     args = parser.parse_args(argv)
+    if args.command is None:
+        parser.error("the following arguments are required: command")
 
     if args.command == "presets":
         for name in sorted(PRESETS):

@@ -3,7 +3,9 @@
 Position loop -> commanded accelerations and thrust; attitude loop ->
 commanded body rates via first-order regulation of the R13/R23 entries;
 body-rate loop -> nominal moments by inverting the Euler equation. Each
-loop reads the flat state x = [r, R row-major, v, omega].
+loop reads the flat state x = [r, R row-major, v, omega] and takes and
+returns plain floats; only the attitude loop's W product stays a numpy
+call, because float arithmetic does not round it as numpy does.
 """
 
 from __future__ import annotations
@@ -50,21 +52,22 @@ class ControllerGains:
 
 @dataclass(frozen=True)
 class Reference:
-    r_d: np.ndarray
-    v_d: np.ndarray
-    a_d: np.ndarray
+    """Desired position, velocity and acceleration (3 floats each) and yaw."""
+
+    r_d: tuple[float, float, float]
+    v_d: tuple[float, float, float]
+    a_d: tuple[float, float, float]
     psi_d: float = 0.0
 
 
-def position_loop(x: list[float], ref: Reference, gains: ControllerGains) -> np.ndarray:
+def position_loop(x: list[float], ref: Reference, gains: ControllerGains) -> list[float]:
     """Commanded acceleration: feedforward plus PD on (desired - actual)."""
-    return np.array([
+    return [
         a + kp * (rd - r) + kd * (vd - v)
         for a, kp, rd, r, kd, vd, v in zip(
-            ref.a_d.tolist(), gains.Kp.tolist(), ref.r_d.tolist(), x[:3],
-            gains.Kd.tolist(), ref.v_d.tolist(), x[12:15],
+            ref.a_d, gains.Kp.tolist(), ref.r_d, x[:3], gains.Kd.tolist(), ref.v_d, x[12:15],
         )
-    ])
+    ]
 
 
 def thrust_from_accel(z_ddot_cmd: float, R33: float, params: QuadParams) -> float:
@@ -77,13 +80,13 @@ def thrust_from_accel(z_ddot_cmd: float, R33: float, params: QuadParams) -> floa
 
 def attitude_loop(
     x: list[float],
-    r_ddot_cmd: np.ndarray,
+    r_ddot_cmd: list[float],
     f: float,
     psi: float,
     psi_d: float,
     gains: ControllerGains,
     params: QuadParams,
-) -> np.ndarray:
+) -> list[float]:
     """Commanded body rates [p_cmd, q_cmd, r_cmd].
 
     Lateral: commanded R13/R23 from inverting the translational dynamics
@@ -97,38 +100,38 @@ def attitude_loop(
     f_min = THRUST_FLOOR_FRAC * params.m * params.g
     if f < f_min:
         raise ThrustTooSmall(f"f = {f:.3f} N below attitude-inversion floor")
-    R13_cmd = min(max(-float(r_ddot_cmd[0]) * params.m / f, -SIN_THETA_MAX), SIN_THETA_MAX)
-    R23_cmd = min(max(-float(r_ddot_cmd[1]) * params.m / f, -SIN_THETA_MAX), SIN_THETA_MAX)
+    R13_cmd = min(max(-r_ddot_cmd[0] * params.m / f, -SIN_THETA_MAX), SIN_THETA_MAX)
+    R23_cmd = min(max(-r_ddot_cmd[1] * params.m / f, -SIN_THETA_MAX), SIN_THETA_MAX)
     Rdot13_cmd = gains.k_R * (R13_cmd - R13)
     Rdot23_cmd = gains.k_R * (R23_cmd - R23)
     W = np.array([[R21, -R11], [R22, -R12]])
     p_cmd, q_cmd = W.dot(np.array([Rdot13_cmd, Rdot23_cmd])).tolist()
     err = _wrap_angle(psi_d - psi)
     r_cmd = gains.k_psi * err
-    return np.array([p_cmd / R33, q_cmd / R33, r_cmd])
+    return [p_cmd / R33, q_cmd / R33, r_cmd]
 
 
 def body_rate_loop(
     x: list[float],
-    omega_cmd: np.ndarray,
+    omega_cmd: list[float],
     gains: ControllerGains,
     params: QuadParams,
-) -> np.ndarray:
+) -> list[float]:
     """Nominal moments: tau = I*wdot_cmd + w x I w, clamped to actuator
     bounds; tau_z shares the y bound tau_max[1]."""
     p, q, r = x[15:18]
     kp, kq, kr = gains.k_omega.tolist()
-    p_cmd, q_cmd, r_cmd = np.asarray(omega_cmd, float).tolist()
+    p_cmd, q_cmd, r_cmd = omega_cmd
     Ix, Iy, Iz = params.Ix, params.Iy, params.Iz
     bound_x, bound_y = params.tau_max
     tau_x = Ix * (kp * (p_cmd - p)) + (Iz - Iy) * q * r
     tau_y = Iy * (kq * (q_cmd - q)) + (Ix - Iz) * p * r
     tau_z = Iz * (kr * (r_cmd - r)) + (Iy - Ix) * p * q
-    return np.array([
+    return [
         min(max(tau_x, -bound_x), bound_x),
         min(max(tau_y, -bound_y), bound_y),
         min(max(tau_z, -bound_y), bound_y),
-    ])
+    ]
 
 
 def _wrap_angle(a: float) -> float:

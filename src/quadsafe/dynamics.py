@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import svd_f
 
 
 class NonFiniteState(RuntimeError):
@@ -141,14 +142,21 @@ def project_flat(x: list[float]) -> list[float]:
 
 
 def project_to_rotation(R: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix (polar projection via SVD) of a 3x3 R, or of
-    each matrix of a (k, 3, 3) stack.
+    """Nearest rotation matrix (polar projection via SVD) of a 3x3 float64 R,
+    or of each matrix of a (k, 3, 3) stack.
 
-    A stack goes through one stacked SVD and one batched product, which
+    The SVD is svd_f, the LAPACK gufunc np.linalg.svd runs for float64 with
+    full matrices, called without the wrapper's per-call cost and with its
+    bits. A stack goes through one stacked SVD and one batched product, which
     round each matrix exactly as the single-matrix calls do (see
     tests/test_kernels.py), so both forms return the same bits per matrix.
+    Raises NonFiniteState before the SVD if any entry is NaN or infinite: the
+    bare kernel returns NaN on NaN, and LAPACK may not return on an infinite
+    entry.
     """
-    U, _, Vt = np.linalg.svd(R)
+    if not np.isfinite(R).all():
+        raise NonFiniteState("cannot project a non-finite matrix onto SO(3)")
+    U, _, Vt = svd_f(R, signature="d->ddd")
     if R.ndim == 2:
         Q = U.dot(Vt)
         if _det3(Q.tolist()) < 0.0:

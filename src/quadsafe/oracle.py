@@ -129,8 +129,11 @@ def check_chain(
     integrates all their stencil flows (+FD_DT, then -FD_DT) in one flow
     call, then evaluates the chains state by state. The result is the one a
     state-by-state loop gives, bit for bit, and memory does not grow with
-    n_states.
+    n_states. Raises ValueError if n_states < 1, whose errors of 0.0 would
+    read as a pass without any state checked.
     """
+    if n_states < 1:
+        raise ValueError(f"n_states must be at least 1, got {n_states}")
     params = params or QuadParams()
     spec = spec or default_spec(domain)
     gains = gains or _DEFAULT_GAINS[RELATIVE_DEGREE[domain]]

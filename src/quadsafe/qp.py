@@ -463,12 +463,12 @@ def clip_moments(tau_xy, params: QuadParams) -> list[float]:
 
 def filter_torque(
     x: list[float],
-    tau_hat_xy: np.ndarray,
+    tau_hat_xy: list[float],
     f_star_applied: float,
     active_specs: list[tuple[BarrierSpec, EcbfGains]],
     params: QuadParams,
     policy: InfeasiblePolicy = InfeasiblePolicy.LEAST_INFEASIBLE,
-    last: np.ndarray | None = None,
+    last: list[float] | None = None,
 ) -> tuple[np.ndarray, QpSolution, list[tuple]]:
     """Low-level QP: modify [tau_x, tau_y] at the flat state x given the
     thrust fixed this step.

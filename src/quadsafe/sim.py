@@ -128,7 +128,7 @@ class Trace:
 
 
 def reference_at(t: float, cfg: ReferenceConfig) -> Reference:
-    """Closed-form reference position/velocity/acceleration and yaw."""
+    """Closed-form reference position/velocity/acceleration and yaw, as floats."""
     r_d, v_d, a_d = [], [], []
     for a, w in zip(cfg.amplitude.tolist(), cfg.frequency.tolist()):
         wt = w * t
@@ -144,7 +144,7 @@ def reference_at(t: float, cfg: ReferenceConfig) -> Reference:
         )
     else:
         psi_d = cfg.yaw_constant
-    return Reference(np.array(r_d), np.array(v_d), np.array(a_d), psi_d)
+    return Reference(tuple(r_d), tuple(v_d), tuple(a_d), psi_d)
 
 
 def active_barriers(
@@ -182,7 +182,7 @@ def run(scenario: Scenario) -> Trace:
     x = flat_of(scenario.initial_state)
     prev_active: dict[BarrierDomain, float] = {}
     last_f: float | None = None
-    last_m: np.ndarray | None = None
+    last_m: list[float] | None = None
     # The active set changes only at activation times, so the schedule is
     # re-read only once t reaches the next of them.
     next_switch = -math.inf
@@ -220,7 +220,7 @@ def run(scenario: Scenario) -> Trace:
         z, R33, zd = x[2], x[11], x[14]
         r_ddot_cmd = ctl.position_loop(x, ref, gains)
         try:
-            f_hat = ctl.thrust_from_accel(float(r_ddot_cmd[2]), R33, params)
+            f_hat = ctl.thrust_from_accel(r_ddot_cmd[2], R33, params)
         except ctl.AttitudeSingular:
             f_hat = min(max(params.m * params.g, 0.0), params.f_max)
             events.append((k, "attitude-singular:thrust"))
@@ -244,7 +244,7 @@ def run(scenario: Scenario) -> Trace:
                 x, r_ddot_cmd, f_star, euler[2], ref.psi_d, gains, params
             )
         except (ctl.AttitudeSingular, ctl.ThrustTooSmall) as exc:
-            omega_cmd = np.zeros(3)
+            omega_cmd = [0.0, 0.0, 0.0]
             kind = "attitude-singular" if isinstance(exc, ctl.AttitudeSingular) else "thrust-floor"
             events.append((k, f"{kind}:rates"))
         tau_hat = ctl.body_rate_loop(x, omega_cmd, gains, params)
@@ -257,21 +257,20 @@ def run(scenario: Scenario) -> Trace:
                     x, tau_hat[:2], f_star,
                     lo_specs, params, scenario.infeasible_policy, last_m,
                 )
+                m_star = m_star.tolist()
                 qp_lo_status = solution.status.value
                 for at, (_, _, _, H) in zip(lo_H_at, rows):
                     cells[at] = H.tolist()
                 if solution.status is QpStatus.INFEASIBLE:
                     events.append((k, "infeasible:low"))
             except LateralSingular:
-                m_star = np.array(clip_moments(tau_hat[:2], params))
+                m_star = clip_moments(tau_hat[:2], params)
                 qp_lo_status = "singular"
                 events.append((k, "lateral-singular"))
-        tau = tau_hat.tolist()
-        m = m_star.tolist()
-        trace.block[k] = [t, *x, *euler, f_hat, f_star, *tau, *m, *cells]
+        trace.block[k] = [t, *x, *euler, f_hat, f_star, *tau_hat, *m_star, *cells]
         trace.qp_hi_status.append(qp_hi_status)
         trace.qp_lo_status.append(qp_lo_status)
-        x = advance(x, f_star, [*m, tau[2]], params, dt)
+        x = advance(x, f_star, [*m_star, tau_hat[2]], params, dt)
         last_f = f_star
         last_m = m_star
     return trace

@@ -121,6 +121,23 @@ def test_usage_error_exits_1_with_usage(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--bogus", "presets"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown-flag-alone", "unknown-flag-before-command", "no-command"])
+def test_top_level_usage_error_names_the_problem(capsys, argv, message):
+    # An unknown flag is named even when no command follows; no command at
+    # all is still reported as a missing command.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: quadsafe")
+    assert f"quadsafe: error: {message}" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

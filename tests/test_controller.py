@@ -1,9 +1,14 @@
 """Cascaded controller loops: acceleration, thrust, attitude, body rates."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from quadsafe.controller import (
+    R33_MIN,
+    SIN_THETA_MAX,
+    THRUST_FLOOR_FRAC,
     AttitudeSingular,
     ControllerGains,
     Reference,
@@ -17,6 +22,57 @@ from quadsafe.controller import (
 from quadsafe.dynamics import QuadParams, QuadState, R_of_euler, euler_of_R, flat_of
 
 HOVER = flat_of(QuadState())
+
+
+# Verbatim copies of the array forms the float loops replaced (reference
+# fields, commands and returns as numpy arrays); the float loops must
+# return their values bit for bit.
+def old_position_loop(x, ref, gains):
+    return np.array([
+        a + kp * (rd - r) + kd * (vd - v)
+        for a, kp, rd, r, kd, vd, v in zip(
+            ref.a_d.tolist(), gains.Kp.tolist(), ref.r_d.tolist(), x[:3],
+            gains.Kd.tolist(), ref.v_d.tolist(), x[12:15],
+        )
+    ])
+
+
+def old_attitude_loop(x, r_ddot_cmd, f, psi, psi_d, gains, params):
+    R11, R12, R13, R21, R22, R23, _, _, R33 = x[3:12]
+    if R33 < R33_MIN:
+        raise AttitudeSingular(f"R33 = {R33:.3f} below {R33_MIN}")
+    f_min = THRUST_FLOOR_FRAC * params.m * params.g
+    if f < f_min:
+        raise ThrustTooSmall(f"f = {f:.3f} N below attitude-inversion floor")
+    R13_cmd = min(max(-float(r_ddot_cmd[0]) * params.m / f, -SIN_THETA_MAX), SIN_THETA_MAX)
+    R23_cmd = min(max(-float(r_ddot_cmd[1]) * params.m / f, -SIN_THETA_MAX), SIN_THETA_MAX)
+    Rdot13_cmd = gains.k_R * (R13_cmd - R13)
+    Rdot23_cmd = gains.k_R * (R23_cmd - R23)
+    W = np.array([[R21, -R11], [R22, -R12]])
+    p_cmd, q_cmd = W.dot(np.array([Rdot13_cmd, Rdot23_cmd])).tolist()
+    err = _wrap_angle(psi_d - psi)
+    r_cmd = gains.k_psi * err
+    return np.array([p_cmd / R33, q_cmd / R33, r_cmd])
+
+
+def old_body_rate_loop(x, omega_cmd, gains, params):
+    p, q, r = x[15:18]
+    kp, kq, kr = gains.k_omega.tolist()
+    p_cmd, q_cmd, r_cmd = np.asarray(omega_cmd, float).tolist()
+    Ix, Iy, Iz = params.Ix, params.Iy, params.Iz
+    bound_x, bound_y = params.tau_max
+    tau_x = Ix * (kp * (p_cmd - p)) + (Iz - Iy) * q * r
+    tau_y = Iy * (kq * (q_cmd - q)) + (Ix - Iz) * p * r
+    tau_z = Iz * (kr * (r_cmd - r)) + (Iy - Ix) * p * q
+    return np.array([
+        min(max(tau_x, -bound_x), bound_x),
+        min(max(tau_y, -bound_y), bound_y),
+        min(max(tau_z, -bound_y), bound_y),
+    ])
+
+
+def packed(values):
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def hover_ref():
@@ -214,3 +270,41 @@ class TestArrayFormulation:
             bound = np.array([p.tau_max[0], p.tau_max[1], p.tau_max[1]])
             assert np.array_equal(body_rate_loop(x, w_cmd, g, p),
                                   np.clip(tau, -bound, bound))
+
+
+class TestFloatLoopsAreTheArrayForms:
+    """position_loop, attitude_loop and body_rate_loop take and return
+    floats; on random states they give the array forms' bits, and every
+    value they return is a float."""
+
+    def test_bitwise_equal_to_the_array_forms(self):
+        p = QuadParams()
+        rng = np.random.default_rng(31)
+        for i in range(100):
+            g = ControllerGains()
+            if i % 2:
+                g = ControllerGains(Kp=rng.uniform(0.0, 20.0, size=3),
+                                    Kd=rng.uniform(0.0, 10.0, size=3),
+                                    k_omega=rng.uniform(1.0, 30.0, size=3))
+            s = QuadState(r=rng.normal(size=3), R=R_of_euler(*rng.uniform(-0.6, 0.6, size=3)),
+                          v=rng.normal(size=3), omega=rng.normal(size=3) * 3.0)
+            r_d, v_d, a_d = rng.normal(size=(3, 3)) * 3.0
+            psi_d = float(rng.uniform(-3.2, 3.2))
+            x = flat_of(s)
+            acc = position_loop(x, Reference(tuple(r_d.tolist()), tuple(v_d.tolist()),
+                                             tuple(a_d.tolist()), psi_d), g)
+            old_acc = old_position_loop(x, Reference(r_d, v_d, a_d, psi_d), g)
+            assert all(type(v) is float for v in acc)
+            assert packed(acc) == packed(old_acc.tolist())
+
+            f = float(rng.uniform(0.5, 36.0))
+            psi = euler_of_R(x)[2]
+            w_cmd = attitude_loop(x, acc, f, psi, psi_d, g, p)
+            old_w_cmd = old_attitude_loop(x, old_acc, f, psi, psi_d, g, p)
+            assert all(type(v) is float for v in w_cmd)
+            assert packed(w_cmd) == packed(old_w_cmd.tolist())
+
+            tau = body_rate_loop(x, w_cmd, g, p)
+            old_tau = old_body_rate_loop(x, old_w_cmd, g, p)
+            assert all(type(v) is float for v in tau)
+            assert packed(tau) == packed(old_tau.tolist())

@@ -1,8 +1,13 @@
 """Rigid-body dynamics: vector field, integrator, and rotation utilities."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import quadsafe
 from quadsafe.dynamics import (
     NonFiniteState,
     QuadParams,
@@ -228,3 +233,48 @@ class TestRotationUtilities:
         phi, theta, psi = euler_of_R(flat_of(QuadState(R=R)))
         assert theta == pytest.approx(np.pi / 2, abs=1e-6)
         assert np.isfinite(phi) and np.isfinite(psi)
+
+
+# Projects one non-finite input in a fresh interpreter and prints the name of
+# what it raised. LAPACK may not return on an infinite entry, so the test
+# runs it under a timeout: a lost check fails instead of hanging the suite.
+_NON_FINITE_CHILD = """
+import sys
+import numpy as np
+from quadsafe.dynamics import QuadParams, project_to_rotation
+from quadsafe.oracle import flow
+
+value, form = float(sys.argv[1]), sys.argv[2]
+try:
+    if form == "single":
+        R = np.eye(3)
+        R[1, 2] = value
+        project_to_rotation(R)
+    elif form == "stack":
+        R = np.tile(np.eye(3), (5, 1, 1))
+        R[3, 2, 0] = value
+        project_to_rotation(R)
+    else:  # an oracle flow whose stencil end state is not finite
+        x = np.zeros((4, 18))
+        x[:, [3, 7, 11]] = 1.0
+        x[2, 15] = value
+        with np.errstate(all="ignore"):  # RK4 on columns forms inf - inf
+            flow(x, np.full(4, 4.0), np.zeros((4, 3)), QuadParams(), np.full(4, 1e-4))
+except Exception as exc:
+    print(type(exc).__name__)
+else:
+    print("returned")
+"""
+
+
+@pytest.mark.parametrize("form", ["single", "stack", "flow"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_projection_raises_before_the_svd(value, form):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadsafe.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _NON_FINITE_CHILD, value, form],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "NonFiniteState"

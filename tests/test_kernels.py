@@ -5,15 +5,18 @@ lateral_rows and the 2-D solver batch many small products into one numpy
 call, each family in the layout the code uses, and must round every product
 as the separate numpy call did. The oracle runs many RK4 flows as float64
 columns and re-projects them with one stacked SVD, and must give each flow
-the bits of its own float integration and single-matrix projection. Each test here checks one such identity on
-random data (zeros, -0.0, subnormals and scales 1e-150..1e150 included), so
-that a numpy or BLAS build that breaks one fails here, by name, and not
-only as a bitwise mismatch of a whole row or QP.
+the bits of its own float integration and single-matrix projection; the
+projection calls numpy's SVD kernel without its Python wrapper. Each test
+here checks one such identity on random data (zeros, -0.0, subnormals and
+scales 1e-150..1e150 included), so that a numpy or BLAS build that breaks
+one fails here, by name, and not only as a bitwise mismatch of a whole row
+or QP.
 """
 
 import math
 
 import numpy as np
+from numpy.linalg._umath_linalg import svd_f
 
 from quadsafe.dynamics import QuadParams, deriv, rk4_flat
 from quadsafe.qp import _clip
@@ -161,6 +164,21 @@ def test_stacked_svd_is_the_single_svd():
     stack = sample(rng, 600, 3, 3)
     for got, want in zip(np.linalg.svd(stack), zip(*map(np.linalg.svd, stack))):
         same(got, np.array(want))
+
+
+def test_svd_kernel_is_np_linalg_svd():
+    # project_to_rotation calls svd_f, the gufunc np.linalg.svd runs for
+    # float64 with full matrices, without the wrapper; on one matrix and on a
+    # stack it must return the wrapper's bits. A numpy that moves or changes
+    # the private kernel fails here (or at import of quadsafe.dynamics).
+    rng = np.random.default_rng(12)
+    stack = sample(rng, 600, 3, 3)
+    with np.errstate(all="ignore"):
+        for got, want in zip(svd_f(stack, signature="d->ddd"), np.linalg.svd(stack)):
+            same(got, want)
+        for m in stack:
+            for got, want in zip(svd_f(m, signature="d->ddd"), np.linalg.svd(m)):
+                same(got, want)
 
 
 def test_batched_3x3_products_are_the_single_dots():

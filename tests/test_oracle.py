@@ -19,6 +19,7 @@ from quadsafe.oracle import (
     FD_DT,
     FD_SUBSTEPS,
     ChainCheck,
+    check_all_chains,
     check_chain,
     default_spec,
     evaluate_chain,
@@ -116,3 +117,12 @@ def test_memory_does_not_grow_with_states():
 
     one_block, eight_blocks = peak(FD_BLOCK), peak(8 * FD_BLOCK)
     assert eight_blocks <= 1.5 * one_block, (one_block, eight_blocks)
+
+
+@pytest.mark.parametrize("n_states", [0, -5])
+def test_no_states_is_an_error(n_states):
+    # An oracle that checked no state must not report errors of 0.0.
+    with pytest.raises(ValueError, match="n_states"):
+        check_chain(BarrierDomain.ALTITUDE_POSITION, n_states=n_states)
+    with pytest.raises(ValueError, match="n_states"):
+        check_all_chains(n_states=n_states)

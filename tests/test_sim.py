@@ -10,7 +10,7 @@ import pytest
 from quadsafe import qp
 from quadsafe.barriers import BarrierDomain, BarrierSpec, EcbfGains
 from quadsafe.config import PRESETS, load_preset
-from quadsafe.controller import ControllerGains
+from quadsafe.controller import ControllerGains, Reference
 from quadsafe.dynamics import QuadState
 from quadsafe.sim import (
     ReferenceConfig,
@@ -20,6 +20,27 @@ from quadsafe.sim import (
     reference_at,
     run,
 )
+
+
+def old_reference_at(t, cfg):
+    # Verbatim copy of the array form reference_at replaced: the same floats,
+    # returned as numpy arrays.
+    r_d, v_d, a_d = [], [], []
+    for a, w in zip(cfg.amplitude.tolist(), cfg.frequency.tolist()):
+        wt = w * t
+        # math's sin/cos equal numpy's on every preset's w * t (checked in
+        # tests/test_sim.py); math.atan2 differs from np.arctan2, which stays.
+        sin, cos = math.sin(wt), math.cos(wt)
+        r_d.append(a * sin)
+        v_d.append(a * w * cos)
+        a_d.append(-a * (w * w) * sin)
+    if cfg.yaw_mode == "atan2":
+        psi_d = 0.0 if (r_d[0] == 0.0 and r_d[1] == 0.0) else float(
+            np.arctan2(r_d[1], r_d[0])
+        )
+    else:
+        psi_d = cfg.yaw_constant
+    return Reference(np.array(r_d), np.array(v_d), np.array(a_d), psi_d)
 
 
 def alt_barrier(active_from=0.0, half_width=2.0):
@@ -54,8 +75,34 @@ class TestReference:
             ref = reference_at(t, cfg)
             rp = reference_at(t + eps, cfg)
             rm = reference_at(t - eps, cfg)
-            assert np.allclose((rp.r_d - rm.r_d) / (2 * eps), ref.v_d, atol=1e-6)
-            assert np.allclose((rp.v_d - rm.v_d) / (2 * eps), ref.a_d, atol=1e-5)
+            assert np.allclose((np.asarray(rp.r_d) - np.asarray(rm.r_d)) / (2 * eps),
+                               ref.v_d, atol=1e-6)
+            assert np.allclose((np.asarray(rp.v_d) - np.asarray(rm.v_d)) / (2 * eps),
+                               ref.a_d, atol=1e-5)
+
+    def test_floats_are_the_array_form_on_every_preset_grid(self):
+        # reference_at returns float tuples; on every step a preset takes,
+        # in both yaw modes, they hold the array form's bits.
+        grids = {}
+        for name in PRESETS:
+            scenario = load_preset(name)
+            cfg = scenario.reference
+            key = (tuple(cfg.amplitude.tolist()), tuple(cfg.frequency.tolist()), scenario.dt)
+            n = int(round(scenario.duration / scenario.dt))
+            if n > grids.get(key, (None, 0, 0.0))[1]:
+                grids[key] = (cfg, n, scenario.dt)
+        n_steps = 0
+        for cfg, n, dt in grids.values():
+            for mode in (cfg, dataclasses.replace(cfg, yaw_mode="constant", yaw_constant=0.7)):
+                for k in range(n):
+                    t = k * dt
+                    new, old = reference_at(t, mode), old_reference_at(t, mode)
+                    got = [*new.r_d, *new.v_d, *new.a_d, new.psi_d]
+                    want = [*old.r_d.tolist(), *old.v_d.tolist(), *old.a_d.tolist(), old.psi_d]
+                    assert all(type(v) is float for v in got), (t, got)
+                    assert struct.pack("<10d", *got) == struct.pack("<10d", *want), (t, mode)
+            n_steps += n
+        assert n_steps >= 45_000
 
     def test_yaw_tracks_position_direction(self):
         cfg = ReferenceConfig()
