@@ -11,6 +11,7 @@ call, because float arithmetic does not round it as numpy does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +51,7 @@ class ControllerGains:
             raise ValueError("controller gains must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(NamedTuple):
     """Desired position, velocity and acceleration (3 floats each) and yaw."""
 
     r_d: tuple[float, float, float]

@@ -4,13 +4,15 @@ Both filters minimize the deviation from the nominal input subject to
 stacked barrier rows (a . u + b >= 0) and actuator box bounds:
 
 * high level: scalar thrust, solved by exact interval intersection;
-* low level: 2-D moment vector, solved by exhaustive active-set (KKT)
-  enumeration, exact at this dimension. First the projection onto the
-  violated row farthest from the nominal is tried: when a KKT certificate
-  shows the enumeration would return it, it is returned at once. Otherwise the
-  candidates are screened in plain floats and only those the screen cannot
-  rule out are evaluated with numpy. Either way the result is bitwise that
-  of evaluating every candidate with numpy.
+* low level: 2-D moment vector, whose result is by definition that of the
+  exhaustive active-set (KKT) enumeration, exact at this dimension: the
+  nominal input, the projection onto each row and the vertex of each pair
+  of rows, the nearest feasible candidate with nonnegative multipliers
+  winning. Most problems are settled before it runs. The nominal passes
+  through when it is feasible; otherwise a guessed active set of one row,
+  then of two, is returned when a Lagrangian certificate shows that the
+  enumeration would return it. Either way the result is bit for bit the
+  enumeration's.
 
 Each filter builds one (a, b, h, H) row per active barrier (altitude_row,
 lateral_rows) and returns (applied input, QP solution, rows); the QP itself
@@ -38,11 +40,6 @@ _A_EPS = 1e-12       # below this, a row does not involve the decision variable
 _FEAS_TOL = 1e-9
 _LAMBDA_TOL = 1e-12
 _NORM2_CLEAR = 1.001e-24  # |a|^2 at or above this: norm(a) >= _A_EPS in any rounding
-# The 2-D screen's margin, relative to a bound on each float test's rounding
-# (about 1e5 unit roundoffs); pairs with a Frobenius condition number above
-# _SCREEN_KAPPA always take the numpy path.
-_SCREEN_MARGIN = 1e-11
-_SCREEN_KAPPA = 1e10
 
 
 class QpStatus(enum.Enum):
@@ -152,22 +149,21 @@ def solve_interval(
 
 
 def _solve_2d(p: QpProblem) -> QpSolution:
-    """Exhaustive KKT enumeration: the nominal input, the projection onto each
-    row and the vertex of each pair of rows, keeping the nearest feasible
-    candidate whose multipliers are nonnegative.
+    """The exhaustive KKT enumeration's result (see _enumerate), in four steps:
 
-    When the nominal is infeasible, _certified_projection first tries the
-    projection onto the farthest violated row and returns it when its
-    certificate holds. Otherwise each candidate is screened in plain floats
-    (Cramer's rule for the vertices). A candidate is dropped only when a
-    float test fails by more than _SCREEN_MARGIN times a bound on its
-    rounding, so the numpy test would fail too; NaN, overflow and pairs worse
-    conditioned than _SCREEN_KAPPA never pass the screen's comparisons and go
-    to the numpy path. The survivors are evaluated with numpy in enumeration
-    order, so the result is the same as evaluating every candidate with numpy.
+    1. One np.vecdot gives every a . u_hat. When they pass the enumeration's
+       feasibility test, u_hat is returned: it is the enumeration's first
+       candidate, with objective 0, so no later one can replace it.
+    2. Otherwise guess the active set {i}, i being the row farthest from
+       u_hat (largest s^2 / |a|^2, s = a . u_hat + b) among those u_hat
+       violates, and return _certified_projection's result when it holds.
+    3. If the projection u_i violates another row, take j as the row it
+       violates farthest, and try the certificate on the pair (i, j), in
+       index order as the enumeration pairs them.
+    4. Otherwise run the enumeration.
     """
     cons, a_stack = _constraint_list(p)
-    live = []  # rows involving u: (index, a, b, a0, a1, |a|_1, |a|^2, margin * |b|)
+    live = []  # rows involving u: (index, a, b, a0, a1, |a|_1, |a|^2)
     for i, (a, b, (a0, a1)) in enumerate(cons):
         n2 = a0 * a0 + a1 * a1
         if not n2 >= _NORM2_CLEAR:  # zero, NaN or near _A_EPS: numpy's norm decides
@@ -177,163 +173,166 @@ def _solve_2d(p: QpProblem) -> QpSolution:
                 return QpSolution(np.clip(p.u_hat, p.lower, p.upper), QpStatus.INFEASIBLE)
             if not norm >= _A_EPS:
                 continue
-        live.append((i, a, b, a0, a1, abs(a0) + abs(a1), n2, _SCREEN_MARGIN * abs(b)))
+        live.append((i, a, b, a0, a1, abs(a0) + abs(a1), n2))
 
+    a_uh = np.vecdot(a_stack, p.u_hat).tolist()
+    if _feasible(live, a_uh):
+        return QpSolution(p.u_hat.astype(float), QpStatus.OPTIMAL, (),
+                          _primal_residual(cons, a_uh))
+    first = _farthest_violated(live, a_uh)
+    if first is not None:
+        certified, a_u = _certified_projection(p, cons, a_stack, live, a_uh, (first,))
+        if certified is not None:
+            return certified
+        second = None if a_u is None else _farthest_violated(live, a_u)
+        if second is not None and second is not first:
+            pair = (first, second) if first[0] < second[0] else (second, first)
+            certified, _ = _certified_projection(p, cons, a_stack, live, a_uh, pair)
+            if certified is not None:
+                return certified
+    return _enumerate(p, cons, a_stack, live, a_uh)
+
+
+def _feasible(live: list[tuple], a_u: list[float]) -> bool:
+    """The enumeration's feasibility test, given every a . u from np.vecdot
+    (the kernel of a 1-D a @ u, which the 2-D A @ u, BLAS gemv, is not)."""
+    return all(a_u[i] + b >= -_FEAS_TOL for i, _, b, *_ in live)
+
+
+def _farthest_violated(live: list[tuple], a_u: list[float]) -> tuple | None:
+    """The row that u violates farthest (largest s^2 / |a|^2), or None."""
+    far, worst = 0.0, None
+    for row in live:
+        s = a_u[row[0]] + row[2]
+        if s < -_FEAS_TOL and s * s / row[6] > far:
+            far, worst = s * s / row[6], row
+    return worst
+
+
+def _candidate(u_hat: np.ndarray, a_uh: list[float], rows: tuple
+               ) -> tuple[np.ndarray, list[float]] | None:
+    """The enumeration's candidate on the lines of one or two live rows, as
+    (u, multipliers); None when the enumeration skips it.
+
+    One row gives the projection of u_hat. A pair, which must be in index
+    order, gives np.linalg.solve's vertex, whose LU pivoting depends on the
+    row order, and the multipliers from the normal equations."""
+    if len(rows) == 1:
+        ((i, a, b, *_),) = rows
+        lam = -(a_uh[i] + b) / float(a @ a)  # a_uh[i] is a @ u_hat, bit for bit
+        return (u_hat + lam * a, [lam]) if lam >= -_LAMBDA_TOL else None
+    (_, ai, bi, ai0, ai1, *_), (_, aj, bj, aj0, aj1, *_) = rows
+    if abs(ai0 * aj1 - ai1 * aj0) < 1e-12:  # the same det numpy computes from [ai, aj]
+        return None
+    A = np.array([ai, aj])
+    try:
+        u = np.linalg.solve(A, -np.array([bi, bj]))
+        lam = np.linalg.solve(A @ A.T, A @ (u - u_hat)).tolist()
+    except np.linalg.LinAlgError:  # near-parallel pair, ill-conditioned
+        return None
+    return (u, lam) if all(m >= -_LAMBDA_TOL for m in lam) else None
+
+
+def _enumerate(p: QpProblem, cons: list[tuple], a_stack: np.ndarray, live: list[tuple],
+               a_uh: list[float]) -> QpSolution:
+    """Exhaustive KKT enumeration for an infeasible nominal: the projection
+    onto each row and the vertex of each pair of rows, in index order,
+    keeping the nearest feasible candidate whose multipliers are nonnegative;
+    a later candidate replaces it only when nearer by more than 1e-15."""
     x0, x1 = p.u_hat.tolist()
-    s = abs(x0) + abs(x1)
-
-    def clearly_infeasible(u0: float, u1: float, scale: float) -> bool:
-        # scale bounds |u|_1 plus the point's float-vs-numpy error.
-        ms = _SCREEN_MARGIN * scale
-        for _, _, b, a0, a1, n1, _, mb in live:
-            if a0 * u0 + a1 * u1 + b + n1 * ms + mb < -_FEAS_TOL:
-                return True
-        return False
-
-    vals = [a0 * x0 + a1 * x1 + b for _, _, b, a0, a1, _, _, _ in live]
-    margins = [n1 * _SCREEN_MARGIN * s + mb for _, _, _, _, _, n1, _, mb in live]
-    if all(v - m >= -_FEAS_TOL for v, m in zip(vals, margins)):
-        # u_hat is feasible: it has objective 0, so no candidate can replace it.
-        u = p.u_hat.astype(float)
-        return QpSolution(
-            u, QpStatus.OPTIMAL, (), _primal_residual(cons, np.vecdot(a_stack, u).tolist()))
-    certified = _certified_projection(p, cons, a_stack, live, vals, margins)
-    if certified is not None:
-        return certified
-
-    def feasible(u: np.ndarray) -> bool:
-        # Every a . u in one np.vecdot: the kernel of a 1-D a @ u, which the
-        # 2-D A @ u (BLAS gemv) is not.
+    best = None
+    for rows in itertools.chain(((row,) for row in live), itertools.combinations(live, 2)):
+        candidate = _candidate(p.u_hat, a_uh, rows)
+        if candidate is None:
+            continue
+        u = candidate[0]
         a_u = np.vecdot(a_stack, u).tolist()
-        return all(a_u[i] + b >= -_FEAS_TOL for i, _, b, *_ in live)
-
-    best: tuple[float, np.ndarray, tuple[int, ...]] | None = None
-
-    def consider(u: np.ndarray, active: tuple[int, ...]) -> None:
-        nonlocal best
-        if not feasible(u):
-            return
+        if not _feasible(live, a_u):
+            continue
         u0, u1 = u.tolist()
         d0, d1 = u0 - x0, u1 - x1
         obj = 0.5 * (d0 * d0 + d1 * d1)  # 0.5 * np.sum((u - p.u_hat) ** 2), bit for bit
         if best is None or obj < best[0] - 1e-15:
-            best = (obj, u, active)
-
-    if not any(v + m < -_FEAS_TOL for v, m in zip(vals, margins)):
-        consider(p.u_hat.astype(float).copy(), ())
-    for (i, a, b, a0, a1, n1, n2, mb), v in zip(live, vals):
-        lam = -v / n2
-        if lam + (n1 * _SCREEN_MARGIN * s + mb) / n2 + _SCREEN_MARGIN * abs(lam) < -_LAMBDA_TOL:
-            continue
-        u0, u1 = x0 + lam * a0, x1 + lam * a1
-        if clearly_infeasible(u0, u1, abs(u0) + abs(u1) + s):
-            continue
-        viol = a @ p.u_hat + b
-        lam = -viol / float(a @ a)
-        if lam >= -_LAMBDA_TOL:
-            consider(p.u_hat + lam * a, (i,))
-    for (i, ai, bi, ai0, ai1, n1i, n2i, _), (j, aj, bj, aj0, aj1, n1j, n2j, _) in (
-        itertools.combinations(live, 2)
-    ):
-        det = ai0 * aj1 - ai1 * aj0  # the same float numpy computes from [ai, aj]
-        abs_det = abs(det)
-        if abs_det < 1e-12:
-            continue
-        kappa = (n2i + n2j) / abs_det  # Frobenius condition number of [ai, aj]
-        if kappa <= _SCREEN_KAPPA:
-            u0 = (bj * ai1 - bi * aj1) / det
-            u1 = (bi * aj0 - bj * ai0) / det
-            d0, d1 = u0 - x0, u1 - x1
-            lam_i = (d0 * aj1 - d1 * aj0) / det
-            lam_j = (d1 * ai0 - d0 * ai1) / det
-            scale = abs(u0) + abs(u1) + s
-            # numpy takes the multipliers from the normal equations (condition
-            # kappa^2), so this test can only drop a pair while kappa^2 * margin < 1.
-            m = _SCREEN_MARGIN * kappa * (
-                kappa * (abs(lam_i) + abs(lam_j)) + (n1i + n1j) * scale / abs_det)
-            if lam_i + m < -_LAMBDA_TOL or lam_j + m < -_LAMBDA_TOL:
-                continue
-            if clearly_infeasible(u0, u1, kappa * scale):
-                continue
-        A = np.array([ai, aj])
-        try:
-            u = np.linalg.solve(A, -np.array([bi, bj]))
-            lam = np.linalg.solve(A @ A.T, A @ (u - p.u_hat))
-        except np.linalg.LinAlgError:  # near-parallel pair, ill-conditioned
-            continue
-        if np.all(lam >= -_LAMBDA_TOL):
-            consider(u, (i, j))
+            best = (obj, u, rows, a_u)
     if best is None:
         return QpSolution(np.clip(p.u_hat, p.lower, p.upper), QpStatus.INFEASIBLE)
-    obj, u, active = best
-    return QpSolution(
-        u, QpStatus.OPTIMAL, active, _primal_residual(cons, np.vecdot(a_stack, u).tolist()))
+    _, u, rows, a_u = best
+    return QpSolution(u, QpStatus.OPTIMAL, tuple(row[0] for row in rows),
+                      _primal_residual(cons, a_u))
 
 
-def _certified_projection(
-    p: QpProblem,
-    cons: list[tuple[np.ndarray, float, list[float]]],
-    a_stack: np.ndarray,
-    live: list[tuple],
-    vals: list[float],
-    margins: list[float],
-) -> QpSolution | None:
-    """_solve_2d's result when a certificate shows it is the projection u_i
-    onto one row i; None when the certificate does not hold.
+def _certified_projection(p: QpProblem, cons: list[tuple], a_stack: np.ndarray, live: list[tuple],
+                          a_uh: list[float], rows: tuple
+                          ) -> tuple[QpSolution | None, list[float] | None]:
+    """The enumeration's result when a certificate shows that it is the
+    candidate u_S of the guessed active set S = rows (one live row, or two in
+    index order), else None; and every a . u_S (None when the enumeration
+    skips u_S). Call it only when u_hat fails the feasibility test.
 
-    The guess i is the row farthest from u_hat (largest v^2 / |a|^2) among
-    those the screen finds clearly violated there, so the nominal is no
-    candidate. u_i is evaluated with the enumeration's own numpy expressions.
-    For any candidate u_c passing the feasibility test,
-    obj(u_c) = obj(u_i) + lam_i (a_i . u_c + b_i) + 1/2 |u_c - u_i|^2
-    and a_i . u_c + b_i >= -_FEAS_TOL. Every candidate but u_i lies on the
-    line of some row k != i, up to its solve's backward error e_k, so
-    |u_c - u_i| >= |s_k| / |a_k| - e_k with s_k = a_k . u_i + b_k. When for
-    every k that bound makes obj(u_c) exceed obj(u_i) by more than the
-    enumeration's 1e-15 tie margin, the enumeration returns exactly
-    (u_i, (i,)), whatever order it visits the candidates in. The rounding
-    terms are bounded generously (about 100 unit roundoffs) through r,
-    which bounds |u_c|_inf because the box faces are among the rows.
+    u_S and its multipliers lam >= 0 come from the enumeration's own
+    expressions (_candidate). With g = (u_S - u_hat) - sum_S lam_k a_k, the
+    stationarity residual (lam is inexact: numpy takes it from the normal
+    equations, and u_S is rounded), any u_c passing the feasibility test has
+    obj(u_c) = obj(u_S) + sum_S lam_k (s_k(u_c) - s_k(u_S)) + g . (u_c - u_S)
+               + 1/2 |u_c - u_S|^2,   s_k(u) = a_k . u + b_k,
+    where s_k(u_c) >= -_FEAS_TOL and |u_c - u_S| <= 3 r, since the box faces
+    are among the rows (r bounds |u|_inf). Every candidate lies on the line
+    of some row k not in S, up to its solve's backward error e_k, except
+    u_hat, u_S itself and, for a pair, the projection onto each of its rows,
+    which must fail the feasibility test. So |u_c - u_S| >= |s_k(u_S)| /
+    |a_k| - e_k. When for every k that bound makes obj(u_c) exceed obj(u_S)
+    by more than the enumeration's 1e-15 tie margin, the enumeration returns
+    exactly (u_S, S), whatever order it visits the candidates in. The
+    rounding terms are bounded generously (about 100 unit roundoffs).
     """
-    far, guess = 0.0, None
-    for row, v, m in zip(live, vals, margins):
-        if v + m < -_FEAS_TOL and v * v / row[6] > far:
-            far, guess = v * v / row[6], row
-    if guess is None:
-        return None
-    i, a, b, _, _, n1_i, _, _ = guess
-    viol = a @ p.u_hat + b
-    lam = -viol / float(a @ a)
-    u = p.u_hat + lam * a
+    candidate = _candidate(p.u_hat, a_uh, rows)
+    if candidate is None:
+        return None, None
+    u, lam = candidate
     a_u = np.vecdot(a_stack, u).tolist()
-    lam = float(lam)
-    own = a_u[i] + b
-    if not (lam >= 0.0 and own >= -_FEAS_TOL):
-        return None
+    if not min(lam) >= 0.0:  # never NaN: _candidate refuses NaN multipliers
+        return None, a_u
+    if len(rows) == 2:
+        for row in rows:
+            single = _candidate(p.u_hat, a_uh, (row,))
+            if single is not None and _feasible(live, np.vecdot(a_stack, single[0]).tolist()):
+                return None, a_u
     (lo0, lo1), (hi0, hi1) = p.lower.tolist(), p.upper.tolist()
     r = max(abs(lo0), abs(lo1), abs(hi0), abs(hi1)) * (1.0 + 1e-12) + 2e-9
-    x0, x1 = p.u_hat.tolist()
+    (x0, x1), (u0, u1) = p.u_hat.tolist(), u.tolist()
     uh = abs(x0) + abs(x1)
+    g0, g1 = u0 - x0, u1 - x1
+    g_scale = abs(u0) + abs(u1) + uh
+    # The tie margin and a bound on the objectives' rounding, then for each
+    # row of S lam_k times (_FEAS_TOL plus bounds on s_k(u_S) and on the
+    # rounding of the feasibility test).
+    span = 3.0 * r + uh
+    rhs = 1e-15 + 1e-14 * span * span
+    for (k, _, b_k, a0, a1, n1, _), m in zip(rows, lam):
+        own = a_u[k] + b_k
+        if not own >= -_FEAS_TOL:
+            return None, a_u
+        rhs += m * (_FEAS_TOL + abs(own) + 1e-14 * (n1 * r + abs(b_k)))
+        g0, g1 = g0 - m * a0, g1 - m * a1
+        g_scale += m * n1
+    # |g| . |u_c - u_S|: g as computed, plus a bound on its rounding.
+    rhs += 3.0 * r * (abs(g0) + abs(g1) + 1e-14 * g_scale)
     n1_max = max(row[5] for row in live)
-    # lam times (_FEAS_TOL plus bounds on a_i . u_i + b_i and on the
-    # rounding of the feasibility test), the tie margin, and bounds on the
-    # objectives' rounding and on u_i's distance from u_hat + lam * a_i.
-    rhs = (lam * (_FEAS_TOL + abs(own) + 1e-14 * (n1_i * r + abs(b))) + 1e-15
-           + 1e-14 * (3.0 * r + uh + lam * n1_i) ** 2)
-    for k, _, b_k, _, _, n1, n2, _ in live:
-        if k == i:
+    active = tuple(row[0] for row in rows)
+    for k, _, b_k, _, _, n1, n2 in live:
+        if k in active:
             continue
         s_k = a_u[k] + b_k
         if not s_k >= -_FEAS_TOL:
-            return None
-        # |a_k| times the bound on |u_c - u_i|: |s_k| less bounds on its own
+            return None, a_u
+        # |a_k| times the bound on |u_c - u_S|: |s_k| less bounds on its own
         # rounding and on e_k (a projection's, and a vertex's from LU with
         # partial pivoting), and 1e-12 of it for the rounding of this test.
         d = abs(s_k) * (1.0 - 1e-12) - 1e-14 * (
             n1 * (3.0 * r + uh) + 2.0 * n1_max * r + 2.0 * abs(b_k))
         if not (d > 0.0 and 0.5 * d * d > rhs * n2):
-            return None
-    return QpSolution(u, QpStatus.OPTIMAL, (i,), _primal_residual(cons, a_u))
+            return None, a_u
+    return QpSolution(u, QpStatus.OPTIMAL, active, _primal_residual(cons, a_u)), a_u
 
 
 def _primal_residual(cons: list[tuple[np.ndarray, float, list[float]]], a_u: list[float]

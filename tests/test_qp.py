@@ -277,7 +277,7 @@ class TestKktResidual:
 
 # ---------------------------------------------------------------------------
 # Reference 2-D solver: the exhaustive numpy KKT enumeration that the
-# float-screened solver must reproduce bit for bit. Copied verbatim (only the
+# certified solver must reproduce bit for bit. Copied verbatim (only the
 # names carry a ref_ prefix); it evaluates every candidate with numpy.
 
 REF_A_EPS = 1e-12
@@ -348,7 +348,7 @@ def ref_primal_residual(p: QpProblem, u: np.ndarray) -> float:
     return max(res, 0.0)
 
 
-# The float-screened solver's own per-row loops, before every a . u went
+# The 2-D solver's earlier per-row loops, before every a . u went
 # through one broadcast np.vecdot. Copied verbatim (only the names carry a
 # ref_ prefix): the primal residual over its constraint list, and the
 # feasibility test over the rows involving u.
@@ -389,6 +389,7 @@ ADVERSARIAL_KINDS = (
     "plain", "on_row", "near_row", "zero_multiplier_vertex", "duplicate",
     "near_parallel", "ill_conditioned_vertex", "axis_parallel", "zero_row", "scaled",
     "nonfinite", "threshold_row", "duplicate_farthest", "tied_farthest", "violates_below_tol",
+    "threshold_vertex",
 )
 NEAR_ROW_OFFSETS = (1e-9, -1e-9, 1e-9 * (1 + 2**-30), -1e-9 * (1 - 2**-30),
                     5e-10, -5e-10, 2e-9, -2e-9, 1e-12, -1e-12)
@@ -398,13 +399,13 @@ NONFINITE = (np.nan, np.inf, -np.inf)
 
 
 def adversarial_problem(kind, rng):
-    """A 2-D QP built to sit on one of the screen's edges: the nominal input
+    """A 2-D QP built to sit on one of the solver's edges: the nominal input
     on or within 1e-9 of a row, a vertex that coincides with a projection (a
     multiplier of ~0), duplicate rows, near-parallel pairs (|det| ~ 1e-12 and
     ~ 1e-6 * scale), a near-parallel pair whose vertex is the optimum or a
     zero-multiplier vertex with a third row through it, rows nearly parallel
-    to a box face, zero rows, row scales 1e+-6, or NaN/inf in a, b or
-    u_hat."""
+    to a box face, zero rows, row scales 1e+-6, NaN/inf in a, b or u_hat,
+    or a row on either side of a certificate's threshold."""
     bound = float(rng.choice([20.0, 5.0, 1e-3, 1e4]))
     u_hat = rng.normal(size=2) * bound * float(rng.choice([0.3, 1.0, 2.0]))
     rows = [(rng.normal(size=2) * 10.0 ** rng.uniform(-1, 3), float(rng.normal() * 100.0))
@@ -497,6 +498,25 @@ def adversarial_problem(kind, rng):
                 rows.append((a0, rows[0][1] + c * REF_FEAS_TOL))
         rows += [(rng.normal(size=2), float(rng.uniform(0.0, 1.0)) * bound)
                  for _ in range(int(rng.integers(0, 2)))]
+    elif kind == "threshold_vertex":
+        # Rows 0 and 1 cross at v at 20..160 degrees, and u_hat = v - (lam_0
+        # a_0 + lam_1 a_1) with lam > 0, so v is the optimum. A third row,
+        # placed among them at random, has v on its feasible side (as have
+        # u_hat and both single-row projections) and its line at a factor f
+        # of sqrt(2 (sum(lam) _FEAS_TOL + 1e-15)), the pair certificate's
+        # main term, from v.
+        v = rng.uniform(-0.3, 0.3, size=2) * bound
+        phi, angle = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(np.pi / 9, 8 * np.pi / 9)
+        n0, n1 = (np.array([np.cos(phi + t), np.sin(phi + t)]) for t in (0.0, angle))
+        a0, a1 = (n * 10.0 ** rng.uniform(-2, 2) for n in (n0, n1))
+        lam = rng.uniform(0.05, 0.3, size=2) * bound / np.sqrt([a0 @ a0, a1 @ a1])
+        u_hat = v - (lam[0] * a0 + lam[1] * a1)
+        t = np.sqrt(2.0 * (lam.sum() * REF_FEAS_TOL + 1e-15))
+        f = float(rng.choice([0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 2.0, 10.0, 1e3]))
+        a2 = -(n0 + n1) / np.sqrt((n0 + n1) @ (n0 + n1)) * 10.0 ** rng.uniform(-2, 2)
+        rows = [(a0, -float(a0 @ v)), (a1, -float(a1 @ v))]
+        b2 = -float(a2 @ v) + f * t * float(np.sqrt(a2 @ a2))
+        rows.insert(int(rng.integers(0, 3)), (a2, b2))
     elif kind == "tied_farthest":
         # Rows at exactly the same distance from u_hat = 0 (equal b, a's
         # entries swapped or negated), so each is a farthest row.
@@ -524,14 +544,16 @@ def adversarial_problem(kind, rng):
                      upper=np.array([bound, bound]))
 
 
-def record_certificates(monkeypatch) -> list[bool]:
-    """Whether each later _certified_projection call certifies, in order."""
+def record_certificates(monkeypatch, size=1) -> list[bool]:
+    """Whether each later _certified_projection call on an active set of
+    `size` rows certifies, in order."""
     outcomes = []
     certify = qp._certified_projection
 
     def recording(*args):
         result = certify(*args)
-        outcomes.append(result is not None)
+        if len(args[-1]) == size:
+            outcomes.append(result[0] is not None)
         return result
 
     monkeypatch.setattr(qp, "_certified_projection", recording)
@@ -596,21 +618,23 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
     def test_fig7_second_is_certified_without_near_parallel_solves(
             self, fig7_second_qps, monkeypatch):
         # On the QPs whose nominal is infeasible, the certified projection
-        # returns at least 95% of the time, and no pair with a Frobenius
-        # condition number above _SCREEN_KAPPA reaches np.linalg.solve.
-        outcomes, kappas = record_certificates(monkeypatch), []
-        solve = np.linalg.solve
-
-        def counting_solve(A, b):
-            kappas.append(np.linalg.cond(A, "fro"))
-            return solve(A, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        # returns at least 95% of the time; and over fig7-unified's first
+        # 3 s every lateral QP passes through or is certified, so none
+        # reaches the enumeration.
+        outcomes = record_certificates(monkeypatch)
         for p in fig7_second_qps:
             solve_qp(p)
         assert len(outcomes) >= 500
         assert sum(outcomes) >= 0.95 * len(outcomes), (sum(outcomes), len(outcomes))
-        assert all(k <= qp._SCREEN_KAPPA for k in kappas), max(kappas)
+        enumerated, enumerate_ = [], qp._enumerate
+
+        def counting_enumerate(p, *args):
+            enumerated.append(p)
+            return enumerate_(p, *args)
+
+        monkeypatch.setattr(qp, "_enumerate", counting_enumerate)
+        run(dataclasses.replace(load_preset("fig7-unified"), duration=3.0))
+        assert enumerated == []
 
     def test_threshold_rows_straddle_the_certificate(self, monkeypatch):
         # The threshold_row kind must keep the certificate's edge covered:
@@ -622,6 +646,34 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
             with np.errstate(all="ignore"):
                 solve_qp(adversarial_problem("threshold_row", rng))
         assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
+
+    def test_threshold_vertices_straddle_the_pair_certificate(self, monkeypatch):
+        # The same for the threshold_vertex kind and the certificate on a
+        # guessed pair: its third row passes the vertex close enough to fail
+        # the certificate on some problems and far enough to pass it on others.
+        outcomes = record_certificates(monkeypatch, size=2)
+        rng = np.random.default_rng(sum(map(ord, "threshold_vertex")))
+        for _ in range(300):
+            with np.errstate(all="ignore"):
+                solve_qp(adversarial_problem("threshold_vertex", rng))
+        assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
+
+    @pytest.mark.parametrize("kind", ["zero_multiplier_vertex", "ill_conditioned_vertex",
+                                      "threshold_vertex", "duplicate"])
+    def test_certificates_hold_for_any_guess(self, kind, monkeypatch):
+        # Each certificate must hold whatever active set is guessed: with the
+        # first and second guesses forced onto every pair of live rows, the
+        # result stays bitwise the enumeration's. On zero_multiplier_vertex
+        # this guesses pairs whose vertex is a single-row projection.
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(8):
+            p = adversarial_problem(kind, rng)
+            n_cons = len(p.rows) + 4
+            for first, second in itertools.product(range(n_cons), repeat=2):
+                guesses = iter([first, second])
+                monkeypatch.setattr(qp, "_farthest_violated",
+                                    lambda live, a_u: live[next(guesses) % len(live)])
+                assert_bitwise_as_reference(p)
 
     def test_batched_row_products_are_the_per_row_products(self):
         # _primal_residual and the feasibility test read every a . u from
