@@ -22,7 +22,10 @@ computes them with the kernel of a 1-D a @ u, so each equals the separate
 product bit for bit.
 
 On infeasibility the configurable fallback keeps the simulation alive; the
-default picks the least-infeasible admissible input (min-max violation).
+default picks the least-infeasible admissible input (min-max violation) in
+closed form: the least worst violation from the vertices of its epigraph
+linear program, then the same QP on the rows relaxed by it. The module needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -344,56 +347,41 @@ def _primal_residual(cons: list[tuple[np.ndarray, float, list[float]]], a_u: lis
     return max(res, 0.0)
 
 
-def kkt_residual(p: QpProblem, sol: QpSolution) -> float:
-    """KKT residual at sol: the larger of the stationarity residual's 2-norm
-    (nonnegative multipliers over the tight constraints, or the gradient
-    itself when none is tight) and the largest primal violation."""
-    from scipy.optimize import nnls
-
-    if sol.status is not QpStatus.OPTIMAL:
-        return float("inf")
-    cons, a_stack = _constraint_list(p)
-    u = sol.u_star
-    tight = [
-        a for a, b, _ in cons
-        if np.linalg.norm(a) >= _A_EPS
-        and abs(a @ u + b) <= 1e-7 * (1.0 + abs(b) + np.linalg.norm(a) * np.linalg.norm(u))
-    ]
-    grad = u - p.u_hat
-    if tight:
-        A = np.array(tight)
-        _, stat = nnls(A.T, grad)
-    else:
-        stat = np.linalg.norm(grad)
-    return max(float(stat), _primal_residual(cons, np.vecdot(a_stack, u).tolist()))
-
-
 def least_infeasible(p: QpProblem) -> np.ndarray:
     """Admissible input minimizing the worst constraint violation, breaking
     ties toward the nominal input.
 
-    Epigraph linear program: min t  s.t.  -a_i.u - t <= b_i, box, t >= 0,
-    solved with scipy's HiGHS. The LP alone lands on an arbitrary vertex
-    (often a torque-box corner, which kicks the attitude hard), so the rows
-    are then relaxed by the optimal violation t* and re-solved as the usual
-    projection QP: the result is the point nearest the nominal among the
-    least-infeasible inputs.
+    The least worst violation is the optimum of the epigraph linear program
+        min t  s.t.  a_i . u + b_i + t >= 0,  t >= 0,  lower <= u <= upper,
+    which sits at a vertex: a point (u, t) where n + 1 of these constraints
+    hold with equality, for n = 1 or 2 inputs. Each such system that is not
+    singular is solved, and the first vertex with the least t is kept among
+    those that satisfy every constraint to within 1e-9 of the size of its
+    terms. t* is the worst violation at that vertex's u, so u satisfies
+    the rows relaxed by t*. The vertex is often a box corner, which kicks the
+    attitude hard, so the rows are relaxed by t*(1 + 1e-9) + 1e-12 and
+    re-solved as the usual projection QP: the result is the point nearest the
+    nominal among the least-infeasible inputs. When the QP's feasibility test
+    still refuses the relaxed rows (a badly scaled row can round off its own
+    line), the vertex's u is returned, clipped to the box.
     """
-    from scipy.optimize import linprog
-
-    n = p.dim
-    rows = [(np.asarray(a, float), float(b)) for a, b in p.rows]
-    if not rows:
+    if not p.rows:
         return np.clip(p.u_hat, p.lower, p.upper)
-    A_ub = np.array([np.concatenate([-a, [-1.0]]) for a, _ in rows])
-    b_ub = np.array([b for _, b in rows])
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    bounds = [(float(p.lower[j]), float(p.upper[j])) for j in range(n)] + [(0.0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:  # should not happen: the epigraph LP is always feasible
-        return np.clip(p.u_hat, p.lower, p.upper)
-    t_star = float(res.x[-1])
+    n, k = p.dim, len(p.rows)
+    cons, _ = _constraint_list(p)
+    # Over (u, t): the rows (a_i, 1), the box faces (face, 0), then t >= 0.
+    G = np.array([a_list + [1.0] for _, _, a_list in cons[:k]]
+                 + [a_list + [0.0] for _, _, a_list in cons[k:]] + [[0.0] * n + [1.0]])
+    h = np.array([b for _, b, _ in cons] + [0.0])
+    idx = np.array(list(itertools.combinations(range(len(h)), n + 1)))
+    M = G[idx]
+    # A zero det is a zero pivot of the LU factors, on which solve would raise.
+    regular = np.linalg.det(M) != 0.0
+    X = np.linalg.solve(M[regular], -h[idx[regular]][..., None])[..., 0]
+    holds = X @ G.T + h >= -1e-9 * (np.abs(X) @ np.abs(G).T + np.abs(h))
+    t = np.where(holds.all(axis=1), X[:, n], np.inf)
+    u = X[int(np.argmin(t)), :n]
+    t_star = max(0.0, *[-(float(a @ u) + b) for a, b, _ in cons[:k]])
     slack = t_star * (1.0 + 1e-9) + 1e-12
     relaxed = QpProblem(
         u_hat=p.u_hat,
@@ -404,7 +392,7 @@ def least_infeasible(p: QpProblem) -> np.ndarray:
     sol = solve_qp(relaxed)
     if sol.status is QpStatus.OPTIMAL:
         return sol.u_star
-    return res.x[:n]
+    return np.clip(u, p.lower, p.upper)  # a box face's rounding in the solve
 
 
 def _fallback(

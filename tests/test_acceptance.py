@@ -17,10 +17,11 @@ from quadsafe.oracle import check_all_chains
 from quadsafe.qp import (
     QpProblem,
     QpStatus,
-    kkt_residual,
     solve_qp,
 )
 from quadsafe.sim import reference_at, run
+
+from kkt import kkt_residual
 
 EPS_NUM = 0.02          # discretization slack on barrier invariance
 ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)

@@ -3,10 +3,13 @@
 import csv
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quadsafe
 from quadsafe.cli import TRACE_HEADER, main
 
 TINY_SCENARIO = """\
@@ -208,3 +211,19 @@ class TestRunExport:
         main(["run", tiny_file, "--out", out])
         lines = open(os.path.join(out, "events.csv")).read().splitlines()
         assert lines[0] == "t,event_type,detail"
+
+
+def test_runs_without_scipy(tmp_path):
+    # The package needs numpy and PyYAML only; scipy serves the tests' oracles.
+    # A None entry in sys.modules makes every import of scipy fail.
+    code = ("import sys; sys.modules['scipy'] = None; from quadsafe.cli import main; "
+            "sys.exit(main(['run', 'presets:stress-infeasible', '--out', sys.argv[1]]))")
+    src = os.path.dirname(os.path.dirname(quadsafe.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "events.csv") as f:
+        assert any(ev["event_type"] == "infeasible" for ev in csv.DictReader(f))

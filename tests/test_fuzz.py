@@ -16,10 +16,12 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import quadsafe.qp as qp
 from quadsafe.cli import main
 
 MAX_STEPS = 50
@@ -158,3 +160,44 @@ def test_check_accepts_then_run_completes(data):
         with open(os.path.join(out, "events.csv")) as f:
             for event in csv.DictReader(f):
                 assert event["detail"] in EVENT_DETAILS[event["event_type"]], event
+
+
+def test_fallback_keeps_the_vertex_when_the_relaxed_qp_is_refused(monkeypatch, tmp_path):
+    """A case the fuzz search drew: a lateral_position barrier 2 m off
+    centre with a 5 cm half-width gives, on its first step, the single row
+    a = (0, 2.566e8), b = -9.216e8. My >= 3.592 satisfies it, but the
+    projection rounds off the row's line by more than the absolute
+    feasibility tolerance, so the 2-D QP and the relaxed re-solve both
+    report infeasible. least_infeasible then applies its least-violation
+    vertex: in the box, with t* = 0."""
+    calls = []
+    fallback = qp.least_infeasible
+
+    def least_infeasible(p):
+        u = fallback(p)
+        calls.append((p, u))
+        return u
+
+    monkeypatch.setattr(qp, "least_infeasible", least_infeasible)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({
+        "run": {"dt_s": 1e-3, "duration_s": 1e-3},
+        "barriers": [{"domain": "lateral_position", "c_x_m": -2.0, "p_x_m": 0.05}],
+    }))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    ((p, u),) = calls
+    ((a, b),) = p.rows
+    assert a[0] == 0.0 and a[1] > 1e8 and b < -1e8
+    assert qp.solve_qp(p).status is qp.QpStatus.INFEASIBLE
+    relaxed = qp.QpProblem(p.u_hat, ((a, b + 1e-12),), p.lower, p.upper)
+    assert qp.solve_qp(relaxed).status is qp.QpStatus.INFEASIBLE
+    assert np.all(p.lower <= u) and np.all(u <= p.upper)
+    assert -(float(a @ u) + b) <= 0.0  # t* = 0
+    # A vertex of the epigraph LP: on the row's line and on a box face.
+    assert abs(float(a @ u) + b) <= 1e-12 * abs(b) and u[0] in (p.lower[0], p.upper[0])
+    with open(tmp_path / "out" / "trace.csv") as f:
+        (step,) = csv.DictReader(f)
+    assert step["qp_lo_status"] == "infeasible"
+    assert [float(step["Mx_star"]), float(step["My_star"])] == u.tolist()

@@ -109,7 +109,7 @@ EXPORT_SHA256 = {
         "b9e7ce870a800c185d2a930f1c801b0621ab23ffaa1173620b6fe1e0d1cbc7a6",
     ),
     "stress-infeasible": (
-        "3da3ed3164631df09db32d2ca690b9528af542cb19c89447188b9f6c07887958",
+        "c4cd99f130d36ffc3ebd6a6552b163596a9c31023ef8be55f90d6b6d52545f0b",
         "5d8f6e5fbc70dd95d979be6edad267f2c27cab8113cc1b08cab80a34151e9c32",
     ),
 }

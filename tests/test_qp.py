@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import quadsafe.qp as qp
 from quadsafe.barriers import BarrierDomain, BarrierSpec, EcbfGains
@@ -19,12 +20,13 @@ from quadsafe.qp import (
     QpSolution,
     QpStatus,
     filter_torque,
-    kkt_residual,
     least_infeasible,
     solve_qp,
     thrust_filter,
 )
 from quadsafe.sim import run
+
+from kkt import kkt_residual
 
 
 def row(a, b):
@@ -731,8 +733,9 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
 
 
 # ---------------------------------------------------------------------------
-# An independent oracle for least_infeasible: the least worst violation t*,
-# found without an LP solver.
+# Independent references for least_infeasible: the least worst violation t*
+# from scipy's HiGHS linprog on the epigraph LP, and from closed forms that
+# enumerate the LP's breakpoints (1-D) and vertices (2-D).
 
 
 def bound_on_violation(t_star):
@@ -744,6 +747,20 @@ def bound_on_violation(t_star):
 
 def worst_violation(rows, u):
     return max([0.0] + [-(float(np.dot(a, u)) + b) for a, b in rows])
+
+
+def linprog_min_max_violation(rows, lower, upper):
+    """t* of the epigraph LP  min t  s.t.  a_i . u + b_i + t >= 0, t >= 0,
+    lower <= u <= upper, from scipy's HiGHS."""
+    n = len(lower)
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    A_ub = np.array([[*(-np.atleast_1d(a)), -1.0] for a, _ in rows])
+    b_ub = np.array([float(b) for _, b in rows])
+    bounds = [(float(lo), float(hi)) for lo, hi in zip(lower, upper)] + [(0.0, None)]
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.success, res.message
+    return float(res.x[-1])
 
 
 def min_max_violation_1d(rows, lo, hi):
@@ -793,9 +810,12 @@ class TestLeastInfeasibleOracle:
                 continue
             n_infeasible += 1
             p = problem_1d(0.5 * rng.normal(), [row(a, b) for a, b in rows], lo, hi)
+            t_lp = linprog_min_max_violation(p.rows, p.lower, p.upper)
+            assert t_lp == pytest.approx(t_star, rel=1e-9, abs=1e-12)
             u = least_infeasible(p)
             assert lo <= u[0] <= hi
-            assert worst_violation(p.rows, u) <= bound_on_violation(t_star), (rows, u, t_star)
+            assert worst_violation(p.rows, u) <= bound_on_violation(min(t_star, t_lp)), (
+                rows, u, t_star, t_lp)
         assert n_infeasible >= 50
 
     def test_2d_matches_epigraph_vertex_enumeration(self):
@@ -809,7 +829,81 @@ class TestLeastInfeasibleOracle:
             if t_star <= 1e-9:
                 continue
             n_infeasible += 1
+            t_lp = linprog_min_max_violation(rows, p.lower, p.upper)
+            assert t_lp == pytest.approx(t_star, rel=1e-9, abs=1e-12)
             u = least_infeasible(p)
             assert np.all(p.lower <= u) and np.all(u <= p.upper), u
-            assert worst_violation(rows, u) <= bound_on_violation(t_star), (rows, u, t_star)
+            assert worst_violation(rows, u) <= bound_on_violation(min(t_star, t_lp)), (
+                rows, u, t_star, t_lp)
         assert n_infeasible >= 50
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_scaled_rows_keep_the_bound(self, dim):
+        # Rows scaled by s scale t* and the vertices' rounding by s, so
+        # least_infeasible's feasibility tolerance must scale with each row:
+        # an absolute one refuses the optimal vertex of rows this large.
+        rng = np.random.default_rng(43 + dim)
+        s = 1.2345e8
+        n_infeasible = 0
+        for _ in range(100):
+            rows = [row(rng.normal(size=dim), rng.normal() - 2.0)
+                    for _ in range(int(rng.integers(2, 5)))]
+            p = (problem_1d(rng.normal(), rows, -1.0, 1.0) if dim == 1
+                 else problem_2d(rng.normal(size=2), rows, bound=1.0))
+            t_star = linprog_min_max_violation(rows, p.lower, p.upper)
+            if t_star <= 1e-9:
+                continue
+            n_infeasible += 1
+            scaled = dataclasses.replace(p, rows=tuple((a * s, b * s) for a, b in rows))
+            u = least_infeasible(scaled)
+            # The relaxed QP's vertex on a box face may round past it, as A7 allows.
+            assert np.all(p.lower - 1e-12 <= u) and np.all(u <= p.upper + 1e-12), u
+            assert worst_violation(scaled.rows, u) <= s * bound_on_violation(t_star), (rows, u)
+        assert n_infeasible >= 50
+
+    def test_refused_relaxed_qp_gives_the_vertex_in_the_box(self):
+        # Rows of size 1e9: the QP's absolute feasibility tolerance refuses
+        # even the relaxed rows, so least_infeasible returns the LP vertex,
+        # which the solve puts 1e-14 past the box face u0 = -1.
+        p = problem_2d([-1.291838504643794, -1.6004953758484026], [
+            row([-3645161193.8517547, -8457874315.292315], -5594006644.79275),
+            row([785889270.3055438, 2160898906.8266835], -7661434360.964642)], bound=1.0)
+        t_star = linprog_min_max_violation(p.rows, p.lower, p.upper)
+        slack = t_star * (1.0 + 1e-9) + 1e-12
+        relaxed = dataclasses.replace(p, rows=tuple((a, b + slack) for a, b in p.rows))
+        assert solve_qp(relaxed).status is QpStatus.INFEASIBLE
+        u = least_infeasible(p)
+        assert u[0] == -1.0 and -1.0 <= u[1] <= 1.0, u
+        assert worst_violation(p.rows, u) <= 1e10 * bound_on_violation(t_star / 1e10)
+
+    @pytest.mark.parametrize("p,expected", [
+        # Parallel rows: x + y >= 3 against x + y <= 1; and u >= 10, given
+        # twice, once scaled by 2, against u <= 3: the scaled row sets t*.
+        (problem_2d([0.0, 5.0], [row([1.0, 1.0], -3.0), row([-1.0, -1.0], 1.0)]), [-1.5, 3.5]),
+        (problem_1d(0.0, [row(1.0, -10.0), row(2.0, -20.0), row(-1.0, 3.0)]), [23.0 / 3.0]),
+        # Rows without u: exactly zero, and below _A_EPS (the QP ignores its a).
+        (problem_2d([0.0, 3.0], [row([0.0, 0.0], -2.0), row([1.0, 0.0], -25.0)]), [20.0, 3.0]),
+        (problem_2d([0.0, 3.0], [row([1e-13, 0.0], -2.0)]), [0.0, 3.0]),
+        (problem_1d(5.0, [row(0.0, -1.0)]), [5.0]),
+        # t* only at the box corner (20, 20): two rows, and one diagonal row.
+        (problem_2d([0.0, 0.0], [row([1.0, 0.0], -25.0), row([0.0, 1.0], -25.0)]), [20.0, 20.0]),
+        (problem_2d([-3.0, 7.0], [row([1.0, 1.0], -50.0)]), [20.0, 20.0]),
+        # The nominal on the relaxed rows.
+        (problem_2d([20.0, 3.0], [row([1.0, 0.0], -25.0)]), [20.0, 3.0]),
+        (problem_1d(6.5, [row(1.0, -10.0), row(-1.0, 3.0)]), [6.5]),
+    ], ids=["parallel-2d", "parallel-1d", "zero-row", "row-below-a-eps", "zero-row-1d",
+            "corner-two-rows", "corner-one-row", "nominal-on-relaxed-row",
+            "nominal-on-relaxed-rows-1d"])
+    def test_degenerate_problems(self, p, expected):
+        # No rows at all: TestDegenerate::test_least_infeasible_without_rows_clamps_nominal.
+        t_lp = linprog_min_max_violation(p.rows, p.lower, p.upper)
+        if p.dim == 1:
+            t_star = min_max_violation_1d([(float(a[0]), b) for a, b in p.rows],
+                                          float(p.lower[0]), float(p.upper[0]))
+        else:
+            t_star = min_max_violation_2d(p.rows, p.lower, p.upper)
+        assert t_lp == pytest.approx(t_star, rel=1e-9, abs=1e-12)
+        u = least_infeasible(p)
+        assert np.all(p.lower <= u) and np.all(u <= p.upper), u
+        assert worst_violation(p.rows, u) <= bound_on_violation(min(t_star, t_lp)), (u, t_star)
+        assert u == pytest.approx(expected, abs=1e-6)
