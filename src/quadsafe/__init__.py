@@ -6,17 +6,16 @@ CBF constraint chains up to relative degree four, and scenario presets
 reproducing the trajectory-rectification experiments.
 """
 
-from .barriers import BarrierDomain, BarrierSpec, EcbfGains, pole_place, rectellipse_h
+from .barriers import BarrierDomain, BarrierSpec, pole_place, rectellipse_h
 from .controller import ControllerGains, Reference
 from .dynamics import QuadParams, QuadState
 from .qp import InfeasiblePolicy, QpProblem, QpSolution, solve_qp
-from .sim import Scenario, ScheduledBarrier, Trace, reference_at, run
+from .sim import Scenario, Trace, reference_at, run
 
 __all__ = [
     "BarrierDomain",
     "BarrierSpec",
     "ControllerGains",
-    "EcbfGains",
     "InfeasiblePolicy",
     "QpProblem",
     "QpSolution",
@@ -24,7 +23,6 @@ __all__ = [
     "QuadState",
     "Reference",
     "Scenario",
-    "ScheduledBarrier",
     "Trace",
     "pole_place",
     "rectellipse_h",

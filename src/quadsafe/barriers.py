@@ -22,12 +22,14 @@ state; no numerical differentiation is involved.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import QuadParams
+from .dynamics import NonFiniteState, QuadParams
 
 DET_MIN = 1e-3  # lower bound on |det W| before the lateral map is declared singular
 _POWERS = (3.0, 3.0, 4.0, 4.0, 3.0, 3.0)  # of (xdot, ydot, xdot, ydot, xddot, yddot)
@@ -66,19 +68,41 @@ STATE_INDEX = {
 }
 
 
+class FamilyDefaults(NamedTuple):
+    center: tuple[float, ...]
+    half_width: tuple[float, ...]
+    poles: tuple[float, ...]
+
+
+#: Each family's default region and ECBF poles (one pole per relative degree).
+DEFAULTS = {
+    BarrierDomain.ALTITUDE_POSITION: FamilyDefaults((0.0,), (2.0,), (-3.0, -4.0)),
+    BarrierDomain.ALTITUDE_POSVEL: FamilyDefaults((0.0, 0.0), (2.0, 0.75), (-1.0,)),
+    BarrierDomain.LATERAL_POSITION: FamilyDefaults(
+        (0.0, 0.0), (2.0, 2.0), (-3.0, -4.0, -5.0, -6.0)),
+    BarrierDomain.LATERAL_VELOCITY: FamilyDefaults((0.0, 0.0), (1.25, 0.9), (-3.0, -4.0, -5.0)),
+}
+
+
 @dataclass(frozen=True)
 class BarrierSpec:
-    """One rectellipse safety region.
+    """One rectellipse safety region, its ECBF poles and its activation time.
 
     ``center`` and ``half_width`` are per constrained state, in the order
     the domain lists them: (z,) / (z, zdot) / (x, y) / (xdot, ydot).
     Velocity states in mixed barriers are always centered at zero.
+    ``poles`` (default: the family's) are one per relative degree; the chain
+    gains K = pole_place(delta, poles), and for delta = 1 the condition is
+    hdot + alpha h >= 0 with alpha = K[0] = -pole. The spec is active from
+    ``active_from`` until a later spec on the same domain supersedes it.
     """
 
     domain: BarrierDomain
     center: np.ndarray
     half_width: np.ndarray
+    poles: tuple[float, ...] | None = None
     active_from: float = 0.0
+    K: np.ndarray = field(init=False, repr=False, compare=False)
     # For the per-step kernels: the constrained states' flat-state indices,
     # and float copies of center, half_width and half_width ** 4 (numpy's pow).
     idx: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -89,42 +113,27 @@ class BarrierSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "half_width", np.asarray(self.half_width, dtype=float))
+        if not (np.isfinite(self.center).all() and np.isfinite(self.half_width).all()):
+            raise ValueError("center and half_width must be finite")
         if np.any(self.half_width <= 0.0):
             raise ValueError("half_width must be strictly positive")
         idx = STATE_INDEX[self.domain]
         if len(self.center) != len(idx) or len(self.half_width) != len(idx):
             raise ValueError(f"{self.domain.value} expects {len(idx)} constrained state(s)")
+        if not math.isfinite(self.active_from):
+            raise ValueError("active_from must be finite")
         object.__setattr__(self, "idx", idx)
         object.__setattr__(self, "c", tuple(self.center.tolist()))
         object.__setattr__(self, "p", tuple(self.half_width.tolist()))
-        object.__setattr__(self, "p4", tuple((self.half_width**4).tolist()))
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "p4", tuple((self.half_width**4).tolist()))
         if min(self.p4) == 0.0:  # the chains divide by it
             raise ValueError("half_width is too small: its fourth power underflows to 0")
-
-
-@dataclass(frozen=True)
-class EcbfGains:
-    """Gain vector K for one ECBF chain (or the class-kappa slope for delta=1).
-
-    ``K[j]`` is the coefficient of s^j in prod(s - pole_i); for delta=1 the
-    constraint reduces to hdot + alpha*h >= 0 with alpha = K[0].
-    """
-
-    delta: int
-    poles: tuple[float, ...]
-    K: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.delta not in (1, 2, 3, 4):
-            raise ValueError("relative degree must be in 1..4")
-        if len(self.poles) != self.delta:
-            raise ValueError("need one pole per relative degree")
-        K = pole_place(self.delta, self.poles) if self.K is None else np.asarray(self.K)
-        object.__setattr__(self, "K", K)
-
-    @property
-    def alpha(self) -> float:
-        return float(self.K[0])
+        if max(self.p4) == math.inf:
+            raise ValueError("half_width is too large: its fourth power overflows")
+        poles = DEFAULTS[self.domain].poles if self.poles is None else self.poles
+        object.__setattr__(self, "poles", tuple(float(p) for p in poles))
+        object.__setattr__(self, "K", pole_place(RELATIVE_DEGREE[self.domain], self.poles))
 
 
 def pole_place(delta: int, poles) -> np.ndarray:
@@ -136,7 +145,9 @@ def pole_place(delta: int, poles) -> np.ndarray:
     """
     poles = tuple(float(p) for p in poles)
     if len(poles) != delta or delta < 1:
-        raise InvalidPoles("need exactly delta poles")
+        raise InvalidPoles("need one pole per relative degree")
+    if not all(map(math.isfinite, poles)):
+        raise InvalidPoles("poles must be finite")
     if any(p >= 0.0 for p in poles):
         raise InvalidPoles("all poles must be strictly negative")
     coeffs = np.poly(poles)  # highest degree first, leading 1
@@ -154,41 +165,49 @@ def rectellipse_h(values: Sequence[float], spec: BarrierSpec) -> float:
 
 
 def altitude_row(
-    spec: BarrierSpec, gains: EcbfGains, z: float, zd: float, R33: float, params: QuadParams
+    spec: BarrierSpec, z: float, zd: float, R33: float, params: QuadParams
 ) -> tuple[float, float, float, np.ndarray]:
     """Float core of the two altitude chains: (a, b, h, H) of the row
-    a * f + b >= 0 at altitude z, climb rate zd and attitude entry R33."""
-    if spec.domain is BarrierDomain.ALTITUDE_POSITION:
-        # ECBF, delta=2, h(z) = 1 - ((z-c)/p_z)^4.
-        (c,), (pz,) = spec.c, spec.p
-        s = z - c
-        pz4 = pz**4
-        h = 1.0 - (s / pz) ** 4
-        s3 = s**3
-        Lfh = -4.0 * s3 * zd / pz4
-        Lf2h = -4.0 * s3 * params.g / pz4 - 12.0 * s**2 * zd**2 / pz4
-        a = 4.0 * s3 * R33 / (pz4 * params.m)
-        H = np.array([h, Lfh])
-        return a, Lf2h + float(gains.K.dot(H)), h, H
-    if spec.domain is BarrierDomain.ALTITUDE_POSVEL:
-        # CBF, delta=1, h(z, zdot) = 1 - ((z-c)/p_z)^4 - (zdot/v_z)^4.
-        cz, (pz, vz) = spec.c[0], spec.p
-        s = z - cz
-        h = 1.0 - (s / pz) ** 4 - (zd / vz) ** 4
-        Lfh = -4.0 * s**3 * zd / pz**4 - 4.0 * zd**3 * params.g / vz**4
-        a = 4.0 * zd**3 * R33 / (vz**4 * params.m)
-        return a, Lfh + gains.alpha * h, h, np.array([h])
+    a * f + b >= 0 at altitude z, climb rate zd and attitude entry R33.
+
+    Raises NonFiniteState where a float power overflows, which Python's
+    float ** reports as OverflowError rather than inf."""
+    try:
+        if spec.domain is BarrierDomain.ALTITUDE_POSITION:
+            # ECBF, delta=2, h(z) = 1 - ((z-c)/p_z)^4.
+            (c,), (pz,) = spec.c, spec.p
+            s = z - c
+            pz4 = pz**4
+            h = 1.0 - (s / pz) ** 4
+            s3 = s**3
+            Lfh = -4.0 * s3 * zd / pz4
+            Lf2h = -4.0 * s3 * params.g / pz4 - 12.0 * s**2 * zd**2 / pz4
+            a = 4.0 * s3 * R33 / (pz4 * params.m)
+            H = np.array([h, Lfh])
+            return a, Lf2h + float(spec.K.dot(H)), h, H
+        if spec.domain is BarrierDomain.ALTITUDE_POSVEL:
+            # CBF, delta=1, h(z, zdot) = 1 - ((z-c)/p_z)^4 - (zdot/v_z)^4.
+            cz, (pz, vz) = spec.c[0], spec.p
+            s = z - cz
+            h = 1.0 - (s / pz) ** 4 - (zd / vz) ** 4
+            Lfh = -4.0 * s**3 * zd / pz**4 - 4.0 * zd**3 * params.g / vz**4
+            a = 4.0 * zd**3 * R33 / (vz**4 * params.m)
+            return a, Lfh + float(spec.K[0]) * h, h, np.array([h])
+    except OverflowError:
+        raise NonFiniteState(
+            f"{spec.domain.value} barrier overflows at z = {z:.3g}, zdot = {zd:.3g}"
+        ) from None
     raise ValueError(f"not an altitude barrier: {spec.domain}")
 
 
 def lateral_rows(
     x: list[float],
     f: float,
-    specs: Sequence[tuple[BarrierSpec, EcbfGains]],
+    specs: Sequence[BarrierSpec],
     params: QuadParams,
 ) -> list[tuple[np.ndarray, float, float, np.ndarray]]:
     """(a, b, h, H) of the row a . [tau_x, tau_y] + b >= 0 of each lateral
-    (spec, gains) pair, at the flat state x.
+    spec, at the flat state x.
 
     The thrust f already fixed for this step enters the drift; the chains
     are exact for zero-order-hold thrust. All rows share the kinematic terms:
@@ -205,7 +224,7 @@ def lateral_rows(
     1-D a @ b), and numpy's pow for the cubes and fourth powers of the
     derivatives of (x, y).
     """
-    for spec, _ in specs:
+    for spec in specs:
         if spec.domain not in (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY):
             raise ValueError(f"not a lateral barrier: {spec.domain}")
     R11, R12, R13, R21, R22, R23, R31, R32, R33 = x[3:12]
@@ -261,7 +280,7 @@ def lateral_rows(
     dot_counts: list[list[int]] = []
     eta3: list[float] = []
     h_values = []
-    for spec, _ in specs:
+    for spec in specs:
         (ix, iy), (cx, cy), (px4, py4) = spec.idx, spec.c, spec.p4
         position = spec.domain is BarrierDomain.LATERAL_POSITION
         sx, sy = np.float64(x[ix] - cx), np.float64(x[iy] - cy)
@@ -306,7 +325,7 @@ def lateral_rows(
 
     rows = []
     k = 0
-    for (_, gains), h, a, counts in zip(specs, h_values, a_rows, dot_counts):
+    for spec, h, a, counts in zip(specs, h_values, a_rows, dot_counts):
         entries = []
         for count in counts:
             value = dots[k]
@@ -315,7 +334,7 @@ def lateral_rows(
             entries.append(value)
             k += count
         H = np.array([h, *entries[:-1]])
-        rows.append((a[0], entries[-1] + float(gains.K @ H), h, H))
+        rows.append((a[0], entries[-1] + float(spec.K @ H), h, H))
     return rows
 
 

@@ -14,19 +14,16 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .barriers import BarrierDomain, BarrierSpec, EcbfGains, RELATIVE_DEGREE
+from .barriers import DEFAULTS, RELATIVE_DEGREE, BarrierDomain, BarrierSpec
 from .controller import ControllerGains
 from .dynamics import QuadParams, QuadState, R_of_euler
 from .qp import InfeasiblePolicy
-from .sim import ReferenceConfig, ScheduledBarrier, Scenario
+from .sim import ReferenceConfig, Scenario
 
 
 class ScenarioError(ValueError):
     """Invalid scenario file; the message names the offending key."""
 
-
-DEFAULT_POLES = {2: (-3.0, -4.0), 3: (-3.0, -4.0, -5.0), 4: (-3.0, -4.0, -5.0, -6.0)}
-DEFAULT_ALPHA = 1.0
 
 _RUN_KEYS = {"duration_s", "dt_s"}
 _INITIAL_KEYS = {
@@ -44,11 +41,13 @@ _PARAM_KEYS = {
     "f_max_n", "tau_max_x_nm", "tau_max_y_nm",
 }
 _BARRIER_COMMON = {"domain", "active_from_s", "poles", "alpha"}
-_BARRIER_KEYS = {
-    "altitude_position": {"c_z_m", "p_z_m"},
-    "altitude_posvel": {"c_z_m", "p_z_m", "v_z_mps"},
-    "lateral_position": {"c_x_m", "c_y_m", "p_x_m", "p_y_m"},
-    "lateral_velocity": {"v_x_mps", "v_y_mps"},
+# Per family, the keys of its center and half-width entries; None marks a
+# velocity center, which is fixed at its default.
+_REGION_KEYS = {
+    "altitude_position": (("c_z_m",), ("p_z_m",)),
+    "altitude_posvel": (("c_z_m", None), ("p_z_m", "v_z_mps")),
+    "lateral_position": (("c_x_m", "c_y_m"), ("p_x_m", "p_y_m")),
+    "lateral_velocity": ((None, None), ("v_x_mps", "v_y_mps")),
 }
 _TOP_KEYS = {"run", "initial", "reference", "filters", "gains", "params", "barriers"}
 
@@ -71,7 +70,12 @@ def _num(table: dict, key: str, default: float, where: str) -> float:
 
 
 def _is_number(val: Any) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int beyond the largest float
+        return False
 
 
 def _vec3(table: dict, key: str, default, where: str) -> np.ndarray:
@@ -180,55 +184,46 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
         raise ScenarioError(str(exc)) from None
 
 
-def _barrier_from_dict(entry: dict, where: str) -> ScheduledBarrier:
+def _barrier_from_dict(entry: dict, where: str) -> BarrierSpec:
     if not isinstance(entry, dict) or "domain" not in entry:
         raise ScenarioError(f"'{where}' must be a mapping with a 'domain' key")
     domain_name = entry["domain"]
-    if not isinstance(domain_name, str) or domain_name not in _BARRIER_KEYS:
+    if not isinstance(domain_name, str) or domain_name not in _REGION_KEYS:
         raise ScenarioError(
-            f"'{where}.domain' must be one of {sorted(_BARRIER_KEYS)}, got {domain_name!r}"
+            f"'{where}.domain' must be one of {sorted(_REGION_KEYS)}, got {domain_name!r}"
         )
-    _check_keys(entry, _BARRIER_COMMON | _BARRIER_KEYS[domain_name], where)
+    center_keys, half_width_keys = _REGION_KEYS[domain_name]
+    _check_keys(entry, _BARRIER_COMMON | {*center_keys, *half_width_keys} - {None}, where)
     domain = BarrierDomain(domain_name)
     delta = RELATIVE_DEGREE[domain]
-
-    if domain is BarrierDomain.ALTITUDE_POSITION:
-        center = [_num(entry, "c_z_m", 0.0, where)]
-        half_width = [_num(entry, "p_z_m", 2.0, where)]
-    elif domain is BarrierDomain.ALTITUDE_POSVEL:
-        center = [_num(entry, "c_z_m", 0.0, where), 0.0]
-        half_width = [_num(entry, "p_z_m", 2.0, where), _num(entry, "v_z_mps", 0.75, where)]
-    elif domain is BarrierDomain.LATERAL_POSITION:
-        center = [_num(entry, "c_x_m", 0.0, where), _num(entry, "c_y_m", 0.0, where)]
-        half_width = [_num(entry, "p_x_m", 2.0, where), _num(entry, "p_y_m", 2.0, where)]
-    else:
-        center = [0.0, 0.0]
-        half_width = [_num(entry, "v_x_mps", 1.25, where), _num(entry, "v_y_mps", 0.9, where)]
+    defaults = DEFAULTS[domain]
+    center = [d if key is None else _num(entry, key, d, where)
+              for key, d in zip(center_keys, defaults.center)]
+    half_width = [_num(entry, key, d, where)
+                  for key, d in zip(half_width_keys, defaults.half_width)]
 
     if delta == 1:
-        alpha = _num(entry, "alpha", DEFAULT_ALPHA, where)
+        alpha = _num(entry, "alpha", -defaults.poles[0], where)
         if alpha <= 0:
             raise ScenarioError(f"'{where}.alpha' must be positive")
         poles = (-alpha,)
     else:
         if "alpha" in entry:
             raise ScenarioError(f"'{where}.alpha' only applies to relative-degree-1 barriers")
-        poles = entry.get("poles", DEFAULT_POLES[delta])
+        poles = entry.get("poles", defaults.poles)
         if not (isinstance(poles, (list, tuple)) and all(map(_is_number, poles))):
             raise ScenarioError(f"'{where}.poles' must be a list of {delta} numbers")
-        poles = tuple(float(p) for p in poles)
 
     try:
-        spec = BarrierSpec(
+        return BarrierSpec(
             domain=domain,
             center=np.array(center),
             half_width=np.array(half_width),
+            poles=poles,
             active_from=_num(entry, "active_from_s", 0.0, where),
         )
-        gains = EcbfGains(delta=delta, poles=poles)
     except ValueError as exc:
         raise ScenarioError(f"'{where}': {exc}") from None
-    return ScheduledBarrier(spec=spec, gains=gains)
 
 
 def load_scenario(source: str | io.TextIOBase) -> Scenario:

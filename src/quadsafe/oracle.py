@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import (
+    DEFAULTS,
     RELATIVE_DEGREE,
     BarrierDomain,
     BarrierSpec,
-    EcbfGains,
     altitude_row,
     lateral_rows,
 )
@@ -27,14 +27,6 @@ from .dynamics import QuadParams, QuadState, flat_of, project_to_rotation, rk4_f
 FD_DT = 1e-4        # central-difference half step
 FD_SUBSTEPS = 4     # RK4 substeps per half step
 FD_BLOCK = 256      # states whose stencil flows run as one batch; bounds memory
-
-_DEFAULT_GAINS = {
-    1: EcbfGains(1, (-1.0,)),
-    2: EcbfGains(2, (-3.0, -4.0)),
-    3: EcbfGains(3, (-3.0, -4.0, -5.0)),
-    4: EcbfGains(4, (-3.0, -4.0, -5.0, -6.0)),
-}
-
 
 @dataclass
 class ChainCheck:
@@ -48,7 +40,6 @@ class ChainCheck:
 def evaluate_chain(
     x: list[float],
     spec: BarrierSpec,
-    gains: EcbfGains,
     params: QuadParams,
     f: float,
     tau: np.ndarray,
@@ -56,12 +47,12 @@ def evaluate_chain(
     """Analytic (H, L_f^d h + L_g L_f^(d-1) h . u) at the flat state x under
     thrust f and moments tau."""
     if spec.domain in (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL):
-        a, b, _, H = altitude_row(spec, gains, x[2], x[14], x[11], params)
+        a, b, _, H = altitude_row(spec, x[2], x[14], x[11], params)
         a_dot_u = a * f
     else:
-        ((a, b, _, H),) = lateral_rows(x, f, [(spec, gains)], params)
+        ((a, b, _, H),) = lateral_rows(x, f, [spec], params)
         a_dot_u = float(a @ tau[:2])
-    lf_top = b - float(gains.K @ H)  # L_f^d h
+    lf_top = b - float(spec.K @ H)  # L_f^d h
     return H, lf_top + a_dot_u
 
 
@@ -88,13 +79,8 @@ def flow(
 
 
 def default_spec(domain: BarrierDomain) -> BarrierSpec:
-    if domain is BarrierDomain.ALTITUDE_POSITION:
-        return BarrierSpec(domain, [0.0], [2.0])
-    if domain is BarrierDomain.ALTITUDE_POSVEL:
-        return BarrierSpec(domain, [0.0, 0.0], [2.0, 0.75])
-    if domain is BarrierDomain.LATERAL_POSITION:
-        return BarrierSpec(domain, [0.0, 0.0], [2.0, 2.0])
-    return BarrierSpec(domain, [0.0, 0.0], [1.25, 0.9])
+    """The family's default region and poles."""
+    return BarrierSpec(domain, DEFAULTS[domain].center, DEFAULTS[domain].half_width)
 
 
 def random_state_and_input(
@@ -121,7 +107,6 @@ def check_chain(
     n_states: int = 100,
     seed: int = 12345,
     spec: BarrierSpec | None = None,
-    gains: EcbfGains | None = None,
 ) -> ChainCheck:
     """Worst-case relative FD errors for one chain over random in-set states.
 
@@ -136,7 +121,6 @@ def check_chain(
         raise ValueError(f"n_states must be at least 1, got {n_states}")
     params = params or QuadParams()
     spec = spec or default_spec(domain)
-    gains = gains or _DEFAULT_GAINS[RELATIVE_DEGREE[domain]]
     rng = np.random.default_rng(seed)
     delta = RELATIVE_DEGREE[domain]
     worst_lower = 0.0
@@ -148,9 +132,9 @@ def check_chain(
         ends = flow(np.array(xs * 2), np.array(fs * 2), np.array(taus * 2), params,
                     np.repeat([FD_DT, -FD_DT], b)).tolist()
         for x, f, tau, xp, xm in zip(xs, fs, taus, ends[:b], ends[b:]):
-            H0, total0 = evaluate_chain(x, spec, gains, params, f, tau)
-            Hp, _ = evaluate_chain(xp, spec, gains, params, f, tau)
-            Hm, _ = evaluate_chain(xm, spec, gains, params, f, tau)
+            H0, total0 = evaluate_chain(x, spec, params, f, tau)
+            Hp, _ = evaluate_chain(xp, spec, params, f, tau)
+            Hm, _ = evaluate_chain(xm, spec, params, f, tau)
             scale = max(1.0, float(np.max(np.abs(H0))), abs(total0))
             for k in range(delta):
                 fd = (Hp[k] - Hm[k]) / (2.0 * FD_DT)

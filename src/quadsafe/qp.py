@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barriers import BarrierSpec, EcbfGains, altitude_row, lateral_rows
+from .barriers import BarrierSpec, altitude_row, lateral_rows
 from .dynamics import QuadParams
 
 _A_EPS = 1e-12       # below this, a row does not involve the decision variable
@@ -410,7 +410,7 @@ def thrust_filter(
     zd: float,
     R33: float,
     f_hat: float,
-    active_specs: list[tuple[BarrierSpec, EcbfGains]],
+    active_specs: list[BarrierSpec],
     params: QuadParams,
     policy: InfeasiblePolicy = InfeasiblePolicy.LEAST_INFEASIBLE,
     last: float | None = None,
@@ -421,7 +421,7 @@ def thrust_filter(
     Returns the applied thrust, the QP's solve_interval result and the
     (a, b, h, H) of each active barrier's row.
     """
-    rows = [altitude_row(spec, gains, z, zd, R33, params) for spec, gains in active_specs]
+    rows = [altitude_row(spec, z, zd, R33, params) for spec in active_specs]
     u_hat = min(max(f_hat, 0.0), params.f_max)
     solution = solve_interval(u_hat, 0.0, params.f_max, [(a, b) for a, b, _, _ in rows])
     f_star = solution[0]
@@ -452,7 +452,7 @@ def filter_torque(
     x: list[float],
     tau_hat_xy: list[float],
     f_star_applied: float,
-    active_specs: list[tuple[BarrierSpec, EcbfGains]],
+    active_specs: list[BarrierSpec],
     params: QuadParams,
     policy: InfeasiblePolicy = InfeasiblePolicy.LEAST_INFEASIBLE,
     last: list[float] | None = None,

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import controller as ctl
-from .barriers import (
-    RELATIVE_DEGREE,
-    BarrierDomain,
-    BarrierSpec,
-    EcbfGains,
-    LateralSingular,
-    barrier_h,
-)
+from .barriers import RELATIVE_DEGREE, BarrierDomain, BarrierSpec, LateralSingular, barrier_h
 from .controller import ControllerGains, Reference
 from .dynamics import QuadParams, QuadState, advance, euler_of_R, flat_of
 from .qp import InfeasiblePolicy, QpStatus, clip_moments, filter_torque, thrust_filter
@@ -46,28 +39,12 @@ class ReferenceConfig:
 
 
 @dataclass(frozen=True)
-class ScheduledBarrier:
-    """A barrier region plus its chain gains; active from spec.active_from
-    until superseded by a later spec on the same domain."""
-
-    spec: BarrierSpec
-    gains: EcbfGains
-
-    def __post_init__(self) -> None:
-        if self.gains.delta != RELATIVE_DEGREE[self.spec.domain]:
-            raise ValueError(
-                f"{self.spec.domain.value} has relative degree "
-                f"{RELATIVE_DEGREE[self.spec.domain]}, gains say {self.gains.delta}"
-            )
-
-
-@dataclass(frozen=True)
 class Scenario:
     duration: float = 40.0
     dt: float = 1e-3
     initial_state: QuadState = field(default_factory=QuadState)
     reference: ReferenceConfig = field(default_factory=ReferenceConfig)
-    barriers: tuple[ScheduledBarrier, ...] = ()
+    barriers: tuple[BarrierSpec, ...] = ()
     gains: ControllerGains = field(default_factory=ControllerGains)
     params: QuadParams = field(default_factory=QuadParams)
     filter_high: bool = True
@@ -82,8 +59,8 @@ class Scenario:
                 "and give at least one step"
             )
         by_domain: dict[BarrierDomain, list[float]] = {}
-        for sb in self.barriers:
-            by_domain.setdefault(sb.spec.domain, []).append(sb.spec.active_from)
+        for spec in self.barriers:
+            by_domain.setdefault(spec.domain, []).append(spec.active_from)
         for domain, starts in by_domain.items():
             if len(starts) != len(set(starts)):
                 raise ValueError(
@@ -148,17 +125,17 @@ def reference_at(t: float, cfg: ReferenceConfig) -> Reference:
 
 
 def active_barriers(
-    barriers: tuple[ScheduledBarrier, ...], t: float, domains
-) -> list[ScheduledBarrier]:
+    barriers: tuple[BarrierSpec, ...], t: float, domains
+) -> list[BarrierSpec]:
     """Latest activated spec per domain (later specs supersede earlier ones)."""
     out = []
     for domain in domains:
         candidates = [
-            sb for sb in barriers
-            if sb.spec.domain is domain and sb.spec.active_from <= t
+            spec for spec in barriers
+            if spec.domain is domain and spec.active_from <= t
         ]
         if candidates:
-            out.append(max(candidates, key=lambda sb: sb.spec.active_from))
+            out.append(max(candidates, key=lambda spec: spec.active_from))
     return out
 
 
@@ -169,7 +146,7 @@ def run(scenario: Scenario) -> Trace:
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
     scenario.initial_state.validate(tol=1e-6)
-    domains = [d for d in BarrierDomain if any(sb.spec.domain is d for sb in scenario.barriers)]
+    domains = [d for d in BarrierDomain if any(spec.domain is d for spec in scenario.barriers)]
     trace = Trace(n_steps, domains)
     events = trace.events
     # A step's h and H cells, in block order: d's h at h_cell[d], its H at H_cells[d].
@@ -195,25 +172,21 @@ def run(scenario: Scenario) -> Trace:
             hi_active = active_barriers(scenario.barriers, t, ALTITUDE_DOMAINS)
             lo_active = active_barriers(scenario.barriers, t, LATERAL_DOMAINS)
             active = hi_active + lo_active
-            for sb in active:
-                domain = sb.spec.domain
-                if prev_active.get(domain) not in (None, sb.spec.active_from):
-                    events.append((k, f"barrier-switch:{domain.value}"))
-                prev_active[domain] = sb.spec.active_from
-            hi_specs = [(sb.spec, sb.gains) for sb in hi_active]
-            lo_specs = [(sb.spec, sb.gains) for sb in lo_active]
+            for spec in active:
+                if prev_active.get(spec.domain) not in (None, spec.active_from):
+                    events.append((k, f"barrier-switch:{spec.domain.value}"))
+                prev_active[spec.domain] = spec.active_from
             # Each active barrier's cells, so that the steps look up none.
-            specs = [sb.spec for sb in active]
-            h_at = [h_cell[spec.domain] for spec in specs]
-            hi_H_at = [H_cells[sb.spec.domain] for sb in hi_active]
-            lo_H_at = [H_cells[sb.spec.domain] for sb in lo_active]
+            h_at = [h_cell[spec.domain] for spec in active]
+            hi_H_at = [H_cells[spec.domain] for spec in hi_active]
+            lo_H_at = [H_cells[spec.domain] for spec in lo_active]
             next_switch = min(
-                (sb.spec.active_from for sb in scenario.barriers if sb.spec.active_from > t),
+                (spec.active_from for spec in scenario.barriers if spec.active_from > t),
                 default=math.inf,
             )
 
         cells = nan_cells.copy()
-        for at, h in zip(h_at, barrier_h(x, specs)):
+        for at, h in zip(h_at, barrier_h(x, active)):
             cells[at] = h
 
         euler = euler_of_R(x)
@@ -229,7 +202,7 @@ def run(scenario: Scenario) -> Trace:
         if scenario.filter_high and hi_active:
             f_star, (_, status, _, _), rows = thrust_filter(
                 z, zd, R33, f_hat,
-                hi_specs, params, scenario.infeasible_policy, last_f,
+                hi_active, params, scenario.infeasible_policy, last_f,
             )
             qp_hi_status = status.value
             for at, (_, _, _, H) in zip(hi_H_at, rows):
@@ -255,7 +228,7 @@ def run(scenario: Scenario) -> Trace:
             try:
                 m_star, solution, rows = filter_torque(
                     x, tau_hat[:2], f_star,
-                    lo_specs, params, scenario.infeasible_policy, last_m,
+                    lo_active, params, scenario.infeasible_policy, last_m,
                 )
                 m_star = m_star.tolist()
                 qp_lo_status = solution.status.value

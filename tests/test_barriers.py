@@ -13,7 +13,6 @@ from quadsafe.barriers import (
     STATE_INDEX,
     BarrierDomain,
     BarrierSpec,
-    EcbfGains,
     InvalidPoles,
     LateralSingular,
     altitude_row,
@@ -76,12 +75,28 @@ class TestSpecValidation:
                 BarrierSpec(domain, [0.0] * n, [1e-90] * n)
 
     def test_gains_degree_bounds(self):
-        with pytest.raises(ValueError):
-            EcbfGains(5, (-1.0, -1.0, -1.0, -1.0, -1.0))
+        # Every domain takes exactly one pole per relative degree.
+        for domain, delta in RELATIVE_DEGREE.items():
+            n = len(STATE_INDEX[domain])
+            assert len(BarrierSpec(domain, [0.0] * n, [1.0] * n).K) == delta
+            for count in (delta - 1, delta + 1):
+                with pytest.raises(InvalidPoles, match="one pole per relative degree"):
+                    BarrierSpec(domain, [0.0] * n, [1.0] * n, poles=[-1.0] * count)
 
     def test_alpha_is_k0(self):
-        g = EcbfGains(1, (-2.5,))
-        assert g.alpha == pytest.approx(2.5)
+        spec = BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.0], [2.0, 0.75], poles=(-2.5,))
+        assert spec.K[0] == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("center", [0.0, np.nan]), ("half_width", [2.0, np.nan]),
+        ("poles", [-3.0, -4.0, np.nan, -6.0]), ("active_from", np.nan),
+    ], ids=["center", "half_width", "poles", "active_from"])
+    def test_rejects_nan(self, field, value):
+        kwargs = dict(domain=BarrierDomain.LATERAL_POSITION, center=[0.0, 0.0],
+                      half_width=[2.0, 2.0], poles=[-3.0, -4.0, -5.0, -6.0], active_from=0.0)
+        BarrierSpec(**kwargs)
+        with pytest.raises(ValueError, match="finite"):
+            BarrierSpec(**{**kwargs, field: value})
 
 
 class TestRectellipse:
@@ -171,9 +186,8 @@ class TestRectellipse:
 class TestAltitudeChains:
     def test_position_chain_hand_computed(self):
         p = QuadParams()
-        spec = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0])
-        gains = EcbfGains(2, (-3.0, -4.0))
-        a, b, h_value, H = altitude_row(spec, gains, 1.0, 0.5, 1.0, p)
+        spec = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0], poles=(-3.0, -4.0))
+        a, b, h_value, H = altitude_row(spec, 1.0, 0.5, 1.0, p)
         h = 1.0 - (1.0 / 2.0) ** 4
         hdot = -4.0 * 1.0**3 * 0.5 / 2.0**4
         assert h_value == pytest.approx(h)
@@ -186,17 +200,15 @@ class TestAltitudeChains:
         # Above center and rising: more thrust must push hddot up (a > 0
         # for z > c, since thrust decelerates the climb in this frame).
         p = QuadParams()
-        spec = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0])
-        gains = EcbfGains(2, (-3.0, -4.0))
-        a_up = altitude_row(spec, gains, 1.5, 0.0, 1.0, p)[0]
-        a_dn = altitude_row(spec, gains, -1.5, 0.0, 1.0, p)[0]
+        spec = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0], poles=(-3.0, -4.0))
+        a_up = altitude_row(spec, 1.5, 0.0, 1.0, p)[0]
+        a_dn = altitude_row(spec, -1.5, 0.0, 1.0, p)[0]
         assert a_up > 0.0 > a_dn
 
     def test_posvel_chain_hand_computed(self):
         p = QuadParams()
-        spec = BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.0], [2.0, 0.75])
-        gains = EcbfGains(1, (-1.0,))
-        a, b, h_value, _ = altitude_row(spec, gains, 1.0, 0.5, 1.0, p)
+        spec = BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.0], [2.0, 0.75], poles=(-1.0,))
+        a, b, h_value, _ = altitude_row(spec, 1.0, 0.5, 1.0, p)
         h = 1.0 - (1.0 / 2.0) ** 4 - (0.5 / 0.75) ** 4
         lfh = -4.0 * 0.5 / 16.0 - 4.0 * 0.5**3 * p.g / 0.75**4
         assert h_value == pytest.approx(h)
@@ -204,10 +216,10 @@ class TestAltitudeChains:
         assert a == pytest.approx(4.0 * 0.5**3 / (0.75**4 * p.m))
 
 
-LATERAL_POS = (BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0]),
-               EcbfGains(4, (-3.0, -4.0, -5.0, -6.0)))
-LATERAL_VEL = (BarrierSpec(BarrierDomain.LATERAL_VELOCITY, [0.0, 0.0], [1.25, 0.9]),
-               EcbfGains(3, (-3.0, -4.0, -5.0)))
+LATERAL_POS = BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0],
+                          poles=(-3.0, -4.0, -5.0, -6.0))
+LATERAL_VEL = BarrierSpec(BarrierDomain.LATERAL_VELOCITY, [0.0, 0.0], [1.25, 0.9],
+                          poles=(-3.0, -4.0, -5.0))
 
 
 class TestLateralChains:
@@ -245,8 +257,7 @@ class TestLateralChains:
         x = flat_of(QuadState())
         with pytest.raises(ValueError):
             lateral_rows(x, p.m * p.g,
-                         [(BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0]),
-                           EcbfGains(2, (-3.0, -4.0)))], p)
+                         [BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0])], p)
 
 
 @pytest.mark.parametrize("domain", list(BarrierDomain))
@@ -274,11 +285,11 @@ def test_chain_h_sizes():
     pos_row, vel_row = lateral_rows(x, f, [LATERAL_POS, LATERAL_VEL], p)
     h_and_H = {
         2: altitude_row(
-            BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0]),
-            EcbfGains(2, (-3.0, -4.0)), z, zd, R33, p)[2:],
+            BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0], poles=(-3.0, -4.0)),
+            z, zd, R33, p)[2:],
         1: altitude_row(
-            BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.0], [2.0, 0.75]),
-            EcbfGains(1, (-1.0,)), z, zd, R33, p)[2:],
+            BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.0], [2.0, 0.75], poles=(-1.0,)),
+            z, zd, R33, p)[2:],
         4: pos_row[2:],
         3: vel_row[2:],
     }
@@ -351,7 +362,6 @@ def ref_lateral_chain_terms(x: list[float], params: QuadParams) -> RefLateralCha
 
 def ref_lateral_row(
     spec: BarrierSpec,
-    gains: EcbfGains,
     x: list[float],
     f: float,
     terms: RefLateralChainTerms,
@@ -398,7 +408,7 @@ def ref_lateral_row(
             - 24.0 * eta[0] @ xy_d**4
         )
         H = np.array([h, Lfh, Lf2h, Lf3h])
-        return a, Lf4h + float(gains.K @ H), h, H
+        return a, Lf4h + float(spec.K @ H), h, H
     # ECBF, delta=3, h(xdot, ydot) = 1 - ((xdot-c_x)/v_x)^4 - ((ydot-c_y)/v_y)^4.
     Lfh = -4.0 * eta[3] @ xy_dd
     Lf2h = -4.0 * eta[3] @ xy_ddd - 12.0 * eta[2] @ xy_dd**2
@@ -408,7 +418,7 @@ def ref_lateral_row(
         - 24.0 * eta[1] @ xy_dd**3
     )
     H = np.array([h, Lfh, Lf2h])
-    return a, Lf3h + float(gains.K @ H), h, H
+    return a, Lf3h + float(spec.K @ H), h, H
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +450,7 @@ def assert_rows_bitwise_as_reference(x, f, specs, params):
             with pytest.raises(LateralSingular):
                 lateral_rows(x, f, specs, params)
             return None
-        want = [ref_lateral_row(spec, gains, x, f, terms, params) for spec, gains in specs]
+        want = [ref_lateral_row(spec, x, f, terms, params) for spec in specs]
         got = lateral_rows(x, f, specs, params)
     assert len(got) == len(want)
     for (a, b, h, H), (a_ref, b_ref, h_ref, H_ref) in zip(got, want):
@@ -457,8 +467,8 @@ LATERAL_STATE_KINDS = ("plain", "near_singular", "zero_rates", "offset_scale", "
 
 
 def adversarial_lateral_case(kind, rng):
-    """A flat state, a thrust and one or both lateral (spec, gains) pairs
-    built to sit on an edge of the row arithmetic: |det W| just above (or
+    """A flat state, a thrust and one or both lateral specs with random
+    poles, built to sit on an edge of the row arithmetic: |det W| just above (or
     below) DET_MIN, zero and -0.0 velocities and body rates, offsets from
     the center at scales 1e-4..1e4, exactly zero offsets, offsets beyond
     ~1e77 where a fourth power overflows, or NaN/inf in the state."""
@@ -498,8 +508,8 @@ def adversarial_lateral_case(kind, rng):
             76.5, 300.0)
     elif kind == "nonfinite":
         x[int(rng.integers(0, 18))] = float(rng.choice([np.nan, np.inf, -np.inf]))
-    specs = [(pos, EcbfGains(4, tuple(-np.sort(rng.uniform(1.0, 30.0, size=4))))),
-             (vel, EcbfGains(3, tuple(-np.sort(rng.uniform(1.0, 30.0, size=3)))))]
+    specs = [dataclasses.replace(pos, poles=tuple(-np.sort(rng.uniform(1.0, 30.0, size=4)))),
+             dataclasses.replace(vel, poles=tuple(-np.sort(rng.uniform(1.0, 30.0, size=3))))]
     pick = int(rng.integers(0, 3))
     specs = specs if pick == 2 else [specs[pick]]
     f = float(rng.uniform(0.0, 36.0)) if rng.random() < 0.9 else float(rng.choice([0.0, -0.0]))

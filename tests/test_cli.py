@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and trace export."""
 
+import copy
 import csv
 import os
 import stat
@@ -8,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 import quadsafe
 from quadsafe.cli import TRACE_HEADER, main
@@ -108,6 +110,38 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, text, extra):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+ALTITUDE_PAIR = {
+    "run": {"duration_s": 0.01, "dt_s": 0.001},
+    "filters": {"high": True, "low": False},
+    "initial": {},
+    "barriers": [{"domain": "altitude_position", "c_z_m": 0.0, "p_z_m": 2.0},
+                 {"domain": "altitude_posvel", "c_z_m": 0.0, "p_z_m": 2.0, "v_z_mps": 0.75}],
+}
+
+
+@pytest.mark.parametrize("where, key, check_code", [
+    (0, "c_z_m", 0), (1, "c_z_m", 0),                  # the offset z - c overflows
+    (0, "p_z_m", 1), (1, "p_z_m", 1), (1, "v_z_mps", 1),  # the half-width's fourth power does
+    ("initial", "z_m", 0), ("initial", "vz_mps", 0),   # the state's powers do
+])
+# barrier_h's numpy pow warns on the same overflow before the row raises.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_exits_typed(tmp_path, capsys, where, key, check_code):
+    # Python's float ** raises OverflowError where numpy's gives inf: a
+    # half-width that overflows is refused by check, an overflow the state
+    # drives stops the run as a non-finite state.
+    data = copy.deepcopy(ALTITUDE_PAIR)
+    (data["initial"] if where == "initial" else data["barriers"][where])[key] = 1.0e80
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["check", str(path)]) == check_code
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == (2 if check_code == 0 else 1)
+    assert "Traceback" not in err
+    assert ("non-finite state" if code == 2 else "fourth power overflows") in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -227,3 +261,12 @@ def test_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     with open(out / "events.csv") as f:
         assert any(ev["event_type"] == "infeasible" for ev in csv.DictReader(f))
+
+
+def test_readme_minimal_scenario_passes_check(tmp_path, capsys):
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    block = readme.split("A minimal scenario file:", 1)[1].split("```yaml\n", 1)[1]
+    path = tmp_path / "minimal.yaml"
+    path.write_text(block.split("```", 1)[0])
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"

@@ -1,6 +1,7 @@
 """Scenario file parsing: schema validation and built-in presets."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from quadsafe.config import (
     load_scenario,
     scenario_from_dict,
 )
+from quadsafe.oracle import default_spec
 from quadsafe.qp import InfeasiblePolicy
 
 MINIMAL = """
@@ -68,6 +70,16 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="boolean"):
             parse("filters: {high: 1}\n")
 
+    @pytest.mark.parametrize("text, key", [
+        ("run: {duration_s: %s}", "run.duration_s"),
+        ("gains: {kp: [%s, 8.0, 12.0]}", "gains.kp"),
+        ("barriers:\n  - {domain: altitude_position, poles: [-3.0, -%s]}", "barriers[0].poles"),
+    ], ids=["duration", "kp", "poles"])
+    def test_int_beyond_largest_float_is_not_a_number(self, text, key):
+        # math.isfinite raises OverflowError on such an int.
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            parse(text % ("9" * 400) + "\n")
+
     def test_bad_infeasible_policy(self):
         with pytest.raises(ScenarioError, match="infeasible_policy"):
             parse("filters: {infeasible_policy: explode}\n")
@@ -83,10 +95,10 @@ class TestBarrierEntries:
             "barriers:\n"
             "  - {domain: lateral_velocity, v_x_mps: 1.25, v_y_mps: 0.9}\n"
         ))
-        sb = sc.barriers[0]
-        assert sb.spec.domain is BarrierDomain.LATERAL_VELOCITY
-        assert np.allclose(sb.spec.half_width, [1.25, 0.9])
-        assert sb.gains.delta == 3  # default poles applied
+        spec = sc.barriers[0]
+        assert spec.domain is BarrierDomain.LATERAL_VELOCITY
+        assert np.allclose(spec.half_width, [1.25, 0.9])
+        assert spec.poles == (-3.0, -4.0, -5.0)  # default poles applied
 
     def test_domain_required(self):
         with pytest.raises(ScenarioError, match="domain"):
@@ -115,7 +127,7 @@ class TestBarrierEntries:
             "barriers:\n"
             "  - {domain: altitude_posvel, p_z_m: 2.0, v_z_mps: 0.75, alpha: 2.5}\n"
         ))
-        assert sc.barriers[0].gains.alpha == pytest.approx(2.5)
+        assert sc.barriers[0].K[0] == pytest.approx(2.5)
 
     def test_pole_count_checked(self):
         with pytest.raises(ScenarioError):
@@ -131,7 +143,18 @@ class TestBarrierEntries:
             "  - {domain: lateral_velocity, v_x_mps: 1.25, v_y_mps: 0.9,"
             " active_from_s: 20.0}\n"
         ))
-        assert sc.barriers[1].spec.active_from == 20.0
+        assert sc.barriers[1].active_from == 20.0
+
+    @pytest.mark.parametrize("domain", list(BarrierDomain))
+    def test_domain_alone_is_the_oracle_default(self, domain):
+        # config and the oracle read one table of per-family defaults.
+        (spec,) = parse(MINIMAL + f"barriers:\n  - {{domain: {domain.value}}}\n").barriers
+        want = default_spec(domain)
+        assert spec.domain is want.domain
+        assert spec.center.tolist() == want.center.tolist()
+        assert spec.half_width.tolist() == want.half_width.tolist()
+        assert spec.poles == want.poles
+        assert spec.K.tolist() == want.K.tolist()
 
 
 class TestPresets:
@@ -153,18 +176,18 @@ class TestPresets:
     def test_altitude_preset_filters(self):
         sc = load_preset("fig4-altitude")
         assert sc.filter_high and not sc.filter_low
-        domains = {sb.spec.domain for sb in sc.barriers}
+        domains = {spec.domain for spec in sc.barriers}
         assert domains == {BarrierDomain.ALTITUDE_POSITION,
                            BarrierDomain.ALTITUDE_POSVEL}
 
     def test_velocity_switch_schedule(self):
         sc = load_preset("fig6-velocity-switch")
-        starts = sorted(sb.spec.active_from for sb in sc.barriers)
+        starts = sorted(spec.active_from for spec in sc.barriers)
         assert starts == [0.0, 20.0]
 
     def test_unified_preset_has_all_domains(self):
         sc = load_preset("fig7-unified")
-        assert {sb.spec.domain for sb in sc.barriers} == set(BarrierDomain)
+        assert {spec.domain for spec in sc.barriers} == set(BarrierDomain)
 
 
 def test_scenario_from_dict_direct():

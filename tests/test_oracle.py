@@ -14,7 +14,6 @@ import pytest
 from quadsafe.barriers import RELATIVE_DEGREE, BarrierDomain
 from quadsafe.dynamics import QuadParams, flat_of, project_flat, project_to_rotation, rk4_flat
 from quadsafe.oracle import (
-    _DEFAULT_GAINS,
     FD_BLOCK,
     FD_DT,
     FD_SUBSTEPS,
@@ -36,10 +35,9 @@ def ref_flow(x, f, tau, params, dt):
     return project_flat(x)
 
 
-def ref_check_chain(domain, params=None, n_states=100, seed=12345, spec=None, gains=None):
+def ref_check_chain(domain, params=None, n_states=100, seed=12345, spec=None):
     params = params or QuadParams()
     spec = spec or default_spec(domain)
-    gains = gains or _DEFAULT_GAINS[RELATIVE_DEGREE[domain]]
     rng = np.random.default_rng(seed)
     delta = RELATIVE_DEGREE[domain]
     worst_lower = 0.0
@@ -47,9 +45,9 @@ def ref_check_chain(domain, params=None, n_states=100, seed=12345, spec=None, ga
     for _ in range(n_states):
         state, f, tau = random_state_and_input(rng, spec, params)
         x = flat_of(state)
-        H0, total0 = evaluate_chain(x, spec, gains, params, f, tau)
-        Hp, _ = evaluate_chain(ref_flow(x, f, tau, params, FD_DT), spec, gains, params, f, tau)
-        Hm, _ = evaluate_chain(ref_flow(x, f, tau, params, -FD_DT), spec, gains, params, f, tau)
+        H0, total0 = evaluate_chain(x, spec, params, f, tau)
+        Hp, _ = evaluate_chain(ref_flow(x, f, tau, params, FD_DT), spec, params, f, tau)
+        Hm, _ = evaluate_chain(ref_flow(x, f, tau, params, -FD_DT), spec, params, f, tau)
         scale = max(1.0, float(np.max(np.abs(H0))), abs(total0))
         for k in range(delta):
             fd = (Hp[k] - Hm[k]) / (2.0 * FD_DT)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import quadsafe.qp as qp
-from quadsafe.barriers import BarrierDomain, BarrierSpec, EcbfGains
+from quadsafe.barriers import BarrierDomain, BarrierSpec
 from quadsafe.config import load_preset
 from quadsafe.dynamics import QuadParams, QuadState, flat_of
 from quadsafe.qp import (
@@ -170,17 +170,16 @@ class TestLeastInfeasible:
 class TestFilters:
     def setup_method(self):
         self.params = QuadParams()
-        self.alt_spec = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0])
-        self.alt_gains = EcbfGains(2, (-3.0, -4.0))
+        self.alt_spec = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0],
+                                    poles=(-3.0, -4.0))
         self.vel_spec = BarrierSpec(BarrierDomain.LATERAL_VELOCITY,
-                                    [0.0, 0.0], [1.25, 0.9])
-        self.vel_gains = EcbfGains(3, (-3.0, -4.0, -5.0))
+                                    [0.0, 0.0], [1.25, 0.9], poles=(-3.0, -4.0, -5.0))
 
     def test_thrust_pass_through_deep_inside(self):
         # Hover at the center of the region: z = 0, zdot = 0, level.
         f_hat = self.params.m * self.params.g
         f_star, (_, status, _, _), _ = thrust_filter(
-            0.0, 0.0, 1.0, f_hat, [(self.alt_spec, self.alt_gains)], self.params)
+            0.0, 0.0, 1.0, f_hat, [self.alt_spec], self.params)
         assert f_star == pytest.approx(f_hat)
         assert status is QpStatus.OPTIMAL
 
@@ -189,18 +188,18 @@ class TestFilters:
         # nominal to brake (thrust opposes +z motion in this frame).
         f_hat = self.params.m * self.params.g
         f_star, _, _ = thrust_filter(
-            1.95, 2.0, 1.0, f_hat, [(self.alt_spec, self.alt_gains)], self.params)
+            1.95, 2.0, 1.0, f_hat, [self.alt_spec], self.params)
         assert f_star > f_hat
 
     def test_thrust_rejects_lateral_domain(self):
         with pytest.raises(ValueError):
-            thrust_filter(0.0, 0.0, 1.0, 4.0, [(self.vel_spec, self.vel_gains)],
+            thrust_filter(0.0, 0.0, 1.0, 4.0, [self.vel_spec],
                           self.params)
 
     def test_torque_pass_through_deep_inside(self):
         tau = np.array([0.3, -0.2])
         m_star, sol, rows = filter_torque(flat_of(QuadState()), tau, self.params.m * self.params.g,
-                                          [(self.vel_spec, self.vel_gains)], self.params)
+                                          [self.vel_spec], self.params)
         assert np.allclose(m_star, tau)
         assert sol.status is QpStatus.OPTIMAL
         assert len(rows) == 1 and len(rows[0][3]) == 3
@@ -208,14 +207,14 @@ class TestFilters:
     def test_torque_rejects_altitude_domain(self):
         with pytest.raises(ValueError):
             filter_torque(flat_of(QuadState()), np.zeros(2), 4.0,
-                          [(self.alt_spec, self.alt_gains)], self.params)
+                          [self.alt_spec], self.params)
 
     def test_nominal_policy_returns_clamped_nominal(self):
         p = problem_1d(5.0, [row(0.0, -1.0)])
         sol = solve_qp(p)
         assert sol.status is QpStatus.INFEASIBLE
         f_star, _, _ = thrust_filter(
-            3.0, 5.0, 1.0, 4.0, [(self.alt_spec, self.alt_gains)],
+            3.0, 5.0, 1.0, 4.0, [self.alt_spec],
             self.params, policy=InfeasiblePolicy.NOMINAL)
         # Whatever the feasibility outcome, the result stays in the box.
         assert 0.0 <= f_star <= self.params.f_max

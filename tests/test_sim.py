@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from quadsafe import qp
-from quadsafe.barriers import BarrierDomain, BarrierSpec, EcbfGains
+from quadsafe.barriers import BarrierDomain, BarrierSpec, InvalidPoles
 from quadsafe.config import PRESETS, load_preset
 from quadsafe.controller import ControllerGains, Reference
 from quadsafe.dynamics import QuadState
 from quadsafe.sim import (
     ReferenceConfig,
     Scenario,
-    ScheduledBarrier,
     active_barriers,
     reference_at,
     run,
@@ -44,11 +43,8 @@ def old_reference_at(t, cfg):
 
 
 def alt_barrier(active_from=0.0, half_width=2.0):
-    return ScheduledBarrier(
-        spec=BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [half_width],
-                         active_from=active_from),
-        gains=EcbfGains(2, (-3.0, -4.0)),
-    )
+    return BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [half_width],
+                       poles=(-3.0, -4.0), active_from=active_from)
 
 
 class TestReference:
@@ -138,11 +134,14 @@ class TestScheduling:
             Scenario(barriers=(alt_barrier(0.0), alt_barrier(0.0)))
 
     def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ScheduledBarrier(
-                spec=BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0]),
-                gains=EcbfGains(3, (-1.0, -2.0, -3.0)),
-            )
+        # Three poles: only lateral_velocity has relative degree 3.
+        three = (-1.0, -2.0, -3.0)
+        BarrierSpec(BarrierDomain.LATERAL_VELOCITY, [0.0, 0.0], [2.0, 2.0], poles=three)
+        for domain, n in ((BarrierDomain.ALTITUDE_POSITION, 1),
+                          (BarrierDomain.ALTITUDE_POSVEL, 2),
+                          (BarrierDomain.LATERAL_POSITION, 2)):
+            with pytest.raises(InvalidPoles):
+                BarrierSpec(domain, [0.0] * n, [2.0] * n, poles=three)
 
 
 class TestRun:
@@ -194,11 +193,8 @@ class TestRun:
         ref = ReferenceConfig(amplitude=np.array([0.5, 0.5, 0.5]))
         barriers = (
             alt_barrier(half_width=2.0),
-            ScheduledBarrier(
-                spec=BarrierSpec(BarrierDomain.LATERAL_POSITION,
-                                 [0.0, 0.0], [2.0, 2.0]),
-                gains=EcbfGains(4, (-3.0, -4.0, -5.0, -6.0)),
-            ),
+            BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0],
+                        poles=(-3.0, -4.0, -5.0, -6.0)),
         )
         on = run(Scenario(duration=5.0, reference=ref, barriers=barriers))
         off = run(Scenario(duration=5.0, reference=ref,
