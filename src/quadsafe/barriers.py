@@ -84,7 +84,7 @@ DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarrierSpec:
     """One rectellipse safety region, its ECBF poles and its activation time.
 
@@ -95,6 +95,7 @@ class BarrierSpec:
     gains K = pole_place(delta, poles), and for delta = 1 the condition is
     hdot + alpha h >= 0 with alpha = K[0] = -pole. The spec is active from
     ``active_from`` until a later spec on the same domain supersedes it.
+    Specs compare and hash by identity, as their fields hold arrays.
     """
 
     domain: BarrierDomain
@@ -102,13 +103,13 @@ class BarrierSpec:
     half_width: np.ndarray
     poles: tuple[float, ...] | None = None
     active_from: float = 0.0
-    K: np.ndarray = field(init=False, repr=False, compare=False)
+    K: np.ndarray = field(init=False, repr=False)
     # For the per-step kernels: the constrained states' flat-state indices,
     # and float copies of center, half_width and half_width ** 4 (numpy's pow).
-    idx: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    c: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    p: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    p4: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    idx: tuple[int, ...] = field(init=False, repr=False)
+    c: tuple[float, ...] = field(init=False, repr=False)
+    p: tuple[float, ...] = field(init=False, repr=False)
+    p4: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))

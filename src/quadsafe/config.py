@@ -17,7 +17,6 @@ import yaml
 from .barriers import DEFAULTS, RELATIVE_DEGREE, BarrierDomain, BarrierSpec
 from .controller import ControllerGains
 from .dynamics import QuadParams, QuadState, R_of_euler
-from .qp import InfeasiblePolicy
 from .sim import ReferenceConfig, Scenario
 
 
@@ -34,7 +33,7 @@ _REFERENCE_KEYS = {
     "a_x_m", "a_y_m", "a_z_m", "w_x_radps", "w_y_radps", "w_z_radps",
     "yaw_mode", "psi_const_rad",
 }
-_FILTER_KEYS = {"high", "low", "infeasible_policy"}
+_FILTER_KEYS = {"high", "low"}
 _GAIN_KEYS = {"kp", "kd", "k_r", "k_psi", "k_omega"}
 _PARAM_KEYS = {
     "g_mps2", "m_kg", "ix_kgm2", "iy_kgm2", "iz_kgm2",
@@ -87,11 +86,12 @@ def _vec3(table: dict, key: str, default, where: str) -> np.ndarray:
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     _check_keys(data, _TOP_KEYS, "<top level>")
+    default = Scenario()  # each absent key takes its dataclass default
 
     run = data.get("run", {})
     _check_keys(run, _RUN_KEYS, "run")
-    duration = _num(run, "duration_s", 40.0, "run")
-    dt = _num(run, "dt_s", 1e-3, "run")
+    duration = _num(run, "duration_s", default.duration, "run")
+    dt = _num(run, "dt_s", default.dt, "run")
 
     init = data.get("initial", {})
     _check_keys(init, _INITIAL_KEYS, "initial")
@@ -103,58 +103,52 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
 
     refc = data.get("reference", {})
     _check_keys(refc, _REFERENCE_KEYS, "reference")
-    yaw_mode = refc.get("yaw_mode", "atan2")
-    if yaw_mode not in ("atan2", "constant"):
-        raise ScenarioError("'reference.yaw_mode' must be 'atan2' or 'constant'")
-    reference = ReferenceConfig(
-        amplitude=np.array([_num(refc, k, d, "reference") for k, d in
-                            (("a_x_m", 2.5), ("a_y_m", 2.5), ("a_z_m", 2.5))]),
-        frequency=np.array([_num(refc, k, d, "reference") for k, d in
-                            (("w_x_radps", 0.4), ("w_y_radps", 0.5), ("w_z_radps", 0.3))]),
-        yaw_mode=yaw_mode,
-        yaw_constant=_num(refc, "psi_const_rad", 0.0, "reference"),
-    )
+    ref0 = default.reference
+    amplitude = [_num(refc, k, d, "reference")
+                 for k, d in zip(("a_x_m", "a_y_m", "a_z_m"), ref0.amplitude.tolist())]
+    frequency = [_num(refc, k, d, "reference")
+                 for k, d in zip(("w_x_radps", "w_y_radps", "w_z_radps"), ref0.frequency.tolist())]
+    yaw_constant = _num(refc, "psi_const_rad", ref0.yaw_constant, "reference")
+    try:
+        reference = ReferenceConfig(np.array(amplitude), np.array(frequency),
+                                    refc.get("yaw_mode", ref0.yaw_mode), yaw_constant)
+    except ValueError as exc:
+        raise ScenarioError(f"'reference.yaw_mode': {exc}") from None
 
     filt = data.get("filters", {})
     _check_keys(filt, _FILTER_KEYS, "filters")
-    policy_name = filt.get("infeasible_policy", "least_infeasible")
-    try:
-        policy = InfeasiblePolicy(policy_name)
-    except ValueError:
-        raise ScenarioError(
-            f"'filters.infeasible_policy' must be one of "
-            f"{[p.value for p in InfeasiblePolicy]}, got {policy_name!r}"
-        ) from None
     for key in ("high", "low"):
         if key in filt and not isinstance(filt[key], bool):
             raise ScenarioError(f"'filters.{key}' must be a boolean")
 
     g = data.get("gains", {})
     _check_keys(g, _GAIN_KEYS, "gains")
+    g0 = default.gains
     try:
         gains = ControllerGains(
-            Kp=_vec3(g, "kp", [8.0, 8.0, 12.0], "gains"),
-            Kd=_vec3(g, "kd", [5.0, 5.0, 7.0], "gains"),
-            k_R=_num(g, "k_r", 8.0, "gains"),
-            k_psi=_num(g, "k_psi", 2.0, "gains"),
-            k_omega=_vec3(g, "k_omega", [25.0, 25.0, 10.0], "gains"),
+            Kp=_vec3(g, "kp", g0.Kp.tolist(), "gains"),
+            Kd=_vec3(g, "kd", g0.Kd.tolist(), "gains"),
+            k_R=_num(g, "k_r", g0.k_R, "gains"),
+            k_psi=_num(g, "k_psi", g0.k_psi, "gains"),
+            k_omega=_vec3(g, "k_omega", g0.k_omega.tolist(), "gains"),
         )
     except ValueError as exc:
         raise ScenarioError(f"'gains': {exc}") from None
 
     prm = data.get("params", {})
     _check_keys(prm, _PARAM_KEYS, "params")
+    p0 = default.params
     try:
         params = QuadParams(
-            g=_num(prm, "g_mps2", 9.81, "params"),
-            m=_num(prm, "m_kg", 0.45, "params"),
-            Ix=_num(prm, "ix_kgm2", 0.091, "params"),
-            Iy=_num(prm, "iy_kgm2", 0.091, "params"),
-            Iz=_num(prm, "iz_kgm2", 0.182, "params"),
-            f_max=_num(prm, "f_max_n", 36.0, "params"),
+            g=_num(prm, "g_mps2", p0.g, "params"),
+            m=_num(prm, "m_kg", p0.m, "params"),
+            Ix=_num(prm, "ix_kgm2", p0.Ix, "params"),
+            Iy=_num(prm, "iy_kgm2", p0.Iy, "params"),
+            Iz=_num(prm, "iz_kgm2", p0.Iz, "params"),
+            f_max=_num(prm, "f_max_n", p0.f_max, "params"),
             tau_max=(
-                _num(prm, "tau_max_x_nm", 20.0, "params"),
-                _num(prm, "tau_max_y_nm", 20.0, "params"),
+                _num(prm, "tau_max_x_nm", p0.tau_max[0], "params"),
+                _num(prm, "tau_max_y_nm", p0.tau_max[1], "params"),
             ),
         )
     except ValueError as exc:
@@ -176,9 +170,8 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
             barriers=tuple(barriers),
             gains=gains,
             params=params,
-            filter_high=bool(filt.get("high", True)),
-            filter_low=bool(filt.get("low", True)),
-            infeasible_policy=policy,
+            filter_high=filt.get("high", default.filter_high),
+            filter_low=filt.get("low", default.filter_low),
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
@@ -203,6 +196,11 @@ def _barrier_from_dict(entry: dict, where: str) -> BarrierSpec:
                   for key, d in zip(half_width_keys, defaults.half_width)]
 
     if delta == 1:
+        if "poles" in entry:
+            raise ScenarioError(
+                f"'{where}.poles' only applies to barriers of relative degree 2 or more; "
+                "set 'alpha'"
+            )
         alpha = _num(entry, "alpha", -defaults.poles[0], where)
         if alpha <= 0:
             raise ScenarioError(f"'{where}.alpha' must be positive")
@@ -220,7 +218,7 @@ def _barrier_from_dict(entry: dict, where: str) -> BarrierSpec:
             center=np.array(center),
             half_width=np.array(half_width),
             poles=poles,
-            active_from=_num(entry, "active_from_s", 0.0, where),
+            active_from=_num(entry, "active_from_s", BarrierSpec.active_from, where),
         )
     except ValueError as exc:
         raise ScenarioError(f"'{where}': {exc}") from None

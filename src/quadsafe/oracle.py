@@ -101,14 +101,9 @@ def random_state_and_input(
     return state, f, rng.uniform(-0.5, 0.5, size=3)
 
 
-def check_chain(
-    domain: BarrierDomain,
-    params: QuadParams | None = None,
-    n_states: int = 100,
-    seed: int = 12345,
-    spec: BarrierSpec | None = None,
-) -> ChainCheck:
-    """Worst-case relative FD errors for one chain over random in-set states.
+def check_chain(domain: BarrierDomain, n_states: int = 100, seed: int = 12345) -> ChainCheck:
+    """Worst-case relative FD errors for one chain, with the family's default
+    spec and QuadParams(), over random in-set states.
 
     Works a block of FD_BLOCK states at a time: draws the states in order,
     integrates all their stencil flows (+FD_DT, then -FD_DT) in one flow
@@ -119,8 +114,8 @@ def check_chain(
     """
     if n_states < 1:
         raise ValueError(f"n_states must be at least 1, got {n_states}")
-    params = params or QuadParams()
-    spec = spec or default_spec(domain)
+    params = QuadParams()
+    spec = default_spec(domain)
     rng = np.random.default_rng(seed)
     delta = RELATIVE_DEGREE[domain]
     worst_lower = 0.0

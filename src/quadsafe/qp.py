@@ -21,23 +21,23 @@ sees only the (a, b) pairs. Where the 2-D solver needs every a . u at once
 computes them with the kernel of a 1-D a @ u, so each equals the separate
 product bit for bit.
 
-On infeasibility the configurable fallback keeps the simulation alive; the
-default picks the least-infeasible admissible input (min-max violation) in
-closed form: the least worst violation from the vertices of its epigraph
-linear program, then the same QP on the rows relaxed by it. The module needs
-numpy only.
+On infeasibility both filters apply the least-infeasible admissible input
+(min-max violation), in closed form: the least worst violation from the
+vertices of its epigraph linear program, then the same QP on the rows
+relaxed by it. The module needs numpy only.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .barriers import BarrierSpec, altitude_row, lateral_rows
-from .dynamics import QuadParams
+from .dynamics import NonFiniteState, QuadParams
 
 _A_EPS = 1e-12       # below this, a row does not involve the decision variable
 _FEAS_TOL = 1e-9
@@ -48,12 +48,6 @@ _NORM2_CLEAR = 1.001e-24  # |a|^2 at or above this: norm(a) >= _A_EPS in any rou
 class QpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-
-
-class InfeasiblePolicy(enum.Enum):
-    LEAST_INFEASIBLE = "least_infeasible"
-    NOMINAL = "nominal"
-    HOLD_LAST = "hold_last"
 
 
 @dataclass(frozen=True)
@@ -395,16 +389,6 @@ def least_infeasible(p: QpProblem) -> np.ndarray:
     return np.clip(u, p.lower, p.upper)  # a box face's rounding in the solve
 
 
-def _fallback(
-    p: QpProblem, policy: InfeasiblePolicy, last: np.ndarray | None
-) -> np.ndarray:
-    if policy is InfeasiblePolicy.LEAST_INFEASIBLE:
-        return least_infeasible(p)
-    if policy is InfeasiblePolicy.HOLD_LAST and last is not None:
-        return np.clip(np.asarray(last, float), p.lower, p.upper)
-    return np.clip(p.u_hat, p.lower, p.upper)
-
-
 def thrust_filter(
     z: float,
     zd: float,
@@ -412,16 +396,18 @@ def thrust_filter(
     f_hat: float,
     active_specs: list[BarrierSpec],
     params: QuadParams,
-    policy: InfeasiblePolicy = InfeasiblePolicy.LEAST_INFEASIBLE,
-    last: float | None = None,
 ) -> tuple[float, tuple[float, QpStatus, tuple[int, ...], float], list[tuple]]:
     """High-level QP: modify thrust f_hat to honor the active altitude
     barriers at altitude z, climb rate zd and attitude entry R33.
 
     Returns the applied thrust, the QP's solve_interval result and the
-    (a, b, h, H) of each active barrier's row.
+    (a, b, h, H) of each active barrier's row. Raises NonFiniteState when a
+    row's a, b or h is not finite.
     """
     rows = [altitude_row(spec, z, zd, R33, params) for spec in active_specs]
+    for spec, (a, b, h, _) in zip(active_specs, rows):
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(h)):
+            raise NonFiniteState(f"{spec.domain.value} barrier row is not finite")
     u_hat = min(max(f_hat, 0.0), params.f_max)
     solution = solve_interval(u_hat, 0.0, params.f_max, [(a, b) for a, b, _, _ in rows])
     f_star = solution[0]
@@ -432,7 +418,7 @@ def thrust_filter(
             np.array([0.0]),
             np.array([params.f_max]),
         )
-        f_star = float(_fallback(p, policy, None if last is None else np.array([last]))[0])
+        f_star = float(least_infeasible(p)[0])
     return f_star, solution, rows
 
 
@@ -454,22 +440,24 @@ def filter_torque(
     f_star_applied: float,
     active_specs: list[BarrierSpec],
     params: QuadParams,
-    policy: InfeasiblePolicy = InfeasiblePolicy.LEAST_INFEASIBLE,
-    last: list[float] | None = None,
 ) -> tuple[np.ndarray, QpSolution, list[tuple]]:
     """Low-level QP: modify [tau_x, tau_y] at the flat state x given the
     thrust fixed this step.
 
     Returns the applied moments, the QP's solution and the (a, b, h, H) of
-    each active barrier's row. Raises LateralSingular (from lateral_rows)
-    when the attitude is near the W-inversion singularity; the caller
-    decides the pass-through policy.
+    each active barrier's row. Raises NonFiniteState when a row's a, b or h
+    is not finite, and LateralSingular (from lateral_rows) when the attitude
+    is near the W-inversion singularity; the caller decides the pass-through
+    policy.
     """
     rows = lateral_rows(x, f_star_applied, active_specs, params)
+    for spec, (a, b, h, _) in zip(active_specs, rows):
+        if not all(map(math.isfinite, (*a.tolist(), b, h))):
+            raise NonFiniteState(f"{spec.domain.value} barrier row is not finite")
     b0, b1 = params.tau_max
     lower, upper, u_hat = np.array([(-b0, -b1), (b0, b1), clip_moments(tau_hat_xy, params)])
     p = QpProblem(u_hat, tuple((a, b) for a, b, _, _ in rows), lower, upper)
     sol = solve_qp(p)
     if sol.status is QpStatus.OPTIMAL:
         return sol.u_star, sol, rows
-    return _fallback(p, policy, last), sol, rows
+    return least_infeasible(p), sol, rows

@@ -4,7 +4,8 @@ Single-rate loop: analytic sinusoidal reference -> cascaded controller ->
 high-level thrust QP -> attitude/body-rate loops -> low-level torque QP ->
 RK4 dynamics step, recorded in a Trace of columns preallocated for the
 known step count. All QP and singularity events are recorded in the
-trace, never fatal; only a non-finite state aborts.
+trace, never fatal; only a non-finite state, barrier value or barrier row
+aborts, with NonFiniteState.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from . import controller as ctl
 from .barriers import RELATIVE_DEGREE, BarrierDomain, BarrierSpec, LateralSingular, barrier_h
 from .controller import ControllerGains, Reference
-from .dynamics import QuadParams, QuadState, advance, euler_of_R, flat_of
-from .qp import InfeasiblePolicy, QpStatus, clip_moments, filter_torque, thrust_filter
+from .dynamics import NonFiniteState, QuadParams, QuadState, advance, euler_of_R, flat_of
+from .qp import QpStatus, clip_moments, filter_torque, thrust_filter
 
 ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)
 LATERAL_DOMAINS = (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY)
@@ -49,7 +50,6 @@ class Scenario:
     params: QuadParams = field(default_factory=QuadParams)
     filter_high: bool = True
     filter_low: bool = True
-    infeasible_policy: InfeasiblePolicy = InfeasiblePolicy.LEAST_INFEASIBLE
 
     def __post_init__(self) -> None:
         steps = self.duration / self.dt if self.dt > 0 else math.nan
@@ -139,6 +139,9 @@ def active_barriers(
     return out
 
 
+# numpy's floating-point warnings are off for the run: each non-finite
+# value they would report raises NonFiniteState instead.
+@np.errstate(all="ignore")
 def run(scenario: Scenario) -> Trace:
     """Simulate the closed loop; returns the Trace of every step."""
     params = scenario.params
@@ -158,8 +161,6 @@ def run(scenario: Scenario) -> Trace:
     # The state, as 18 floats [r, R row-major, v, omega].
     x = flat_of(scenario.initial_state)
     prev_active: dict[BarrierDomain, float] = {}
-    last_f: float | None = None
-    last_m: list[float] | None = None
     # The active set changes only at activation times, so the schedule is
     # re-read only once t reaches the next of them.
     next_switch = -math.inf
@@ -186,7 +187,9 @@ def run(scenario: Scenario) -> Trace:
             )
 
         cells = nan_cells.copy()
-        for at, h in zip(h_at, barrier_h(x, active)):
+        for spec, at, h in zip(active, h_at, barrier_h(x, active)):
+            if not math.isfinite(h):
+                raise NonFiniteState(f"{spec.domain.value} barrier value is {h}")
             cells[at] = h
 
         euler = euler_of_R(x)
@@ -201,9 +204,7 @@ def run(scenario: Scenario) -> Trace:
         qp_hi_status = ""
         if scenario.filter_high and hi_active:
             f_star, (_, status, _, _), rows = thrust_filter(
-                z, zd, R33, f_hat,
-                hi_active, params, scenario.infeasible_policy, last_f,
-            )
+                z, zd, R33, f_hat, hi_active, params)
             qp_hi_status = status.value
             for at, (_, _, _, H) in zip(hi_H_at, rows):
                 cells[at] = H.tolist()
@@ -227,9 +228,7 @@ def run(scenario: Scenario) -> Trace:
         if scenario.filter_low and lo_active:
             try:
                 m_star, solution, rows = filter_torque(
-                    x, tau_hat[:2], f_star,
-                    lo_active, params, scenario.infeasible_policy, last_m,
-                )
+                    x, tau_hat[:2], f_star, lo_active, params)
                 m_star = m_star.tolist()
                 qp_lo_status = solution.status.value
                 for at, (_, _, _, H) in zip(lo_H_at, rows):
@@ -244,6 +243,4 @@ def run(scenario: Scenario) -> Trace:
         trace.qp_hi_status.append(qp_hi_status)
         trace.qp_lo_status.append(qp_lo_status)
         x = advance(x, f_star, [*m_star, tau_hat[2]], params, dt)
-        last_f = f_star
-        last_m = m_star
     return trace

@@ -98,6 +98,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="finite"):
             BarrierSpec(**{**kwargs, field: value})
 
+    def test_equality_and_hash_are_identity(self):
+        # The generated ones would compare and hash the array fields.
+        a, b = (BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0])
+                for _ in range(2))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
 
 class TestRectellipse:
     def test_center_value_one(self):

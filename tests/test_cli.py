@@ -125,23 +125,31 @@ ALTITUDE_PAIR = {
     (0, "c_z_m", 0), (1, "c_z_m", 0),                  # the offset z - c overflows
     (0, "p_z_m", 1), (1, "p_z_m", 1), (1, "v_z_mps", 1),  # the half-width's fourth power does
     ("initial", "z_m", 0), ("initial", "vz_mps", 0),   # the state's powers do
+    # A lateral barrier alone: h, or only the rows, overflow.
+    ("lateral_position", "x_m", 0), ("lateral_position", "vx_mps", 0),
+    ("lateral_velocity", "vx_mps", 0),
 ])
-# barrier_h's numpy pow warns on the same overflow before the row raises.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflow_exits_typed(tmp_path, capsys, where, key, check_code):
     # Python's float ** raises OverflowError where numpy's gives inf: a
     # half-width that overflows is refused by check, an overflow the state
-    # drives stops the run as a non-finite state.
-    data = copy.deepcopy(ALTITUDE_PAIR)
-    (data["initial"] if where == "initial" else data["barriers"][where])[key] = 1.0e80
+    # drives stops the run as a non-finite state, at either level, with one
+    # error line and no numpy warning.
+    if where in ("lateral_position", "lateral_velocity"):
+        data = {"run": ALTITUDE_PAIR["run"], "initial": {key: 1.0e80},
+                "barriers": [{"domain": where}]}
+    else:
+        data = copy.deepcopy(ALTITUDE_PAIR)
+        (data["initial"] if where == "initial" else data["barriers"][where])[key] = 1.0e80
     path = tmp_path / "huge.yaml"
     path.write_text(yaml.safe_dump(data))
     assert main(["check", str(path)]) == check_code
+    capsys.readouterr()
     code = main(["run", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == (2 if check_code == 0 else 1)
-    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert ("non-finite state" if code == 2 else "fourth power overflows") in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

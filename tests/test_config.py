@@ -1,5 +1,6 @@
 """Scenario file parsing: schema validation and built-in presets."""
 
+import dataclasses
 import io
 import re
 
@@ -15,7 +16,7 @@ from quadsafe.config import (
     scenario_from_dict,
 )
 from quadsafe.oracle import default_spec
-from quadsafe.qp import InfeasiblePolicy
+from quadsafe.sim import Scenario
 
 MINIMAL = """
 run: {duration_s: 1.0, dt_s: 0.001}
@@ -34,7 +35,6 @@ class TestSchema:
         assert sc.params.m == 0.45
         assert np.allclose(sc.reference.amplitude, [2.5, 2.5, 2.5])
         assert sc.filter_high and sc.filter_low
-        assert sc.infeasible_policy is InfeasiblePolicy.LEAST_INFEASIBLE
 
     def test_empty_file_is_all_defaults(self):
         sc = parse("")
@@ -81,12 +81,14 @@ class TestSchema:
             parse(text % ("9" * 400) + "\n")
 
     def test_bad_infeasible_policy(self):
-        with pytest.raises(ScenarioError, match="infeasible_policy"):
-            parse("filters: {infeasible_policy: explode}\n")
+        # The key is gone: the infeasible fallback is always least-infeasible.
+        for value in ("explode", "least_infeasible"):
+            with pytest.raises(ScenarioError, match=r"unknown key.*'infeasible_policy'"):
+                parse(f"filters: {{infeasible_policy: {value}}}\n")
 
-    def test_policy_parsed(self):
-        sc = parse("filters: {infeasible_policy: hold_last}\n")
-        assert sc.infeasible_policy is InfeasiblePolicy.HOLD_LAST
+    def test_bad_yaw_mode_names_the_key(self):
+        with pytest.raises(ScenarioError, match=re.escape("'reference.yaw_mode'")):
+            parse("reference: {yaw_mode: spin}\n")
 
 
 class TestBarrierEntries:
@@ -128,6 +130,14 @@ class TestBarrierEntries:
             "  - {domain: altitude_posvel, p_z_m: 2.0, v_z_mps: 0.75, alpha: 2.5}\n"
         ))
         assert sc.barriers[0].K[0] == pytest.approx(2.5)
+
+    def test_poles_refused_on_degree_one(self):
+        # alpha sets the one pole of altitude_posvel; poles would be ignored.
+        with pytest.raises(ScenarioError, match=r"barriers\[0\]\.poles'.*'alpha'"):
+            parse(MINIMAL + (
+                "barriers:\n"
+                "  - {domain: altitude_posvel, poles: [5.0, 7.0, \"x\"]}\n"
+            ))
 
     def test_pole_count_checked(self):
         with pytest.raises(ScenarioError):
@@ -193,3 +203,15 @@ class TestPresets:
 def test_scenario_from_dict_direct():
     sc = scenario_from_dict({"run": {"duration_s": 2.0}})
     assert sc.duration == 2.0
+
+
+def test_empty_dict_is_the_dataclass_defaults():
+    # config keeps no default of its own: an empty file is Scenario().
+    got, want = scenario_from_dict({}), Scenario()
+    for f in dataclasses.fields(Scenario):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if dataclasses.is_dataclass(a):
+            for g in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, g.name), getattr(b, g.name)), (f.name, g.name)
+        else:
+            assert a == b, f.name

@@ -1,12 +1,13 @@
 """Config fuzz: a scenario that ``check`` accepts runs to the end or stops
 with a typed exit code, never with a traceback.
 
-Each drawn scenario (valid keys, edge values, schedules, policies, starting
-states outside the safe sets or near the tilt singularity) is written to a
-YAML file and run through ``quadsafe.cli.main`` for at most 50 steps. It must
-be rejected at load (exit 1), abort on a non-finite state (exit 2), or
-complete (exit 0) with a finite trace inside the actuator bounds and only
-typed events.
+Each drawn scenario (valid keys, edge values, schedules, filter switches,
+starting states outside the safe sets or near the tilt singularity), with at
+most one known defect, is written to a YAML file and run through
+``quadsafe.cli.main`` for at most 50 steps. ``check`` must reject it (exit 1)
+exactly when it carries a defect, and so must ``run``. An accepted scenario
+must abort on a non-finite state (exit 2) or complete (exit 0) with a finite
+trace inside the actuator bounds and only typed events.
 """
 
 import contextlib
@@ -85,10 +86,7 @@ VALID = st.fixed_dictionaries({
         w_x_radps=value(0.0, 3.0), w_y_radps=value(0.0, 3.0), w_z_radps=value(0.0, 3.0),
         yaw_mode=st.sampled_from(["atan2", "constant"]), psi_const_rad=value(-4.0, 4.0),
     ),
-    "filters": section(
-        high=st.booleans(), low=st.booleans(),
-        infeasible_policy=st.sampled_from(["least_infeasible", "nominal", "hold_last"]),
-    ),
+    "filters": section(high=st.booleans(), low=st.booleans()),
     "gains": section(
         kp=vec3(0.0, 30.0), kd=vec3(0.0, 30.0),
         k_r=value(0.1, 30.0), k_psi=value(0.1, 10.0), k_omega=vec3(0.1, 60.0),
@@ -114,9 +112,14 @@ DEFECTS = {
         {"domain": "altitude_position", "poles": [-3.0, 0.5]}),
     "overlapping schedule": lambda d: d["barriers"].extend(
         [{"domain": "lateral_position", "active_from_s": 0.05}] * 2),
+    "poles on a degree-1 barrier": lambda d: d["barriers"].append(
+        {"domain": "altitude_posvel", "poles": [-1.0], "active_from_s": 0.05}),
+    "removed key": lambda d: d.setdefault("filters", {}).update(
+        infeasible_policy="least_infeasible"),
 }
+# (defect, scenario) pairs.
 SCENARIOS = st.builds(
-    lambda data, defect: DEFECTS[defect](data) or data,
+    lambda data, defect: (defect, DEFECTS[defect](data) or data),
     VALID, st.sampled_from([None, None, None, *DEFECTS]),
 )
 
@@ -124,7 +127,8 @@ SCENARIOS = st.builds(
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(SCENARIOS)
-def test_check_accepts_then_run_completes(data):
+def test_check_accepts_then_run_completes(case):
+    defect, data = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.yaml")
         with open(path, "w") as f:
@@ -134,10 +138,11 @@ def test_check_accepts_then_run_completes(data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             checked = main(["check", path])
             code = main(["run", path, "--out", out])
+        assert checked == (0 if defect is None else 1), (defect, err.getvalue())
         if checked == 1:  # rejected at load
             assert code == 1 and not os.path.exists(out), err.getvalue()
             return
-        assert checked == 0 and code in (0, 2), err.getvalue()
+        assert code in (0, 2), err.getvalue()
         if code == 2:
             assert "non-finite state" in err.getvalue()
             return

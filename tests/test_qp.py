@@ -13,9 +13,8 @@ from scipy.optimize import linprog
 import quadsafe.qp as qp
 from quadsafe.barriers import BarrierDomain, BarrierSpec
 from quadsafe.config import load_preset
-from quadsafe.dynamics import QuadParams, QuadState, flat_of
+from quadsafe.dynamics import NonFiniteState, QuadParams, QuadState, flat_of
 from quadsafe.qp import (
-    InfeasiblePolicy,
     QpProblem,
     QpSolution,
     QpStatus,
@@ -196,6 +195,24 @@ class TestFilters:
             thrust_filter(0.0, 0.0, 1.0, 4.0, [self.vel_spec],
                           self.params)
 
+    def test_thrust_refuses_a_non_finite_row(self):
+        # No power overflows here (h is finite), but (z - c)^3 zdot does.
+        with pytest.raises(NonFiniteState, match="altitude_position barrier row"):
+            thrust_filter(1.0e70, 1.0e100, 1.0, 4.0, [self.alt_spec], self.params)
+
+    @pytest.mark.parametrize("domain, k", [
+        (BarrierDomain.LATERAL_POSITION, 0), (BarrierDomain.LATERAL_POSITION, 12),
+        (BarrierDomain.LATERAL_VELOCITY, 12),
+    ], ids=["position-x", "position-vx", "velocity-vx"])
+    def test_torque_refuses_a_non_finite_row(self, domain, k):
+        # x = 1e80 overflows h; vx = 1e80 leaves the position barrier's h
+        # finite and overflows its row through vx^3 and vx^4.
+        spec = BarrierSpec(domain, [0.0, 0.0], [2.0, 2.0])
+        x = flat_of(QuadState())
+        x[k] = 1.0e80
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteState, match=domain.value):
+            filter_torque(x, [0.0, 0.0], self.params.m * self.params.g, [spec], self.params)
+
     def test_torque_pass_through_deep_inside(self):
         tau = np.array([0.3, -0.2])
         m_star, sol, rows = filter_torque(flat_of(QuadState()), tau, self.params.m * self.params.g,
@@ -208,16 +225,6 @@ class TestFilters:
         with pytest.raises(ValueError):
             filter_torque(flat_of(QuadState()), np.zeros(2), 4.0,
                           [self.alt_spec], self.params)
-
-    def test_nominal_policy_returns_clamped_nominal(self):
-        p = problem_1d(5.0, [row(0.0, -1.0)])
-        sol = solve_qp(p)
-        assert sol.status is QpStatus.INFEASIBLE
-        f_star, _, _ = thrust_filter(
-            3.0, 5.0, 1.0, 4.0, [self.alt_spec],
-            self.params, policy=InfeasiblePolicy.NOMINAL)
-        # Whatever the feasibility outcome, the result stays in the box.
-        assert 0.0 <= f_star <= self.params.f_max
 
 
 class TestDegenerate:

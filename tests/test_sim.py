@@ -11,7 +11,7 @@ from quadsafe import qp
 from quadsafe.barriers import BarrierDomain, BarrierSpec, InvalidPoles
 from quadsafe.config import PRESETS, load_preset
 from quadsafe.controller import ControllerGains, Reference
-from quadsafe.dynamics import QuadState
+from quadsafe.dynamics import NonFiniteState, QuadState
 from quadsafe.sim import (
     ReferenceConfig,
     Scenario,
@@ -227,6 +227,15 @@ class TestRun:
             Scenario(duration=0.0004, dt=1e-3)
         with pytest.raises(ValueError):
             Scenario(dt=float("nan"))
+
+    def test_non_finite_barrier_value_stops_the_run(self):
+        # With its level's filter off, a barrier's h is only recorded: the
+        # run stops rather than write -inf into the trace.
+        spec = BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0])
+        sc = Scenario(duration=0.01, barriers=(spec,), filter_low=False,
+                      initial_state=QuadState(r=np.array([1.0e80, 0.0, 0.0])))
+        with pytest.raises(NonFiniteState, match="lateral_position barrier"):
+            run(sc)
 
     def test_dt_override_keeps_step_count_consistent(self):
         sc = dataclasses.replace(Scenario(duration=0.01), dt=2e-3)
