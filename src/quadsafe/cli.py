@@ -10,16 +10,20 @@ Subcommands:
 Exit codes: 0 success, 1 validation error, bad option or a run too long
 to allocate, 2 non-finite state abort. QP infeasibility events are data,
 not failures.
-The exports write every float of sim.run's Trace columns as repr(float).
+The exports write every float of sim.run's Trace columns as repr(float),
+trace.csv in blocks of EXPORT_ROWS rows, so that export memory does not
+grow with the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .oracle import check_all_chains
 from .sim import Scenario, Trace, TraceTooLong, run
 
 EPS_NUM = 0.02  # discretization slack on barrier invariance, for summaries
+EXPORT_ROWS = 256  # trace rows formatted and written per block
 
 TRACE_HEADER = (
     "t,x,y,z,phi,theta,psi,vx,vy,vz,p,q,r_rate,f_hat,F_star,taux_hat,tauy_hat,"
@@ -37,14 +42,14 @@ TRACE_HEADER = (
 )
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     # os.open with mode 0o666 lets the kernel apply the umask, as open() does;
     # mkstemp's mode 0600 would survive the rename.
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}.part")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -52,18 +57,34 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def trace_csv(trace: Trace) -> str:
-    """trace.csv: one row per step, h cells empty where the column is NaN."""
-    floats = np.column_stack([
-        trace.t, trace.r, trace.euler, trace.v, trace.omega, trace.f_hat, trace.f_star,
-        trace.tau_hat[:, :2], trace.m_star, trace.tau_hat[:, 2],
-    ])
-    cols = [map(repr, col) for col in floats.T.tolist()]
-    for domain in BarrierDomain:  # h_alt, h_altvel, h_latpos, h_latvel
-        cols.append(["" if h != h else repr(h) for h in trace.h[domain].tolist()]
-                    if domain in trace.h else [""] * len(trace))
-    cols += [trace.qp_hi_status, trace.qp_lo_status]
-    return "\n".join([TRACE_HEADER, *map(",".join, zip(*cols))]) + "\n"
+def _row_blocks(n: int) -> Iterator[slice]:
+    """The slices of EXPORT_ROWS rows, in order, that cover n rows."""
+    return (slice(a, a + EXPORT_ROWS) for a in range(0, n, EXPORT_ROWS))
+
+
+def trace_csv(trace: Trace) -> Iterator[str]:
+    """trace.csv as text blocks of EXPORT_ROWS rows each, after the header
+    line: one row per step, h cells empty where the column is NaN."""
+    yield TRACE_HEADER + "\n"
+    floats = [trace.t, trace.r, trace.euler, trace.v, trace.omega, trace.f_hat,
+              trace.f_star, trace.tau_hat[:, :2], trace.m_star, trace.tau_hat[:, 2]]
+    hs = [trace.h.get(domain) for domain in BarrierDomain]  # h_alt, ..., h_latvel
+    for rows in _row_blocks(len(trace)):
+        block = np.column_stack([col[rows] for col in floats])
+        cols = [map(repr, col) for col in block.T.tolist()]
+        for h in hs:
+            cols.append(["" if v != v else repr(v) for v in h[rows].tolist()]
+                        if h is not None else [""] * len(block))
+        cols += [trace.qp_hi_status[rows], trace.qp_lo_status[rows]]
+        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+def events_csv(trace: Trace) -> Iterator[str]:
+    """events.csv, one line per event in step order."""
+    yield "t,event_type,detail\n"
+    for k, ev in trace.events:
+        ev_type, _, detail = ev.partition(":")
+        yield f"{float(trace.t[k])!r},{ev_type},{detail}\n"
 
 
 def export_trace(trace: Trace, out_dir: str, wall_time_s: float = 0.0) -> None:
@@ -72,26 +93,24 @@ def export_trace(trace: Trace, out_dir: str, wall_time_s: float = 0.0) -> None:
         raise ValueError("empty trace")
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "trace.csv"), trace_csv(trace))
-
-    event_lines = ["t,event_type,detail"]
-    for k, ev in trace.events:
-        ev_type, _, detail = ev.partition(":")
-        event_lines.append(f"{float(trace.t[k])!r},{ev_type},{detail}")
-    _atomic_write(os.path.join(out_dir, "events.csv"), "\n".join(event_lines) + "\n")
-
-    _atomic_write(os.path.join(out_dir, "summary.txt"),
-                  summary_text(trace, wall_time_s))
+    _atomic_write(os.path.join(out_dir, "events.csv"), events_csv(trace))
+    _atomic_write(os.path.join(out_dir, "summary.txt"), [summary_text(trace, wall_time_s)])
 
 
 def summary_text(trace: Trace, wall_time_s: float) -> str:
-    dt = float(trace.t[1] - trace.t[0]) if len(trace) > 1 else 0.0
     lines = [f"steps: {len(trace)}", f"wall_time_s: {wall_time_s:.3f}"]
     for domain, col in trace.h.items():
-        hs = [h for h in col.tolist() if h == h]
-        if not hs:
+        # NaN, before the barrier's first activation, fails both tests, so
+        # min_h stays inf for a barrier that never activated.
+        min_h, violation_s = math.inf, 0.0
+        for rows in _row_blocks(len(trace)):
+            for h in col[rows].tolist():
+                if h < min_h:
+                    min_h = h
+                if h < -EPS_NUM:
+                    violation_s += trace.dt
+        if min_h == math.inf:
             continue
-        min_h = min(hs)
-        violation_s = sum(dt for h in hs if h < -EPS_NUM)
         lines.append(
             f"barrier {domain.value}: min_h={min_h:.6f} "
             f"violation_beyond_eps_s={violation_s:.3f}"

@@ -82,10 +82,11 @@ class Trace:
     omega are slices of the flat state x. h[d] is NaN before the barrier's
     first activation, H[d] on steps where its level built no row. The lists
     qp_hi_status and qp_lo_status hold a string per step, events
-    (k, "kind:detail") pairs in step order.
+    (k, "kind:detail") pairs in step order; dt is the run's step size.
     """
 
-    def __init__(self, n_steps: int, domains: list[BarrierDomain]) -> None:
+    def __init__(self, n_steps: int, domains: list[BarrierDomain], dt: float) -> None:
+        self.dt = dt
         widths = [1, 18, 3, 1, 1, 3, 2] + [1 + RELATIVE_DEGREE[d] for d in domains]
         try:
             self.block = np.empty((n_steps, sum(widths)))
@@ -150,7 +151,7 @@ def run(scenario: Scenario) -> Trace:
     n_steps = int(round(scenario.duration / dt))
     scenario.initial_state.validate(tol=1e-6)
     domains = [d for d in BarrierDomain if any(spec.domain is d for spec in scenario.barriers)]
-    trace = Trace(n_steps, domains)
+    trace = Trace(n_steps, domains, dt)
     events = trace.events
     # A step's h and H cells, in block order: d's h at h_cell[d], its H at H_cells[d].
     h_cell, H_cells, nan_cells = {}, {}, []

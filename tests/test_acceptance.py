@@ -21,19 +21,11 @@ from quadsafe.qp import (
 )
 from quadsafe.sim import reference_at, run
 
+from conftest import preset_trace
 from kkt import kkt_residual
 
 EPS_NUM = 0.02          # discretization slack on barrier invariance
 ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)
-
-_cache = {}
-
-
-def preset_trace(name):
-    if name not in _cache:
-        t0 = time.perf_counter()
-        _cache[name] = (run(load_preset(name)), time.perf_counter() - t0)
-    return _cache[name]
 
 
 def h_series(trace, domain):

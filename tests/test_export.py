@@ -1,0 +1,135 @@
+"""Block-wise export: the bytes of a one-shot formatter, in bounded memory."""
+
+import dataclasses
+import math
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from quadsafe.barriers import BarrierDomain
+from quadsafe.cli import (
+    EPS_NUM,
+    EXPORT_ROWS,
+    TRACE_HEADER,
+    export_trace,
+    main,
+    summary_text,
+    trace_csv,
+)
+from quadsafe.config import load_preset
+from quadsafe.sim import Trace, run
+
+B = EXPORT_ROWS
+# The step at which the mid-run barrier activates: its h cells are empty
+# on both sides of the edge at B and filled on both sides of the one at 2B.
+ACTIVATION_STEP = B + B // 2
+
+
+def one_shot_trace_csv(trace) -> str:
+    """trace.csv built whole in memory, as the export did before it wrote
+    blocks: the byte reference for the block-wise one."""
+    floats = np.column_stack([
+        trace.t, trace.r, trace.euler, trace.v, trace.omega, trace.f_hat, trace.f_star,
+        trace.tau_hat[:, :2], trace.m_star, trace.tau_hat[:, 2],
+    ])
+    cols = [map(repr, col) for col in floats.T.tolist()]
+    for domain in BarrierDomain:
+        cols.append(["" if h != h else repr(h) for h in trace.h[domain].tolist()]
+                    if domain in trace.h else [""] * len(trace))
+    cols += [trace.qp_hi_status, trace.qp_lo_status]
+    return "\n".join([TRACE_HEADER, *map(",".join, zip(*cols))]) + "\n"
+
+
+def one_shot_barrier_lines(trace) -> list[str]:
+    lines = []
+    for domain, col in trace.h.items():
+        hs = [h for h in col.tolist() if h == h]
+        if hs:
+            violation_s = sum(trace.dt for h in hs if h < -EPS_NUM)
+            lines.append(f"barrier {domain.value}: min_h={min(hs):.6f} "
+                         f"violation_beyond_eps_s={violation_s:.3f}")
+    return lines
+
+
+def mid_activation_run(n_steps: int):
+    """fig7 cut to n_steps, its lateral velocity barrier active from
+    ACTIVATION_STEP; the other three barriers are active from step 0."""
+    scenario = load_preset("fig7-unified")
+    barriers = tuple(
+        dataclasses.replace(spec, active_from=(ACTIVATION_STEP - 0.5) * scenario.dt)
+        if spec.domain is BarrierDomain.LATERAL_VELOCITY else spec
+        for spec in scenario.barriers
+    )
+    return run(dataclasses.replace(
+        scenario, duration=n_steps * scenario.dt, barriers=barriers))
+
+
+@pytest.mark.parametrize("n_steps", [1, B - 1, B, B + 1, 2 * B + 1])
+def test_blocks_match_the_one_shot_bytes(n_steps):
+    trace = mid_activation_run(n_steps)
+    assert len(trace) == n_steps
+    blocks = list(trace_csv(trace))
+    assert len(blocks) == 1 + math.ceil(n_steps / B)
+    assert "".join(blocks) == one_shot_trace_csv(trace)
+    assert summary_text(trace, 0.0).splitlines()[2:-1] == one_shot_barrier_lines(trace)
+
+
+def test_mid_run_activation_spans_block_edges():
+    trace = mid_activation_run(2 * B + 1)
+    h = trace.h[BarrierDomain.LATERAL_VELOCITY]
+    assert np.isnan(h[:ACTIVATION_STEP]).all() and not np.isnan(h[ACTIVATION_STEP:]).any()
+    rows = "".join(trace_csv(trace)).splitlines()[1:]
+    column = TRACE_HEADER.split(",").index("h_latvel")
+    cells = [row.split(",")[column] for row in rows]
+    assert cells[B - 1] == cells[B] == ""
+    assert cells[2 * B - 1] != "" and cells[2 * B] != ""
+
+
+def synthetic_trace(n_steps: int) -> Trace:
+    """A trace of every barrier domain with n_steps rows of random floats;
+    each h column is NaN for its first half."""
+    trace = Trace(n_steps, list(BarrierDomain), 1e-3)
+    trace.block[:] = np.random.default_rng(0).standard_normal(trace.block.shape)
+    for h in trace.h.values():
+        h[: n_steps // 2] = np.nan
+    trace.qp_hi_status += ["optimal"] * n_steps
+    trace.qp_lo_status += ["infeasible"] * n_steps
+    return trace
+
+
+# Traced, a one-shot export of the 40 B-row trace peaks at about 19 MB
+# (1.8 KB a row); the block-wise one at about 0.5 MB for any row count.
+EXPORT_PEAK_BOUND = 2**20
+
+
+@pytest.mark.parametrize("blocks", [2, 40])
+def test_export_memory_does_not_grow_with_the_run(blocks, tmp_path):
+    trace = synthetic_trace(blocks * B)
+    tracemalloc.start()
+    try:
+        export_trace(trace, str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= EXPORT_PEAK_BOUND, f"{peak / 2**20:.2f} MB over {blocks} blocks"
+    assert os.path.getsize(tmp_path / "trace.csv") > blocks * B * 400
+
+
+ONE_STEP = """\
+run: {duration_s: DURATION, dt_s: 0.001}
+initial: {z_m: 2.5}
+barriers:
+  - {domain: altitude_position, c_z_m: 0.0, p_z_m: 2.0}
+"""
+
+
+@pytest.mark.parametrize("duration, violation", [("0.001", "0.001"), ("0.002", "0.002")])
+def test_summary_counts_the_violation_of_a_one_step_run(tmp_path, duration, violation):
+    path = tmp_path / "one.yaml"
+    path.write_text(ONE_STEP.replace("DURATION", duration))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert f"violation_beyond_eps_s={violation}\n" in summary, summary

@@ -3,7 +3,9 @@
 A refactor that claims to leave behaviour unchanged must keep these numbers.
 The horizon stops short of fig4's period-2 thrust chatter near the altitude
 limit (from t ~ 4.08 s), which amplifies round-off. The trace.csv and
-events.csv exported from the same runs are pinned byte for byte.
+events.csv exported from the same runs are pinned byte for byte, and so are
+those of every preset's full run (shared with test_acceptance.py through
+conftest.py), which catch a change that shows only late in a run.
 """
 
 import collections
@@ -15,9 +17,11 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from quadsafe.cli import export_trace
+from quadsafe.cli import events_csv, export_trace, trace_csv
 from quadsafe.config import PRESETS, load_preset
 from quadsafe.sim import run
+
+from conftest import preset_trace
 
 HORIZON_S = 2.0
 ATOL = 1e-9
@@ -115,6 +119,33 @@ EXPORT_SHA256 = {
 }
 
 
+# sha256 of (trace.csv, events.csv) exported from each preset's full run.
+# The full runs of fig4, fig7 and stress-infeasible amplify round-off, so
+# these pins hold for the numpy build the 2-s pins were recorded with.
+FULL_EXPORT_SHA256 = {
+    "fig4-altitude": (
+        "331442dcd846163410dd6c00d75470b2514f36f936bf3c2047bf555fcba00376",
+        "0420340ee08a4e6a3359689a4b3dc25c7bcf49d99114ddefca784e4f72ae839a",
+    ),
+    "fig5-lateral-pos": (
+        "2cc5b1aba354ee223ccc7670023081462f1c138d1a5d43371d2b427363fd421a",
+        "b9e7ce870a800c185d2a930f1c801b0621ab23ffaa1173620b6fe1e0d1cbc7a6",
+    ),
+    "fig6-velocity-switch": (
+        "2e5ef9c4b1e2c72e9104c9a6830fb9928e1433a9fdef5903604bc0c738f24079",
+        "942f0ba4879e89cc096fee21d8fa204971ae4daac1811a5b5c5c7404e3d35600",
+    ),
+    "fig7-unified": (
+        "6c4a78ef34a058c19a14d5b780c355c8e047707b6262f3afcea160406534b494",
+        "559bce7f3196a87f0a5d992bad5464ff4ca672eceb7001d4471b9777cc06a177",
+    ),
+    "stress-infeasible": (
+        "c7a7a1a79344406f8e48c20e8f06073a77895db6ec2c9e88ac86118a16e1b733",
+        "3c375c15b49b5dae544a9ce32c3a1e5a0f9f483374dc9c3f3837049ec850f86a",
+    ),
+}
+
+
 @functools.cache
 def horizon_run(name: str):
     return run(dataclasses.replace(load_preset(name), duration=HORIZON_S))
@@ -140,6 +171,10 @@ def test_every_preset_is_pinned():
     assert set(GOLDEN) == set(PRESETS) == set(EXPORT_SHA256)
 
 
+def test_every_preset_full_run_is_pinned():
+    assert set(FULL_EXPORT_SHA256) == set(PRESETS)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_preset_fingerprint(name):
     got, want = fingerprint(name), GOLDEN[name]
@@ -154,3 +189,18 @@ def test_exported_bytes(name, tmp_path):
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                 for f in ("trace.csv", "events.csv"))
     assert got == EXPORT_SHA256[name]
+
+
+def sha256_of_blocks(blocks) -> str:
+    """sha256 of the text the blocks join to, hashed one block at a time."""
+    digest = hashlib.sha256()
+    for block in blocks:
+        digest.update(block.encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FULL_EXPORT_SHA256))
+def test_full_run_exported_bytes(name):
+    trace, _ = preset_trace(name)
+    got = (sha256_of_blocks(trace_csv(trace)), sha256_of_blocks(events_csv(trace)))
+    assert got == FULL_EXPORT_SHA256[name]
