@@ -9,14 +9,13 @@ reproducing the trajectory-rectification experiments.
 from .barriers import BarrierDomain, BarrierSpec, pole_place, rectellipse_h
 from .controller import ControllerGains, Reference
 from .dynamics import QuadParams, QuadState
-from .qp import QpProblem, QpSolution, solve_qp
+from .qp import QpSolution, solve_qp
 from .sim import Scenario, Trace, reference_at, run
 
 __all__ = [
     "BarrierDomain",
     "BarrierSpec",
     "ControllerGains",
-    "QpProblem",
     "QpSolution",
     "QuadParams",
     "QuadState",

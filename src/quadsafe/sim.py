@@ -1,11 +1,11 @@
 """Scenario-driven closed-loop simulation.
 
 Single-rate loop: analytic sinusoidal reference -> cascaded controller ->
-high-level thrust QP -> attitude/body-rate loops -> low-level torque QP ->
-RK4 dynamics step, recorded in a Trace of columns preallocated for the
-known step count. All QP and singularity events are recorded in the
-trace, never fatal; only a non-finite state, barrier value or barrier row
-aborts, with NonFiniteState.
+altitude rows and thrust QP -> attitude/body-rate loops -> lateral rows
+and moment QP -> RK4 dynamics step, recorded in a Trace of columns
+preallocated for the known step count. All QP and singularity events are
+recorded in the trace, never fatal; only a non-finite state, barrier value
+or barrier row aborts, with NonFiniteState.
 """
 
 from __future__ import annotations
@@ -16,10 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import controller as ctl
-from .barriers import RELATIVE_DEGREE, BarrierDomain, BarrierSpec, LateralSingular, barrier_h
+from . import qp
+from .barriers import (
+    RELATIVE_DEGREE,
+    BarrierDomain,
+    BarrierSpec,
+    LateralSingular,
+    altitude_row,
+    barrier_h,
+    lateral_rows,
+)
 from .controller import ControllerGains, Reference
 from .dynamics import NonFiniteState, QuadParams, QuadState, advance, euler_of_R, flat_of
-from .qp import QpStatus, clip_moments, filter_torque, thrust_filter
 
 ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)
 LATERAL_DOMAINS = (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY)
@@ -165,6 +173,10 @@ def run(scenario: Scenario) -> Trace:
     # The active set changes only at activation times, so the schedule is
     # re-read only once t reaches the next of them.
     next_switch = -math.inf
+    # The actuator boxes of the two QPs.
+    f_lower, f_upper = [0.0], [params.f_max]
+    tau_upper = list(params.tau_max)
+    tau_lower = [-b for b in tau_upper]
 
     for k in range(n_steps):
         t = k * dt
@@ -203,16 +215,17 @@ def run(scenario: Scenario) -> Trace:
             events.append((k, "attitude-singular:thrust"))
 
         qp_hi_status = ""
+        f_star = f_hat
         if scenario.filter_high and hi_active:
-            f_star, (_, status, _, _), rows = thrust_filter(
-                z, zd, R33, f_hat, hi_active, params)
+            rows = [altitude_row(spec, z, zd, R33, params) for spec in hi_active]
+            qp_rows = qp.finite_rows(hi_active, rows)
+            (f_star,), status, _, _ = qp.solve_qp([f_hat], qp_rows, f_lower, f_upper)
+            if status is qp.QpStatus.INFEASIBLE:
+                (f_star,) = qp.least_infeasible([f_hat], qp_rows, f_lower, f_upper)
+                events.append((k, "infeasible:high"))
             qp_hi_status = status.value
             for at, (_, _, _, H) in zip(hi_H_at, rows):
                 cells[at] = H.tolist()
-            if status is QpStatus.INFEASIBLE:
-                events.append((k, "infeasible:high"))
-        else:
-            f_star = f_hat
 
         try:
             omega_cmd = ctl.attitude_loop(
@@ -228,18 +241,19 @@ def run(scenario: Scenario) -> Trace:
         m_star = tau_hat[:2]
         if scenario.filter_low and lo_active:
             try:
-                m_star, solution, rows = filter_torque(
-                    x, tau_hat[:2], f_star, lo_active, params)
-                m_star = m_star.tolist()
-                qp_lo_status = solution.status.value
-                for at, (_, _, _, H) in zip(lo_H_at, rows):
-                    cells[at] = H.tolist()
-                if solution.status is QpStatus.INFEASIBLE:
-                    events.append((k, "infeasible:low"))
+                rows = lateral_rows(x, f_star, lo_active, params)
             except LateralSingular:
-                m_star = clip_moments(tau_hat[:2], params)
                 qp_lo_status = "singular"
                 events.append((k, "lateral-singular"))
+            else:
+                qp_rows = qp.finite_rows(lo_active, rows)
+                m_star, status, _, _ = qp.solve_qp(tau_hat[:2], qp_rows, tau_lower, tau_upper)
+                if status is qp.QpStatus.INFEASIBLE:
+                    m_star = qp.least_infeasible(tau_hat[:2], qp_rows, tau_lower, tau_upper)
+                    events.append((k, "infeasible:low"))
+                qp_lo_status = status.value
+                for at, (_, _, _, H) in zip(lo_H_at, rows):
+                    cells[at] = H.tolist()
         trace.block[k] = [t, *x, *euler, f_hat, f_star, *tau_hat, *m_star, *cells]
         trace.qp_hi_status.append(qp_hi_status)
         trace.qp_lo_status.append(qp_lo_status)

@@ -14,11 +14,7 @@ from quadsafe.barriers import BarrierDomain
 from quadsafe.cli import main
 from quadsafe.config import load_preset
 from quadsafe.oracle import check_all_chains
-from quadsafe.qp import (
-    QpProblem,
-    QpStatus,
-    solve_qp,
-)
+from quadsafe.qp import QpStatus, solve_qp
 from quadsafe.sim import reference_at, run
 
 from conftest import preset_trace
@@ -136,6 +132,7 @@ def test_a5_entry_from_outside():
 
 
 def _random_qp(rng):
+    """A 1-D or 2-D QP as solve_qp's float arguments (u_hat, rows, lower, upper)."""
     dim = int(rng.integers(1, 3))
     if dim == 1:
         lower, upper = np.array([0.0]), np.array([36.0])
@@ -147,10 +144,10 @@ def _random_qp(rng):
         (rng.normal(size=dim), float(rng.normal(scale=5.0)))
         for _ in range(rng.integers(0, 4))
     )
-    return QpProblem(u_hat=u_hat, rows=rows, lower=lower, upper=upper)
+    return u_hat.tolist(), [(a.tolist(), b) for a, b in rows], lower.tolist(), upper.tolist()
 
 
-def _grid_argmin(p, n=2001):
+def _grid_argmin(u_hat, rows, lower, upper, n=2001):
     """Sampling oracle for the projection QP.
 
     The minimizer is either the (clipped) nominal itself or a point on the
@@ -160,10 +157,12 @@ def _grid_argmin(p, n=2001):
     avoids the lattice artifact where the nearest feasible point of a 2-D grid
     slides several cells along a boundary that is shallow relative to the axes.
     """
+    u_hat, lower, upper = np.array(u_hat), np.array(lower), np.array(upper)
+    rows = [(np.array(a), b) for a, b in rows]
 
     def feasible(pts):
-        ok = np.all((pts >= p.lower - 1e-9) & (pts <= p.upper + 1e-9), axis=1)
-        for a, b in p.rows:
+        ok = np.all((pts >= lower - 1e-9) & (pts <= upper + 1e-9), axis=1)
+        for a, b in rows:
             ok &= pts @ a + b >= -1e-9
         return ok
 
@@ -175,16 +174,16 @@ def _grid_argmin(p, n=2001):
         if not np.any(keep):
             return None, None
         sub = pts[keep]
-        obj = np.sum((sub - p.u_hat) ** 2, axis=1)
+        obj = np.sum((sub - u_hat) ** 2, axis=1)
         k = int(np.argmin(obj))
         if obj[k] < best_obj:
             best_obj, best = obj[k], sub[k]
         return sub[k], keep
 
-    if p.dim == 1:
-        cand = [np.clip(p.u_hat, p.lower, p.upper)[None, :],
-                p.lower[None, :], p.upper[None, :]]
-        for a, b in p.rows:
+    if len(u_hat) == 1:
+        cand = [np.clip(u_hat, lower, upper)[None, :],
+                lower[None, :], upper[None, :]]
+        for a, b in rows:
             if abs(a[0]) > 1e-12:
                 cand.append(np.array([[-b / a[0]]]))
         consider(np.vstack(cand))
@@ -193,18 +192,18 @@ def _grid_argmin(p, n=2001):
     # dim == 2: parameterize each boundary as base + t*d and sample it twice
     # (coarse pass over its full extent, fine pass around the best point).
     lines = []
-    for a, b in p.rows:
+    for a, b in rows:
         nrm = np.linalg.norm(a)
         if nrm > 1e-12:
             lines.append((-b * a / nrm**2, np.array([-a[1], a[0]]) / nrm))
     for j in (0, 1):
         d = np.zeros(2)
         d[1 - j] = 1.0
-        for val in (p.lower[j], p.upper[j]):
+        for val in (lower[j], upper[j]):
             base = np.zeros(2)
             base[j] = val
             lines.append((base, d))
-    half = 1.5 * float(p.upper[0] - p.lower[0])
+    half = 1.5 * float(upper[0] - lower[0])
     for base, d in lines:
         ts = np.linspace(-half, half, n)
         for _ in range(2):
@@ -214,7 +213,7 @@ def _grid_argmin(p, n=2001):
             t_best = float(d @ (pt - base))
             step = ts[1] - ts[0]
             ts = np.linspace(t_best - step, t_best + step, n)
-    consider(np.clip(p.u_hat, p.lower, p.upper)[None, :])
+    consider(np.clip(u_hat, lower, upper)[None, :])
     return best
 
 
@@ -224,29 +223,29 @@ def test_a6_qp_exactness():
     n_checked = n_grid = n_pass = 0
     for _ in range(1000):
         p = _random_qp(rng)
-        sol = solve_qp(p)
+        sol = solve_qp(*p)
         if sol.status is not QpStatus.OPTIMAL:
             continue
         n_checked += 1
-        res = kkt_residual(p, sol)
+        res = kkt_residual(*p, sol)
         assert res <= 1e-8, f"KKT residual {res:.2e}"
-        u_grid = _grid_argmin(p)
+        u_grid = _grid_argmin(*p)
         if u_grid is not None:
-            obj_qp = np.sum((sol.u_star - p.u_hat) ** 2)
-            obj_grid = np.sum((u_grid - p.u_hat) ** 2)
+            u_star, u_hat = np.array(sol.u_star), np.array(p[0])
+            obj_qp = np.sum((u_star - u_hat) ** 2)
+            obj_grid = np.sum((u_grid - u_hat) ** 2)
             # The solver can never lose to the sampling oracle, and the two
             # must agree per coordinate (oracle quantization is ~1e-4).
             assert obj_qp <= obj_grid + 1e-9
-            assert np.all(np.abs(sol.u_star - u_grid) <= 2e-3), (
-                f"oracle disagreement {sol.u_star} vs {u_grid}")
+            assert np.all(np.abs(u_star - u_grid) <= 2e-3), (
+                f"oracle disagreement {u_star} vs {u_grid}")
             n_grid += 1
     # Feasible-nominal pass-through must be bitwise exact.
     for _ in range(200):
-        p = _random_qp(rng)
-        u_hat = np.clip(p.u_hat, p.lower, p.upper)
-        margin_rows = tuple((a, float(-a @ u_hat + abs(b) + 1.0)) for a, b in p.rows)
-        p2 = QpProblem(u_hat=u_hat, rows=margin_rows, lower=p.lower, upper=p.upper)
-        sol = solve_qp(p2)
+        u_hat, rows, lower, upper = _random_qp(rng)
+        u_hat = np.clip(u_hat, lower, upper).tolist()
+        margin_rows = [(a, float(-np.array(a) @ u_hat + abs(b) + 1.0)) for a, b in rows]
+        sol = solve_qp(u_hat, margin_rows, lower, upper)
         assert sol.status is QpStatus.OPTIMAL
         assert np.array_equal(sol.u_star, u_hat), "pass-through not exact"
         n_pass += 1

@@ -544,16 +544,16 @@ class TestLateralRowsAreBitwiseTheReference:
     @pytest.mark.parametrize("preset", ["fig5-lateral-pos", "fig6-velocity-switch",
                                         "fig7-unified"])
     def test_every_lateral_row_of_a_preset_second(self, monkeypatch, preset):
-        import quadsafe.qp as qp
+        import quadsafe.sim as sim
 
         calls = []
-        rows = qp.lateral_rows
+        rows = sim.lateral_rows
 
         def recording(x, f, specs, params):
             calls.append((list(x), f, list(specs), params))
             return rows(x, f, specs, params)
 
-        monkeypatch.setattr(qp, "lateral_rows", recording)
+        monkeypatch.setattr(sim, "lateral_rows", recording)
         run(dataclasses.replace(load_preset(preset), duration=1.0))
         assert len(calls) == 1000
         for call in calls:

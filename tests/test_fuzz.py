@@ -178,9 +178,9 @@ def test_fallback_keeps_the_vertex_when_the_relaxed_qp_is_refused(monkeypatch, t
     calls = []
     fallback = qp.least_infeasible
 
-    def least_infeasible(p):
-        u = fallback(p)
-        calls.append((p, u))
+    def least_infeasible(*problem):
+        u = fallback(*problem)
+        calls.append((problem, u))
         return u
 
     monkeypatch.setattr(qp, "least_infeasible", least_infeasible)
@@ -192,17 +192,18 @@ def test_fallback_keeps_the_vertex_when_the_relaxed_qp_is_refused(monkeypatch, t
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
-    ((p, u),) = calls
-    ((a, b),) = p.rows
+    (((u_hat, rows, lower, upper), u),) = calls
+    ((a, b),) = rows
     assert a[0] == 0.0 and a[1] > 1e8 and b < -1e8
-    assert qp.solve_qp(p).status is qp.QpStatus.INFEASIBLE
-    relaxed = qp.QpProblem(p.u_hat, ((a, b + 1e-12),), p.lower, p.upper)
-    assert qp.solve_qp(relaxed).status is qp.QpStatus.INFEASIBLE
-    assert np.all(p.lower <= u) and np.all(u <= p.upper)
-    assert -(float(a @ u) + b) <= 0.0  # t* = 0
+    assert qp.solve_qp(u_hat, rows, lower, upper).status is qp.QpStatus.INFEASIBLE
+    relaxed = [(a, b + 1e-12)]
+    assert qp.solve_qp(u_hat, relaxed, lower, upper).status is qp.QpStatus.INFEASIBLE
+    assert np.all(np.array(lower) <= u) and np.all(u <= np.array(upper))
+    a_u = float(np.array(a) @ np.array(u))
+    assert -(a_u + b) <= 0.0  # t* = 0
     # A vertex of the epigraph LP: on the row's line and on a box face.
-    assert abs(float(a @ u) + b) <= 1e-12 * abs(b) and u[0] in (p.lower[0], p.upper[0])
+    assert abs(a_u + b) <= 1e-12 * abs(b) and u[0] in (lower[0], upper[0])
     with open(tmp_path / "out" / "trace.csv") as f:
         (step,) = csv.DictReader(f)
     assert step["qp_lo_status"] == "infeasible"
-    assert [float(step["Mx_star"]), float(step["My_star"])] == u.tolist()
+    assert [float(step["Mx_star"]), float(step["My_star"])] == u

@@ -13,13 +13,14 @@ one fails here, by name, and not only as a bitwise mismatch of a whole row
 or QP.
 """
 
+import itertools
 import math
 
 import numpy as np
 from numpy.linalg._umath_linalg import svd_f
 
+from quadsafe.controller import ControllerGains, body_rate_loop
 from quadsafe.dynamics import QuadParams, deriv, rk4_flat
-from quadsafe.qp import _clip
 
 N = 4000
 
@@ -127,16 +128,23 @@ def test_float_objective_is_the_numpy_sum():
         same(got, want)
 
 
-def test_float_clip_is_np_clip():
-    # filter_torque clips the nominal moments in floats.
-    values = [0.0, -0.0, 1.0, -1.0, 20.0, -20.0, 25.0, -25.0, 1e-310, -1e-310,
+def test_body_rate_loop_is_a_fixed_point_of_np_clip():
+    # sim.run hands body_rate_loop's (tau_x, tau_y) to the moment QP and to
+    # the trace as they are: for every bound tau_max > 0 they must already be
+    # np.clip(., -tau_max, tau_max), bit for bit, NaN included.
+    values = [0.0, -0.0, 1.0, -1.0, 0.3, -7.0, 1e-310, -1e-310, 1e300, -1e300,
               math.inf, -math.inf, math.nan]
-    for bound in (20.0, 0.0, 1e-300, math.inf):
-        for v in values:
-            want = np.clip(np.array([v]), np.array([-bound]), np.array([bound]))[0]
-            got = _clip(v, -bound, bound)
-            assert np.array([got]).tobytes() == np.array([want]).tobytes() or (
-                math.isnan(got) and math.isnan(want)), (v, bound, got, want)
+    gains = ControllerGains()
+    for bound in (20.0, 0.5, 1e-300, 5e-324, math.inf):
+        params = QuadParams(tau_max=(bound, 2.0 * bound))
+        lo, hi = np.array([-bound, -2.0 * bound]), np.array([bound, 2.0 * bound])
+        for cmd, rate, other in itertools.product(values, repeat=3):
+            x = [0.0] * 15 + [rate, other, -rate]
+            got = np.array(body_rate_loop(x, [cmd, -cmd, other], gains, params)[:2])
+            same(got, np.clip(got, lo, hi))
+    # With a bound of 0 a negative moment stays -0.0, where np.clip gives 0.0.
+    got = body_rate_loop([0.0] * 18, [-1.0, -1.0, 0.0], gains, QuadParams(tau_max=(0.0, 0.0)))
+    assert [math.copysign(1.0, v) for v in got[:2]] == [-1.0, -1.0]
 
 
 def test_rk4_on_float64_columns_is_rk4_on_floats():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import struct
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,106 +12,110 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import quadsafe.qp as qp
-from quadsafe.barriers import BarrierDomain, BarrierSpec
+from quadsafe.barriers import BarrierDomain, BarrierSpec, altitude_row, lateral_rows
 from quadsafe.config import load_preset
 from quadsafe.dynamics import NonFiniteState, QuadParams, QuadState, flat_of
-from quadsafe.qp import (
-    QpProblem,
-    QpSolution,
-    QpStatus,
-    filter_torque,
-    least_infeasible,
-    solve_qp,
-    thrust_filter,
-)
+from quadsafe.qp import QpSolution, QpStatus, finite_rows, least_infeasible, solve_qp
 from quadsafe.sim import run
 
 from kkt import kkt_residual
 
 
+class Problem(NamedTuple):
+    """solve_qp's float arguments, bundled: solve_qp(*p)."""
+
+    u_hat: list[float]
+    rows: tuple[tuple[list[float], float], ...]
+    lower: list[float]
+    upper: list[float]
+
+
 def row(a, b):
-    return np.atleast_1d(np.asarray(a, float)), float(b)
+    return np.atleast_1d(np.asarray(a, float)).tolist(), float(b)
 
 
 def problem_1d(u_hat, rows, lo=0.0, hi=36.0):
-    return QpProblem(u_hat=np.array([float(u_hat)]), rows=tuple(rows),
-                     lower=np.array([lo]), upper=np.array([hi]))
+    return Problem([float(u_hat)], tuple(row(a, b) for a, b in rows), [lo], [hi])
 
 
 def problem_2d(u_hat, rows, bound=20.0):
-    return QpProblem(u_hat=np.asarray(u_hat, float), rows=tuple(rows),
-                     lower=np.array([-bound, -bound]),
-                     upper=np.array([bound, bound]))
+    return Problem(np.asarray(u_hat, float).tolist(), tuple(row(a, b) for a, b in rows),
+                   [-bound, -bound], [bound, bound])
+
+
+def in_box(p, u, tol=0.0):
+    """Whether u lies in p's box, widened by tol."""
+    return np.all(np.array(p.lower) - tol <= u) and np.all(u <= np.array(p.upper) + tol)
 
 
 class TestScalar:
     def test_pass_through_when_unconstrained(self):
-        sol = solve_qp(problem_1d(5.0, []))
+        sol = solve_qp(*problem_1d(5.0, []))
         assert sol.status is QpStatus.OPTIMAL
         assert sol.u_star[0] == 5.0
 
     def test_single_lower_bound_row(self):
         # u + (-10) >= 0  -> u >= 10
-        sol = solve_qp(problem_1d(5.0, [row(1.0, -10.0)]))
+        sol = solve_qp(*problem_1d(5.0, [row(1.0, -10.0)]))
         assert sol.u_star[0] == pytest.approx(10.0)
         assert sol.active_set == (0,)
 
     def test_single_upper_bound_row(self):
         # -u + 3 >= 0 -> u <= 3
-        sol = solve_qp(problem_1d(5.0, [row(-1.0, 3.0)]))
+        sol = solve_qp(*problem_1d(5.0, [row(-1.0, 3.0)]))
         assert sol.u_star[0] == pytest.approx(3.0)
 
     def test_interval_intersection(self):
-        sol = solve_qp(problem_1d(0.0, [row(1.0, -2.0), row(-0.5, 4.0)]))
+        sol = solve_qp(*problem_1d(0.0, [row(1.0, -2.0), row(-0.5, 4.0)]))
         assert sol.u_star[0] == pytest.approx(2.0)  # feasible [2, 8]
 
     def test_infeasible_empty_interval(self):
-        sol = solve_qp(problem_1d(5.0, [row(1.0, -10.0), row(-1.0, 3.0)]))
+        sol = solve_qp(*problem_1d(5.0, [row(1.0, -10.0), row(-1.0, 3.0)]))
         assert sol.status is QpStatus.INFEASIBLE
 
     def test_infeasible_zero_gain_row(self):
         # 0*u - 1 >= 0 can never hold.
-        sol = solve_qp(problem_1d(5.0, [row(0.0, -1.0)]))
+        sol = solve_qp(*problem_1d(5.0, [row(0.0, -1.0)]))
         assert sol.status is QpStatus.INFEASIBLE
 
     def test_box_clamps_nominal(self):
-        sol = solve_qp(problem_1d(50.0, []))
+        sol = solve_qp(*problem_1d(50.0, []))
         assert sol.u_star[0] == 36.0
 
 
 class TestPlanar:
     def test_pass_through(self):
-        sol = solve_qp(problem_2d([1.0, -2.0], []))
+        sol = solve_qp(*problem_2d([1.0, -2.0], []))
         assert np.allclose(sol.u_star, [1.0, -2.0])
         assert sol.active_set == ()
 
     def test_halfplane_projection(self):
         # a.u + b >= 0 with a=(1,0), b=-5: project (0,0) onto x >= 5.
-        sol = solve_qp(problem_2d([0.0, 0.0], [row([1.0, 0.0], -5.0)]))
+        sol = solve_qp(*problem_2d([0.0, 0.0], [row([1.0, 0.0], -5.0)]))
         assert np.allclose(sol.u_star, [5.0, 0.0])
 
     def test_oblique_projection(self):
         # x + y >= 4 from origin -> (2, 2).
-        sol = solve_qp(problem_2d([0.0, 0.0], [row([1.0, 1.0], -4.0)]))
+        sol = solve_qp(*problem_2d([0.0, 0.0], [row([1.0, 1.0], -4.0)]))
         assert np.allclose(sol.u_star, [2.0, 2.0])
 
     def test_vertex_of_two_rows(self):
-        sol = solve_qp(problem_2d([0.0, 0.0],
+        sol = solve_qp(*problem_2d([0.0, 0.0],
                                   [row([1.0, 0.0], -3.0), row([0.0, 1.0], -2.0)]))
         assert np.allclose(sol.u_star, [3.0, 2.0])
         assert set(sol.active_set) == {0, 1}
 
     def test_box_corner(self):
-        sol = solve_qp(problem_2d([25.0, -25.0], []))
+        sol = solve_qp(*problem_2d([25.0, -25.0], []))
         assert np.allclose(sol.u_star, [20.0, -20.0])
 
     def test_parallel_conflicting_rows_infeasible(self):
-        sol = solve_qp(problem_2d([0.0, 0.0],
+        sol = solve_qp(*problem_2d([0.0, 0.0],
                                   [row([1.0, 0.0], -5.0), row([-1.0, 0.0], 2.0)]))
         assert sol.status is QpStatus.INFEASIBLE
 
     def test_near_parallel_rows_do_not_crash(self):
-        sol = solve_qp(problem_2d([0.0, 0.0],
+        sol = solve_qp(*problem_2d([0.0, 0.0],
                                   [row([1.0, 1.0], -4.0),
                                    row([1.0, 1.0 + 1e-13], -4.0)]))
         assert sol.status is QpStatus.OPTIMAL
@@ -121,9 +126,9 @@ class TestPlanar:
             n_rows = rng.integers(0, 4)
             rows = [row(rng.normal(size=2), rng.normal()) for _ in range(n_rows)]
             p = problem_2d(rng.normal(size=2) * 10.0, rows, bound=5.0)
-            sol = solve_qp(p)
+            sol = solve_qp(*p)
             if sol.status is QpStatus.OPTIMAL:
-                assert kkt_residual(p, sol) <= 1e-8
+                assert kkt_residual(*p, sol) <= 1e-8
 
     def test_grid_oracle_agreement(self):
         # Brute-force grid search over the box must not beat the solver.
@@ -134,13 +139,13 @@ class TestPlanar:
         for _ in range(50):
             rows = [row(rng.normal(size=2), rng.normal()) for _ in range(2)]
             p = problem_2d(rng.normal(size=2) * 4.0, rows, bound=5.0)
-            sol = solve_qp(p)
+            sol = solve_qp(*p)
             feas = np.ones(len(pts), dtype=bool)
             for a, b in rows:
                 feas &= pts @ a + b >= -1e-9
             if sol.status is QpStatus.OPTIMAL and np.any(feas):
                 grid_best = np.min(np.sum((pts[feas] - p.u_hat) ** 2, axis=1))
-                ours = np.sum((sol.u_star - p.u_hat) ** 2)
+                ours = np.sum((np.array(sol.u_star) - p.u_hat) ** 2)
                 assert ours <= grid_best + 1e-9
 
 
@@ -148,12 +153,12 @@ class TestLeastInfeasible:
     def test_minimizes_worst_violation(self):
         # u >= 10 and u <= 3: min-max violation at the midpoint 6.5.
         p = problem_1d(0.0, [row(1.0, -10.0), row(-1.0, 3.0)])
-        u = least_infeasible(p)
+        u = least_infeasible(*p)
         assert u[0] == pytest.approx(6.5, abs=1e-6)
 
     def test_respects_box(self):
         p = problem_1d(0.0, [row(1.0, -100.0)])
-        u = least_infeasible(p)
+        u = least_infeasible(*p)
         assert u[0] == pytest.approx(36.0)
 
     def test_ties_break_toward_nominal(self):
@@ -161,12 +166,14 @@ class TestLeastInfeasible:
         # whole face x = 20, and the fallback must pick y = nominal y there,
         # not a corner.
         p = problem_2d([0.0, 3.0], [row([1.0, 0.0], -25.0)])
-        u = least_infeasible(p)
+        u = least_infeasible(*p)
         assert u[0] == pytest.approx(20.0, abs=1e-6)
         assert u[1] == pytest.approx(3.0, abs=1e-6)
 
 
 class TestFilters:
+    """Each level as sim.run runs it: its rows, finite_rows, then solve_qp."""
+
     def setup_method(self):
         self.params = QuadParams()
         self.alt_spec = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0],
@@ -174,11 +181,19 @@ class TestFilters:
         self.vel_spec = BarrierSpec(BarrierDomain.LATERAL_VELOCITY,
                                     [0.0, 0.0], [1.25, 0.9], poles=(-3.0, -4.0, -5.0))
 
+    def thrust(self, z, zd, R33, f_hat, specs):
+        rows = [altitude_row(spec, z, zd, R33, self.params) for spec in specs]
+        return solve_qp([f_hat], finite_rows(specs, rows), [0.0], [self.params.f_max])
+
+    def torque(self, x, tau, f, specs):
+        rows = lateral_rows(x, f, specs, self.params)
+        bx, by = self.params.tau_max
+        return solve_qp(tau, finite_rows(specs, rows), [-bx, -by], [bx, by]), rows
+
     def test_thrust_pass_through_deep_inside(self):
         # Hover at the center of the region: z = 0, zdot = 0, level.
         f_hat = self.params.m * self.params.g
-        f_star, (_, status, _, _), _ = thrust_filter(
-            0.0, 0.0, 1.0, f_hat, [self.alt_spec], self.params)
+        (f_star,), status, _, _ = self.thrust(0.0, 0.0, 1.0, f_hat, [self.alt_spec])
         assert f_star == pytest.approx(f_hat)
         assert status is QpStatus.OPTIMAL
 
@@ -186,19 +201,17 @@ class TestFilters:
         # Climbing fast just below the upper z limit: thrust must rise above
         # nominal to brake (thrust opposes +z motion in this frame).
         f_hat = self.params.m * self.params.g
-        f_star, _, _ = thrust_filter(
-            1.95, 2.0, 1.0, f_hat, [self.alt_spec], self.params)
+        (f_star,), _, _, _ = self.thrust(1.95, 2.0, 1.0, f_hat, [self.alt_spec])
         assert f_star > f_hat
 
     def test_thrust_rejects_lateral_domain(self):
         with pytest.raises(ValueError):
-            thrust_filter(0.0, 0.0, 1.0, 4.0, [self.vel_spec],
-                          self.params)
+            self.thrust(0.0, 0.0, 1.0, 4.0, [self.vel_spec])
 
     def test_thrust_refuses_a_non_finite_row(self):
         # No power overflows here (h is finite), but (z - c)^3 zdot does.
         with pytest.raises(NonFiniteState, match="altitude_position barrier row"):
-            thrust_filter(1.0e70, 1.0e100, 1.0, 4.0, [self.alt_spec], self.params)
+            self.thrust(1.0e70, 1.0e100, 1.0, 4.0, [self.alt_spec])
 
     @pytest.mark.parametrize("domain, k", [
         (BarrierDomain.LATERAL_POSITION, 0), (BarrierDomain.LATERAL_POSITION, 12),
@@ -211,20 +224,19 @@ class TestFilters:
         x = flat_of(QuadState())
         x[k] = 1.0e80
         with np.errstate(all="ignore"), pytest.raises(NonFiniteState, match=domain.value):
-            filter_torque(x, [0.0, 0.0], self.params.m * self.params.g, [spec], self.params)
+            self.torque(x, [0.0, 0.0], self.params.m * self.params.g, [spec])
 
     def test_torque_pass_through_deep_inside(self):
-        tau = np.array([0.3, -0.2])
-        m_star, sol, rows = filter_torque(flat_of(QuadState()), tau, self.params.m * self.params.g,
-                                          [self.vel_spec], self.params)
-        assert np.allclose(m_star, tau)
+        tau = [0.3, -0.2]
+        sol, rows = self.torque(flat_of(QuadState()), tau, self.params.m * self.params.g,
+                                [self.vel_spec])
+        assert sol.u_star == tau
         assert sol.status is QpStatus.OPTIMAL
         assert len(rows) == 1 and len(rows[0][3]) == 3
 
     def test_torque_rejects_altitude_domain(self):
         with pytest.raises(ValueError):
-            filter_torque(flat_of(QuadState()), np.zeros(2), 4.0,
-                          [self.alt_spec], self.params)
+            self.torque(flat_of(QuadState()), [0.0, 0.0], 4.0, [self.alt_spec])
 
 
 class TestDegenerate:
@@ -241,12 +253,12 @@ class TestDegenerate:
             rows = [row(rng.normal(size=dim), rng.normal()) for _ in range(rng.integers(1, 3))]
             u_hat = rng.normal(size=dim) * 5.0 if dim == 2 else rng.normal() * 5.0
             single, doubled = problem(u_hat, rows), problem(u_hat, rows + rows)
-            sol, sol2 = solve_qp(single), solve_qp(doubled)
+            sol, sol2 = solve_qp(*single), solve_qp(*doubled)
             assert sol2.status is sol.status
             if sol.status is QpStatus.OPTIMAL:
                 n_optimal += 1
                 assert np.array_equal(sol2.u_star, sol.u_star)
-                assert kkt_residual(doubled, sol2) <= 1e-8
+                assert kkt_residual(*doubled, sol2) <= 1e-8
         assert n_optimal >= 50
 
     @pytest.mark.parametrize("dim,u_hat,a,b", [
@@ -260,18 +272,18 @@ class TestDegenerate:
         # inactive at both dimensions.
         p = (problem_1d if dim == 1 else problem_2d)(u_hat, [row(a, b)])
         assert float(np.dot(p.rows[0][0], p.u_hat)) + b == 0.0
-        sol = solve_qp(p)
+        sol = solve_qp(*p)
         assert sol.status is QpStatus.OPTIMAL
         assert np.array_equal(sol.u_star, p.u_hat)
         assert sol.active_set == ()
-        assert kkt_residual(p, sol) == 0.0
+        assert kkt_residual(*p, sol) == 0.0
 
     def test_least_infeasible_without_rows_clamps_nominal(self):
         for p, expected in [(problem_1d(50.0, []), [36.0]),
                             (problem_1d(-3.0, []), [0.0]),
                             (problem_2d([25.0, -30.0], []), [20.0, -20.0])]:
-            assert np.array_equal(least_infeasible(p), expected)
-            assert np.array_equal(solve_qp(p).u_star, expected)
+            assert np.array_equal(least_infeasible(*p), expected)
+            assert np.array_equal(solve_qp(*p).u_star, expected)
 
 
 class TestKktResidual:
@@ -279,32 +291,42 @@ class TestKktResidual:
         # Nothing is tight at u_star, so the residual is the gradient's 2-norm
         # (0.8e-8 * sqrt(2)), as nnls reports it when rows are tight.
         p = problem_2d([0.0, 0.0], [])
-        sol = QpSolution(np.array([0.8e-8, 0.8e-8]), QpStatus.OPTIMAL)
-        assert kkt_residual(p, sol) == pytest.approx(0.8e-8 * np.sqrt(2.0), rel=1e-12)
+        sol = QpSolution([0.8e-8, 0.8e-8], QpStatus.OPTIMAL)
+        assert kkt_residual(*p, sol) == pytest.approx(0.8e-8 * np.sqrt(2.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # Reference 2-D solver: the exhaustive numpy KKT enumeration that the
 # certified solver must reproduce bit for bit. Copied verbatim (only the
-# names carry a ref_ prefix); it evaluates every candidate with numpy.
+# names carry a ref_ prefix, and ref_arrays first makes numpy arrays of the
+# float arguments); it evaluates every candidate with numpy.
 
 REF_A_EPS = 1e-12
 REF_FEAS_TOL = 1e-9
 REF_LAMBDA_TOL = 1e-12
 
 
-def ref_constraint_list(p: QpProblem) -> list[tuple[np.ndarray, float]]:
+def ref_arrays(p: Problem) -> Problem:
+    """p with numpy arrays for u_hat, lower, upper and each row's a."""
+    return Problem(np.asarray(p.u_hat, dtype=float),
+                   tuple((np.asarray(a, dtype=float), b) for a, b in p.rows),
+                   np.asarray(p.lower, dtype=float), np.asarray(p.upper, dtype=float))
+
+
+def ref_constraint_list(p: Problem) -> list[tuple[np.ndarray, float]]:
     """Barrier rows followed by box faces, all as a . u + b >= 0."""
     cons = [(np.asarray(a, dtype=float), float(b)) for a, b in p.rows]
-    for j in range(p.dim):
-        e = np.zeros(p.dim)
+    dim = len(p.u_hat)
+    for j in range(dim):
+        e = np.zeros(dim)
         e[j] = 1.0
         cons.append((e.copy(), -float(p.lower[j])))
         cons.append((-e, float(p.upper[j])))
     return cons
 
 
-def ref_solve_2d(p: QpProblem) -> QpSolution:
+def ref_solve_2d(p: Problem) -> QpSolution:
+    p = ref_arrays(p)
     cons = ref_constraint_list(p)
     # Rows not involving u must hold on their own.
     for a, b in cons[: len(p.rows)]:
@@ -349,7 +371,7 @@ def ref_solve_2d(p: QpProblem) -> QpSolution:
     return QpSolution(u, QpStatus.OPTIMAL, active, ref_primal_residual(p, u))
 
 
-def ref_primal_residual(p: QpProblem, u: np.ndarray) -> float:
+def ref_primal_residual(p: Problem, u: np.ndarray) -> float:
     res = 0.0
     for a, b in ref_constraint_list(p):
         res = max(res, -(float(a @ u) + b))
@@ -358,15 +380,14 @@ def ref_primal_residual(p: QpProblem, u: np.ndarray) -> float:
 
 # The 2-D solver's earlier per-row loops, before every a . u went
 # through one broadcast np.vecdot. Copied verbatim (only the names carry a
-# ref_ prefix): the primal residual over its constraint list, and the
-# feasibility test over the rows involving u.
+# ref_ prefix, and each a becomes an array): the primal residual over its
+# constraint list, and the feasibility test over the rows involving u.
 
 
-def ref_cons_primal_residual(cons: list[tuple[np.ndarray, float, list[float]]],
-                             u: np.ndarray) -> float:
+def ref_cons_primal_residual(cons: list[tuple[list[float], float]], u: np.ndarray) -> float:
     res = 0.0
-    for a, b, _ in cons:
-        res = max(res, -(float(a @ u) + b))
+    for a, b in cons:
+        res = max(res, -(float(np.asarray(a) @ u) + b))
     return max(res, 0.0)
 
 
@@ -377,12 +398,14 @@ def ref_feasible(live, u: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def assert_bitwise_as_reference(p: QpProblem) -> QpSolution:
+def assert_bitwise_as_reference(p: Problem) -> QpSolution:
     with np.errstate(all="ignore"):  # NaN and inf inputs are among the cases
-        got, want = solve_qp(p), ref_solve_2d(p)
+        got, want = solve_qp(*p), ref_solve_2d(p)
     assert got.status is want.status
-    assert got.u_star.dtype == want.u_star.dtype
-    assert got.u_star.tobytes() == want.u_star.tobytes(), (got.u_star, want.u_star)
+    assert all(type(v) is float for v in got.u_star), got.u_star
+    got_u = np.array(got.u_star)
+    assert got_u.dtype == want.u_star.dtype
+    assert got_u.tobytes() == want.u_star.tobytes(), (got.u_star, want.u_star)
     assert got.active_set == want.active_set
     assert struct.pack("<d", got.primal_residual) == struct.pack("<d", want.primal_residual)
     return got
@@ -548,8 +571,8 @@ def adversarial_problem(kind, rng):
             else:
                 b = value
             rows[k] = (a, b)
-    return QpProblem(u_hat=u_hat, rows=tuple(rows), lower=np.array([-bound, -bound]),
-                     upper=np.array([bound, bound]))
+    return Problem(u_hat.tolist(), tuple((np.asarray(a).tolist(), float(b)) for a, b in rows),
+                   [-bound, -bound], [bound, bound])
 
 
 def record_certificates(monkeypatch, size=1) -> list[bool]:
@@ -570,13 +593,14 @@ def record_certificates(monkeypatch, size=1) -> list[bool]:
 
 @pytest.fixture(scope="module")
 def fig7_second_qps():
-    """The lateral QPs that fig7-unified poses in its first second."""
+    """The lateral (2-D) QPs that fig7-unified poses in its first second."""
     problems = []
     solve = qp.solve_qp
 
-    def recording(p):
-        problems.append(p)
-        return solve(p)
+    def recording(*args):
+        if len(args[0]) == 2:
+            problems.append(Problem(*args))
+        return solve(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qp, "solve_qp", recording)
@@ -612,10 +636,10 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
         # The drawn rows and nominal (exact values, zeros, subnormal-sized
         # entries) are added to an adversarial problem, and also stand alone.
         base = adversarial_problem(kind, np.random.default_rng(seed))
-        rows = base.rows + tuple((np.array([a0, a1]), b) for a0, a1, b in extra)
-        for p in (QpProblem(base.u_hat, rows, base.lower, base.upper),
-                  QpProblem(np.array(u_hat), rows, base.lower, base.upper),
-                  problem_2d(u_hat, [(np.array([a0, a1]), b) for a0, a1, b in extra])):
+        rows = base.rows + tuple(([a0, a1], b) for a0, a1, b in extra)
+        for p in (base._replace(rows=rows),
+                  base._replace(u_hat=list(u_hat), rows=rows),
+                  problem_2d(u_hat, [([a0, a1], b) for a0, a1, b in extra])):
             assert_bitwise_as_reference(p)
 
     def test_every_qp_of_a_fig7_second(self, fig7_second_qps):
@@ -631,14 +655,14 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
         # reaches the enumeration.
         outcomes = record_certificates(monkeypatch)
         for p in fig7_second_qps:
-            solve_qp(p)
+            solve_qp(*p)
         assert len(outcomes) >= 500
         assert sum(outcomes) >= 0.95 * len(outcomes), (sum(outcomes), len(outcomes))
         enumerated, enumerate_ = [], qp._enumerate
 
-        def counting_enumerate(p, *args):
-            enumerated.append(p)
-            return enumerate_(p, *args)
+        def counting_enumerate(*args):
+            enumerated.append(args)
+            return enumerate_(*args)
 
         monkeypatch.setattr(qp, "_enumerate", counting_enumerate)
         run(dataclasses.replace(load_preset("fig7-unified"), duration=3.0))
@@ -652,7 +676,7 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
         rng = np.random.default_rng(sum(map(ord, "threshold_row")))
         for _ in range(300):
             with np.errstate(all="ignore"):
-                solve_qp(adversarial_problem("threshold_row", rng))
+                solve_qp(*adversarial_problem("threshold_row", rng))
         assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
 
     def test_threshold_vertices_straddle_the_pair_certificate(self, monkeypatch):
@@ -663,7 +687,7 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
         rng = np.random.default_rng(sum(map(ord, "threshold_vertex")))
         for _ in range(300):
             with np.errstate(all="ignore"):
-                solve_qp(adversarial_problem("threshold_vertex", rng))
+                solve_qp(*adversarial_problem("threshold_vertex", rng))
         assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
 
     @pytest.mark.parametrize("kind", ["zero_multiplier_vertex", "ill_conditioned_vertex",
@@ -694,12 +718,14 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
         for kind in ADVERSARIAL_KINDS:
             for _ in range(100):
                 p = adversarial_problem(kind, rng)
-                cons, a_stack = qp._constraint_list(p)
-                live = [(i, a, b) for i, (a, b, _) in enumerate(cons)
+                cons, a_stack = qp._constraint_list(p.rows, p.lower, p.upper)
+                live = [(i, np.array(a), b) for i, (a, b) in enumerate(cons)
                         if np.linalg.norm(a) >= REF_A_EPS]
                 with np.errstate(all="ignore"):
-                    points = [p.u_hat, solve_qp(p).u_star, rng.normal(size=2) * 10.0]
-                    a, b, _ = cons[int(rng.integers(0, len(cons)))]
+                    points = [np.array(p.u_hat), np.array(solve_qp(*p).u_star),
+                              rng.normal(size=2) * 10.0]
+                    a, b = cons[int(rng.integers(0, len(cons)))]
+                    a = np.array(a)
                     if np.all(np.isfinite(a)) and float(a @ a) > 0.0:
                         points.append(points[2] - (float(a @ points[2]) + b) / float(a @ a) * a)
                     for u in points:
@@ -710,7 +736,7 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
                         feasible = all(a_u[i] + b >= -REF_FEAS_TOL for i, _, b in live)
                         assert feasible == ref_feasible(live, u)
                         n_feasible += feasible
-                        gemv = max(0.0, *[-(v + b) for v, (_, b, _) in
+                        gemv = max(0.0, *[-(v + b) for v, (_, b) in
                                           zip((a_stack @ u).tolist(), cons)])
                         n_gemv_differs += struct.pack("<d", gemv) != struct.pack("<d", want)
         assert n_feasible >= 100
@@ -731,7 +757,7 @@ class TestScreenedSolverIsBitwiseTheEnumeration:
             rows = [(a, -float(a @ u_hat) + rng.uniform(0.0, 5.0))
                     for a in rng.normal(size=(int(rng.integers(0, 4)), 2)) * 100.0]
             p = problem_2d(u_hat, rows)
-            sol = solve_qp(p)
+            sol = solve_qp(*p)
             assert sol.active_set == () and np.array_equal(sol.u_star, u_hat)
         assert calls == []
         assert_bitwise_as_reference(p)  # the reference does solve
@@ -818,7 +844,7 @@ class TestLeastInfeasibleOracle:
             p = problem_1d(0.5 * rng.normal(), [row(a, b) for a, b in rows], lo, hi)
             t_lp = linprog_min_max_violation(p.rows, p.lower, p.upper)
             assert t_lp == pytest.approx(t_star, rel=1e-9, abs=1e-12)
-            u = least_infeasible(p)
+            u = least_infeasible(*p)
             assert lo <= u[0] <= hi
             assert worst_violation(p.rows, u) <= bound_on_violation(min(t_star, t_lp)), (
                 rows, u, t_star, t_lp)
@@ -837,8 +863,8 @@ class TestLeastInfeasibleOracle:
             n_infeasible += 1
             t_lp = linprog_min_max_violation(rows, p.lower, p.upper)
             assert t_lp == pytest.approx(t_star, rel=1e-9, abs=1e-12)
-            u = least_infeasible(p)
-            assert np.all(p.lower <= u) and np.all(u <= p.upper), u
+            u = least_infeasible(*p)
+            assert in_box(p, u), u
             assert worst_violation(rows, u) <= bound_on_violation(min(t_star, t_lp)), (
                 rows, u, t_star, t_lp)
         assert n_infeasible >= 50
@@ -860,10 +886,10 @@ class TestLeastInfeasibleOracle:
             if t_star <= 1e-9:
                 continue
             n_infeasible += 1
-            scaled = dataclasses.replace(p, rows=tuple((a * s, b * s) for a, b in rows))
-            u = least_infeasible(scaled)
+            scaled = p._replace(rows=tuple(([v * s for v in a], b * s) for a, b in rows))
+            u = least_infeasible(*scaled)
             # The relaxed QP's vertex on a box face may round past it, as A7 allows.
-            assert np.all(p.lower - 1e-12 <= u) and np.all(u <= p.upper + 1e-12), u
+            assert in_box(p, u, 1e-12), u
             assert worst_violation(scaled.rows, u) <= s * bound_on_violation(t_star), (rows, u)
         assert n_infeasible >= 50
 
@@ -876,9 +902,9 @@ class TestLeastInfeasibleOracle:
             row([785889270.3055438, 2160898906.8266835], -7661434360.964642)], bound=1.0)
         t_star = linprog_min_max_violation(p.rows, p.lower, p.upper)
         slack = t_star * (1.0 + 1e-9) + 1e-12
-        relaxed = dataclasses.replace(p, rows=tuple((a, b + slack) for a, b in p.rows))
-        assert solve_qp(relaxed).status is QpStatus.INFEASIBLE
-        u = least_infeasible(p)
+        relaxed = p._replace(rows=tuple((a, b + slack) for a, b in p.rows))
+        assert solve_qp(*relaxed).status is QpStatus.INFEASIBLE
+        u = least_infeasible(*p)
         assert u[0] == -1.0 and -1.0 <= u[1] <= 1.0, u
         assert worst_violation(p.rows, u) <= 1e10 * bound_on_violation(t_star / 1e10)
 
@@ -903,13 +929,12 @@ class TestLeastInfeasibleOracle:
     def test_degenerate_problems(self, p, expected):
         # No rows at all: TestDegenerate::test_least_infeasible_without_rows_clamps_nominal.
         t_lp = linprog_min_max_violation(p.rows, p.lower, p.upper)
-        if p.dim == 1:
-            t_star = min_max_violation_1d([(float(a[0]), b) for a, b in p.rows],
-                                          float(p.lower[0]), float(p.upper[0]))
+        if len(p.u_hat) == 1:
+            t_star = min_max_violation_1d([(a[0], b) for a, b in p.rows], p.lower[0], p.upper[0])
         else:
             t_star = min_max_violation_2d(p.rows, p.lower, p.upper)
         assert t_lp == pytest.approx(t_star, rel=1e-9, abs=1e-12)
-        u = least_infeasible(p)
-        assert np.all(p.lower <= u) and np.all(u <= p.upper), u
+        u = least_infeasible(*p)
+        assert in_box(p, u), u
         assert worst_violation(p.rows, u) <= bound_on_violation(min(t_star, t_lp)), (u, t_star)
         assert u == pytest.approx(expected, abs=1e-6)

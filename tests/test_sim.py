@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from quadsafe import qp
+from quadsafe import sim
 from quadsafe.barriers import BarrierDomain, BarrierSpec, InvalidPoles
 from quadsafe.config import PRESETS, load_preset
 from quadsafe.controller import ControllerGains, Reference
@@ -246,8 +246,8 @@ def test_lateral_rows_once_per_step(monkeypatch):
     # fig7 has both lateral barriers active: one lateral_rows call per step
     # builds both rows from one set of kinematic terms.
     calls = []
-    rows = qp.lateral_rows
-    monkeypatch.setattr(qp, "lateral_rows",
+    rows = sim.lateral_rows
+    monkeypatch.setattr(sim, "lateral_rows",
                         lambda x, f, specs, params: calls.append(len(specs))
                         or rows(x, f, specs, params))
     trace = run(dataclasses.replace(load_preset("fig7-unified"), duration=0.2))
