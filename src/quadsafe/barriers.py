@@ -14,7 +14,8 @@ chain H = [h, L_f h, ..., L_f^(d-1) h]. altitude_row builds it over the
 thrust; lateral_rows builds the rows of all active lateral barriers over
 [tau_x, tau_y] at once, from one set of shared kinematic terms, with each
 family of small products (2x2 matrix, matrix-vector, vector-matrix, 2-vector
-dot, pow) in one batched call of the numpy kernel that rounds it. All higher
+dot, pow) in one batched call of the numpy kernel that rounds it, for one
+state or for a block of states at once. All higher
 derivatives of position are closed-form functions of the flat rigid-body
 state; no numerical differentiation is involved.
 """
@@ -32,7 +33,8 @@ import numpy as np
 from .dynamics import NonFiniteState, QuadParams
 
 DET_MIN = 1e-3  # lower bound on |det W| before the lateral map is declared singular
-_POWERS = (3.0, 3.0, 4.0, 4.0, 3.0, 3.0)  # of (xdot, ydot, xdot, ydot, xddot, yddot)
+_POWERS = np.array([3.0, 3.0, 4.0, 4.0, 3.0, 3.0])  # of (xdot, ydot, xdot, ydot, xddot, yddot)
+_OFFSET_POWERS = np.array([2.0, 3.0, 4.0])  # of the offsets from a lateral center
 
 
 class LateralSingular(ValueError):
@@ -201,38 +203,90 @@ def altitude_row(
     raise ValueError(f"not an altitude barrier: {spec.domain}")
 
 
+#: The number of 2-vector dots in each entry L_f h, ..., L_f^delta h of
+#: lateral_rows' chains.
+_DOT_COUNTS = {BarrierDomain.LATERAL_POSITION: (1, 2, 3, 5),
+               BarrierDomain.LATERAL_VELOCITY: (1, 2, 3)}
+
+
+def _pack(values: list, k: int | None, shape: tuple[int, ...] | None = None,
+          operand_axes: int = 1) -> np.ndarray:
+    """One state's values (floats) as an array of the given shape (default:
+    flat); or k states' values ((k,) arrays, a float among them standing for
+    every state) as that shape with a state axis inserted before its last
+    operand_axes axes, so that each state's vectors (1) or matrices (2)
+    keep the single state's contiguous layout."""
+    if k is None:
+        return np.array(values) if shape is None else np.array(values).reshape(shape)
+    out = np.empty((k, len(values)))
+    for j, value in enumerate(values):
+        out[:, j] = value
+    if shape is None:
+        return out
+    return np.moveaxis(out.reshape(k, *shape), 0, -1 - operand_axes)
+
+
+def _unpack(arr: np.ndarray, k: int | None, axis: int) -> list:
+    """One state's entries of arr in C order, as floats; or, for k states
+    along the given axis, each entry's (k,) array."""
+    if k is None:
+        return arr.reshape(-1).tolist()
+    return list(np.moveaxis(arr, axis, -1).reshape(-1, k))
+
+
+def _offset_powers(s: float | np.ndarray) -> tuple:
+    """(s ** 2, s ** 3, s ** 4) by libm's pow, as numpy's scalar ** takes
+    them: math.pow for a float, np.float_power for an array; inf on
+    overflow."""
+    if isinstance(s, float):
+        try:
+            return math.pow(s, 2.0), math.pow(s, 3.0), math.pow(s, 4.0)
+        except OverflowError:
+            pass
+    return tuple(np.float_power.outer(s, _OFFSET_POWERS).T)
+
+
 def lateral_rows(
-    x: list[float],
-    f: float,
+    x: list[float] | np.ndarray,
+    f: float | np.ndarray,
     specs: Sequence[BarrierSpec],
     params: QuadParams,
-) -> list[tuple[np.ndarray, float, float, np.ndarray]]:
+) -> list[tuple[np.ndarray, float | np.ndarray, float | np.ndarray, np.ndarray]]:
     """(a, b, h, H) of the row a . [tau_x, tau_y] + b >= 0 of each lateral
-    spec, at the flat state x.
+    spec, at the flat state x (18 floats) under thrust f, or at each of the
+    k flat states of a (k, 18) array x under the thrusts of a (k,) array f.
 
     The thrust f already fixed for this step enters the drift; the chains
     are exact for zero-order-hold thrust. All rows share the kinematic terms:
     W = [[R21, -R11], [R22, -R12]], which maps (Rdot13, Rdot23) to R33*(p, q),
     its inverse V, the exact Vdot (from Rdot = R [w]x), and the drift/input
-    maps J, L of the second derivative of (R13, R23).
+    maps J, L of the second derivative of (R13, R23). For one state a is a
+    (2,) array, b and h are floats and H is a (delta,) array; for k states a
+    is (k, 2), b and h are (k,) and H is (k, delta), and row i of each is
+    state i's, bit for bit. LateralSingular is raised if any state's W is
+    singular.
 
-    Elementwise arithmetic runs on floats, which round as numpy's elementwise
-    operations do; the offsets from the center are numpy scalars, so their
-    powers are numpy's scalar **. Every product that floats cannot reproduce
-    goes, with all others of its kind, through one batched call of the numpy
-    kernel that computes it: the 2x2 matrix products, the matrix-vector and
-    vector-matrix products, the 2-vector dots (np.vecdot, the kernel of a
-    1-D a @ b), and numpy's pow for the cubes and fourth powers of the
-    derivatives of (x, y).
+    Elementwise arithmetic runs on floats, or on (k,) arrays of them, which
+    round as numpy's elementwise operations do. Every product that floats
+    cannot reproduce goes, with all others of its kind over specs and states,
+    through one batched call of the numpy kernel that computes it, each
+    state's operands in the single state's layout: the 2x2 matrix products,
+    the matrix-vector and vector-matrix products, the 2-vector dots
+    (np.vecdot, the kernel of a 1-D a @ b), numpy's pow for the cubes and
+    fourth powers of the derivatives of (x, y), and libm's pow
+    (np.float_power, which numpy's scalar ** calls) for the powers of the
+    offsets from the center.
     """
-    for spec in specs:
-        if spec.domain not in (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY):
-            raise ValueError(f"not a lateral barrier: {spec.domain}")
+    k = len(x) if isinstance(x, np.ndarray) and x.ndim == 2 else None
+    if k is not None:
+        x = list(x.T)  # each entry of the flat state as a (k,) column
     R11, R12, R13, R21, R22, R23, R31, R32, R33 = x[3:12]
     p, q, r = x[15:18]
     det = R21 * -R12 - -R11 * R22  # det W
-    if abs(det) < DET_MIN:
-        raise LateralSingular(f"|det W| = {abs(det):.2e} below {DET_MIN}")
+    singular = abs(det) < DET_MIN
+    if singular if k is None else singular.any():
+        low = abs(det) if k is None else abs(det)[singular].min()
+        raise LateralSingular(f"|det W| = {low:.2e} below {DET_MIN}")
     V00, V01, V10, V11 = -R12 / det, R11 / det, -R22 / det, R21 / det
     # Entry-wise Rdot from Rdot = R [w]x.
     Rd11 = R12 * r - R13 * q
@@ -241,7 +295,7 @@ def lateral_rows(
     Rd22 = -R21 * r + R23 * p
     R33dot = R31 * q - R32 * p
     Ix, Iy, Iz = params.Ix, params.Iy, params.Iz
-    mats = np.array([
+    mats = _pack([
         -V00, -V01, -V10, -V11,
         R33 * V00, R33 * V01, R33 * V10, R33 * V11,
         Rd21, -Rd11, Rd22, -Rd12,  # Wdot
@@ -249,14 +303,14 @@ def lateral_rows(
         V00, V01, V10, V11,
         0.0, 0.0, 0.0, 0.0,  # Vdot goes here
         p, q, (Iy - Iz) / Ix * q * r, (Iz - Ix) / Iy * p * r,  # A and the gyroscopic term
-    ]).reshape(7, 2, 2)
+    ], k, (7, 2, 2), 2)
     # (-V) Wdot, and L = (R33 V) diag(1/Ix, 1/Iy).
     prods = mats[0:2] @ mats[2:4]
     np.matmul(prods[0], mats[4], out=mats[5])  # Vdot = (-V) Wdot V
-    # V A, V gyro, Vdot A and (unused) Vdot gyro.
-    (VA0, VA1), (Vg0, Vg1), (VdA0, VdA1), _ = (
-        mats[4:6, None] @ mats[6].reshape(2, 2, 1)
-    ).reshape(4, 2).tolist()
+    # V A, V gyro, Vdot A and (unused) Vdot gyro, A and gyro as (2, 1) columns
+    # (the swap puts the two ahead of the state axis).
+    VA0, VA1, Vg0, Vg1, VdA0, VdA1, _, _ = _unpack(
+        mats[4:6, None] @ mats[6].swapaxes(0, -2)[..., None], k, -3)
     J0 = R33dot * VA0 + R33 * VdA0 + R33 * Vg0
     J1 = R33dot * VA1 + R33 * VdA1 + R33 * Vg1
 
@@ -269,29 +323,29 @@ def lateral_rows(
     cR33 = c * R33
     xddd0, xddd1 = cR33 * VA0, cR33 * VA1
     fm4 = 4.0 * f / params.m
-    xd3_0, xd3_1, xd4_0, xd4_1, xdd3_0, xdd3_1 = np.power(
-        [xd0, xd1, xd0, xd1, xdd0, xdd1], _POWERS
-    ).tolist()
+    xd3_0, xd3_1, xd4_0, xd4_1, xdd3_0, xdd3_1 = _unpack(
+        np.power(_pack([xd0, xd1, xd0, xd1, xdd0, xdd1], k), _POWERS), k, -2)
 
     # Every chain entry L_f^k h is a difference of 2-vector dots u . w, taken
     # in the order numpy took them one by one: the first dot minus the rest.
     # chain holds, per entry, u0, u1, w0, w1 of each of its dots; eta3 holds
     # each row's eta3, for fm4 (eta3 @ L).
-    pairs: list[float] = []
-    dot_counts: list[list[int]] = []
-    eta3: list[float] = []
+    pairs: list = []
+    eta3: list = []
     h_values = []
     for spec in specs:
         (ix, iy), (cx, cy), (px4, py4) = spec.idx, spec.c, spec.p4
-        position = spec.domain is BarrierDomain.LATERAL_POSITION
-        sx, sy = np.float64(x[ix] - cx), np.float64(x[iy] - cy)
-        # numpy's scalar ** (libm's pow, inf on overflow).
-        e0x, e1x, e2x, e3x = sx**0 / px4, sx**1 / px4, sx**2 / px4, sx**3 / px4
-        e0y, e1y, e2y, e3y = sy**0 / py4, sy**1 / py4, sy**2 / py4, sy**3 / py4
-        h_values.append(1.0 - sx**4 / px4 - sy**4 / py4)
+        # The offsets from the center; their powers 0 and 1 are exactly 1.0
+        # and the offset.
+        sx, sy = x[ix] - cx, x[iy] - cy
+        sx2, sx3, sx4 = _offset_powers(sx)
+        sy2, sy3, sy4 = _offset_powers(sy)
+        e0x, e1x, e2x, e3x = 1.0 / px4, sx / px4, sx2 / px4, sx3 / px4
+        e0y, e1y, e2y, e3y = 1.0 / py4, sy / py4, sy2 / py4, sy3 / py4
+        h_values.append(1.0 - sx4 / px4 - sy4 / py4)
         eta3 += (e3x, e3y, 0.0, 0.0)
         m4x, m4y = -4.0 * e3x, -4.0 * e3y
-        if position:
+        if spec.domain is BarrierDomain.LATERAL_POSITION:
             # ECBF, delta=4, h(x, y) = 1 - ((x-c_x)/p_x)^4 - ((y-c_y)/p_y)^4.
             chain = (
                 (m4x, m4y, xd0, xd1),  # Lf h
@@ -306,7 +360,7 @@ def lateral_rows(
                  144.0 * e1x, 144.0 * e1y, xd0 * xd0 * xdd0, xd1 * xd1 * xdd1,
                  24.0 * e0x, 24.0 * e0y, xd4_0, xd4_1),
             )
-        else:
+        elif spec.domain is BarrierDomain.LATERAL_VELOCITY:
             # ECBF, delta=3, h(xdot, ydot) = 1 - ((xdot-c_x)/v_x)^4 - ((ydot-c_y)/v_y)^4.
             chain = (
                 (m4x, m4y, xdd0, xdd1),  # Lf h
@@ -316,26 +370,31 @@ def lateral_rows(
                  36.0 * e2x, 36.0 * e2y, xdd0 * xddd0, xdd1 * xddd1,
                  24.0 * e1x, 24.0 * e1y, xdd3_0, xdd3_1),
             )
+        else:
+            raise ValueError(f"not a lateral barrier: {spec.domain}")
         for entry in chain:
             pairs += entry
-        dot_counts.append([len(entry) // 4 for entry in chain])
-    vecs = np.array(pairs + eta3).reshape(-1, 2, 2)
+    vecs = _pack(pairs + eta3, k, (-1, 2, 2))
     n = len(pairs) // 4
-    dots = np.vecdot(vecs[:n, 0], vecs[:n, 1]).tolist()
-    a_rows = fm4 * (vecs[n:, :1] @ prods[1])
+    dots = _unpack(np.vecdot(vecs[:n, 0], vecs[:n, 1]), k, -1)
+    # Every row's a = fm4 (eta3 @ L), eta3 as a (1, 2) row, in one broadcast
+    # product; each a is a view of it.
+    a_rows = (fm4 if k is None else fm4[:, None, None]) * (vecs[n:, 0, ..., None, :] @ prods[1])
+    a_rows = a_rows[..., 0, :]
 
     rows = []
-    k = 0
-    for spec, h, a, counts in zip(specs, h_values, a_rows, dot_counts):
+    j = 0
+    for a, spec, h in zip(a_rows, specs, h_values):
         entries = []
-        for count in counts:
-            value = dots[k]
-            for d in dots[k + 1:k + count]:
-                value -= d
+        for count in _DOT_COUNTS[spec.domain]:
+            value = dots[j]
+            for d in dots[j + 1:j + count]:
+                value = value - d
             entries.append(value)
-            k += count
-        H = np.array([h, *entries[:-1]])
-        rows.append((a[0], entries[-1] + float(spec.K @ H), h, H))
+            j += count
+        H = _pack([h, *entries[:-1]], k)
+        KH = float(spec.K @ H) if k is None else np.vecdot(H, spec.K)
+        rows.append((a, entries[-1] + KH, h, H))
     return rows
 
 

@@ -215,12 +215,20 @@ def euler_of_R(x: list[float]) -> tuple[float, float, float]:
     return phi, theta, psi
 
 
-def R_of_euler(phi: float, theta: float, psi: float) -> np.ndarray:
-    """Rotation matrix Rz(psi) Ry(theta) Rx(phi)."""
+def R_of_euler(phi: float | np.ndarray, theta: float | np.ndarray, psi: float | np.ndarray
+               ) -> np.ndarray:
+    """Rotation matrix Rz(psi) Ry(theta) Rx(phi); for arrays of angles of
+    one shape, the stack of each triple's matrix along the leading axes,
+    which the stacked products round as the single ones."""
     cf, sf = np.cos(phi), np.sin(phi)
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(psi), np.sin(psi)
-    Rx = np.array([[1, 0, 0], [0, cf, -sf], [0, sf, cf]])
-    Ry = np.array([[ct, 0, st], [0, 1, 0], [-st, 0, ct]])
-    Rz = np.array([[cp, -sp, 0], [sp, cp, 0], [0, 0, 1]])
+    one, zero = np.ones_like(cf), np.zeros_like(cf)
+
+    def matrix(*entries):
+        return np.stack(entries, axis=-1).reshape(*np.shape(cf), 3, 3)
+
+    Rx = matrix(one, zero, zero, zero, cf, -sf, zero, sf, cf)
+    Ry = matrix(ct, zero, st, zero, one, zero, -st, zero, ct)
+    Rz = matrix(cp, -sp, zero, sp, cp, zero, zero, zero, one)
     return Rz @ Ry @ Rx

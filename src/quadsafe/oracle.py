@@ -5,7 +5,9 @@ under a frozen input and compare central-difference time derivatives of
 each chain entry against the next analytic entry. Entry k of the
 Lie-derivative vector is thereby certified as the k-th time derivative of
 h along the flow, and the top derivative against
-L_f^d h + L_g L_f^(d-1) h . u.
+L_f^d h + L_g L_f^(d-1) h . u. The states are drawn, flowed and evaluated
+a block at a time, each layer in one batched call that gives every state
+the bits of its own.
 """
 
 from __future__ import annotations
@@ -22,15 +24,17 @@ from .barriers import (
     altitude_row,
     lateral_rows,
 )
-from .dynamics import QuadParams, QuadState, flat_of, project_to_rotation, rk4_flat
+from .dynamics import QuadParams, R_of_euler, project_to_rotation, rk4_flat
 
 FD_DT = 1e-4        # central-difference half step
 FD_SUBSTEPS = 4     # RK4 substeps per half step
-FD_BLOCK = 256      # states whose stencil flows run as one batch; bounds memory
+FD_BLOCK = 256      # states drawn, flowed and evaluated as one batch; bounds memory
+
 
 @dataclass
 class ChainCheck:
-    """Worst relative errors for one barrier chain at a batch of states."""
+    """Worst relative errors for one barrier chain at a batch of states, as
+    floats; NaN or inf if any state's error is not finite."""
 
     domain: BarrierDomain
     max_rel_lower: float   # entries of H vs central differences of h
@@ -38,21 +42,27 @@ class ChainCheck:
 
 
 def evaluate_chain(
-    x: list[float],
+    x: np.ndarray,
     spec: BarrierSpec,
     params: QuadParams,
-    f: float,
+    f: np.ndarray,
     tau: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Analytic (H, L_f^d h + L_g L_f^(d-1) h . u) at the flat state x under
-    thrust f and moments tau."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic (H, L_f^d h + L_g L_f^(d-1) h . u) at each of k flat states
+    x ((k, 18)) under thrusts f ((k,)) and moments tau ((k, 3)): H is
+    (k, delta) and the top derivative (k,), row i the bits of state i's
+    single evaluation. The lateral chains come from one lateral_rows call
+    over all k states, the altitude chains from altitude_row state by
+    state."""
     if spec.domain in (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL):
-        a, b, _, H = altitude_row(spec, x[2], x[14], x[11], params)
+        rows = [altitude_row(spec, z, zd, R33, params)
+                for z, zd, R33 in zip(x[:, 2].tolist(), x[:, 14].tolist(), x[:, 11].tolist())]
+        a, b, _, H = (np.array(column) for column in zip(*rows))
         a_dot_u = a * f
     else:
         ((a, b, _, H),) = lateral_rows(x, f, [spec], params)
-        a_dot_u = float(a @ tau[:2])
-    lf_top = b - float(spec.K @ H)  # L_f^d h
+        a_dot_u = np.vecdot(a, tau[:, :2])
+    lf_top = b - np.vecdot(H, spec.K)  # L_f^d h
     return H, lf_top + a_dot_u
 
 
@@ -83,63 +93,67 @@ def default_spec(domain: BarrierDomain) -> BarrierSpec:
     return BarrierSpec(domain, DEFAULTS[domain].center, DEFAULTS[domain].half_width)
 
 
-def random_state_and_input(
-    rng: np.random.Generator, spec: BarrierSpec, params: QuadParams
-) -> tuple[QuadState, float, np.ndarray]:
-    """Random state inside the safe set with a modest random frozen input
-    (thrust f, moments tau)."""
-    from .dynamics import R_of_euler
+def draw_states(
+    rng: np.random.Generator, k: int, spec: BarrierSpec, params: QuadParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k random flat states inside the safe set, each with a modest random
+    frozen input: x (k, 18), thrusts f (k,) and moments tau (k, 3).
 
-    r = rng.uniform(-1.5, 1.5, size=3)
-    v = rng.uniform(-0.6, 0.6, size=3)
-    if spec.domain is BarrierDomain.LATERAL_VELOCITY:
-        v[:2] = rng.uniform(-0.8, 0.8, size=2) * spec.half_width
-    angles = rng.uniform(-0.25, 0.25, size=3)
-    omega = rng.uniform(-1.0, 1.0, size=3)
-    state = QuadState(r=r, R=R_of_euler(*angles), v=v, omega=omega)
-    f = float(rng.uniform(0.5, 1.8) * params.m * params.g)
-    return state, f, rng.uniform(-0.5, 0.5, size=3)
+    One rng.random call draws a row per state, and each field is scaled as
+    rng.uniform scales it, low + (high - low) * u, in the order of the
+    state-by-state draw: r, v, (vx, vy) again over the lateral velocity
+    barrier's half-widths, the Euler angles, omega, thrust / (m g), tau. So
+    the rows are the states that per-state rng.uniform calls would draw,
+    bit for bit.
+    """
+    velocity = spec.domain is BarrierDomain.LATERAL_VELOCITY
+    fields = [(-1.5, 1.5, 3), (-0.6, 0.6, 3), *([(-0.8, 0.8, 2)] if velocity else []),
+              (-0.25, 0.25, 3), (-1.0, 1.0, 3), (0.5, 1.8, 1), (-0.5, 0.5, 3)]
+    lows, highs, sizes = zip(*fields)
+    low, high = np.repeat(lows, sizes), np.repeat(highs, sizes)
+    u = low + (high - low) * rng.random((k, len(low)))
+    r, v = u[:, 0:3], u[:, 3:6]
+    if velocity:
+        v[:, :2] = u[:, 6:8] * spec.half_width
+    angles, omega, f, tau = np.split(u[:, 8 if velocity else 6:], [3, 6, 7], axis=1)
+    R = R_of_euler(*angles.T).reshape(k, 9)
+    return np.concatenate([r, R, v, omega], axis=1), f[:, 0] * params.m * params.g, tau
 
 
 def check_chain(domain: BarrierDomain, n_states: int = 100, seed: int = 12345) -> ChainCheck:
     """Worst-case relative FD errors for one chain, with the family's default
     spec and QuadParams(), over random in-set states.
 
-    Works a block of FD_BLOCK states at a time: draws the states in order,
-    integrates all their stencil flows (+FD_DT, then -FD_DT) in one flow
-    call, then evaluates the chains state by state. The result is the one a
-    state-by-state loop gives, bit for bit, and memory does not grow with
-    n_states. Raises ValueError if n_states < 1, whose errors of 0.0 would
-    read as a pass without any state checked.
+    Works a block of FD_BLOCK states at a time, in three batched layers:
+    draw_states draws the block, one flow call integrates all its stencil
+    flows (+FD_DT, then -FD_DT), and one evaluate_chain call evaluates the
+    chain at all its states and stencil points; the errors then reduce as
+    arrays. The result is the one a state-by-state loop gives, bit for bit,
+    except that a NaN or inf error is kept rather than lost in the maximum,
+    and memory does not grow with n_states. Raises ValueError if
+    n_states < 1, whose errors of 0.0 would read as a pass without any state
+    checked.
     """
     if n_states < 1:
         raise ValueError(f"n_states must be at least 1, got {n_states}")
     params = QuadParams()
     spec = default_spec(domain)
     rng = np.random.default_rng(seed)
-    delta = RELATIVE_DEGREE[domain]
-    worst_lower = 0.0
-    worst_top = 0.0
+    worst = np.zeros(RELATIVE_DEGREE[domain])  # per derivative order; NaN stays NaN
     for start in range(0, n_states, FD_BLOCK):
         b = min(FD_BLOCK, n_states - start)
-        states, fs, taus = zip(*(random_state_and_input(rng, spec, params) for _ in range(b)))
-        xs = [flat_of(state) for state in states]
-        ends = flow(np.array(xs * 2), np.array(fs * 2), np.array(taus * 2), params,
-                    np.repeat([FD_DT, -FD_DT], b)).tolist()
-        for x, f, tau, xp, xm in zip(xs, fs, taus, ends[:b], ends[b:]):
-            H0, total0 = evaluate_chain(x, spec, params, f, tau)
-            Hp, _ = evaluate_chain(xp, spec, params, f, tau)
-            Hm, _ = evaluate_chain(xm, spec, params, f, tau)
-            scale = max(1.0, float(np.max(np.abs(H0))), abs(total0))
-            for k in range(delta):
-                fd = (Hp[k] - Hm[k]) / (2.0 * FD_DT)
-                analytic = H0[k + 1] if k + 1 < delta else total0
-                rel = abs(fd - analytic) / max(abs(analytic), 1e-4 * scale)
-                if k + 1 < delta:
-                    worst_lower = max(worst_lower, rel)
-                else:
-                    worst_top = max(worst_top, rel)
-    return ChainCheck(domain, worst_lower, worst_top)
+        x, f, tau = draw_states(rng, b, spec, params)
+        ends = flow(np.concatenate([x, x]), np.concatenate([f, f]), np.concatenate([tau, tau]),
+                    params, np.repeat([FD_DT, -FD_DT], b))
+        H, top = evaluate_chain(np.concatenate([x, ends]), spec, params, np.tile(f, 3),
+                                np.tile(tau, (3, 1)))
+        H0, Hp, Hm, top0 = H[:b], H[b:2 * b], H[2 * b:], top[:b]
+        fd = (Hp - Hm) / (2.0 * FD_DT)
+        analytic = np.column_stack([H0[:, 1:], top0])
+        scale = np.maximum(np.maximum(1.0, np.abs(H0).max(axis=1)), np.abs(top0))
+        rel = np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1e-4 * scale[:, None])
+        worst = np.maximum(worst, rel.max(axis=0))
+    return ChainCheck(domain, float(worst[:-1].max(initial=0.0)), float(worst[-1]))
 
 
 def check_all_chains(n_states: int = 100, seed: int = 12345) -> list[ChainCheck]:

@@ -558,3 +558,41 @@ class TestLateralRowsAreBitwiseTheReference:
         assert len(calls) == 1000
         for call in calls:
             assert assert_rows_bitwise_as_reference(*call) is not None
+
+    @pytest.mark.parametrize("kind", LATERAL_STATE_KINDS)
+    def test_many_states_are_each_states_rows(self, kind):
+        # lateral_rows over a (k, 18) block returns, row i of each a, b, h and
+        # H, the bytes of state i's own call, and raises LateralSingular when
+        # any state of the block is singular.
+        rng = np.random.default_rng(sum(map(ord, kind)) + 11)
+        _, _, specs, params = adversarial_lateral_case(kind, rng)
+        xs, fs, singular = [], [], []
+        with np.errstate(all="ignore"):
+            for _ in range(300):
+                x, f, _, _ = adversarial_lateral_case(kind, rng)
+                try:
+                    want = lateral_rows(x, f, specs, params)
+                except LateralSingular:
+                    singular.append((x, f))
+                else:
+                    xs.append((x, f, want))
+            for block in (xs, xs[:1]):
+                got = lateral_rows(np.array([x for x, _, _ in block]),
+                                   np.array([f for _, f, _ in block]), specs, params)
+                assert len(got) == len(specs)
+                for row, (a, b, h, H) in enumerate(got):
+                    assert a.shape == (len(block), 2) and b.shape == h.shape == (len(block),)
+                    assert H.shape == (len(block), RELATIVE_DEGREE[specs[row].domain])
+                    for i, (_, _, want) in enumerate(block):
+                        a_i, b_i, h_i, H_i = want[row]
+                        assert_same_array(a[i], a_i)
+                        assert_same_float(b[i], b_i)
+                        assert_same_float(h[i], h_i)
+                        assert_same_array(H[i], H_i)
+            if singular:
+                x, f = singular[0]
+                with pytest.raises(LateralSingular):
+                    lateral_rows(np.array([xs[0][0], x]), np.array([xs[0][1], f]), specs, params)
+        assert len(xs) >= 150
+        if kind == "near_singular":
+            assert singular

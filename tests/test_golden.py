@@ -5,7 +5,8 @@ The horizon stops short of fig4's period-2 thrust chatter near the altitude
 limit (from t ~ 4.08 s), which amplifies round-off. The trace.csv and
 events.csv exported from the same runs are pinned byte for byte, and so are
 those of every preset's full run (shared with test_acceptance.py through
-conftest.py), which catch a change that shows only late in a run.
+conftest.py), which catch a change that shows only late in a run. The
+finite-difference oracle's results are pinned by repr.
 """
 
 import collections
@@ -19,6 +20,7 @@ import pytest
 
 from quadsafe.cli import events_csv, export_trace, trace_csv
 from quadsafe.config import PRESETS, load_preset
+from quadsafe.oracle import check_all_chains
 from quadsafe.sim import run
 
 from conftest import preset_trace
@@ -204,3 +206,35 @@ def test_full_run_exported_bytes(name):
     trace, _ = preset_trace(name)
     got = (sha256_of_blocks(trace_csv(trace)), sha256_of_blocks(events_csv(trace)))
     assert got == FULL_EXPORT_SHA256[name]
+
+
+# repr of every ChainCheck field of check_all_chains(n_states, seed), recorded
+# with the state-by-state oracle. 259 states are one full block of 256 and a
+# partial one.
+ORACLE_REPR = {
+    (100, 12345): [
+        ("altitude_position", "6.278647297270702e-07", "5.861798650641514e-06"),
+        ("altitude_posvel", "0.0", "0.0004803822405532096"),
+        ("lateral_position", "1.6663702902304842e-05", "1.7000653570682908e-05"),
+        ("lateral_velocity", "1.7638048660859084e-05", "2.089458425416374e-05"),
+    ],
+    (1, 12345): [
+        ("altitude_position", "7.060108103103224e-08", "5.9327835383437466e-08"),
+        ("altitude_posvel", "0.0", "3.1105719986895083e-06"),
+        ("lateral_position", "1.1171756387022971e-07", "7.922202338275455e-09"),
+        ("lateral_velocity", "1.8423947479675285e-06", "4.036819713084213e-07"),
+    ],
+    (259, 7): [
+        ("altitude_position", "1.0963123757879641e-06", "3.0358533043273232e-06"),
+        ("altitude_posvel", "0.0", "0.004662313032832942"),
+        ("lateral_position", "2.220165545963531e-05", "9.453122018027276e-05"),
+        ("lateral_velocity", "0.00021203893358271103", "2.020743005931526e-05"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n_states, seed", sorted(ORACLE_REPR))
+def test_oracle_results(n_states, seed):
+    got = [(c.domain.value, repr(c.max_rel_lower), repr(c.max_rel_top))
+           for c in check_all_chains(n_states, seed)]
+    assert got == ORACLE_REPR[n_states, seed]

@@ -3,9 +3,12 @@ and the batched finite-difference oracle rely on.
 
 lateral_rows and the 2-D solver batch many small products into one numpy
 call, each family in the layout the code uses, and must round every product
-as the separate numpy call did. The oracle runs many RK4 flows as float64
-columns and re-projects them with one stacked SVD, and must give each flow
-the bits of its own float integration and single-matrix projection; the
+as the separate numpy call did; lateral_rows does so across the specs of one
+state and across the states of a block, each state's operands in the single
+state's layout. The oracle draws a block of states with one rng.random call
+and stacked rotations, runs many RK4 flows as float64 columns and
+re-projects them with one stacked SVD, and must give each state the bits of
+its own draw, float integration and single-matrix projection; the
 projection calls numpy's SVD kernel without its Python wrapper. Each test
 here checks one such identity on random data (zeros, -0.0, subnormals and
 scales 1e-150..1e150 included), so that a numpy or BLAS build that breaks
@@ -17,10 +20,11 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from numpy.linalg._umath_linalg import svd_f
 
 from quadsafe.controller import ControllerGains, body_rate_loop
-from quadsafe.dynamics import QuadParams, deriv, rk4_flat
+from quadsafe.dynamics import QuadParams, R_of_euler, deriv, rk4_flat
 
 N = 4000
 
@@ -195,3 +199,118 @@ def test_batched_3x3_products_are_the_single_dots():
     U, _, Vt = np.linalg.svd(sample(rng, 600, 3, 3))
     same(U @ Vt, [u.dot(vt) for u, vt in zip(U, Vt)])
     same(U[::2] @ Vt[::2], [u.dot(vt) for u, vt in zip(U[::2], Vt[::2])])
+
+
+def stacked(single, axis):
+    """k single-state arrays stacked with the state axis at the given axis,
+    each state's operands in the single state's contiguous layout."""
+    return np.moveaxis(np.array(single), 0, axis)
+
+
+def test_state_stacked_2x2_products_are_the_single_products():
+    # lateral_rows over k states: mats is (7, k, 2, 2); (-V) Wdot and
+    # (R33 V) diag, Vdot written into slot 5, then [V, Vdot] times the
+    # columns A and gyro of slot 6, against each state's own (7, 2, 2).
+    rng = np.random.default_rng(13)
+    single = sample(rng, 300, 7, 2, 2)
+    mats = stacked(single, 1)
+    prods = mats[0:2] @ mats[2:4]
+    np.matmul(prods[0], mats[4], out=mats[5])
+    mv = mats[4:6, None] @ mats[6].swapaxes(0, -2)[..., None]
+    for j, m in enumerate(single):
+        want = m[0:2] @ m[2:4]
+        same(prods[:, j], want)
+        np.matmul(want[0], m[4], out=m[5])
+        same(mats[5, j], m[5])
+        same(mv[:, :, j], m[4:6, None] @ m[6].reshape(2, 2, 1))
+        same(m[4:6, None] @ m[6].swapaxes(0, -2)[..., None], m[4:6, None] @ m[6].reshape(2, 2, 1))
+
+
+def test_state_stacked_dots_and_row_products_are_the_single_ones():
+    # lateral_rows over k states: vecs is (m, 2, k, 2), the 2-vector dots of
+    # its first n pairs and the (1, 2) row eta3 of the rest times each
+    # state's L, against each state's own (m, 2, 2).
+    rng = np.random.default_rng(14)
+    n = 11
+    single = sample(rng, 300, n + 2, 2, 2)
+    L = sample(rng, 300, 2, 2)
+    vecs = stacked(single, 2)
+    dots = np.vecdot(vecs[:n, 0], vecs[:n, 1])
+    rows = vecs[n:, 0, ..., None, :] @ L
+    for j, (v, l) in enumerate(zip(single, L)):
+        same(dots[:, j], np.vecdot(v[:n, 0], v[:n, 1]))
+        same(rows[:, j], v[n:, :1] @ l)
+        same(v[n:, 0, ..., None, :] @ l, v[n:, :1] @ l)
+
+
+def test_state_stacked_power_is_one_states_power():
+    # The cubes and fourth powers of the derivatives: a (k, 6) block against
+    # each state's (6,), the exponents broadcast.
+    rng = np.random.default_rng(15)
+    exponents = np.array([3.0, 3.0, 4.0, 4.0, 3.0, 3.0])
+    block = sample(rng, 2000, 6)
+    with np.errstate(over="ignore"):
+        got = np.power(block, exponents)
+        for row, want in zip(got, block):
+            same(row, np.power(want, exponents))
+
+
+def test_libm_pow_forms_are_numpy_scalar_pow():
+    # The powers 2, 3 and 4 of the offsets from a center: math.pow of a
+    # float, and np.float_power of an array, are the numpy scalar ** the
+    # reference takes (all three call libm's pow); math.pow raises where it
+    # overflows, and the others give inf.
+    rng = np.random.default_rng(16)
+    values = sample(rng, 4000).tolist() + [1e77, -1e77, 1e200, -3e154, math.inf, -math.inf]
+    with np.errstate(over="ignore"):
+        for e in (2.0, 3.0, 4.0):
+            want = [np.float64(v) ** int(e) for v in values]
+            same(np.float_power(values, e), want)
+            same(np.float_power.outer(values[:50], [2.0, 3.0, 4.0])[:, int(e) - 2], want[:50])
+            for v, w in zip(values, want):
+                if math.isfinite(v) and not math.isfinite(w):
+                    with pytest.raises(OverflowError):
+                        math.pow(v, e)
+                else:
+                    same(math.pow(v, e), w)
+
+
+def test_row_vecdot_is_the_1d_dot():
+    # K @ H and a @ tau[:2] of each state, as one np.vecdot over rows.
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3, 4):
+        H, K = sample(rng, 1000, d), sample(rng, d)
+        same(np.vecdot(H, K), [K @ h for h in H])
+    a, tau = sample(rng, 1000, 2), sample(rng, 1000, 3)
+    same(np.vecdot(a, tau[:, :2]), [u @ t[:2] for u, t in zip(a, tau)])
+
+
+def test_uniform_is_scaled_random():
+    # rng.uniform(low, high, size) is low + (high - low) * rng.random(size),
+    # from the same stream, for arrays and for a scalar draw; so one
+    # rng.random((k, n)) block scaled per column is k states' uniform draws
+    # in order, the oracle's lateral-velocity pair and scalar thrust included.
+    fields = [(-1.5, 1.5, 3), (-0.6, 0.6, 3), (-0.8, 0.8, 2), (-0.25, 0.25, 3),
+              (-1.0, 1.0, 3), (0.5, 1.8, None), (-0.5, 0.5, 3)]
+    rng = np.random.default_rng(18)
+    fields += [(lo, lo + span, 2) for lo, span in zip(sample(rng, 20).tolist(),
+                                                      np.abs(sample(rng, 20)).tolist())]
+    for seed in range(40):
+        draw, block = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [np.atleast_1d(draw.uniform(lo, hi, size=n)) for _ in range(7)
+                for lo, hi, n in fields]
+        low = np.repeat([lo for lo, _, _ in fields], [n or 1 for _, _, n in fields])
+        high = np.repeat([hi for _, hi, _ in fields], [n or 1 for _, _, n in fields])
+        got = low + (high - low) * block.random((7, len(low)))
+        same(got.reshape(-1), np.concatenate(want))
+
+
+def test_stacked_rotations_are_the_single_rotation():
+    # R_of_euler on arrays of angles: stacked Rz @ Ry @ Rx against each
+    # triple's, over the oracle's angles and beyond.
+    rng = np.random.default_rng(19)
+    angles = np.concatenate([rng.uniform(-0.25, 0.25, size=(600, 3)), sample(rng, 600, 3)])
+    got = R_of_euler(*angles.T)
+    assert got.shape == (1200, 3, 3)
+    same(got, [R_of_euler(*a) for a in angles.tolist()])
+    same(R_of_euler(*angles[:40].T.reshape(3, 8, 5)).reshape(40, 3, 3), got[:40])

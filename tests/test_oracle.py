@@ -1,18 +1,38 @@
 """The block-batched finite-difference oracle against the state-by-state one.
 
-check_chain integrates the stencil flows of a whole block of states as
-float64 columns and re-projects them with one stacked SVD. ref_flow and
-ref_check_chain below are verbatim copies of the state-by-state oracle it
-replaced; every result must match them bit for bit.
+check_chain draws a whole block of states with one rng.random call,
+integrates their stencil flows as float64 columns, re-projects them with one
+stacked SVD, evaluates the chain at every state of the block in one call and
+reduces the errors as arrays. ref_random_state_and_input,
+ref_evaluate_chain, ref_flow and ref_check_chain below are verbatim copies
+of the state-by-state oracle it replaced (only the names carry a ref_
+prefix); every result must match them bit for bit.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from quadsafe.barriers import RELATIVE_DEGREE, BarrierDomain
-from quadsafe.dynamics import QuadParams, flat_of, project_flat, project_to_rotation, rk4_flat
+import quadsafe.oracle as oracle
+from quadsafe.barriers import (
+    RELATIVE_DEGREE,
+    BarrierDomain,
+    BarrierSpec,
+    altitude_row,
+    lateral_rows,
+)
+from quadsafe.cli import main
+from quadsafe.dynamics import (
+    QuadParams,
+    QuadState,
+    R_of_euler,
+    flat_of,
+    project_flat,
+    project_to_rotation,
+    rk4_flat,
+)
 from quadsafe.oracle import (
     FD_BLOCK,
     FD_DT,
@@ -21,10 +41,45 @@ from quadsafe.oracle import (
     check_all_chains,
     check_chain,
     default_spec,
+    draw_states,
     evaluate_chain,
     flow,
-    random_state_and_input,
 )
+
+
+def ref_evaluate_chain(
+    x: list[float],
+    spec: BarrierSpec,
+    params: QuadParams,
+    f: float,
+    tau: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Analytic (H, L_f^d h + L_g L_f^(d-1) h . u) at the flat state x under
+    thrust f and moments tau."""
+    if spec.domain in (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL):
+        a, b, _, H = altitude_row(spec, x[2], x[14], x[11], params)
+        a_dot_u = a * f
+    else:
+        ((a, b, _, H),) = lateral_rows(x, f, [spec], params)
+        a_dot_u = float(a @ tau[:2])
+    lf_top = b - float(spec.K @ H)  # L_f^d h
+    return H, lf_top + a_dot_u
+
+
+def ref_random_state_and_input(
+    rng: np.random.Generator, spec: BarrierSpec, params: QuadParams
+) -> tuple[QuadState, float, np.ndarray]:
+    """Random state inside the safe set with a modest random frozen input
+    (thrust f, moments tau)."""
+    r = rng.uniform(-1.5, 1.5, size=3)
+    v = rng.uniform(-0.6, 0.6, size=3)
+    if spec.domain is BarrierDomain.LATERAL_VELOCITY:
+        v[:2] = rng.uniform(-0.8, 0.8, size=2) * spec.half_width
+    angles = rng.uniform(-0.25, 0.25, size=3)
+    omega = rng.uniform(-1.0, 1.0, size=3)
+    state = QuadState(r=r, R=R_of_euler(*angles), v=v, omega=omega)
+    f = float(rng.uniform(0.5, 1.8) * params.m * params.g)
+    return state, f, rng.uniform(-0.5, 0.5, size=3)
 
 
 def ref_flow(x, f, tau, params, dt):
@@ -43,11 +98,11 @@ def ref_check_chain(domain, params=None, n_states=100, seed=12345, spec=None):
     worst_lower = 0.0
     worst_top = 0.0
     for _ in range(n_states):
-        state, f, tau = random_state_and_input(rng, spec, params)
+        state, f, tau = ref_random_state_and_input(rng, spec, params)
         x = flat_of(state)
-        H0, total0 = evaluate_chain(x, spec, params, f, tau)
-        Hp, _ = evaluate_chain(ref_flow(x, f, tau, params, FD_DT), spec, params, f, tau)
-        Hm, _ = evaluate_chain(ref_flow(x, f, tau, params, -FD_DT), spec, params, f, tau)
+        H0, total0 = ref_evaluate_chain(x, spec, params, f, tau)
+        Hp, _ = ref_evaluate_chain(ref_flow(x, f, tau, params, FD_DT), spec, params, f, tau)
+        Hm, _ = ref_evaluate_chain(ref_flow(x, f, tau, params, -FD_DT), spec, params, f, tau)
         scale = max(1.0, float(np.max(np.abs(H0))), abs(total0))
         for k in range(delta):
             fd = (Hp[k] - Hm[k]) / (2.0 * FD_DT)
@@ -64,7 +119,7 @@ def ref_check_chain(domain, params=None, n_states=100, seed=12345, spec=None):
 def test_batched_flow_is_the_single_flow(domain):
     params = QuadParams()
     rng = np.random.default_rng(2024)
-    draws = [random_state_and_input(rng, default_spec(domain), params) for _ in range(75)]
+    draws = [ref_random_state_and_input(rng, default_spec(domain), params) for _ in range(75)]
     xs = [flat_of(state) for state, _, _ in draws]
     fs = [f for _, f, _ in draws]
     taus = [tau for _, _, tau in draws]
@@ -83,6 +138,90 @@ def test_check_chain_is_the_state_by_state_check(seed, n_states):
         assert got.domain is want.domain
         assert got.max_rel_lower == want.max_rel_lower, (domain, got, want)
         assert got.max_rel_top == want.max_rel_top, (domain, got, want)
+
+
+@pytest.mark.parametrize("domain", list(BarrierDomain), ids=lambda d: d.value)
+@pytest.mark.parametrize("k", [1, 2, 37, FD_BLOCK])
+def test_block_draw_is_the_state_by_state_draw(domain, k):
+    # Two blocks in a row from one generator: the second must start where the
+    # state-by-state draw of the first left the stream.
+    params, spec = QuadParams(), default_spec(domain)
+    rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+    for _ in range(2):
+        x, f, tau = draw_states(rng, k, spec, params)
+        want = [ref_random_state_and_input(ref_rng, spec, params) for _ in range(k)]
+        assert x.shape == (k, 18) and f.shape == (k,) and tau.shape == (k, 3)
+        assert x.tobytes() == np.array([flat_of(state) for state, _, _ in want]).tobytes()
+        assert f.tobytes() == np.array([f for _, f, _ in want]).tobytes()
+        assert tau.tobytes() == np.array([tau for _, _, tau in want]).tobytes()
+
+
+@pytest.mark.parametrize("domain", list(BarrierDomain), ids=lambda d: d.value)
+def test_block_evaluation_is_the_state_by_state_evaluation(domain):
+    # The oracle's states, and flowed states whose R is off SO(3) by round-off.
+    params, spec = QuadParams(), default_spec(domain)
+    x, f, tau = draw_states(np.random.default_rng(31), 200, spec, params)
+    x[100:] = flow(x[100:], f[100:], tau[100:], params, np.full(100, 0.3))
+    H, top = evaluate_chain(x, spec, params, f, tau)
+    want = [ref_evaluate_chain(xi, spec, params, fi, taui)
+            for xi, fi, taui in zip(x.tolist(), f.tolist(), tau)]
+    assert H.shape == (200, RELATIVE_DEGREE[domain])
+    assert H.tobytes() == np.array([H for H, _ in want]).tobytes()
+    assert top.tobytes() == np.array([top for _, top in want]).tobytes()
+
+
+def test_chain_check_holds_plain_floats():
+    for chk in check_all_chains(n_states=1) + check_all_chains(n_states=3, seed=7):
+        assert type(chk.max_rel_lower) is float and type(chk.max_rel_top) is float, chk
+
+
+def nan_at_forward_stencil_points(monkeypatch):
+    """Sets H[0] of every +FD_DT stencil point to NaN, through the row
+    builders: the states that flow returns at a positive step are recorded,
+    and altitude_row and lateral_rows write NaN into their H[0]."""
+    forward = set()
+    real_flow, real_altitude_row, real_lateral_rows = flow, altitude_row, lateral_rows
+
+    def recording_flow(x, f, tau, params, dt):
+        end = real_flow(x, f, tau, params, dt)
+        forward.update(map(tuple, end[dt > 0.0].tolist()))
+        return end
+
+    def nan_altitude_row(spec, z, zd, R33, params):
+        a, b, h, H = real_altitude_row(spec, z, zd, R33, params)
+        if any(state[2] == z and state[14] == zd and state[11] == R33 for state in forward):
+            H = H.copy()
+            H[0] = math.nan
+        return a, b, h, H
+
+    def nan_lateral_rows(x, f, specs, params):
+        rows = real_lateral_rows(x, f, specs, params)
+        hit = np.array([tuple(state) in forward for state in x.tolist()])
+        for _, _, _, H in rows:
+            H[hit, 0] = math.nan
+        return rows
+
+    monkeypatch.setattr(oracle, "flow", recording_flow)
+    monkeypatch.setattr(oracle, "altitude_row", nan_altitude_row)
+    monkeypatch.setattr(oracle, "lateral_rows", nan_lateral_rows)
+
+
+@pytest.mark.parametrize("domain", [BarrierDomain.ALTITUDE_POSITION,
+                                    BarrierDomain.LATERAL_POSITION], ids=lambda d: d.value)
+def test_a_nan_error_is_not_a_pass(monkeypatch, domain):
+    # max(0.0, nan) is 0.0: a state-by-state max would report 0.0 here.
+    nan_at_forward_stencil_points(monkeypatch)
+    chk = check_chain(domain, n_states=20)
+    assert math.isnan(chk.max_rel_lower), chk
+    assert not chk.max_rel_lower <= 1e-4  # A1's test, which must fail
+
+
+def test_a_nan_error_fails_the_oracle_command(monkeypatch, capsys):
+    nan_at_forward_stencil_points(monkeypatch)
+    assert main(["oracle", "--states", "20"]) == 1
+    out = capsys.readouterr().out
+    assert "altitude_position: max_rel_err lower-derivatives=nan" in out
+    assert out.endswith("oracle: FAIL\n")
 
 
 def test_stacked_projection_is_the_single_projection():
