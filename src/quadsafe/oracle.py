@@ -7,11 +7,15 @@ Lie-derivative vector is thereby certified as the k-th time derivative of
 h along the flow, and the top derivative against
 L_f^d h + L_g L_f^(d-1) h . u. The states are drawn, flowed and evaluated
 a block at a time, each layer in one batched call that gives every state
-the bits of its own.
+the bits of its own. The draws come from _Pcg64, the in-package PCG64
+stream, which gives the bits of numpy's default_rng(seed), so the package
+never imports numpy.random.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,106 @@ from .dynamics import QuadParams, R_of_euler, project_to_rotation, rk4_flat
 FD_DT = 1e-4        # central-difference half step
 FD_SUBSTEPS = 4     # RK4 substeps per half step
 FD_BLOCK = 256      # states drawn, flowed and evaluated as one batch; bounds memory
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_LANES = 64     # draws per row of one random() call's (rows, lanes) grid
+
+
+def _seed_sequence(seed: int) -> tuple[int, int]:
+    """(initstate, initseq) of numpy's PCG64 seeded with SeedSequence(seed):
+    the seed's little-endian 32-bit words hashed into a pool of 4 words,
+    which then give 4 little-endian 64-bit words."""
+    entropy = [seed & _M32]
+    while seed := seed >> 32:
+        entropy.append(seed & _M32)
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        words.append(value ^ value >> 16)
+    u = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+    return u[0] << 64 | u[1], u[2] << 64 | u[3]
+
+
+def _halves(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The high and the low 64 bits of 128-bit integers, as uint64 arrays."""
+    return (np.array([v >> 64 for v in values], np.uint64),
+            np.array([v & _M64 for v in values], np.uint64))
+
+
+class _Pcg64:
+    """The stream of numpy's default_rng(seed), for random() only: PCG64
+    (O'Neill 2014), a 128-bit LCG with the XSL-RR output, seeded as
+    SeedSequence(seed) seeds it. random(shape) returns the bits
+    default_rng(seed).random(shape) returns, across calls too, without
+    importing numpy.random."""
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        initstate, initseq = _seed_sequence(seed)
+        self.inc = (initseq << 1 | 1) & _M128
+        self.state = ((self.inc + initstate) * _PCG_MULT + self.inc) & _M128
+
+    def random(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Uniform floats in [0, 1) of the given shape, in C order: draw k
+        is the state after k + 1 steps s -> s·M + inc mod 2^128, through
+        XSL-RR, its top 53 bits scaled by 2^-53.
+
+        The draws are laid out as a (rows, lanes) grid. The state b_i that
+        starts row i and the map s -> A_j·s + C_j of j + 1 steps come from
+        Python integers; numpy then forms every A_j·b_i + C_j at once."""
+        n = math.prod(shape)
+        lanes = min(_PCG_LANES, n)
+        if not lanes:
+            return np.empty(shape)
+        As, Cs, A, C = [], [], _PCG_MULT, self.inc
+        for _ in range(lanes):
+            As.append(A)
+            Cs.append(C)
+            A, C = A * _PCG_MULT & _M128, (C * _PCG_MULT + self.inc) & _M128
+        bases, b = [], self.state
+        for _ in range(-(-n // lanes)):
+            bases.append(b)
+            b = (As[-1] * b + Cs[-1]) & _M128
+        (a_hi, a_lo), (c_hi, c_lo) = _halves(As), _halves(Cs)
+        b_hi, b_lo = (half[:, None] for half in _halves(bases))
+        # A_j·b_i + C_j mod 2^128 in 64-bit halves, the high half of
+        # b_lo·a_lo from its four 32-bit partial products.
+        a0, a1, b0, b1 = a_lo & _M32, a_lo >> 32, b_lo & _M32, b_lo >> 32
+        t = b1 * a0 + (b0 * a0 >> 32)
+        u = b0 * a1 + (t & _M32)
+        lo = b_lo * a_lo + c_lo
+        hi = b1 * a1 + (t >> 32) + (u >> 32) + b_hi * a_lo + b_lo * a_hi + c_hi + (lo < c_lo)
+        hi, lo = hi.reshape(-1)[:n], lo.reshape(-1)[:n]
+        self.state = int(hi[-1]) << 64 | int(lo[-1])
+        x, rot = hi ^ lo, hi >> 58
+        out = x >> rot | x << (64 - rot & 63)
+        return ((out >> 11) * 2.0**-53).reshape(shape)
 
 
 @dataclass
@@ -94,12 +198,14 @@ def default_spec(domain: BarrierDomain) -> BarrierSpec:
 
 
 def draw_states(
-    rng: np.random.Generator, k: int, spec: BarrierSpec, params: QuadParams
+    rng: _Pcg64, k: int, spec: BarrierSpec, params: QuadParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k random flat states inside the safe set, each with a modest random
     frozen input: x (k, 18), thrusts f (k,) and moments tau (k, 3).
 
-    One rng.random call draws a row per state, and each field is scaled as
+    rng is any object with random(shape): check_chain passes a _Pcg64, and
+    numpy's Generator, whose random gives the same bits, serves too. One
+    rng.random call draws a row per state, and each field is scaled as
     rng.uniform scales it, low + (high - low) * u, in the order of the
     state-by-state draw: r, v, (vx, vy) again over the lateral velocity
     barrier's half-widths, the Euler angles, omega, thrust / (m g), tau. So
@@ -125,20 +231,22 @@ def check_chain(domain: BarrierDomain, n_states: int = 100, seed: int = 12345) -
     spec and QuadParams(), over random in-set states.
 
     Works a block of FD_BLOCK states at a time, in three batched layers:
-    draw_states draws the block, one flow call integrates all its stencil
-    flows (+FD_DT, then -FD_DT), and one evaluate_chain call evaluates the
-    chain at all its states and stencil points; the errors then reduce as
-    arrays. The result is the one a state-by-state loop gives, bit for bit,
-    except that a NaN or inf error is kept rather than lost in the maximum,
-    and memory does not grow with n_states. Raises ValueError if
-    n_states < 1, whose errors of 0.0 would read as a pass without any state
-    checked.
+    draw_states draws the block from _Pcg64(seed), which gives the bits of
+    numpy's default_rng(seed) without importing numpy.random; one flow call
+    integrates all its stencil flows (+FD_DT, then -FD_DT); and one
+    evaluate_chain call evaluates the chain at all its states and stencil
+    points. The errors then reduce as arrays. The result is the one a
+    state-by-state loop gives, bit for bit, except that a NaN or inf error
+    is kept rather than lost in the maximum, and memory does not grow with
+    n_states. Raises ValueError if n_states < 1, whose errors of 0.0 would
+    read as a pass without any state checked, or if seed is negative, and
+    TypeError if seed is not an integer.
     """
     if n_states < 1:
         raise ValueError(f"n_states must be at least 1, got {n_states}")
     params = QuadParams()
     spec = default_spec(domain)
-    rng = np.random.default_rng(seed)
+    rng = _Pcg64(seed)
     worst = np.zeros(RELATIVE_DEGREE[domain])  # per derivative order; NaN stays NaN
     for start in range(0, n_states, FD_BLOCK):
         b = min(FD_BLOCK, n_states - start)

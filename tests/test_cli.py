@@ -271,6 +271,20 @@ def test_runs_without_scipy(tmp_path):
         assert any(ev["event_type"] == "infeasible" for ev in csv.DictReader(f))
 
 
+def test_oracle_runs_without_numpy_random():
+    # The oracle draws from its own PCG64 stream: numpy.random, whose import
+    # loads OpenSSL among a dozen modules, must never be imported.
+    code = ("import sys; sys.modules['numpy.random'] = None; from quadsafe.cli import main; "
+            "sys.exit(main(['oracle', '--states', '5']))")
+    src = os.path.dirname(os.path.dirname(quadsafe.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("oracle: PASS\n"), proc.stdout
+
+
 def test_readme_minimal_scenario_passes_check(tmp_path, capsys):
     readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
     block = readme.split("A minimal scenario file:", 1)[1].split("```yaml\n", 1)[1]

@@ -1,9 +1,12 @@
 """The block-batched finite-difference oracle against the state-by-state one.
 
-check_chain draws a whole block of states with one rng.random call,
+check_chain draws a whole block of states with one random call,
 integrates their stencil flows as float64 columns, re-projects them with one
 stacked SVD, evaluates the chain at every state of the block in one call and
-reduces the errors as arrays. ref_random_state_and_input,
+reduces the errors as arrays. Its draws come from _Pcg64, the in-package
+PCG64 stream, whose bytes must be those of numpy's default_rng(seed): the
+package never imports numpy.random, and these tests use numpy's generator as
+the reference. ref_random_state_and_input,
 ref_evaluate_chain, ref_flow and ref_check_chain below are verbatim copies
 of the state-by-state oracle it replaced (only the names carry a ref_
 prefix); every result must match them bit for bit.
@@ -45,6 +48,7 @@ from quadsafe.oracle import (
     evaluate_chain,
     flow,
 )
+from quadsafe.oracle import _PCG_LANES, _Pcg64
 
 
 def ref_evaluate_chain(
@@ -154,6 +158,35 @@ def test_block_draw_is_the_state_by_state_draw(domain, k):
         assert x.tobytes() == np.array([flat_of(state) for state, _, _ in want]).tobytes()
         assert f.tobytes() == np.array([f for _, f, _ in want]).tobytes()
         assert tau.tobytes() == np.array([tau for _, _, tau in want]).tobytes()
+
+
+# The stream's internal boundaries: a call of n draws has min(n, lanes) lanes
+# and ceil(n / lanes) rows.
+BOUNDARY_SIZES = [n + d for n in (_PCG_LANES, 2 * _PCG_LANES) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 + 1, 2**130 + 7])
+def test_stream_is_default_rng(seed):
+    # 2**32 + 1 has two 32-bit entropy words, 2**130 + 7 more than the
+    # seed pool's 4. Consecutive calls continue the stream as numpy's do.
+    shapes = [(1,), (17,), (100, 17), (FD_BLOCK, 19), (0,), (3, 0)]
+    shapes += [(n,) for n in BOUNDARY_SIZES]
+    rng, want = _Pcg64(seed), np.random.default_rng(seed)
+    for shape in shapes + shapes[::-1]:
+        got, expected = rng.random(shape), want.random(shape)
+        assert got.shape == expected.shape and got.dtype == expected.dtype, shape
+        assert got.tobytes() == expected.tobytes(), shape
+
+
+def test_stream_seed_errors_are_numpys():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="seed"):
+        check_chain(BarrierDomain.ALTITUDE_POSITION, n_states=1, seed=-1)
+    with pytest.raises(TypeError):
+        np.random.default_rng(1.5)
+    with pytest.raises(TypeError):
+        check_chain(BarrierDomain.ALTITUDE_POSITION, n_states=1, seed=1.5)
 
 
 @pytest.mark.parametrize("domain", list(BarrierDomain), ids=lambda d: d.value)
