@@ -168,35 +168,75 @@ def rectellipse_h(values: Sequence[float], spec: BarrierSpec) -> float:
 
 
 def altitude_row(
-    spec: BarrierSpec, z: float, zd: float, R33: float, params: QuadParams
-) -> tuple[float, float, float, np.ndarray]:
-    """Float core of the two altitude chains: (a, b, h, H) of the row
-    a * f + b >= 0 at altitude z, climb rate zd and attitude entry R33.
+    spec: BarrierSpec,
+    z: float | np.ndarray,
+    zd: float | np.ndarray,
+    R33: float | np.ndarray,
+    params: QuadParams,
+) -> tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray, np.ndarray]:
+    """Core of the two altitude chains: (a, b, h, H) of the row a * f + b >= 0
+    at altitude z, climb rate zd and attitude entry R33, as floats, or at
+    each of k states given as (k,) columns. For one state a, b and h are
+    floats and H is a (delta,) array; for k states a, b and h are (k,), H is
+    (k, delta), and row i of each is state i's, bit for bit.
 
-    Raises NonFiniteState where a float power overflows, which Python's
-    float ** reports as OverflowError rather than inf."""
+    Every power is libm's pow: math.pow of a float, np.float_power of a
+    column. For k states K . H is one np.vecdot over the rows of H, which
+    gives each row the bits of the single state's K.dot(H). Raises
+    NonFiniteState where a power of a finite value overflows, which math.pow
+    reports as OverflowError rather than inf; for k states, where any
+    state's does. Columns are computed with numpy's floating-point warnings
+    off, so that none escapes."""
+    if isinstance(z, float):
+        return _altitude_row(spec, z, zd, R33, params, None)
+    with np.errstate(all="ignore"):
+        return _altitude_row(spec, z, zd, R33, params, len(z))
+
+
+def _column_pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e by libm's pow, for altitude_row's columns (and the spec's
+    floats among them); OverflowError, carrying the index of the first
+    state at fault, where a finite entry's power overflows, as math.pow
+    raises."""
+    out = np.float_power(x, e)
+    overflow = np.isinf(out) & np.isfinite(x)
+    if overflow.any():
+        raise OverflowError(int(overflow.argmax()))
+    return out
+
+
+def _altitude_row(spec, z, zd, R33, params, k):
+    """altitude_row's body, for floats (k is None) or k-state columns."""
+    pw = math.pow if k is None else _column_pow
     try:
         if spec.domain is BarrierDomain.ALTITUDE_POSITION:
             # ECBF, delta=2, h(z) = 1 - ((z-c)/p_z)^4.
             (c,), (pz,) = spec.c, spec.p
             s = z - c
-            pz4 = pz**4
-            h = 1.0 - (s / pz) ** 4
-            s3 = s**3
+            pz4 = pw(pz, 4.0)
+            h = 1.0 - pw(s / pz, 4.0)
+            s3 = pw(s, 3.0)
             Lfh = -4.0 * s3 * zd / pz4
-            Lf2h = -4.0 * s3 * params.g / pz4 - 12.0 * s**2 * zd**2 / pz4
+            Lf2h = -4.0 * s3 * params.g / pz4 - 12.0 * pw(s, 2.0) * pw(zd, 2.0) / pz4
             a = 4.0 * s3 * R33 / (pz4 * params.m)
-            H = np.array([h, Lfh])
-            return a, Lf2h + float(spec.K.dot(H)), h, H
+            if k is None:
+                H = np.array([h, Lfh])
+                return a, Lf2h + float(spec.K.dot(H)), h, H
+            H = _pack([h, Lfh], k)
+            return a, Lf2h + np.vecdot(H, spec.K), h, H
         if spec.domain is BarrierDomain.ALTITUDE_POSVEL:
             # CBF, delta=1, h(z, zdot) = 1 - ((z-c)/p_z)^4 - (zdot/v_z)^4.
             cz, (pz, vz) = spec.c[0], spec.p
             s = z - cz
-            h = 1.0 - (s / pz) ** 4 - (zd / vz) ** 4
-            Lfh = -4.0 * s**3 * zd / pz**4 - 4.0 * zd**3 * params.g / vz**4
-            a = 4.0 * zd**3 * R33 / (vz**4 * params.m)
-            return a, Lfh + float(spec.K[0]) * h, h, np.array([h])
-    except OverflowError:
+            h = 1.0 - pw(s / pz, 4.0) - pw(zd / vz, 4.0)
+            zd3, vz4 = pw(zd, 3.0), pw(vz, 4.0)
+            Lfh = -4.0 * pw(s, 3.0) * zd / pw(pz, 4.0) - 4.0 * zd3 * params.g / vz4
+            a = 4.0 * zd3 * R33 / (vz4 * params.m)
+            H = np.array([h]) if k is None else _pack([h], k)
+            return a, Lfh + spec.K.item(0) * h, h, H
+    except OverflowError as exc:
+        if k is not None:
+            z, zd = z[exc.args[0]], zd[exc.args[0]]
         raise NonFiniteState(
             f"{spec.domain.value} barrier overflows at z = {z:.3g}, zdot = {zd:.3g}"
         ) from None

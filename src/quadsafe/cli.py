@@ -30,7 +30,6 @@ import numpy as np
 from .barriers import BarrierDomain
 from .config import PRESETS, ScenarioError, load_preset, load_scenario
 from .dynamics import NonFiniteState
-from .oracle import check_all_chains
 from .sim import Scenario, Trace, TraceTooLong, run
 
 EPS_NUM = 0.02  # discretization slack on barrier invariance, for summaries
@@ -176,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.states < 1:
             print("error: --states must be at least 1", file=sys.stderr)
             return 1
+        from .oracle import check_all_chains  # only this command loads the oracle
+
         ok = True
         for chk in check_all_chains(n_states=args.states):
             print(

@@ -6,7 +6,9 @@ each chain entry against the next analytic entry. Entry k of the
 Lie-derivative vector is thereby certified as the k-th time derivative of
 h along the flow, and the top derivative against
 L_f^d h + L_g L_f^(d-1) h . u. The states are drawn, flowed and evaluated
-a block at a time, each layer in one batched call that gives every state
+a block at a time, for all the checked chains in one pass: one draw per
+distinct drawn block, one flow call for every chain's stencils and one
+evaluate_chain call per chain, each a batched call that gives every state
 the bits of its own. The draws come from _Pcg64, the in-package PCG64
 stream, which gives the bits of numpy's default_rng(seed), so the package
 never imports numpy.random.
@@ -155,13 +157,11 @@ def evaluate_chain(
     """Analytic (H, L_f^d h + L_g L_f^(d-1) h . u) at each of k flat states
     x ((k, 18)) under thrusts f ((k,)) and moments tau ((k, 3)): H is
     (k, delta) and the top derivative (k,), row i the bits of state i's
-    single evaluation. The lateral chains come from one lateral_rows call
-    over all k states, the altitude chains from altitude_row state by
-    state."""
+    single evaluation. Each chain's rows come from one call of its row
+    builder over all k states: altitude_row on the (z, zdot, R33) columns,
+    or lateral_rows on the block."""
     if spec.domain in (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL):
-        rows = [altitude_row(spec, z, zd, R33, params)
-                for z, zd, R33 in zip(x[:, 2].tolist(), x[:, 14].tolist(), x[:, 11].tolist())]
-        a, b, _, H = (np.array(column) for column in zip(*rows))
+        a, b, _, H = altitude_row(spec, x[:, 2], x[:, 14], x[:, 11], params)
         a_dot_u = a * f
     else:
         ((a, b, _, H),) = lateral_rows(x, f, [spec], params)
@@ -197,22 +197,30 @@ def default_spec(domain: BarrierDomain) -> BarrierSpec:
     return BarrierSpec(domain, DEFAULTS[domain].center, DEFAULTS[domain].half_width)
 
 
+def _velocity_scale(spec: BarrierSpec) -> tuple[float, ...] | None:
+    """All that draw_states reads of a spec: the half-widths that scale its
+    drawn lateral velocity, or None where it draws no such pair. Specs with
+    the same scale draw the same states from the same stream."""
+    return spec.p if spec.domain is BarrierDomain.LATERAL_VELOCITY else None
+
+
 def draw_states(
     rng: _Pcg64, k: int, spec: BarrierSpec, params: QuadParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k random flat states inside the safe set, each with a modest random
     frozen input: x (k, 18), thrusts f (k,) and moments tau (k, 3).
 
-    rng is any object with random(shape): check_chain passes a _Pcg64, and
+    rng is any object with random(shape): the checks pass a _Pcg64, and
     numpy's Generator, whose random gives the same bits, serves too. One
     rng.random call draws a row per state, and each field is scaled as
     rng.uniform scales it, low + (high - low) * u, in the order of the
     state-by-state draw: r, v, (vx, vy) again over the lateral velocity
     barrier's half-widths, the Euler angles, omega, thrust / (m g), tau. So
     the rows are the states that per-state rng.uniform calls would draw,
-    bit for bit.
+    bit for bit. Of the spec only _velocity_scale(spec) is read.
     """
-    velocity = spec.domain is BarrierDomain.LATERAL_VELOCITY
+    scale = _velocity_scale(spec)
+    velocity = scale is not None
     fields = [(-1.5, 1.5, 3), (-0.6, 0.6, 3), *([(-0.8, 0.8, 2)] if velocity else []),
               (-0.25, 0.25, 3), (-1.0, 1.0, 3), (0.5, 1.8, 1), (-0.5, 0.5, 3)]
     lows, highs, sizes = zip(*fields)
@@ -220,49 +228,72 @@ def draw_states(
     u = low + (high - low) * rng.random((k, len(low)))
     r, v = u[:, 0:3], u[:, 3:6]
     if velocity:
-        v[:, :2] = u[:, 6:8] * spec.half_width
+        v[:, :2] = u[:, 6:8] * np.array(scale)
     angles, omega, f, tau = np.split(u[:, 8 if velocity else 6:], [3, 6, 7], axis=1)
     R = R_of_euler(*angles.T).reshape(k, 9)
     return np.concatenate([r, R, v, omega], axis=1), f[:, 0] * params.m * params.g, tau
 
 
 def check_chain(domain: BarrierDomain, n_states: int = 100, seed: int = 12345) -> ChainCheck:
-    """Worst-case relative FD errors for one chain, with the family's default
-    spec and QuadParams(), over random in-set states.
+    """Worst-case relative FD errors for one chain: check_all_chains' pass
+    over this chain alone, bit for bit its result for the chain."""
+    (check,) = _check_chains([domain], n_states, seed)
+    return check
 
-    Works a block of FD_BLOCK states at a time, in three batched layers:
-    draw_states draws the block from _Pcg64(seed), which gives the bits of
-    numpy's default_rng(seed) without importing numpy.random; one flow call
-    integrates all its stencil flows (+FD_DT, then -FD_DT); and one
-    evaluate_chain call evaluates the chain at all its states and stencil
-    points. The errors then reduce as arrays. The result is the one a
-    state-by-state loop gives, bit for bit, except that a NaN or inf error
-    is kept rather than lost in the maximum, and memory does not grow with
+
+def check_all_chains(n_states: int = 100, seed: int = 12345) -> list[ChainCheck]:
+    """Worst-case relative FD errors of every chain, in BarrierDomain's
+    order, each with the family's default spec and QuadParams(), over
+    random in-set states drawn from _Pcg64(seed), which gives the bits of
+    numpy's default_rng(seed) without importing numpy.random.
+
+    Works a block of FD_BLOCK states at a time, in one pass over the
+    chains: draw_states draws the block once for all chains whose spec it
+    reads alike (the same _velocity_scale), each such group from its own
+    stream, so the three families without a drawn lateral velocity share a
+    draw; one flow call integrates the stencil flows (+FD_DT, then -FD_DT)
+    of every distinct block; and one evaluate_chain call per chain
+    evaluates it at its block's states and stencil ends. The errors then
+    reduce as arrays. Each result is the one a state-by-state loop over
+    that chain alone gives, bit for bit, except that a NaN or inf error is
+    kept rather than lost in the maximum, and memory does not grow with
     n_states. Raises ValueError if n_states < 1, whose errors of 0.0 would
     read as a pass without any state checked, or if seed is negative, and
     TypeError if seed is not an integer.
     """
+    return _check_chains(list(BarrierDomain), n_states, seed)
+
+
+def _check_chains(domains: list[BarrierDomain], n_states: int, seed: int) -> list[ChainCheck]:
     if n_states < 1:
         raise ValueError(f"n_states must be at least 1, got {n_states}")
     params = QuadParams()
-    spec = default_spec(domain)
-    rng = _Pcg64(seed)
-    worst = np.zeros(RELATIVE_DEGREE[domain])  # per derivative order; NaN stays NaN
+    specs = [default_spec(domain) for domain in domains]
+    # One stream per distinct draw, and the draw each spec reads.
+    draws: dict[tuple[float, ...] | None, tuple[BarrierSpec, _Pcg64]] = {}
+    for spec in specs:
+        draws.setdefault(_velocity_scale(spec), (spec, _Pcg64(seed)))
+    which = [list(draws).index(_velocity_scale(spec)) for spec in specs]
+    # Per derivative order of each chain; NaN stays NaN.
+    worst = [np.zeros(RELATIVE_DEGREE[spec.domain]) for spec in specs]
     for start in range(0, n_states, FD_BLOCK):
         b = min(FD_BLOCK, n_states - start)
-        x, f, tau = draw_states(rng, b, spec, params)
+        # The distinct blocks stacked: (len(draws) * b, ...) each.
+        x, f, tau = map(np.concatenate, zip(*(draw_states(rng, b, spec, params)
+                                              for spec, rng in draws.values())))
         ends = flow(np.concatenate([x, x]), np.concatenate([f, f]), np.concatenate([tau, tau]),
-                    params, np.repeat([FD_DT, -FD_DT], b))
-        H, top = evaluate_chain(np.concatenate([x, ends]), spec, params, np.tile(f, 3),
-                                np.tile(tau, (3, 1)))
-        H0, Hp, Hm, top0 = H[:b], H[b:2 * b], H[2 * b:], top[:b]
-        fd = (Hp - Hm) / (2.0 * FD_DT)
-        analytic = np.column_stack([H0[:, 1:], top0])
-        scale = np.maximum(np.maximum(1.0, np.abs(H0).max(axis=1)), np.abs(top0))
-        rel = np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1e-4 * scale[:, None])
-        worst = np.maximum(worst, rel.max(axis=0))
-    return ChainCheck(domain, float(worst[:-1].max(initial=0.0)), float(worst[-1]))
-
-
-def check_all_chains(n_states: int = 100, seed: int = 12345) -> list[ChainCheck]:
-    return [check_chain(domain, n_states=n_states, seed=seed) for domain in BarrierDomain]
+                    params, np.repeat([FD_DT, -FD_DT], len(x)))
+        # Each distinct block's states, then its +FD_DT and -FD_DT ends.
+        states = np.concatenate([x, ends]).reshape(3, -1, b, 18)
+        fs, taus = np.tile(f, 3).reshape(3, -1, b), np.tile(tau, (3, 1)).reshape(3, -1, b, 3)
+        for spec, j, w in zip(specs, which, worst):
+            H, top = evaluate_chain(states[:, j].reshape(-1, 18), spec, params,
+                                    fs[:, j].reshape(-1), taus[:, j].reshape(-1, 3))
+            H0, Hp, Hm, top0 = H[:b], H[b:2 * b], H[2 * b:], top[:b]
+            fd = (Hp - Hm) / (2.0 * FD_DT)
+            analytic = np.column_stack([H0[:, 1:], top0])
+            scale = np.maximum(np.maximum(1.0, np.abs(H0).max(axis=1)), np.abs(top0))
+            rel = np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1e-4 * scale[:, None])
+            np.maximum(w, rel.max(axis=0), out=w)
+    return [ChainCheck(spec.domain, float(w[:-1].max(initial=0.0)), float(w[-1]))
+            for spec, w in zip(specs, worst)]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from quadsafe.barriers import (
     rectellipse_h,
 )
 from quadsafe.config import load_preset
-from quadsafe.dynamics import QuadParams, QuadState, R_of_euler, flat_of
+from quadsafe.dynamics import NonFiniteState, QuadParams, QuadState, R_of_euler, flat_of
 from quadsafe.oracle import check_chain
 from quadsafe.sim import run
 
@@ -596,3 +597,83 @@ class TestLateralRowsAreBitwiseTheReference:
         assert len(xs) >= 150
         if kind == "near_singular":
             assert singular
+
+
+ALTITUDE_STATE_KINDS = ("plain", "zero_offset", "at_half_width", "beyond_half_width",
+                        "nonfinite", "overflow")
+
+
+def adversarial_altitude_case(kind, domain, rng):
+    """A spec of the given altitude family with a random center, half-widths
+    and poles, and a state (z, zd, R33) built to sit on an edge of the row
+    arithmetic: an offset from the center (or a climb rate) of exactly zero
+    or -0.0, exactly at or far beyond the half-width, NaN/inf in any
+    coordinate, or beyond ~1e77, where a power overflows."""
+    cz, pz, vz = float(rng.normal()), float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0))
+    if domain is BarrierDomain.ALTITUDE_POSITION:
+        spec = BarrierSpec(domain, [cz], [pz], poles=tuple(-np.sort(rng.uniform(1.0, 30.0, 2))))
+    else:
+        spec = BarrierSpec(domain, [cz, 0.0], [pz, vz], poles=(-float(rng.uniform(0.1, 30.0)),))
+    z, zd, R33 = cz + float(rng.normal()) * pz, float(rng.normal()), float(rng.uniform(-1, 1))
+    sign = float(rng.choice([1.0, -1.0]))
+    if kind == "zero_offset":
+        z = cz
+        zd = float(rng.choice([0.0, -0.0, zd]))
+    elif kind == "at_half_width":
+        z = cz + sign * pz
+        zd = float(rng.choice([vz, -vz, zd]))
+    elif kind == "beyond_half_width":
+        z = cz + sign * pz * 10.0 ** rng.uniform(0.01, 30.0)
+        zd = zd * 10.0 ** rng.uniform(0.0, 30.0)
+    elif kind == "nonfinite":
+        value = float(rng.choice([np.nan, np.inf, -np.inf]))
+        z, zd, R33 = [value if j == rng.integers(0, 3) else v for j, v in enumerate((z, zd, R33))]
+    elif kind == "overflow":
+        # Fourth powers overflow beyond ~1e77, cubes ~1e103, squares ~1e154.
+        big = sign * 10.0 ** rng.uniform(40.0, 110.0)
+        z, zd = (cz + big, zd) if rng.random() < 0.5 else (z, big)
+    return spec, z, zd, R33
+
+
+class TestAltitudeRowsAreEachStatesRow:
+    """altitude_row over (k,) columns returns, row i of each a, b, h and H,
+    the bytes of state i's float call."""
+
+    @pytest.mark.parametrize("kind", ALTITUDE_STATE_KINDS)
+    @pytest.mark.parametrize("domain", [BarrierDomain.ALTITUDE_POSITION,
+                                        BarrierDomain.ALTITUDE_POSVEL], ids=lambda d: d.value)
+    def test_many_states_are_each_states_rows(self, domain, kind):
+        # And a block holding one state whose float call overflows raises
+        # NonFiniteState, as that call does. No numpy warning may escape the
+        # column calls; the float calls' numpy parts may warn on NaN and inf.
+        rng = np.random.default_rng(sum(map(ord, kind + domain.value)))
+        spec, _, _, _ = adversarial_altitude_case(kind, domain, rng)
+        params = QuadParams(m=float(rng.uniform(0.5, 2.0)))
+        states, overflowing = [], []
+        with np.errstate(all="ignore"):
+            for _ in range(300):
+                _, z, zd, R33 = adversarial_altitude_case(kind, domain, rng)
+                try:
+                    states.append(((z, zd, R33), altitude_row(spec, z, zd, R33, params)))
+                except NonFiniteState:
+                    overflowing.append((z, zd, R33))
+        delta = RELATIVE_DEGREE[domain]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for block in (states, states[:1]):
+                z, zd, R33 = map(np.array, zip(*(state for state, _ in block)))
+                a, b, h, H = altitude_row(spec, z, zd, R33, params)
+                assert a.shape == b.shape == h.shape == (len(block),)
+                assert H.shape == (len(block), delta)
+                for i, (_, (a_i, b_i, h_i, H_i)) in enumerate(block):
+                    assert_same_float(a[i], a_i)
+                    assert_same_float(b[i], b_i)
+                    assert_same_float(h[i], h_i)
+                    assert_same_array(H[i], H_i)
+            if overflowing:
+                z, zd, R33 = map(np.array, zip(states[0][0], overflowing[0], states[-1][0]))
+                with pytest.raises(NonFiniteState, match="overflows"):
+                    altitude_row(spec, z, zd, R33, params)
+        assert len(states) >= 100
+        if kind == "overflow":
+            assert overflowing

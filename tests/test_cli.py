@@ -285,6 +285,25 @@ def test_oracle_runs_without_numpy_random():
     assert proc.stdout.endswith("oracle: PASS\n"), proc.stdout
 
 
+def test_only_the_oracle_command_loads_the_oracle(tiny_file, tmp_path):
+    # quadsafe run never imports quadsafe.oracle; quadsafe oracle still does
+    # and still passes.
+    code = ("import sys; from quadsafe.cli import main; "
+            "assert 'quadsafe.oracle' not in sys.modules; "
+            "assert main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+            "assert 'quadsafe.oracle' not in sys.modules; "
+            "assert main(['oracle', '--states', '5']) == 0; "
+            "assert 'quadsafe.oracle' in sys.modules")
+    src = os.path.dirname(os.path.dirname(quadsafe.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", code, tiny_file, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("wrote 200 steps to "), proc.stdout
+    assert proc.stdout.endswith("oracle: PASS\n"), proc.stdout
+
+
 def test_readme_minimal_scenario_passes_check(tmp_path, capsys):
     readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
     block = readme.split("A minimal scenario file:", 1)[1].split("```yaml\n", 1)[1]

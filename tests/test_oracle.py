@@ -1,12 +1,13 @@
 """The block-batched finite-difference oracle against the state-by-state one.
 
-check_chain draws a whole block of states with one random call,
-integrates their stencil flows as float64 columns, re-projects them with one
-stacked SVD, evaluates the chain at every state of the block in one call and
-reduces the errors as arrays. Its draws come from _Pcg64, the in-package
-PCG64 stream, whose bytes must be those of numpy's default_rng(seed): the
-package never imports numpy.random, and these tests use numpy's generator as
-the reference. ref_random_state_and_input,
+check_all_chains works each block in one pass over the chains: one random
+call per distinct drawn block, one flow call that integrates every chain's
+stencil flows as float64 columns and re-projects them with one stacked SVD,
+one evaluate_chain call per chain at every state of its block, and errors
+reduced as arrays; check_chain is the same pass over one chain. The draws
+come from _Pcg64, the in-package PCG64 stream, whose bytes must be those of
+numpy's default_rng(seed): the package never imports numpy.random, and these
+tests use numpy's generator as the reference. ref_random_state_and_input,
 ref_evaluate_chain, ref_flow and ref_check_chain below are verbatim copies
 of the state-by-state oracle it replaced (only the names carry a ref_
 prefix); every result must match them bit for bit.
@@ -14,6 +15,8 @@ prefix); every result must match them bit for bit.
 
 import math
 import tracemalloc
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -211,7 +214,8 @@ def test_chain_check_holds_plain_floats():
 def nan_at_forward_stencil_points(monkeypatch):
     """Sets H[0] of every +FD_DT stencil point to NaN, through the row
     builders: the states that flow returns at a positive step are recorded,
-    and altitude_row and lateral_rows write NaN into their H[0]."""
+    and altitude_row and lateral_rows, each called on a block of states,
+    write NaN into the first column of H at every recorded state."""
     forward = set()
     real_flow, real_altitude_row, real_lateral_rows = flow, altitude_row, lateral_rows
 
@@ -222,9 +226,9 @@ def nan_at_forward_stencil_points(monkeypatch):
 
     def nan_altitude_row(spec, z, zd, R33, params):
         a, b, h, H = real_altitude_row(spec, z, zd, R33, params)
-        if any(state[2] == z and state[14] == zd and state[11] == R33 for state in forward):
-            H = H.copy()
-            H[0] = math.nan
+        at = {(state[2], state[14], state[11]) for state in forward}
+        hit = np.array([point in at for point in zip(z.tolist(), zd.tolist(), R33.tolist())])
+        H[hit, 0] = math.nan
         return a, b, h, H
 
     def nan_lateral_rows(x, f, specs, params):
@@ -274,19 +278,45 @@ def test_stacked_projection_is_the_single_projection():
 
 
 def test_memory_does_not_grow_with_states():
-    domain = BarrierDomain.ALTITUDE_POSITION
-    check_chain(domain, n_states=1)   # first-call set-up outside the measurement
-
-    def peak(n_states):
+    def peak(check, n_states):
         tracemalloc.start()
         try:
-            check_chain(domain, n_states=n_states)
+            check(n_states=n_states)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    one_block, eight_blocks = peak(FD_BLOCK), peak(8 * FD_BLOCK)
-    assert eight_blocks <= 1.5 * one_block, (one_block, eight_blocks)
+    for check in (partial(check_chain, BarrierDomain.ALTITUDE_POSITION), check_all_chains):
+        check(n_states=1)   # first-call set-up outside the measurement
+        one_block, eight_blocks = peak(check, FD_BLOCK), peak(check, 8 * FD_BLOCK)
+        assert eight_blocks <= 1.5 * one_block, (check, one_block, eight_blocks)
+
+
+def test_one_pass_per_block_for_all_chains(monkeypatch):
+    # Per block: one draw per distinct drawn block (the three families
+    # without a drawn lateral velocity share one), one flow call for every
+    # chain's stencils and one evaluate_chain call per chain.
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(oracle, name, wrapper)
+
+    for name in ("draw_states", "flow", "evaluate_chain"):
+        counting(name, getattr(oracle, name))
+    check_all_chains(n_states=FD_BLOCK + 3)
+    assert calls == {"draw_states": 4, "flow": 2, "evaluate_chain": 8}
+    calls.clear()
+    check_chain(BarrierDomain.LATERAL_VELOCITY, n_states=FD_BLOCK + 3)
+    assert calls == {"draw_states": 2, "flow": 2, "evaluate_chain": 2}
+
+
+@pytest.mark.parametrize("n_states, seed", [(1, 12345), (100, 12345), (259, 7)])
+def test_all_chains_are_each_chains_check(n_states, seed):
+    got = check_all_chains(n_states, seed)
+    assert repr(got) == repr([check_chain(domain, n_states, seed) for domain in BarrierDomain])
 
 
 @pytest.mark.parametrize("n_states", [0, -5])
