@@ -123,6 +123,8 @@ class BarrierSpec:
         idx = STATE_INDEX[self.domain]
         if len(self.center) != len(idx) or len(self.half_width) != len(idx):
             raise ValueError(f"{self.domain.value} expects {len(idx)} constrained state(s)")
+        if self.domain is BarrierDomain.ALTITUDE_POSVEL and self.center[1] != 0.0:
+            raise ValueError("altitude_posvel's velocity center must be 0")
         if not math.isfinite(self.active_from):
             raise ValueError("active_from must be finite")
         object.__setattr__(self, "idx", idx)

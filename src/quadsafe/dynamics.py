@@ -142,39 +142,28 @@ def project_flat(x: list[float]) -> list[float]:
 
 
 def project_to_rotation(R: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix (polar projection via SVD) of a 3x3 float64 R,
-    or of each matrix of a (k, 3, 3) stack.
+    """Nearest rotation matrix (polar projection via SVD) of a 3x3 float64 R.
 
     The SVD is svd_f, the LAPACK gufunc np.linalg.svd runs for float64 with
     full matrices, called without the wrapper's per-call cost and with its
-    bits. A stack goes through one stacked SVD and one batched product, which
-    round each matrix exactly as the single-matrix calls do (see
-    tests/test_kernels.py), so both forms return the same bits per matrix.
-    Raises NonFiniteState before the SVD if any entry is NaN or infinite: the
-    bare kernel returns NaN on NaN, and LAPACK may not return on an infinite
-    entry.
+    bits. Raises NonFiniteState before the SVD if any entry is NaN or
+    infinite: the bare kernel returns NaN on NaN, and LAPACK may not return
+    on an infinite entry.
     """
     if not np.isfinite(R).all():
         raise NonFiniteState("cannot project a non-finite matrix onto SO(3)")
     U, _, Vt = svd_f(R, signature="d->ddd")
-    if R.ndim == 2:
+    Q = U.dot(Vt)
+    if _det3(Q.tolist()) < 0.0:
+        U = U.copy()
+        U[:, -1] = -U[:, -1]
         Q = U.dot(Vt)
-        if _det3(Q.tolist()) < 0.0:
-            U = U.copy()
-            U[:, -1] = -U[:, -1]
-            Q = U.dot(Vt)
-        return Q
-    Q = U @ Vt
-    flip = _det3(Q.transpose(1, 2, 0)) < 0.0
-    if flip.any():
-        U[flip, :, -1] = -U[flip, :, -1]
-        Q[flip] = U[flip] @ Vt[flip]
     return Q
 
 
 def _det3(M):
     # Only the sign is used: U @ Vt is orthogonal, so det is +-1 up to round-off.
-    # M is a 3x3 nested list of floats, or a (3, 3, k) array for k matrices.
+    # M is a 3x3 nested list of floats.
     (a, b, c), (d, e, f), (g, h, i) = M
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 

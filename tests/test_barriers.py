@@ -84,6 +84,14 @@ class TestSpecValidation:
                 with pytest.raises(InvalidPoles, match="one pole per relative degree"):
                     BarrierSpec(domain, [0.0] * n, [1.0] * n, poles=[-1.0] * count)
 
+    def test_posvel_velocity_center_is_zero(self):
+        # altitude_row's posvel h reads zdot about 0 and barrier_h about the
+        # center, so a non-zero velocity center would split the two.
+        BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.5, 0.0], [2.0, 0.75])
+        BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.5, -0.0], [2.0, 0.75])
+        with pytest.raises(ValueError, match="velocity center"):
+            BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.5], [2.0, 0.75])
+
     def test_alpha_is_k0(self):
         spec = BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.0], [2.0, 0.75], poles=(-2.5,))
         assert spec.K[0] == pytest.approx(2.5)
@@ -105,6 +113,14 @@ class TestSpecValidation:
                 for _ in range(2))
         assert a == a and a != b
         assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def honoured_center(domain, center):
+    """center with altitude_posvel's velocity entry set to 0, the only
+    velocity center that family takes."""
+    if domain is BarrierDomain.ALTITUDE_POSVEL:
+        center[1] = 0.0
+    return center
 
 
 class TestRectellipse:
@@ -134,7 +150,8 @@ class TestRectellipse:
         rng = np.random.default_rng(31)
         for domain in BarrierDomain:
             n = 1 if domain is BarrierDomain.ALTITUDE_POSITION else 2
-            spec = BarrierSpec(domain, rng.normal(size=n), rng.uniform(0.5, 3.0, size=n))
+            spec = BarrierSpec(domain, honoured_center(domain, rng.normal(size=n)),
+                               rng.uniform(0.5, 3.0, size=n))
             for _ in range(100):
                 vals = rng.normal(size=n) * 3.0
                 s = (vals - spec.center) / spec.half_width
@@ -177,7 +194,8 @@ class TestRectellipse:
             for _ in range(int(rng.integers(1, 7))):
                 d = domains[int(rng.integers(0, 4))]
                 n = len(STATE_INDEX[d])
-                specs.append(BarrierSpec(d, rng.normal(size=n), rng.uniform(0.1, 5.0, size=n)))
+                specs.append(BarrierSpec(d, honoured_center(d, rng.normal(size=n)),
+                                         rng.uniform(0.1, 5.0, size=n)))
             x = (rng.normal(size=18) * 10.0 ** rng.uniform(-3, 3, size=18)).tolist()
             for k in rng.choice(18, size=int(rng.integers(0, 4)), replace=False).tolist():
                 x[k] = float(rng.choice([np.nan, np.inf, -np.inf, 1e80, -1e200, 0.0, -0.0]))
@@ -677,3 +695,40 @@ class TestAltitudeRowsAreEachStatesRow:
         assert len(states) >= 100
         if kind == "overflow":
             assert overflowing
+
+
+@pytest.mark.parametrize("domain", list(BarrierDomain), ids=lambda d: d.value)
+def test_row_h_is_barrier_h(domain):
+    # The trace records barrier_h, and the QP enforces the row built from
+    # the row's h: the two must agree to rounding, at random and adversarial
+    # states, with non-zero centers wherever the family honours them. Offsets
+    # stay below ~1e30, short of where the two forms' fourth powers overflow
+    # at different offsets.
+    rng = np.random.default_rng(sum(map(ord, domain.value)))
+    n = 0
+    for kind in ("plain", "zero_offset", "at_half_width", "beyond_half_width"):
+        for _ in range(100):
+            if domain in (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL):
+                spec, z, zd, R33 = adversarial_altitude_case(kind, domain, rng)
+                x = [0.0] * 18
+                x[2], x[14], x[11] = z, zd, R33
+                _, _, h, _ = altitude_row(spec, z, zd, R33, QuadParams())
+            else:
+                x, f, _, params = adversarial_lateral_case("plain", rng)
+                spec = BarrierSpec(domain, rng.normal(size=2), rng.uniform(0.3, 3.0, size=2))
+                zero = int(rng.integers(0, 2))  # the offset that is exactly 0
+                for j, (i, c, p) in enumerate(zip(spec.idx, spec.c, spec.p)):
+                    if kind == "zero_offset" and j == zero:
+                        x[i] = c
+                    elif kind == "at_half_width":
+                        x[i] = c + float(rng.choice([p, -p]))
+                    elif kind == "beyond_half_width":
+                        x[i] = c + float(rng.choice([p, -p])) * 10.0 ** rng.uniform(0.01, 30.0)
+                try:
+                    ((_, _, h, _),) = lateral_rows(x, f, [spec], params)
+                except LateralSingular:
+                    continue
+            (want,) = barrier_h(x, [spec])
+            assert abs(h - want) <= 1e-12 * max(1.0, abs(want)), (kind, spec.c, x, h, want)
+            n += 1
+    assert n >= 350

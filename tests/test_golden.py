@@ -209,9 +209,32 @@ def test_full_run_exported_bytes(name):
 
 
 # repr of every ChainCheck field of check_all_chains(n_states, seed), recorded
-# with the state-by-state oracle. 259 states are one full block of 256 and a
-# partial one.
+# with the state-by-state oracle, each stencil point one RK4 step. 259 states
+# are one full block of 256 and a partial one.
 ORACLE_REPR = {
+    (100, 12345): [
+        ("altitude_position", "6.278647297270702e-07", "5.861798650641514e-06"),
+        ("altitude_posvel", "0.0", "0.0004803822405532096"),
+        ("lateral_position", "1.6663702902304842e-05", "1.70004676816948e-05"),
+        ("lateral_velocity", "1.7637969569259498e-05", "2.089457425475463e-05"),
+    ],
+    (1, 12345): [
+        ("altitude_position", "7.060108103103224e-08", "5.9327835383437466e-08"),
+        ("altitude_posvel", "0.0", "3.1105719986895083e-06"),
+        ("lateral_position", "1.1171834574885123e-07", "7.922039672159335e-09"),
+        ("lateral_velocity", "1.842381753568473e-06", "4.0367971325109036e-07"),
+    ],
+    (259, 7): [
+        ("altitude_position", "1.0963123757879641e-06", "3.0354252904246687e-06"),
+        ("altitude_posvel", "0.0", "0.004662313032832942"),
+        ("lateral_position", "2.2201081337978158e-05", "9.4531544741735e-05"),
+        ("lateral_velocity", "0.0002120389152959887", "2.0207428728299462e-05"),
+    ],
+}
+
+# The same, recorded when each stencil point was four RK4 substeps and an SVD
+# re-projection onto SO(3). One step moves every error by rounding only.
+ORACLE_REPR_SUBSTEPS = {
     (100, 12345): [
         ("altitude_position", "6.278647297270702e-07", "5.861798650641514e-06"),
         ("altitude_posvel", "0.0", "0.0004803822405532096"),
@@ -231,6 +254,15 @@ ORACLE_REPR = {
         ("lateral_velocity", "0.00021203893358271103", "2.020743005931526e-05"),
     ],
 }
+
+
+def test_one_step_stencils_move_the_errors_by_rounding_only():
+    assert ORACLE_REPR.keys() == ORACLE_REPR_SUBSTEPS.keys()
+    for key, rows in ORACLE_REPR.items():
+        for new, old in zip(rows, ORACLE_REPR_SUBSTEPS[key], strict=True):
+            assert new[0] == old[0]
+            for a, b in zip(new[1:], old[1:]):
+                assert abs(float(a) - float(b)) <= 1e-9, (key, new, old)
 
 
 @pytest.mark.parametrize("n_states, seed", sorted(ORACLE_REPR))

@@ -6,9 +6,8 @@ call, each family in the layout the code uses, and must round every product
 as the separate numpy call did; lateral_rows does so across the specs of one
 state and across the states of a block, each state's operands in the single
 state's layout. The oracle draws a block of states with one rng.random call
-and stacked rotations, runs many RK4 flows as float64 columns and
-re-projects them with one stacked SVD, and must give each state the bits of
-its own draw, float integration and single-matrix projection; the
+and stacked rotations and runs many RK4 steps as float64 columns, and must
+give each state the bits of its own draw and float integration; the SO(3)
 projection calls numpy's SVD kernel without its Python wrapper. Each test
 here checks one such identity on random data (zeros, -0.0, subnormals and
 scales 1e-150..1e150 included), so that a numpy or BLAS build that breaks
@@ -170,14 +169,6 @@ def test_rk4_on_float64_columns_is_rk4_on_floats():
                            zip(x.T.tolist(), f.tolist(), tau.T.tolist(), dt.tolist())]))
 
 
-def test_stacked_svd_is_the_single_svd():
-    # project_to_rotation on a (k, 3, 3) stack.
-    rng = np.random.default_rng(10)
-    stack = sample(rng, 600, 3, 3)
-    for got, want in zip(np.linalg.svd(stack), zip(*map(np.linalg.svd, stack))):
-        same(got, np.array(want))
-
-
 def test_svd_kernel_is_np_linalg_svd():
     # project_to_rotation calls svd_f, the gufunc np.linalg.svd runs for
     # float64 with full matrices, without the wrapper; on one matrix and on a
@@ -191,14 +182,6 @@ def test_svd_kernel_is_np_linalg_svd():
         for m in stack:
             for got, want in zip(svd_f(m, signature="d->ddd"), np.linalg.svd(m)):
                 same(got, want)
-
-
-def test_batched_3x3_products_are_the_single_dots():
-    # U @ Vt on the stacked SVD factors against the 2-D U.dot(Vt).
-    rng = np.random.default_rng(11)
-    U, _, Vt = np.linalg.svd(sample(rng, 600, 3, 3))
-    same(U @ Vt, [u.dot(vt) for u, vt in zip(U, Vt)])
-    same(U[::2] @ Vt[::2], [u.dot(vt) for u, vt in zip(U[::2], Vt[::2])])
 
 
 def stacked(single, axis):

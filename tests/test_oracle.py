@@ -1,16 +1,16 @@
 """The block-batched finite-difference oracle against the state-by-state one.
 
 check_all_chains works each block in one pass over the chains: one random
-call per distinct drawn block, one flow call that integrates every chain's
-stencil flows as float64 columns and re-projects them with one stacked SVD,
-one evaluate_chain call per chain at every state of its block, and errors
-reduced as arrays; check_chain is the same pass over one chain. The draws
-come from _Pcg64, the in-package PCG64 stream, whose bytes must be those of
-numpy's default_rng(seed): the package never imports numpy.random, and these
-tests use numpy's generator as the reference. ref_random_state_and_input,
-ref_evaluate_chain, ref_flow and ref_check_chain below are verbatim copies
-of the state-by-state oracle it replaced (only the names carry a ref_
-prefix); every result must match them bit for bit.
+call per distinct drawn block, one flow call that takes every chain's
+stencil points, each one RK4 step, as float64 columns, one evaluate_chain
+call per chain at every state of its block, and errors reduced as arrays;
+check_chain is the same pass over one chain. The draws come from _Pcg64,
+the in-package PCG64 stream, whose bytes must be those of numpy's
+default_rng(seed): the package never imports numpy.random, and these tests
+use numpy's generator as the reference. ref_random_state_and_input,
+ref_evaluate_chain, ref_flow and ref_check_chain below are the
+state-by-state oracle (only the names carry a ref_ prefix); every result
+must match them bit for bit.
 """
 
 import math
@@ -36,13 +36,11 @@ from quadsafe.dynamics import (
     R_of_euler,
     flat_of,
     project_flat,
-    project_to_rotation,
     rk4_flat,
 )
 from quadsafe.oracle import (
     FD_BLOCK,
     FD_DT,
-    FD_SUBSTEPS,
     ChainCheck,
     check_all_chains,
     check_chain,
@@ -90,11 +88,7 @@ def ref_random_state_and_input(
 
 
 def ref_flow(x, f, tau, params, dt):
-    h = dt / FD_SUBSTEPS
-    tau = tau.tolist()
-    for _ in range(FD_SUBSTEPS):
-        x = rk4_flat(x, f, tau, params, h)
-    return project_flat(x)
+    return rk4_flat(x, f, tau.tolist(), params, dt)
 
 
 def ref_check_chain(domain, params=None, n_states=100, seed=12345, spec=None):
@@ -261,20 +255,23 @@ def test_a_nan_error_fails_the_oracle_command(monkeypatch, capsys):
     assert out.endswith("oracle: FAIL\n")
 
 
-def test_stacked_projection_is_the_single_projection():
-    # Perturbed rotations and reflections (det -1, which take the flip
-    # branch), and general matrices.
-    rng = np.random.default_rng(5)
-    k = 600
-    R = np.array([project_to_rotation(m) for m in rng.normal(size=(k, 3, 3))])
-    R[::3, :, 2] *= -1.0
-    R += rng.normal(scale=1e-3, size=R.shape)
-    R[1::7] = rng.normal(size=R[1::7].shape)
-    assert np.count_nonzero(np.linalg.det(R) < 0.0) > k // 4
-    got = project_to_rotation(R)
-    for j in range(k):
-        assert got[j].tobytes() == project_to_rotation(R[j]).tobytes(), j
-    assert np.all(np.linalg.det(got) > 0.0)
+def test_one_step_is_four_substeps_and_a_projection():
+    # Why a stencil point is one RK4 step: at A1's states, for every family,
+    # one step of +-FD_DT lands within 1e-14 of four RK4 substeps followed by
+    # a re-projection onto SO(3), and its R is orthogonal within 1e-14. RK4's
+    # O(h^5) error and drift off SO(3) are below rounding at h = FD_DT.
+    params = QuadParams()
+    for domain in BarrierDomain:
+        x, f, tau = draw_states(_Pcg64(12345), 100, default_spec(domain), params)
+        for dt in (FD_DT, -FD_DT):
+            got = flow(x, f, tau, params, np.full(len(x), dt))
+            for end, xi, fi, taui in zip(got, x.tolist(), f.tolist(), tau.tolist()):
+                for _ in range(4):
+                    xi = rk4_flat(xi, fi, taui, params, dt / 4)
+                want = project_flat(xi)
+                assert np.abs(end - want).max() <= 1e-14, (domain, dt)
+                R = end[3:12].reshape(3, 3)
+                assert np.abs(R @ R.T - np.eye(3)).max() <= 1e-14, (domain, dt)
 
 
 def test_memory_does_not_grow_with_states():
