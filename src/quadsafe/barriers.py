@@ -441,15 +441,18 @@ def lateral_rows(
 
 
 def barrier_h(x: list[float], specs: Sequence[BarrierSpec]) -> list[float]:
-    """Each spec's barrier value at the flat state x: rectellipse_h of its
-    constrained states, bit for bit, with every fourth power of the step
-    taken in one call of numpy's pow."""
-    scaled = [(x[k] - c) / p for spec in specs for k, c, p in zip(spec.idx, spec.c, spec.p)]
-    powers = iter(np.power(scaled, 4.0).tolist())
-    values = []
-    for spec in specs:
-        total = 0.0  # summed in rectellipse_h's order
-        for _ in spec.idx:
-            total += next(powers)
-        values.append(1.0 - total)
-    return values
+    """Each spec's barrier value at the flat state x: barrier_h_column of
+    the one state."""
+    row = np.array([x], dtype=float)
+    return [barrier_h_column(row, spec).item() for spec in specs]
+
+
+def barrier_h_column(x: np.ndarray, spec: BarrierSpec) -> np.ndarray:
+    """rectellipse_h of one spec at each row of a block of flat states
+    (n, 18), bit for bit: numpy's pow on a column rounds as on one state's
+    offsets."""
+    powers = np.power((x[:, list(spec.idx)] - spec.center) / spec.half_width, 4.0)
+    total = 0.0  # summed in rectellipse_h's order
+    for col in powers.T:
+        total = total + col
+    return 1.0 - total

@@ -7,20 +7,23 @@ Subcommands:
   oracle                                finite-difference chain check
 
 ``<scenario>`` is either a YAML file path or ``presets:<name>``.
-Exit codes: 0 success, 1 validation error, bad option or a run too long
-to allocate, 2 non-finite state abort. QP infeasibility events are data,
-not failures.
+Exit codes: 0 success, 1 validation error, bad option, a run too long
+to allocate or a failed write, 2 non-finite state abort. QP infeasibility
+events are data, not failures.
 The exports write every float of sim.run's Trace columns as repr(float),
 trace.csv in blocks of EXPORT_ROWS rows, so that export memory does not
-grow with the run.
+grow with the run. ``run`` streams the blocks to a forked writer process
+(POSIX), which writes trace.csv while the simulation goes on.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
+import pickle
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -30,10 +33,9 @@ import numpy as np
 from .barriers import BarrierDomain
 from .config import PRESETS, ScenarioError, load_preset, load_scenario
 from .dynamics import NonFiniteState
-from .sim import Scenario, Trace, TraceTooLong, run
+from .sim import EXPORT_ROWS, Scenario, Trace, TraceTooLong, run
 
 EPS_NUM = 0.02  # discretization slack on barrier invariance, for summaries
-EXPORT_ROWS = 256  # trace rows formatted and written per block
 
 TRACE_HEADER = (
     "t,x,y,z,phi,theta,psi,vx,vy,vz,p,q,r_rate,f_hat,F_star,taux_hat,tauy_hat,"
@@ -63,19 +65,111 @@ def _row_blocks(n: int) -> Iterator[slice]:
 
 def trace_csv(trace: Trace) -> Iterator[str]:
     """trace.csv as text blocks of EXPORT_ROWS rows each, after the header
-    line: one row per step, h cells empty where the column is NaN."""
+    line."""
     yield TRACE_HEADER + "\n"
+    for rows in _row_blocks(len(trace)):
+        yield _csv_rows(*_csv_parts(trace, rows))
+
+
+def _csv_parts(trace: Trace, rows: slice) -> tuple:
+    """_csv_rows's input for the given rows: trace.csv's float columns side
+    by side, each domain's h column (None if not scheduled), the statuses."""
     floats = [trace.t, trace.r, trace.euler, trace.v, trace.omega, trace.f_hat,
               trace.f_star, trace.tau_hat[:, :2], trace.m_star, trace.tau_hat[:, 2]]
-    hs = [trace.h.get(domain) for domain in BarrierDomain]  # h_alt, ..., h_latvel
-    for rows in _row_blocks(len(trace)):
-        block = np.column_stack([col[rows] for col in floats])
-        cols = [map(repr, col) for col in block.T.tolist()]
-        for h in hs:
-            cols.append(["" if v != v else repr(v) for v in h[rows].tolist()]
-                        if h is not None else [""] * len(block))
-        cols += [trace.qp_hi_status[rows], trace.qp_lo_status[rows]]
-        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+    hs = [None if h is None else h[rows] for h in map(trace.h.get, BarrierDomain)]
+    return (np.column_stack([col[rows] for col in floats]), hs,
+            trace.qp_hi_status[rows], trace.qp_lo_status[rows])
+
+
+def _csv_rows(floats: np.ndarray, hs: list, hi: list[str], lo: list[str]) -> str:
+    """trace.csv's lines of one block, h cells empty where h is NaN."""
+    cols = [map(repr, col) for col in floats.T.tolist()]
+    cols += [[""] * len(floats) if h is None else ["" if v != v else repr(v) for v in h.tolist()]
+             for h in hs]
+    return "\n".join(map(",".join, zip(*cols, hi, lo))) + "\n"
+
+
+class _TraceWriter:
+    """sim.run's consumer that streams trace.csv to a forked writer process.
+
+    The first block makes out_dir and forks _write_blocks; each block's
+    _csv_parts (at most 53 KB, which the default 64 KiB pipe takes without
+    the run waiting) then go down a pipe. finish() sends the end, None, and
+    waits for the writer; close() reaps a writer still running, which then
+    drops its partial file, and removes the directories made. The writer
+    calls no BLAS, so the threads OpenBLAS may have started do not matter.
+    """
+
+    def __init__(self, out_dir: str) -> None:
+        self.out_dir, self.made, self.pid = out_dir, [], 0
+
+    def __call__(self, trace: Trace, rows: slice) -> None:
+        if not self.pid:
+            path = os.path.abspath(self.out_dir)
+            while not os.path.lexists(path):
+                self.made.insert(0, path)
+                path = os.path.dirname(path)
+            os.makedirs(self.out_dir, exist_ok=True)
+            r, w = os.pipe()
+            self.pid = os.fork()
+            if not self.pid:
+                os.close(w)
+                _write_blocks(r, os.path.join(self.out_dir, "trace.csv"))
+            os.close(r)
+            self.pipe = os.fdopen(w, "wb")
+        self._send(_csv_parts(trace, rows))
+
+    def _send(self, parts: tuple | None) -> None:
+        try:
+            pickle.dump(parts, self.pipe)
+        except BrokenPipeError:
+            self._wait()  # raises the writer's own error
+            raise
+
+    def _wait(self) -> None:
+        if self.pid:
+            pid, self.pid = self.pid, 0
+            with contextlib.suppress(BrokenPipeError):  # the exit code says why
+                self.pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise OSError(code, os.strerror(code))
+
+    def finish(self) -> None:
+        self._send(None)
+        self._wait()
+        self.made = []
+
+    def close(self) -> None:
+        with contextlib.suppress(OSError):  # the run has failed already
+            self._wait()
+        with contextlib.suppress(OSError):
+            for path in reversed(self.made):
+                os.rmdir(path)
+
+
+def _write_blocks(r: int, path: str) -> None:
+    """The writer process: path, written atomically from the blocks read
+    from the pipe r; exits with the errno of an OSError. Never returns."""
+    def chunks(pipe):
+        yield TRACE_HEADER + "\n"
+        while (parts := pickle.load(pipe)) is not None:
+            yield _csv_rows(*parts)
+
+    code = 255
+    try:
+        with os.fdopen(r, "rb") as pipe:
+            _atomic_write(path, chunks(pipe))
+        code = 0
+    except OSError as exc:
+        code = exc.errno or code
+    except EOFError:
+        pass  # the run failed
+    except Exception:
+        import traceback
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 def events_csv(trace: Trace) -> Iterator[str]:
@@ -205,20 +299,24 @@ def main(argv: list[str] | None = None) -> int:
             return 1
 
     t0 = time.perf_counter()
+    writer = _TraceWriter(args.out)
     try:
-        trace = run(scenario)
+        trace = run(scenario, writer)
+        wall = time.perf_counter() - t0
+        writer.finish()
+        _atomic_write(os.path.join(args.out, "events.csv"), events_csv(trace))
+        _atomic_write(os.path.join(args.out, "summary.txt"), [summary_text(trace, wall)])
     except TraceTooLong as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonFiniteState as exc:
         print(f"error: simulation aborted on non-finite state: {exc}", file=sys.stderr)
         return 2
-    wall = time.perf_counter() - t0
-    try:
-        export_trace(trace, args.out, wall)
     except OSError as exc:
         print(f"error writing {args.out}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        writer.close()
     print(f"wrote {len(trace)} steps to {args.out} ({wall:.2f} s)")
     return 0
 

@@ -37,6 +37,10 @@ class ControllerGains:
     k_R: float = 8.0
     k_psi: float = 2.0
     k_omega: np.ndarray = field(default_factory=lambda: np.array([25.0, 25.0, 10.0]))
+    # For the per-step loops: float copies of Kp, Kd and k_omega.
+    kp: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    kd: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    kw: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Kp = 0 on an axis gives pure velocity tracking there, which the
@@ -49,6 +53,9 @@ class ControllerGains:
             or np.any(self.k_omega <= 0)
         ):
             raise ValueError("controller gains must be nonnegative")
+        object.__setattr__(self, "kp", tuple(self.Kp.tolist()))
+        object.__setattr__(self, "kd", tuple(self.Kd.tolist()))
+        object.__setattr__(self, "kw", tuple(self.k_omega.tolist()))
 
 
 class Reference(NamedTuple):
@@ -65,7 +72,7 @@ def position_loop(x: list[float], ref: Reference, gains: ControllerGains) -> lis
     return [
         a + kp * (rd - r) + kd * (vd - v)
         for a, kp, rd, r, kd, vd, v in zip(
-            ref.a_d, gains.Kp.tolist(), ref.r_d, x[:3], gains.Kd.tolist(), ref.v_d, x[12:15],
+            ref.a_d, gains.kp, ref.r_d, x[:3], gains.kd, ref.v_d, x[12:15],
         )
     ]
 
@@ -120,7 +127,7 @@ def body_rate_loop(
     """Nominal moments: tau = I*wdot_cmd + w x I w, clamped to actuator
     bounds; tau_z shares the y bound tau_max[1]."""
     p, q, r = x[15:18]
-    kp, kq, kr = gains.k_omega.tolist()
+    kp, kq, kr = gains.kw
     p_cmd, q_cmd, r_cmd = omega_cmd
     Ix, Iy, Iz = params.Ix, params.Iy, params.Iz
     bound_x, bound_y = params.tau_max

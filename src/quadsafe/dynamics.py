@@ -136,8 +136,9 @@ def flat_of(state: QuadState) -> list[float]:
 
 
 def project_flat(x: list[float]) -> list[float]:
-    """The flat state x with its R block projected back onto SO(3)."""
-    R = project_to_rotation(np.array(x[3:12]).reshape(3, 3))
+    """The flat state x, every entry finite (advance checks them), with its
+    R block projected back onto SO(3)."""
+    R = _polar(np.array(x[3:12]).reshape(3, 3))
     return x[:3] + R.ravel().tolist() + x[12:]
 
 
@@ -152,6 +153,11 @@ def project_to_rotation(R: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(R).all():
         raise NonFiniteState("cannot project a non-finite matrix onto SO(3)")
+    return _polar(R)
+
+
+def _polar(R: np.ndarray) -> np.ndarray:
+    # project_to_rotation of an R already known to be finite.
     U, _, Vt = svd_f(R, signature="d->ddd")
     Q = U.dot(Vt)
     if _det3(Q.tolist()) < 0.0:
@@ -186,22 +192,31 @@ _GIMBAL_TOL = 1.0 - 1e-9
 
 def euler_of_R(x: list[float]) -> tuple[float, float, float]:
     """Z-Y-X Euler angles (roll phi, pitch theta, yaw psi) of the flat
-    state's R = Rz Ry Rx.
+    state's R = Rz Ry Rx: roll_pitch_of_R of the one state, and yaw_of_R.
 
     Near the pitch singularity (|R31| -> 1) the roll/yaw split is ambiguous;
     roll is set to zero and yaw absorbs the remaining in-plane rotation.
     """
-    R11, R12, _, R21, R22, _, R31, R32, R33 = x[3:12]
-    r31 = min(max(R31, -1.0), 1.0)
-    # arcsin/arctan2 stay numpy calls: they can round differently from math's.
-    if abs(r31) > _GIMBAL_TOL:
-        theta = -math.copysign(math.pi / 2.0, r31)
-        phi = 0.0
-        psi = float(np.arctan2(-R12, R22))
-        return phi, theta, psi
-    theta = float(-np.arcsin(r31))
-    phi, psi = np.arctan2([R32, R21], [R33, R11]).tolist()
-    return phi, theta, psi
+    (phi,), (theta,) = (col.tolist() for col in roll_pitch_of_R(np.array([x[3:12]])))
+    return phi, theta, yaw_of_R(x)
+
+
+def yaw_of_R(x: list[float]) -> float:
+    """The yaw of the flat state's R, with one scalar np.arctan2 call."""
+    if abs(x[9]) > _GIMBAL_TOL:  # |R31|, clamped to 1 or not
+        return float(np.arctan2(-x[4], x[7]))
+    return float(np.arctan2(x[6], x[3]))
+
+
+def roll_pitch_of_R(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roll and pitch columns of a block of flat R rows (n, 9); numpy's
+    arcsin and arctan2 (not math's, which can round differently) on
+    columns round as on each single state's entries."""
+    r31 = np.minimum(np.maximum(R[:, 6], -1.0), 1.0)
+    gimbal = np.abs(r31) > _GIMBAL_TOL
+    theta = np.where(gimbal, -np.copysign(math.pi / 2.0, r31), -np.arcsin(r31))
+    phi = np.where(gimbal, 0.0, np.arctan2(R[:, 7], R[:, 8]))
+    return phi, theta
 
 
 def R_of_euler(phi: float | np.ndarray, theta: float | np.ndarray, psi: float | np.ndarray

@@ -3,14 +3,17 @@
 Single-rate loop: analytic sinusoidal reference -> cascaded controller ->
 altitude rows and thrust QP -> attitude/body-rate loops -> lateral rows
 and moment QP -> RK4 dynamics step, recorded in a Trace of columns
-preallocated for the known step count. All QP and singularity events are
-recorded in the trace, never fatal; only a non-finite state, barrier value
-or barrier row aborts, with NonFiniteState.
+preallocated for the known step count. The loop does only the feedback
+work per step; the reference, roll, pitch and barrier values are computed,
+and the trace finished, in blocks of EXPORT_ROWS steps. All QP and
+singularity events are recorded in the trace, never fatal; only a
+non-finite state, barrier value or barrier row aborts, with NonFiniteState.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,13 +27,17 @@ from .barriers import (
     LateralSingular,
     altitude_row,
     barrier_h,
+    barrier_h_column,
     lateral_rows,
 )
 from .controller import ControllerGains, Reference
-from .dynamics import NonFiniteState, QuadParams, QuadState, advance, euler_of_R, flat_of
+from .dynamics import (NonFiniteState, QuadParams, QuadState, advance, flat_of,
+                       roll_pitch_of_R, yaw_of_R)
 
 ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)
 LATERAL_DOMAINS = (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY)
+EXPORT_ROWS = 256  # steps per block: run finishes, and export formats, this many rows at once
+H_FINITE_OFFSET = 1e75  # |(x - c) / p| below it on every state: h is finite (2 * 1e300 is)
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,7 @@ class Trace:
 
     The float columns (t, x, euler, f_hat, f_star, tau_hat, m_star and, per
     scheduled barrier domain d, h[d] and H[d] = [h, L_f h, ...]) are views
-    into one block that run fills with one row write per step; r, v and
+    into one block that run fills EXPORT_ROWS rows at a time; r, v and
     omega are slices of the flat state x. h[d] is NaN before the barrier's
     first activation, H[d] on steps where its level built no row. The lists
     qp_hi_status and qp_lo_status hold a string per step, events
@@ -113,24 +120,28 @@ class Trace:
         return len(self.t)
 
 
-def reference_at(t: float, cfg: ReferenceConfig) -> Reference:
-    """Closed-form reference position/velocity/acceleration and yaw, as floats."""
-    r_d, v_d, a_d = [], [], []
-    for a, w in zip(cfg.amplitude.tolist(), cfg.frequency.tolist()):
-        wt = w * t
-        # math's sin/cos equal numpy's on every preset's w * t (checked in
-        # tests/test_sim.py); math.atan2 differs from np.arctan2, which stays.
-        sin, cos = math.sin(wt), math.cos(wt)
-        r_d.append(a * sin)
-        v_d.append(a * w * cos)
-        a_d.append(-a * (w * w) * sin)
+def reference_rows(t: np.ndarray, cfg: ReferenceConfig) -> list[Reference]:
+    """The closed-form reference position/velocity/acceleration and yaw at
+    each time of the float64 column t, as floats; numpy's sin, cos and
+    arctan2 on columns round as on each single time."""
+    a, w = cfg.amplitude[:, None], cfg.frequency[:, None]
+    wt = w * t
+    sin, cos = np.sin(wt), np.cos(wt)
+    r_d = a * sin
+    v_d = (a * w) * cos
+    a_d = (-a * (w * w)) * sin
     if cfg.yaw_mode == "atan2":
-        psi_d = 0.0 if (r_d[0] == 0.0 and r_d[1] == 0.0) else float(
-            np.arctan2(r_d[1], r_d[0])
-        )
+        psi_d = np.where((r_d[0] == 0.0) & (r_d[1] == 0.0), 0.0,
+                         np.arctan2(r_d[1], r_d[0])).tolist()
     else:
-        psi_d = cfg.yaw_constant
-    return Reference(tuple(r_d), tuple(v_d), tuple(a_d), psi_d)
+        psi_d = [cfg.yaw_constant] * len(t)
+    return list(map(Reference, zip(*r_d.tolist()), zip(*v_d.tolist()), zip(*a_d.tolist()),
+                    psi_d))
+
+
+def reference_at(t: float, cfg: ReferenceConfig) -> Reference:
+    """The reference at one time t: reference_rows of a one-entry column."""
+    return reference_rows(np.array([t], dtype=float), cfg)[0]
 
 
 def active_barriers(
@@ -151,8 +162,11 @@ def active_barriers(
 # numpy's floating-point warnings are off for the run: each non-finite
 # value they would report raises NonFiniteState instead.
 @np.errstate(all="ignore")
-def run(scenario: Scenario) -> Trace:
-    """Simulate the closed loop; returns the Trace of every step."""
+def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = None) -> Trace:
+    """Simulate the closed loop; returns the Trace of every step. consumer,
+    if given, gets the trace and the rows of each finished block, in order."""
+    from array import array  # a row of C doubles per step, no float objects kept
+
     params = scenario.params
     gains = scenario.gains
     dt = scenario.dt
@@ -161,26 +175,35 @@ def run(scenario: Scenario) -> Trace:
     domains = [d for d in BarrierDomain if any(spec.domain is d for spec in scenario.barriers)]
     trace = Trace(n_steps, domains, dt)
     events = trace.events
-    # A step's h and H cells, in block order: d's h at h_cell[d], its H at H_cells[d].
-    h_cell, H_cells, nan_cells = {}, {}, []
+    # A step's h and H cells, in block order: d's H at H_cells[d]. The h
+    # cells stay NaN until the block is finished.
+    H_cells, nan_cells = {}, []
     for d in domains:
-        i = h_cell[d] = len(nan_cells)
+        i = len(nan_cells)
         H_cells[d] = slice(i + 1, i + 1 + RELATIVE_DEGREE[d])
         nan_cells += [math.nan] * (1 + RELATIVE_DEGREE[d])
     # The state, as 18 floats [r, R row-major, v, omega].
     x = flat_of(scenario.initial_state)
     prev_active: dict[BarrierDomain, float] = {}
     # The active set changes only at activation times, so the schedule is
-    # re-read only once t reaches the next of them.
+    # re-read only once t reaches the next of them. A spec is active until
+    # the next activation on its domain.
     next_switch = -math.inf
+    until = {spec: min((s.active_from for s in scenario.barriers if s.domain is spec.domain
+                        and s.active_from > spec.active_from), default=math.inf)
+             for spec in scenario.barriers}
     # The actuator boxes of the two QPs.
     f_lower, f_upper = [0.0], [params.f_max]
     tau_upper = list(params.tau_max)
     tau_lower = [-b for b in tau_upper]
 
     for k in range(n_steps):
-        t = k * dt
-        ref = reference_at(t, scenario.reference)
+        if k % EXPORT_ROWS == 0:
+            block_rows = slice(k, min(k + EXPORT_ROWS, n_steps))
+            t_col = np.arange(block_rows.start, block_rows.stop) * dt
+            steps = zip(t_col.tolist(), reference_rows(t_col, scenario.reference))
+            record = array("d")  # block columns 1:, roll, pitch and h NaN
+        t, ref = next(steps)
 
         if t >= next_switch:
             hi_active = active_barriers(scenario.barriers, t, ALTITUDE_DOMAINS)
@@ -190,8 +213,9 @@ def run(scenario: Scenario) -> Trace:
                 if prev_active.get(spec.domain) not in (None, spec.active_from):
                     events.append((k, f"barrier-switch:{spec.domain.value}"))
                 prev_active[spec.domain] = spec.active_from
-            # Each active barrier's cells, so that the steps look up none.
-            h_at = [h_cell[spec.domain] for spec in active]
+            # Each active barrier's constrained states and H cells, so that
+            # the steps look up none.
+            offsets = [(i, c, p) for spec in active for i, c, p in zip(spec.idx, spec.c, spec.p)]
             hi_H_at = [H_cells[spec.domain] for spec in hi_active]
             lo_H_at = [H_cells[spec.domain] for spec in lo_active]
             next_switch = min(
@@ -199,13 +223,13 @@ def run(scenario: Scenario) -> Trace:
                 default=math.inf,
             )
 
-        cells = nan_cells.copy()
-        for spec, at, h in zip(active, h_at, barrier_h(x, active)):
-            if not math.isfinite(h):
-                raise NonFiniteState(f"{spec.domain.value} barrier value is {h}")
-            cells[at] = h
+        if not all(abs((x[i] - c) / p) < H_FINITE_OFFSET for i, c, p in offsets):
+            for spec, h in zip(active, barrier_h(x, active)):
+                if not math.isfinite(h):
+                    raise NonFiniteState(f"{spec.domain.value} barrier value is {h}")
 
-        euler = euler_of_R(x)
+        cells = nan_cells.copy()
+        psi = yaw_of_R(x)
         z, R33, zd = x[2], x[11], x[14]
         r_ddot_cmd = ctl.position_loop(x, ref, gains)
         try:
@@ -229,7 +253,7 @@ def run(scenario: Scenario) -> Trace:
 
         try:
             omega_cmd = ctl.attitude_loop(
-                x, r_ddot_cmd, f_star, euler[2], ref.psi_d, gains, params
+                x, r_ddot_cmd, f_star, psi, ref.psi_d, gains, params
             )
         except (ctl.AttitudeSingular, ctl.ThrustTooSmall) as exc:
             omega_cmd = [0.0, 0.0, 0.0]
@@ -254,8 +278,20 @@ def run(scenario: Scenario) -> Trace:
                 qp_lo_status = status.value
                 for at, (_, _, _, H) in zip(lo_H_at, rows):
                     cells[at] = H.tolist()
-        trace.block[k] = [t, *x, *euler, f_hat, f_star, *tau_hat, *m_star, *cells]
+        record.fromlist([*x, math.nan, math.nan, psi, f_hat, f_star, *tau_hat, *m_star, *cells])
         trace.qp_hi_status.append(qp_hi_status)
         trace.qp_lo_status.append(qp_lo_status)
         x = advance(x, f_star, [*m_star, tau_hat[2]], params, dt)
+
+        if k + 1 == block_rows.stop:  # finish the block
+            block, x_rows = trace.block[block_rows], trace.x[block_rows]
+            block[:, 1:] = np.frombuffer(record).reshape(len(block), -1)
+            block[:, 0] = t_col
+            euler = trace.euler[block_rows]
+            euler[:, 0], euler[:, 1] = roll_pitch_of_R(x_rows[:, 3:12])
+            for spec in scenario.barriers:
+                on = (spec.active_from <= t_col) & (t_col < until[spec])
+                trace.h[spec.domain][block_rows][on] = barrier_h_column(x_rows[on], spec)
+            if consumer is not None:
+                consumer(trace, block_rows)
     return trace

@@ -1,6 +1,8 @@
-"""Block-wise export: the bytes of a one-shot formatter, in bounded memory."""
+"""Block-wise export: the bytes of a one-shot formatter, in bounded memory,
+and the forked writer of quadsafe run: its bytes and its lifecycle."""
 
 import dataclasses
+import errno
 import math
 import os
 import tracemalloc
@@ -8,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quadsafe import cli, sim
 from quadsafe.barriers import BarrierDomain
 from quadsafe.cli import (
     EPS_NUM,
@@ -18,7 +21,8 @@ from quadsafe.cli import (
     summary_text,
     trace_csv,
 )
-from quadsafe.config import load_preset
+from quadsafe.config import load_preset, load_scenario
+from quadsafe.dynamics import NonFiniteState
 from quadsafe.sim import Trace, run
 
 B = EXPORT_ROWS
@@ -133,3 +137,99 @@ def test_summary_counts_the_violation_of_a_one_step_run(tmp_path, duration, viol
     assert main(["run", str(path), "--out", str(out)]) == 0
     summary = (out / "summary.txt").read_text()
     assert f"violation_beyond_eps_s={violation}\n" in summary, summary
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("duration", ["0.001", "0.256"])
+def test_cli_files_are_export_traces_bytes(tmp_path, duration):
+    # One step, and exactly one block: quadsafe run's streamed trace.csv
+    # and its events.csv are export_trace's bytes of the same run.
+    path = tmp_path / "run.yaml"
+    path.write_text(ONE_STEP.replace("DURATION", duration))
+    assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 0
+    assert_no_child_left()
+    export_trace(run(load_scenario(str(path))), str(tmp_path / "lib"))
+    for name in ("trace.csv", "events.csv", "summary.txt"):
+        got = (tmp_path / "cli" / name).read_text().splitlines()
+        want = (tmp_path / "lib" / name).read_text().splitlines()
+        if name == "summary.txt":  # wall_time_s differs
+            got, want = got[:1] + got[2:], want[:1] + want[2:]
+        assert got == want, name
+    assert len((tmp_path / "cli" / "trace.csv").read_text().splitlines()) == 1 + round(
+        float(duration) * 1000)
+
+
+def fail_at_step(monkeypatch, step, exc):
+    """Make sim.run's step `step` raise exc from the dynamics."""
+    calls = []
+    advance = sim.advance
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) > step:
+            raise exc
+        return advance(*args)
+
+    monkeypatch.setattr(sim, "advance", failing)
+
+
+def leftovers(path):
+    return [name for name in os.listdir(path) if name.startswith(".tmp-")]
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["new-out", "existing-out"])
+def test_abort_after_blocks_leaves_no_files(tmp_path, capsys, monkeypatch, exists):
+    # Step 600 aborts after two blocks went to the writer: exit 2, no
+    # trace.csv, no partial file, and an out directory only if it existed.
+    out = tmp_path / "a" / "b"
+    if exists:
+        out.mkdir(parents=True)
+    sent, parts = [], cli._csv_parts
+    monkeypatch.setattr(cli, "_csv_parts", lambda *args: sent.append(args) or parts(*args))
+    fail_at_step(monkeypatch, 600, NonFiniteState("integration produced non-finite values"))
+    assert main(["run", "presets:stress-infeasible", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: simulation aborted on non-finite state: "
+                                       "integration produced non-finite values\n")
+    assert len(sent) == 2
+    assert_no_child_left()
+    if exists:
+        assert os.listdir(out) == []
+    else:
+        assert os.listdir(tmp_path) == []
+
+
+def test_out_naming_a_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "file"
+    out.write_text("keep")
+    assert main(["run", "presets:stress-infeasible", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error writing {out}: ") and err.count("\n") == 1, err
+    assert_no_child_left()
+    assert out.read_text() == "keep" and leftovers(tmp_path) == []
+
+
+def test_unexpected_error_in_run_reaps_the_writer(tmp_path, monkeypatch):
+    fail_at_step(monkeypatch, 600, ZeroDivisionError("boom"))
+    with pytest.raises(ZeroDivisionError):
+        main(["run", "presets:stress-infeasible", "--out", str(tmp_path / "out")])
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
+def test_writer_error_exits_1_with_its_errno(tmp_path, capsys, monkeypatch):
+    # The forked writer formats with cli._csv_rows: failing there with
+    # ENOSPC, it exits with that errno, which quadsafe run reports.
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_csv_rows", full)
+    out = tmp_path / "out"
+    assert main(["run", "presets:stress-infeasible", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error writing {out}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == []

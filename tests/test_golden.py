@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from quadsafe.cli import events_csv, export_trace, trace_csv
+from quadsafe.cli import events_csv, export_trace, main, trace_csv
 from quadsafe.config import PRESETS, load_preset
 from quadsafe.oracle import check_all_chains
 from quadsafe.sim import run
@@ -206,6 +206,17 @@ def test_full_run_exported_bytes(name):
     trace, _ = preset_trace(name)
     got = (sha256_of_blocks(trace_csv(trace)), sha256_of_blocks(events_csv(trace)))
     assert got == FULL_EXPORT_SHA256[name]
+
+
+def test_cli_run_streams_the_pinned_bytes(tmp_path, capsys):
+    # quadsafe run hands trace.csv to its forked writer block by block:
+    # 5000 steps are 19 full blocks and a partial one.
+    out = tmp_path / "out"
+    assert main(["run", "presets:stress-infeasible", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("wrote 5000 steps to ")
+    got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                for f in ("trace.csv", "events.csv"))
+    assert got == FULL_EXPORT_SHA256["stress-infeasible"]
 
 
 # repr of every ChainCheck field of check_all_chains(n_states, seed), recorded

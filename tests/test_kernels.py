@@ -12,9 +12,12 @@ projection calls numpy's SVD kernel without its Python wrapper. Each test
 here checks one such identity on random data (zeros, -0.0, subnormals and
 scales 1e-150..1e150 included), so that a numpy or BLAS build that breaks
 one fails here, by name, and not only as a bitwise mismatch of a whole row
-or QP.
+or QP. sim.run computes the reference, roll, pitch and barrier values of
+EXPORT_ROWS steps at once; those column calls are checked against the
+per-step calls on every step of every preset.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -22,8 +25,23 @@ import numpy as np
 import pytest
 from numpy.linalg._umath_linalg import svd_f
 
+from quadsafe.barriers import BarrierDomain, BarrierSpec, barrier_h, barrier_h_column
+from quadsafe.cli import main
+from quadsafe.config import PRESETS, load_preset
 from quadsafe.controller import ControllerGains, body_rate_loop
-from quadsafe.dynamics import QuadParams, R_of_euler, deriv, rk4_flat
+from quadsafe.dynamics import (
+    QuadParams,
+    QuadState,
+    R_of_euler,
+    deriv,
+    euler_of_R,
+    rk4_flat,
+    roll_pitch_of_R,
+    yaw_of_R,
+)
+from quadsafe.sim import EXPORT_ROWS, H_FINITE_OFFSET, Scenario, reference_rows, run
+
+from conftest import preset_trace
 
 N = 4000
 
@@ -297,3 +315,124 @@ def test_stacked_rotations_are_the_single_rotation():
     assert got.shape == (1200, 3, 3)
     same(got, [R_of_euler(*a) for a in angles.tolist()])
     same(R_of_euler(*angles[:40].T.reshape(3, 8, 5)).reshape(40, 3, 3), got[:40])
+
+
+def preset_blocks(name):
+    """The flat states of every step of the preset's full run, in blocks of
+    EXPORT_ROWS rows."""
+    x = preset_trace(name)[0].x
+    return [x[a:a + EXPORT_ROWS] for a in range(0, len(x), EXPORT_ROWS)]
+
+
+def reference_floats(t, cfg):
+    # The per-step reference: math's sin and cos, numpy's scalar arctan2.
+    r_d, v_d, a_d = [], [], []
+    for a, w in zip(cfg.amplitude.tolist(), cfg.frequency.tolist()):
+        sin, cos = math.sin(w * t), math.cos(w * t)
+        r_d.append(a * sin)
+        v_d.append(a * w * cos)
+        a_d.append(-a * (w * w) * sin)
+    if cfg.yaw_mode == "constant":
+        psi_d = cfg.yaw_constant
+    elif r_d[0] == 0.0 and r_d[1] == 0.0:
+        psi_d = 0.0
+    else:
+        psi_d = float(np.arctan2(r_d[1], r_d[0]))
+    return [*r_d, *v_d, *a_d, psi_d]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_reference_columns_are_the_per_step_calls(name):
+    # np.sin, np.cos and np.arctan2 on (EXPORT_ROWS,) columns of every step
+    # t = k dt against math.sin, math.cos and the scalar np.arctan2.
+    scenario = load_preset(name)
+    cfg, dt = scenario.reference, scenario.dt
+    n = int(round(scenario.duration / dt))
+    for first in range(0, n, EXPORT_ROWS):
+        t = np.arange(first, min(first + EXPORT_ROWS, n)) * dt
+        same(t, [k * dt for k in range(first, first + len(t))])
+        for w in cfg.frequency.tolist():
+            wt = w * t
+            same(np.sin(wt), [math.sin(v) for v in wt.tolist()])
+            same(np.cos(wt), [math.cos(v) for v in wt.tolist()])
+        refs = reference_rows(t, cfg)
+        same([[*r.r_d, *r.v_d, *r.a_d, r.psi_d] for r in refs],
+             [reference_floats(v, cfg) for v in t.tolist()])
+        r_d = np.array([r.r_d for r in refs])
+        same(np.arctan2(r_d[:, 1], r_d[:, 0]),
+             [float(np.arctan2(y, x)) for x, y, _ in r_d.tolist()])
+    constant = dataclasses.replace(cfg, yaw_mode="constant", yaw_constant=0.7)
+    assert [r.psi_d for r in reference_rows(np.arange(3) * dt, constant)] == [0.7] * 3
+
+
+def gimbal_states():
+    """Flat states with |R31| within 1e-9 of 1, where euler_of_R takes its
+    gimbal branch, and just outside it."""
+    rows = []
+    for theta in (math.pi / 2, -math.pi / 2, math.pi / 2 - 1e-6, -math.pi / 2 + 2e-5,
+                  math.pi / 2 - 1e-4, -math.pi / 2 + 1e-4):
+        for phi, psi in ((0.3, -1.2), (-2.0, 0.4), (0.0, math.pi)):
+            R = R_of_euler(phi, theta, psi)
+            rows.append([0.0] * 3 + R.ravel().tolist() + [0.0] * 6)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_euler_columns_are_euler_of_R(name):
+    # np.arcsin and np.arctan2 on the roll/pitch columns of EXPORT_ROWS
+    # states, and yaw_of_R's scalar np.arctan2, against euler_of_R's calls
+    # on each state.
+    for x in [*preset_blocks(name), gimbal_states()]:
+        phi, theta = roll_pitch_of_R(x[:, 3:12])
+        want = [euler_of_R(row) for row in x.tolist()]
+        same(np.column_stack([phi, theta]), [e[:2] for e in want])
+        same([yaw_of_R(row) for row in x.tolist()], [e[2] for e in want])
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_barrier_h_columns_are_barrier_h(name):
+    # np.power on the scaled offsets of EXPORT_ROWS states against
+    # barrier_h's per-state np.power, for every barrier of the preset.
+    specs = load_preset(name).barriers
+    assert specs
+    for x in preset_blocks(name):
+        rows = x.tolist()
+        for spec in specs:
+            same(barrier_h_column(x, spec), [barrier_h(row, [spec])[0] for row in rows])
+
+
+def posvel_scenario(z, zd):
+    """Two steps from altitude z and climb rate zd, one altitude_posvel
+    barrier of unit half-widths recorded, no filter."""
+    spec = BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.0, 0.0], [1.0, 1.0])
+    state = QuadState(r=np.array([0.0, 0.0, z]), v=np.array([0.0, 0.0, zd]))
+    return Scenario(duration=0.002, barriers=(spec,), initial_state=state,
+                    filter_high=False, filter_low=False)
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-15, 1.0, 1.0 + 1e-15, 10.0])
+def test_offsets_about_the_guard_keep_h_finite(scale):
+    # Two offsets z: below H_FINITE_OFFSET the run skips barrier_h, at and
+    # above it the run takes barrier_h's exact value, which is finite while
+    # 2 z^4 is (up to about 9.7e76). The trace records the same h either way.
+    z = H_FINITE_OFFSET * scale
+    scenario = posvel_scenario(z, z)
+    trace = run(scenario)
+    h = trace.h[BarrierDomain.ALTITUDE_POSVEL]
+    assert np.isfinite(h).all()
+    same(h[0], barrier_h(trace.x[0].tolist(), scenario.barriers)[0])
+    assert h[0] < -1e299
+
+
+def test_overflowing_h_exits_2_with_the_barrier_message(tmp_path, capsys):
+    # An offset of 2e77 makes the fourth power, and h, overflow: the run
+    # stops at step 0 with exit 2 and the barrier's own message.
+    path = tmp_path / "huge.yaml"
+    path.write_text("run: {duration_s: 0.01, dt_s: 0.001}\n"
+                    "initial: {z_m: 2.0e+77}\n"
+                    "barriers:\n  - {domain: altitude_position, c_z_m: 0.0, p_z_m: 1.0}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: simulation aborted on non-finite state: "
+        "altitude_position barrier value is -inf\n")
+    assert not (tmp_path / "out").exists()
