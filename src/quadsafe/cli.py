@@ -13,7 +13,9 @@ events are data, not failures.
 The exports write every float of sim.run's Trace columns as repr(float),
 trace.csv in blocks of EXPORT_ROWS rows, so that export memory does not
 grow with the run. ``run`` streams the blocks to a forked writer process
-(POSIX), which writes trace.csv while the simulation goes on.
+(POSIX), which writes trace.csv while the simulation goes on. Where the
+run may use another CPU, the writer runs off the run's own: otherwise each
+pipe write wakes it onto the run's CPU while the other CPU sits idle.
 """
 
 from __future__ import annotations
@@ -94,10 +96,16 @@ class _TraceWriter:
 
     The first block makes out_dir and forks _write_blocks; each block's
     _csv_parts (at most 53 KB, which the default 64 KiB pipe takes without
-    the run waiting) then go down a pipe. finish() sends the end, None, and
-    waits for the writer; close() reaps a writer still running, which then
-    drops its partial file, and removes the directories made. The writer
-    calls no BLAS, so the threads OpenBLAS may have started do not matter.
+    the run waiting) then go down a pipe. A pipe write wakes the writer
+    onto the writing process's CPU and nothing moves it back, so right
+    after the fork the parent restricts the writer to its own allowed CPUs
+    less the one it read just before the fork; set by the parent, the
+    placement is race-free. With one CPU allowed, no /proc or an OSError,
+    the writer stays where the kernel puts it. A failed fork closes both
+    pipe ends. finish() sends the end, None, and waits for the writer; close()
+    reaps a writer still running, which then drops its partial file, and
+    removes the directories made. The writer calls no BLAS, so the threads
+    OpenBLAS may have started do not matter.
     """
 
     def __init__(self, out_dir: str) -> None:
@@ -111,12 +119,22 @@ class _TraceWriter:
                 path = os.path.dirname(path)
             os.makedirs(self.out_dir, exist_ok=True)
             r, w = os.pipe()
-            self.pid = os.fork()
+            cpu = _cpu()
+            try:
+                self.pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
             if not self.pid:
                 os.close(w)
                 _write_blocks(r, os.path.join(self.out_dir, "trace.csv"))
             os.close(r)
             self.pipe = os.fdopen(w, "wb")
+            if cpu is not None:
+                with contextlib.suppress(OSError):
+                    if others := os.sched_getaffinity(0) - {cpu}:
+                        os.sched_setaffinity(self.pid, others)
         self._send(_csv_parts(trace, rows))
 
     def _send(self, parts: tuple | None) -> None:
@@ -146,6 +164,16 @@ class _TraceWriter:
         with contextlib.suppress(OSError):
             for path in reversed(self.made):
                 os.rmdir(path)
+
+
+def _cpu() -> int | None:
+    """The CPU this process last ran on, field 39 of /proc/self/stat; None
+    where that cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            return int(f.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _write_blocks(r: int, path: str) -> None:

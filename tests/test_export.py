@@ -1,10 +1,15 @@
 """Block-wise export: the bytes of a one-shot formatter, in bounded memory,
-and the forked writer of quadsafe run: its bytes and its lifecycle."""
+and the forked writer of quadsafe run: its bytes, its lifecycle and its
+CPU."""
 
 import dataclasses
 import errno
+import hashlib
 import math
 import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,6 +29,9 @@ from quadsafe.cli import (
 from quadsafe.config import load_preset, load_scenario
 from quadsafe.dynamics import NonFiniteState
 from quadsafe.sim import Trace, run
+
+from conftest import preset_trace
+from test_golden import FULL_EXPORT_SHA256
 
 B = EXPORT_ROWS
 # The step at which the mid-run barrier activates: its h cells are empty
@@ -233,3 +241,76 @@ def test_writer_error_exits_1_with_its_errno(tmp_path, capsys, monkeypatch):
         f"error writing {out}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
     assert_no_child_left()
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_fork_closes_both_pipe_ends(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    out = tmp_path / "out"
+    assert main(["run", "presets:stress-infeasible", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error writing {out}: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert os.listdir(tmp_path) == []
+    assert_no_child_left()
+
+
+def allowed_cpus() -> set[int]:
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+@pytest.mark.skipif(len(allowed_cpus()) < 2, reason="needs two allowed CPUs")
+def test_writer_runs_off_the_cpu_the_run_was_on(tmp_path, monkeypatch):
+    read, own_cpu = [], cli._cpu
+
+    def cpu():
+        read.append(own_cpu())
+        return read[-1]
+
+    monkeypatch.setattr(cli, "_cpu", cpu)
+    writer = cli._TraceWriter(str(tmp_path / "out"))
+    try:
+        writer(synthetic_trace(B), slice(0, B))
+        assert len(read) == 1 and read[0] is not None
+        assert os.sched_getaffinity(writer.pid) == allowed_cpus() - {read[0]}
+        writer.finish()
+    finally:
+        writer.close()
+    assert_no_child_left()
+    assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 1 + B
+
+
+@pytest.mark.skipif(not allowed_cpus(), reason="needs sched_setaffinity")
+def test_one_cpu_run_leaves_the_writer_alone_and_writes_the_pinned_bytes(tmp_path):
+    # Restricted to one CPU, quadsafe run has no other CPU to give its
+    # writer: it makes no affinity call, and the files are the same.
+    code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "calls = []; os.sched_setaffinity = lambda *args: calls.append(args); "
+            "from quadsafe.cli import main; "
+            "code = main(['run', 'presets:stress-infeasible', '--out', sys.argv[1]]); "
+            "print('affinity calls:', calls); sys.exit(code)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("affinity calls: []\n"), proc.stdout
+    got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                for f in ("trace.csv", "events.csv"))
+    assert got == FULL_EXPORT_SHA256["stress-infeasible"]
+
+
+def test_every_fig7_block_fits_the_default_pipe():
+    # _TraceWriter sends each block without the run waiting only if its
+    # pickled _csv_parts fit the default 64 KiB pipe; fig7 fills all four
+    # h columns.
+    trace, _ = preset_trace("fig7-unified")
+    sizes = [len(pickle.dumps(cli._csv_parts(trace, rows)))
+             for rows in cli._row_blocks(len(trace) // B * B)]
+    assert len(sizes) == len(trace) // B and max(sizes) < 65536, max(sizes)
