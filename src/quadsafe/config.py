@@ -2,13 +2,17 @@
 
 Every physical quantity carries its unit in the key name (``p_z_m``,
 ``v_x_mps``, ``dt_s``). Unknown keys are rejected so typos fail loudly
-instead of silently falling back to defaults.
+instead of silently falling back to defaults. Each section is one table
+of key -> default, in reading order, its defaults read off one
+``Scenario()``; a key's type is its default's: a bool, a string (checked
+by the dataclass that takes it), a 3-vector or a finite number.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from contextlib import nullcontext
 from typing import Any
 
 import numpy as np
@@ -24,22 +28,6 @@ class ScenarioError(ValueError):
     """Invalid scenario file; the message names the offending key."""
 
 
-_RUN_KEYS = {"duration_s", "dt_s"}
-_INITIAL_KEYS = {
-    "x_m", "y_m", "z_m", "vx_mps", "vy_mps", "vz_mps",
-    "phi_rad", "theta_rad", "psi_rad", "p_radps", "q_radps", "r_radps",
-}
-_REFERENCE_KEYS = {
-    "a_x_m", "a_y_m", "a_z_m", "w_x_radps", "w_y_radps", "w_z_radps",
-    "yaw_mode", "psi_const_rad",
-}
-_FILTER_KEYS = {"high", "low"}
-_GAIN_KEYS = {"kp", "kd", "k_r", "k_psi", "k_omega"}
-_PARAM_KEYS = {
-    "g_mps2", "m_kg", "ix_kgm2", "iy_kgm2", "iz_kgm2",
-    "f_max_n", "tau_max_x_nm", "tau_max_y_nm",
-}
-_BARRIER_COMMON = {"domain", "active_from_s", "poles", "alpha"}
 # Per family, the keys of its center and half-width entries; None marks a
 # velocity center, which is fixed at its default.
 _REGION_KEYS = {
@@ -48,13 +36,14 @@ _REGION_KEYS = {
     "lateral_position": (("c_x_m", "c_y_m"), ("p_x_m", "p_y_m")),
     "lateral_velocity": ((None, None), ("v_x_mps", "v_y_mps")),
 }
+_YAML_HINT = "; write it unquoted, with a dot and a signed exponent, as in 1.0e-3"
 _TOP_KEYS = {"run", "initial", "reference", "filters", "gains", "params", "barriers"}
 
 
-def _check_keys(table: dict, allowed: set, where: str) -> None:
+def _check_keys(table: dict, allowed: set | dict, where: str) -> None:
     if not isinstance(table, dict):
         raise ScenarioError(f"'{where}' must be a mapping")
-    unknown = set(table) - allowed
+    unknown = set(table).difference(allowed)
     if unknown:
         raise ScenarioError(
             f"unknown key(s) in '{where}': {sorted(unknown)}; allowed: {sorted(allowed)}"
@@ -64,7 +53,12 @@ def _check_keys(table: dict, allowed: set, where: str) -> None:
 def _num(table: dict, key: str, default: float, where: str) -> float:
     val = table.get(key, default)
     if not _is_number(val):
-        raise ScenarioError(f"'{where}.{key}' must be a number (finite), got {val!r}")
+        try:  # PyYAML (YAML 1.1) reads 1e-3 as a string: a float needs a dot
+            hint = isinstance(val, str) and math.isfinite(float(val))
+        except ValueError:
+            hint = False
+        raise ScenarioError(f"'{where}.{key}' must be a number (finite), got {val!r}"
+                            + (_YAML_HINT if hint else ""))
     return float(val)
 
 
@@ -77,104 +71,78 @@ def _is_number(val: Any) -> bool:
         return False
 
 
-def _vec3(table: dict, key: str, default, where: str) -> np.ndarray:
-    val = table.get(key, default)
-    if not (isinstance(val, (list, tuple)) and len(val) == 3 and all(map(_is_number, val))):
-        raise ScenarioError(f"'{where}.{key}' must be a list of 3 numbers")
-    return np.array([float(v) for v in val])
+def _section(data: dict, where: str, defaults: dict[str, Any]) -> list:
+    """Section ``where`` of ``data``: one value per key of ``defaults``, in its
+    order; a key's type is its default's, and a list is a 3-vector (an array)."""
+    table = data.get(where, {})
+    _check_keys(table, defaults, where)
+    values = []
+    for key, default in defaults.items():
+        val = table.get(key, default)
+        if isinstance(default, bool):
+            if not isinstance(val, bool):
+                raise ScenarioError(f"'{where}.{key}' must be a boolean")
+        elif isinstance(default, list):
+            if not (isinstance(val, (list, tuple)) and len(val) == 3
+                    and all(map(_is_number, val))):
+                raise ScenarioError(f"'{where}.{key}' must be a list of 3 numbers")
+            val = np.array([float(v) for v in val])
+        elif not isinstance(default, str):
+            val = _num(table, key, default, where)
+        values.append(val)
+    return values
+
+
+def _build(where: str | None, cls: type, *args: Any) -> Any:
+    """cls(*args), its ValueError re-raised as a ScenarioError at ``where``."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ScenarioError(f"'{where}': {exc}" if where else str(exc)) from None
 
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     _check_keys(data, _TOP_KEYS, "<top level>")
-    default = Scenario()  # each absent key takes its dataclass default
+    sc = Scenario()  # each absent key takes its dataclass default
 
-    run = data.get("run", {})
-    _check_keys(run, _RUN_KEYS, "run")
-    duration = _num(run, "duration_s", default.duration, "run")
-    dt = _num(run, "dt_s", default.dt, "run")
+    duration, dt = _section(data, "run", {"duration_s": sc.duration, "dt_s": sc.dt})
 
-    init = data.get("initial", {})
-    _check_keys(init, _INITIAL_KEYS, "initial")
-    r = np.array([_num(init, k, 0.0, "initial") for k in ("x_m", "y_m", "z_m")])
-    v = np.array([_num(init, k, 0.0, "initial") for k in ("vx_mps", "vy_mps", "vz_mps")])
-    euler = [_num(init, k, 0.0, "initial") for k in ("phi_rad", "theta_rad", "psi_rad")]
-    omega = np.array([_num(init, k, 0.0, "initial") for k in ("p_radps", "q_radps", "r_radps")])
-    initial_state = QuadState(r=r, R=R_of_euler(*euler), v=v, omega=omega)
+    init = _section(data, "initial", dict.fromkeys((
+        "x_m", "y_m", "z_m", "vx_mps", "vy_mps", "vz_mps",
+        "phi_rad", "theta_rad", "psi_rad", "p_radps", "q_radps", "r_radps"), 0.0))
+    initial_state = QuadState(r=np.array(init[0:3]), R=R_of_euler(*init[6:9]),
+                              v=np.array(init[3:6]), omega=np.array(init[9:12]))
 
-    refc = data.get("reference", {})
-    _check_keys(refc, _REFERENCE_KEYS, "reference")
-    ref0 = default.reference
-    amplitude = [_num(refc, k, d, "reference")
-                 for k, d in zip(("a_x_m", "a_y_m", "a_z_m"), ref0.amplitude.tolist())]
-    frequency = [_num(refc, k, d, "reference")
-                 for k, d in zip(("w_x_radps", "w_y_radps", "w_z_radps"), ref0.frequency.tolist())]
-    yaw_constant = _num(refc, "psi_const_rad", ref0.yaw_constant, "reference")
-    try:
-        reference = ReferenceConfig(np.array(amplitude), np.array(frequency),
-                                    refc.get("yaw_mode", ref0.yaw_mode), yaw_constant)
-    except ValueError as exc:
-        raise ScenarioError(f"'reference.yaw_mode': {exc}") from None
+    ref = sc.reference
+    *aw, yaw_mode, yaw_constant = _section(data, "reference", {
+        **dict(zip(("a_x_m", "a_y_m", "a_z_m"), ref.amplitude.tolist())),
+        **dict(zip(("w_x_radps", "w_y_radps", "w_z_radps"), ref.frequency.tolist())),
+        "yaw_mode": ref.yaw_mode, "psi_const_rad": ref.yaw_constant,
+    })
+    reference = _build("reference.yaw_mode", ReferenceConfig,
+                       np.array(aw[0:3]), np.array(aw[3:6]), yaw_mode, yaw_constant)
 
-    filt = data.get("filters", {})
-    _check_keys(filt, _FILTER_KEYS, "filters")
-    for key in ("high", "low"):
-        if key in filt and not isinstance(filt[key], bool):
-            raise ScenarioError(f"'filters.{key}' must be a boolean")
+    high, low = _section(data, "filters", {"high": sc.filter_high, "low": sc.filter_low})
 
-    g = data.get("gains", {})
-    _check_keys(g, _GAIN_KEYS, "gains")
-    g0 = default.gains
-    try:
-        gains = ControllerGains(
-            Kp=_vec3(g, "kp", g0.Kp.tolist(), "gains"),
-            Kd=_vec3(g, "kd", g0.Kd.tolist(), "gains"),
-            k_R=_num(g, "k_r", g0.k_R, "gains"),
-            k_psi=_num(g, "k_psi", g0.k_psi, "gains"),
-            k_omega=_vec3(g, "k_omega", g0.k_omega.tolist(), "gains"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"'gains': {exc}") from None
+    g = sc.gains
+    gains = _build("gains", ControllerGains, *_section(data, "gains", {
+        "kp": g.Kp.tolist(), "kd": g.Kd.tolist(), "k_r": g.k_R, "k_psi": g.k_psi,
+        "k_omega": g.k_omega.tolist()}))
 
-    prm = data.get("params", {})
-    _check_keys(prm, _PARAM_KEYS, "params")
-    p0 = default.params
-    try:
-        params = QuadParams(
-            g=_num(prm, "g_mps2", p0.g, "params"),
-            m=_num(prm, "m_kg", p0.m, "params"),
-            Ix=_num(prm, "ix_kgm2", p0.Ix, "params"),
-            Iy=_num(prm, "iy_kgm2", p0.Iy, "params"),
-            Iz=_num(prm, "iz_kgm2", p0.Iz, "params"),
-            f_max=_num(prm, "f_max_n", p0.f_max, "params"),
-            tau_max=(
-                _num(prm, "tau_max_x_nm", p0.tau_max[0], "params"),
-                _num(prm, "tau_max_y_nm", p0.tau_max[1], "params"),
-            ),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"'params': {exc}") from None
+    p = sc.params
+    *prm, tau_x, tau_y = _section(data, "params", {
+        "g_mps2": p.g, "m_kg": p.m, "ix_kgm2": p.Ix, "iy_kgm2": p.Iy, "iz_kgm2": p.Iz,
+        "f_max_n": p.f_max, "tau_max_x_nm": p.tau_max[0], "tau_max_y_nm": p.tau_max[1],
+    })
+    params = _build("params", QuadParams, *prm, (tau_x, tau_y))
 
-    barriers = []
     entries = data.get("barriers", [])
     if not isinstance(entries, list):
         raise ScenarioError("'barriers' must be a list of mappings")
-    for idx, entry in enumerate(entries):
-        barriers.append(_barrier_from_dict(entry, f"barriers[{idx}]"))
+    barriers = tuple(_barrier_from_dict(e, f"barriers[{i}]") for i, e in enumerate(entries))
 
-    try:
-        return Scenario(
-            duration=duration,
-            dt=dt,
-            initial_state=initial_state,
-            reference=reference,
-            barriers=tuple(barriers),
-            gains=gains,
-            params=params,
-            filter_high=filt.get("high", default.filter_high),
-            filter_low=filt.get("low", default.filter_low),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    return _build(None, Scenario, duration, dt, initial_state, reference, barriers,
+                  gains, params, high, low)
 
 
 def _barrier_from_dict(entry: dict, where: str) -> BarrierSpec:
@@ -186,7 +154,8 @@ def _barrier_from_dict(entry: dict, where: str) -> BarrierSpec:
             f"'{where}.domain' must be one of {sorted(_REGION_KEYS)}, got {domain_name!r}"
         )
     center_keys, half_width_keys = _REGION_KEYS[domain_name]
-    _check_keys(entry, _BARRIER_COMMON | {*center_keys, *half_width_keys} - {None}, where)
+    allowed = {"domain", "active_from_s", "poles", "alpha", *center_keys, *half_width_keys}
+    _check_keys(entry, allowed - {None}, where)
     domain = BarrierDomain(domain_name)
     delta = RELATIVE_DEGREE[domain]
     defaults = DEFAULTS[domain]
@@ -212,33 +181,20 @@ def _barrier_from_dict(entry: dict, where: str) -> BarrierSpec:
         if not (isinstance(poles, (list, tuple)) and all(map(_is_number, poles))):
             raise ScenarioError(f"'{where}.poles' must be a list of {delta} numbers")
 
-    try:
-        return BarrierSpec(
-            domain=domain,
-            center=np.array(center),
-            half_width=np.array(half_width),
-            poles=poles,
-            active_from=_num(entry, "active_from_s", BarrierSpec.active_from, where),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"'{where}': {exc}") from None
+    active_from = _num(entry, "active_from_s", BarrierSpec.active_from, where)
+    return _build(where, BarrierSpec, domain, center, half_width, poles, active_from)
 
 
 def load_scenario(source: str | io.TextIOBase) -> Scenario:
     """Parse a YAML scenario file (path or open stream)."""
     try:
-        if isinstance(source, str):
-            with open(source, "rb") as f:
-                data = yaml.safe_load(f)
-        else:
-            data = yaml.safe_load(source)
+        with open(source, "rb") if isinstance(source, str) else nullcontext(source) as f:
+            data = yaml.safe_load(f)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"not valid YAML: {exc}") from None
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
+    if not isinstance(data, (dict, type(None))):
         raise ScenarioError("scenario file must contain a YAML mapping")
-    return scenario_from_dict(data)
+    return scenario_from_dict(data or {})
 
 
 # Built-in presets. Each reproduces one of the trajectory-rectification

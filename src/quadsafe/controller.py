@@ -44,15 +44,13 @@ class ControllerGains:
 
     def __post_init__(self) -> None:
         # Kp = 0 on an axis gives pure velocity tracking there, which the
-        # velocity-barrier scenarios rely on; only negative gains are invalid.
-        if (
-            np.any(self.Kp < 0)
-            or np.any(self.Kd < 0)
-            or self.k_R <= 0
-            or self.k_psi <= 0
-            or np.any(self.k_omega <= 0)
-        ):
-            raise ValueError("controller gains must be nonnegative")
+        # velocity-barrier scenarios rely on; the inner-loop gains need > 0.
+        for names, rule, bad in ((("Kp", "Kd"), ">= 0", np.less),
+                                 (("k_R", "k_psi", "k_omega"), "> 0", np.less_equal)):
+            for name in names:
+                gain = np.asarray(getattr(self, name))
+                if np.any(bad(gain, 0)):
+                    raise ValueError(f"{name} must be {rule}, got {gain.tolist()}")
         object.__setattr__(self, "kp", tuple(self.Kp.tolist()))
         object.__setattr__(self, "kd", tuple(self.Kd.tolist()))
         object.__setattr__(self, "kw", tuple(self.k_omega.tolist()))

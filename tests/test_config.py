@@ -1,5 +1,6 @@
 """Scenario file parsing: schema validation and built-in presets."""
 
+import ast
 import dataclasses
 import io
 import re
@@ -7,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from quadsafe.barriers import BarrierDomain
+from quadsafe.barriers import RELATIVE_DEGREE, BarrierDomain
 from quadsafe.config import (
     PRESETS,
     ScenarioError,
@@ -89,6 +90,30 @@ class TestSchema:
     def test_bad_yaw_mode_names_the_key(self):
         with pytest.raises(ScenarioError, match=re.escape("'reference.yaw_mode'")):
             parse("reference: {yaw_mode: spin}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("gains: {k_r: 0.0}", "'gains': k_R must be > 0, got 0.0"),
+        ("gains: {kd: [1, -2, 3]}", "'gains': Kd must be >= 0, got [1.0, -2.0, 3.0]"),
+    ], ids=["k_r", "kd"])
+    def test_gain_message_names_the_gain_and_its_rule(self, text, message):
+        # Kp, Kd >= 0 and k_R, k_psi, k_omega > 0.
+        with pytest.raises(ScenarioError) as info:
+            parse(text + "\n")
+        assert str(info.value) == message
+
+    def test_yaml_exponent_without_a_dot_gets_a_hint(self):
+        # PyYAML reads 1e-3 as a string; it stays refused, with a hint.
+        with pytest.raises(ScenarioError) as info:
+            parse("run: {dt_s: 1e-3}\n")
+        assert str(info.value) == (
+            "'run.dt_s' must be a number (finite), got '1e-3'; "
+            "write it unquoted, with a dot and a signed exponent, as in 1.0e-3"
+        )
+        assert parse("run: {dt_s: 1.0e-3}\n").dt == 1e-3
+        for text in ("fast", "inf", ".nan"):  # no number, or not a finite one
+            with pytest.raises(ScenarioError) as info:
+                parse(f"run: {{dt_s: {text}}}\n")
+            assert "1.0e-3" not in str(info.value)
 
 
 class TestBarrierEntries:
@@ -215,3 +240,78 @@ def test_empty_dict_is_the_dataclass_defaults():
                 assert np.array_equal(getattr(a, g.name), getattr(b, g.name)), (f.name, g.name)
         else:
             assert a == b, f.name
+
+
+def same(a, b):
+    """Field by field, through nested dataclasses and tuples of them."""
+    if dataclasses.is_dataclass(a):
+        return all(same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, tuple) and a and dataclasses.is_dataclass(a[0]):
+        return len(a) == len(b) and all(map(same, a, b))
+    return np.array_equal(a, b)
+
+
+def allowed_keys(data):
+    """The allowed keys that the unknown-key message for ``data`` lists."""
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(data)
+    return ast.literal_eval(re.search(r"allowed: (\[.*\])$", str(info.value)).group(1))
+
+
+SECTIONS = ("run", "initial", "reference", "filters", "gains", "params")
+# Per section key, one valid value that differs from its default.
+CHANGED = {
+    "run": {"duration_s": 2.0, "dt_s": 0.002},
+    "initial": dict.fromkeys(allowed_keys({"initial": {"?": 0}}), 0.1),
+    "reference": {"a_x_m": 1.0, "a_y_m": 1.0, "a_z_m": 1.0, "w_x_radps": 0.1,
+                  "w_y_radps": 0.1, "w_z_radps": 0.1, "yaw_mode": "constant",
+                  "psi_const_rad": 0.5},
+    "filters": {"high": False, "low": False},
+    "gains": {"kp": [1.0, 2.0, 3.0], "kd": [1.0, 2.0, 3.0], "k_r": 3.0, "k_psi": 3.0,
+              "k_omega": [1.0, 2.0, 3.0]},
+    "params": {"g_mps2": 9.0, "m_kg": 0.5, "ix_kgm2": 0.1, "iy_kgm2": 0.1,
+               "iz_kgm2": 0.1, "f_max_n": 30.0, "tau_max_x_nm": 10.0, "tau_max_y_nm": 10.0},
+}
+SECTION_KEYS = [(sec, key) for sec in SECTIONS for key in allowed_keys({sec: {"?": 0}})]
+FAMILY_KEYS = [
+    (domain, key) for domain in BarrierDomain
+    for key in allowed_keys({"barriers": [{"domain": domain.value, "?": 0}]})
+]
+
+
+def with_key(where, key, value):
+    """A scenario that sets ``key`` of a section, or of a domain's barrier, to ``value``."""
+    if where in SECTIONS:
+        return {where: {key: value}}
+    return {"barriers": [{"domain": value} if key == "domain" else {"domain": where, key: value}]}
+
+
+@pytest.mark.parametrize("where, key", SECTION_KEYS + [(d.value, k) for d, k in FAMILY_KEYS],
+                         ids=lambda v: v)
+def test_wrong_type_names_its_location_once(where, key):
+    loc = where if where in SECTIONS else "barriers[0]"
+    for wrong in ("fast", {"x": 1}):
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(with_key(where, key, wrong))
+        msg = str(info.value)
+        assert msg.startswith(f"'{loc}.{key}'"), msg
+        assert msg.count(f"'{loc}") == 1, msg
+
+
+@pytest.mark.parametrize("sec, key", SECTION_KEYS, ids=lambda v: v)
+def test_no_section_key_is_dead(sec, key):
+    assert not same(scenario_from_dict(with_key(sec, key, CHANGED[sec][key])),
+                    scenario_from_dict({}))
+
+
+@pytest.mark.parametrize("domain, key", [
+    (d, k) for d, k in FAMILY_KEYS
+    # domain picks the family; the key a family refuses has its own test.
+    if k not in ("domain", "poles" if RELATIVE_DEGREE[d] == 1 else "alpha")
+], ids=lambda v: getattr(v, "value", v))
+def test_no_barrier_key_is_dead(domain, key):
+    poles = [-1.5 - i for i in range(RELATIVE_DEGREE[domain])]
+    value = {"poles": poles, "alpha": 2.0}.get(key, 0.5)
+    (base,) = scenario_from_dict({"barriers": [{"domain": domain.value}]}).barriers
+    (got,) = scenario_from_dict(with_key(domain.value, key, value)).barriers
+    assert not same(got, base)
