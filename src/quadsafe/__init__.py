@@ -10,7 +10,7 @@ from .barriers import BarrierDomain, BarrierSpec, pole_place, rectellipse_h
 from .controller import ControllerGains, Reference
 from .dynamics import QuadParams, QuadState
 from .qp import QpSolution, solve_qp
-from .sim import Scenario, Trace, reference_at, run
+from .sim import Scenario, Trace, run
 
 __all__ = [
     "BarrierDomain",
@@ -24,7 +24,6 @@ __all__ = [
     "Trace",
     "pole_place",
     "rectellipse_h",
-    "reference_at",
     "run",
     "solve_qp",
 ]

@@ -96,7 +96,7 @@ class BarrierSpec:
     ``poles`` (default: the family's) are one per relative degree; the chain
     gains K = pole_place(delta, poles), and for delta = 1 the condition is
     hdot + alpha h >= 0 with alpha = K[0] = -pole. The spec is active from
-    ``active_from`` until a later spec on the same domain supersedes it.
+    ``active_from`` to the next activation on its domain, which supersedes it.
     Specs compare and hash by identity, as their fields hold arrays.
     """
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import QuadParams
+from .dynamics import QuadParams, check_fields
 
 R33_MIN = 0.2
 SIN_THETA_MAX = 0.9
@@ -43,6 +43,7 @@ class ControllerGains:
     kw: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_fields(self, {"Kp": 3, "Kd": 3, "k_R": 0, "k_psi": 0, "k_omega": 3})
         # Kp = 0 on an axis gives pure velocity tracking there, which the
         # velocity-barrier scenarios rely on; the inner-loop gains need > 0.
         for names, rule, bad in ((("Kp", "Kd"), ">= 0", np.less),

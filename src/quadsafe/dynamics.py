@@ -22,6 +22,21 @@ class NonFiniteState(RuntimeError):
     """Raised when an integration step produces NaN or Inf."""
 
 
+def check_fields(obj, sizes: dict[str, int], infinite: tuple[str, ...] = ()) -> None:
+    """Refuse, by a ValueError naming it, a field of obj that is not sizes[name]
+    numbers (a number if 0) or holds a NaN, or an infinity unless in infinite."""
+    for name, size in sizes.items():
+        value = np.asarray(getattr(obj, name), dtype=float)
+        got = value.tolist()
+        if value.shape != ((size,) if size else ()):
+            what = f"{size} numbers" if size else "a number"
+            raise ValueError(f"{name} must be {what}, got {got}")
+        for v in got if size else [got]:
+            if math.isnan(v) or (math.isinf(v) and name not in infinite):
+                rule = "not be NaN" if name in infinite else "be finite"
+                raise ValueError(f"{name} must {rule}, got {got}")
+
+
 @dataclass(frozen=True)
 class QuadParams:
     """Physical parameters of the quadrotor (defaults: desk-scale platform).
@@ -39,6 +54,8 @@ class QuadParams:
     tau_max: tuple[float, float] = (20.0, 20.0)  # N m, bounds about x_B, y_B
 
     def __post_init__(self) -> None:
+        check_fields(self, {"g": 0, "m": 0, "Ix": 0, "Iy": 0, "Iz": 0, "f_max": 0, "tau_max": 2},
+                     infinite=("f_max", "tau_max"))
         for name in ("g", "m", "Ix", "Iy", "Iz"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -136,42 +153,19 @@ def flat_of(state: QuadState) -> list[float]:
 
 
 def project_flat(x: list[float]) -> list[float]:
-    """The flat state x, every entry finite (advance checks them), with its
-    R block projected back onto SO(3)."""
-    R = _polar(np.array(x[3:12]).reshape(3, 3))
-    return x[:3] + R.ravel().tolist() + x[12:]
-
-
-def project_to_rotation(R: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix (polar projection via SVD) of a 3x3 float64 R.
-
-    The SVD is svd_f, the LAPACK gufunc np.linalg.svd runs for float64 with
-    full matrices, called without the wrapper's per-call cost and with its
-    bits. Raises NonFiniteState before the SVD if any entry is NaN or
-    infinite: the bare kernel returns NaN on NaN, and LAPACK may not return
-    on an infinite entry.
-    """
-    if not np.isfinite(R).all():
-        raise NonFiniteState("cannot project a non-finite matrix onto SO(3)")
-    return _polar(R)
-
-
-def _polar(R: np.ndarray) -> np.ndarray:
-    # project_to_rotation of an R already known to be finite.
-    U, _, Vt = svd_f(R, signature="d->ddd")
+    """The flat state x, every entry finite (advance checks them: LAPACK may
+    not return on an infinite entry), with its R block projected onto SO(3)
+    as U Vt of its SVD by svd_f, the LAPACK gufunc np.linalg.svd runs for
+    float64 with full matrices, without the wrapper's per-call cost."""
+    U, _, Vt = svd_f(np.array(x[3:12]).reshape(3, 3), signature="d->ddd")
     Q = U.dot(Vt)
-    if _det3(Q.tolist()) < 0.0:
+    # Only det(Q)'s sign is used: Q is orthogonal, so det is +-1 up to round-off.
+    (a, b, c), (d, e, f), (g, h, i) = Q.tolist()
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
         U = U.copy()
         U[:, -1] = -U[:, -1]
         Q = U.dot(Vt)
-    return Q
-
-
-def _det3(M):
-    # Only the sign is used: U @ Vt is orthogonal, so det is +-1 up to round-off.
-    # M is a 3x3 nested list of floats.
-    (a, b, c), (d, e, f), (g, h, i) = M
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return x[:3] + Q.ravel().tolist() + x[12:]
 
 
 def advance(
@@ -190,17 +184,6 @@ def advance(
 _GIMBAL_TOL = 1.0 - 1e-9
 
 
-def euler_of_R(x: list[float]) -> tuple[float, float, float]:
-    """Z-Y-X Euler angles (roll phi, pitch theta, yaw psi) of the flat
-    state's R = Rz Ry Rx: roll_pitch_of_R of the one state, and yaw_of_R.
-
-    Near the pitch singularity (|R31| -> 1) the roll/yaw split is ambiguous;
-    roll is set to zero and yaw absorbs the remaining in-plane rotation.
-    """
-    (phi,), (theta,) = (col.tolist() for col in roll_pitch_of_R(np.array([x[3:12]])))
-    return phi, theta, yaw_of_R(x)
-
-
 def yaw_of_R(x: list[float]) -> float:
     """The yaw of the flat state's R, with one scalar np.arctan2 call."""
     if abs(x[9]) > _GIMBAL_TOL:  # |R31|, clamped to 1 or not
@@ -209,9 +192,10 @@ def yaw_of_R(x: list[float]) -> float:
 
 
 def roll_pitch_of_R(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The roll and pitch columns of a block of flat R rows (n, 9); numpy's
-    arcsin and arctan2 (not math's, which can round differently) on
-    columns round as on each single state's entries."""
+    """The Z-Y-X roll and pitch columns (R = Rz Ry Rx) of a block of flat R
+    rows (n, 9); near |R31| = 1 roll is 0 and yaw_of_R takes the in-plane
+    rotation. numpy's arcsin and arctan2 (not math's, which can round
+    differently) on columns round as on each single state's entries."""
     r31 = np.minimum(np.maximum(R[:, 6], -1.0), 1.0)
     gimbal = np.abs(r31) > _GIMBAL_TOL
     theta = np.where(gimbal, -np.copysign(math.pi / 2.0, r31), -np.arcsin(r31))

@@ -31,7 +31,7 @@ from .barriers import (
     lateral_rows,
 )
 from .controller import ControllerGains, Reference
-from .dynamics import (NonFiniteState, QuadParams, QuadState, advance, flat_of,
+from .dynamics import (NonFiniteState, QuadParams, QuadState, advance, check_fields, flat_of,
                        roll_pitch_of_R, yaw_of_R)
 
 ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)
@@ -50,6 +50,7 @@ class ReferenceConfig:
     yaw_constant: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self, {"amplitude": 3, "frequency": 3, "yaw_constant": 0})
         if self.yaw_mode not in ("atan2", "constant"):
             raise ValueError("yaw_mode must be 'atan2' or 'constant'")
 
@@ -73,15 +74,11 @@ class Scenario:
                 f"duration ({self.duration} s) and dt ({self.dt} s) must be positive "
                 "and give at least one step"
             )
-        by_domain: dict[BarrierDomain, list[float]] = {}
         for spec in self.barriers:
-            by_domain.setdefault(spec.domain, []).append(spec.active_from)
-        for domain, starts in by_domain.items():
+            starts = sorted(s.active_from for s in self.barriers if s.domain is spec.domain)
             if len(starts) != len(set(starts)):
-                raise ValueError(
-                    f"overlapping schedule for {domain.value}: duplicate "
-                    f"activation times {sorted(starts)}"
-                )
+                raise ValueError(f"overlapping schedule for {spec.domain.value}: duplicate "
+                                 f"activation times {starts}")
 
 
 class TraceTooLong(Exception):
@@ -139,24 +136,20 @@ def reference_rows(t: np.ndarray, cfg: ReferenceConfig) -> list[Reference]:
                     psi_d))
 
 
-def reference_at(t: float, cfg: ReferenceConfig) -> Reference:
-    """The reference at one time t: reference_rows of a one-entry column."""
-    return reference_rows(np.array([t], dtype=float), cfg)[0]
+def activation_windows(barriers: tuple[BarrierSpec, ...]) -> dict[BarrierSpec, tuple]:
+    """Each spec's activation window (start, stop): from its active_from to
+    the next activation on its domain (inf if none), which supersedes it."""
+    return {spec: (spec.active_from,
+                   min((s.active_from for s in barriers if s.domain is spec.domain
+                        and s.active_from > spec.active_from), default=math.inf))
+            for spec in barriers}
 
 
-def active_barriers(
-    barriers: tuple[BarrierSpec, ...], t: float, domains
-) -> list[BarrierSpec]:
-    """Latest activated spec per domain (later specs supersede earlier ones)."""
-    out = []
-    for domain in domains:
-        candidates = [
-            spec for spec in barriers
-            if spec.domain is domain and spec.active_from <= t
-        ]
-        if candidates:
-            out.append(max(candidates, key=lambda spec: spec.active_from))
-    return out
+def active_barriers(barriers: tuple[BarrierSpec, ...], t: float, domains) -> list[BarrierSpec]:
+    """The spec active at time t on each of domains that has one, in their order."""
+    windows = activation_windows(barriers).items()
+    return [spec for domain in domains for spec, (start, stop) in windows
+            if spec.domain is domain and start <= t < stop]
 
 
 # numpy's floating-point warnings are off for the run: each non-finite
@@ -166,17 +159,14 @@ def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = No
     """Simulate the closed loop; returns the Trace of every step. consumer,
     if given, gets the trace and the rows of each finished block, in order."""
     from array import array  # a row of C doubles per step, no float objects kept
-
-    params = scenario.params
-    gains = scenario.gains
-    dt = scenario.dt
+    params, gains, dt = scenario.params, scenario.gains, scenario.dt
     n_steps = int(round(scenario.duration / dt))
     scenario.initial_state.validate(tol=1e-6)
     domains = [d for d in BarrierDomain if any(spec.domain is d for spec in scenario.barriers)]
     trace = Trace(n_steps, domains, dt)
     events = trace.events
     # A step's h and H cells, in block order: d's H at H_cells[d]. The h
-    # cells stay NaN until the block is finished.
+    # cells stay NaN; finishing a block fills them.
     H_cells, nan_cells = {}, []
     for d in domains:
         i = len(nan_cells)
@@ -185,113 +175,104 @@ def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = No
     # The state, as 18 floats [r, R row-major, v, omega].
     x = flat_of(scenario.initial_state)
     prev_active: dict[BarrierDomain, float] = {}
-    # The active set changes only at activation times, so the schedule is
-    # re-read only once t reaches the next of them. A spec is active until
-    # the next activation on its domain.
+    # The active set changes only at activation times: re-read at the next.
+    windows = activation_windows(scenario.barriers)
     next_switch = -math.inf
-    until = {spec: min((s.active_from for s in scenario.barriers if s.domain is spec.domain
-                        and s.active_from > spec.active_from), default=math.inf)
-             for spec in scenario.barriers}
     # The actuator boxes of the two QPs.
     f_lower, f_upper = [0.0], [params.f_max]
-    tau_upper = list(params.tau_max)
-    tau_lower = [-b for b in tau_upper]
+    tau_lower, tau_upper = [-b for b in params.tau_max], list(params.tau_max)
 
-    for k in range(n_steps):
-        if k % EXPORT_ROWS == 0:
-            block_rows = slice(k, min(k + EXPORT_ROWS, n_steps))
-            t_col = np.arange(block_rows.start, block_rows.stop) * dt
-            steps = zip(t_col.tolist(), reference_rows(t_col, scenario.reference))
-            record = array("d")  # block columns 1:, roll, pitch and h NaN
-        t, ref = next(steps)
+    for first in range(0, n_steps, EXPORT_ROWS):
+        block_rows = slice(first, min(first + EXPORT_ROWS, n_steps))
+        t_col = np.arange(first, block_rows.stop) * dt
+        record = array("d")  # block columns 1:, roll, pitch and h NaN
+        for k, t, ref in zip(range(first, block_rows.stop), t_col.tolist(),
+                             reference_rows(t_col, scenario.reference)):
+            if t >= next_switch:
+                hi_active = active_barriers(scenario.barriers, t, ALTITUDE_DOMAINS)
+                lo_active = active_barriers(scenario.barriers, t, LATERAL_DOMAINS)
+                active = hi_active + lo_active
+                for spec in active:
+                    if prev_active.get(spec.domain) not in (None, spec.active_from):
+                        events.append((k, f"barrier-switch:{spec.domain.value}"))
+                    prev_active[spec.domain] = spec.active_from
+                # Each active barrier's constrained states and H cells, so
+                # that the steps look up none.
+                offsets = [(i, c, p) for spec in active
+                           for i, c, p in zip(spec.idx, spec.c, spec.p)]
+                hi_H_at = [H_cells[spec.domain] for spec in hi_active]
+                lo_H_at = [H_cells[spec.domain] for spec in lo_active]
+                next_switch = min((start for start, _ in windows.values() if start > t),
+                                  default=math.inf)
 
-        if t >= next_switch:
-            hi_active = active_barriers(scenario.barriers, t, ALTITUDE_DOMAINS)
-            lo_active = active_barriers(scenario.barriers, t, LATERAL_DOMAINS)
-            active = hi_active + lo_active
-            for spec in active:
-                if prev_active.get(spec.domain) not in (None, spec.active_from):
-                    events.append((k, f"barrier-switch:{spec.domain.value}"))
-                prev_active[spec.domain] = spec.active_from
-            # Each active barrier's constrained states and H cells, so that
-            # the steps look up none.
-            offsets = [(i, c, p) for spec in active for i, c, p in zip(spec.idx, spec.c, spec.p)]
-            hi_H_at = [H_cells[spec.domain] for spec in hi_active]
-            lo_H_at = [H_cells[spec.domain] for spec in lo_active]
-            next_switch = min(
-                (spec.active_from for spec in scenario.barriers if spec.active_from > t),
-                default=math.inf,
-            )
+            if not all(abs((x[i] - c) / p) < H_FINITE_OFFSET for i, c, p in offsets):
+                for spec, h in zip(active, barrier_h(x, active)):
+                    if not math.isfinite(h):
+                        raise NonFiniteState(f"{spec.domain.value} barrier value is {h}")
 
-        if not all(abs((x[i] - c) / p) < H_FINITE_OFFSET for i, c, p in offsets):
-            for spec, h in zip(active, barrier_h(x, active)):
-                if not math.isfinite(h):
-                    raise NonFiniteState(f"{spec.domain.value} barrier value is {h}")
-
-        cells = nan_cells.copy()
-        psi = yaw_of_R(x)
-        z, R33, zd = x[2], x[11], x[14]
-        r_ddot_cmd = ctl.position_loop(x, ref, gains)
-        try:
-            f_hat = ctl.thrust_from_accel(r_ddot_cmd[2], R33, params)
-        except ctl.AttitudeSingular:
-            f_hat = min(max(params.m * params.g, 0.0), params.f_max)
-            events.append((k, "attitude-singular:thrust"))
-
-        qp_hi_status = ""
-        f_star = f_hat
-        if scenario.filter_high and hi_active:
-            rows = [altitude_row(spec, z, zd, R33, params) for spec in hi_active]
-            qp_rows = qp.finite_rows(hi_active, rows)
-            (f_star,), status, _, _ = qp.solve_qp([f_hat], qp_rows, f_lower, f_upper)
-            if status is qp.QpStatus.INFEASIBLE:
-                (f_star,) = qp.least_infeasible([f_hat], qp_rows, f_lower, f_upper)
-                events.append((k, "infeasible:high"))
-            qp_hi_status = status.value
-            for at, (_, _, _, H) in zip(hi_H_at, rows):
-                cells[at] = H.tolist()
-
-        try:
-            omega_cmd = ctl.attitude_loop(
-                x, r_ddot_cmd, f_star, psi, ref.psi_d, gains, params
-            )
-        except (ctl.AttitudeSingular, ctl.ThrustTooSmall) as exc:
-            omega_cmd = [0.0, 0.0, 0.0]
-            kind = "attitude-singular" if isinstance(exc, ctl.AttitudeSingular) else "thrust-floor"
-            events.append((k, f"{kind}:rates"))
-        tau_hat = ctl.body_rate_loop(x, omega_cmd, gains, params)
-
-        qp_lo_status = ""
-        m_star = tau_hat[:2]
-        if scenario.filter_low and lo_active:
+            cells = nan_cells.copy()
+            psi = yaw_of_R(x)
+            z, R33, zd = x[2], x[11], x[14]
+            r_ddot_cmd = ctl.position_loop(x, ref, gains)
             try:
-                rows = lateral_rows(x, f_star, lo_active, params)
-            except LateralSingular:
-                qp_lo_status = "singular"
-                events.append((k, "lateral-singular"))
-            else:
-                qp_rows = qp.finite_rows(lo_active, rows)
-                m_star, status, _, _ = qp.solve_qp(tau_hat[:2], qp_rows, tau_lower, tau_upper)
-                if status is qp.QpStatus.INFEASIBLE:
-                    m_star = qp.least_infeasible(tau_hat[:2], qp_rows, tau_lower, tau_upper)
-                    events.append((k, "infeasible:low"))
-                qp_lo_status = status.value
-                for at, (_, _, _, H) in zip(lo_H_at, rows):
-                    cells[at] = H.tolist()
-        record.fromlist([*x, math.nan, math.nan, psi, f_hat, f_star, *tau_hat, *m_star, *cells])
-        trace.qp_hi_status.append(qp_hi_status)
-        trace.qp_lo_status.append(qp_lo_status)
-        x = advance(x, f_star, [*m_star, tau_hat[2]], params, dt)
+                f_hat = ctl.thrust_from_accel(r_ddot_cmd[2], R33, params)
+            except ctl.AttitudeSingular:
+                f_hat = min(max(params.m * params.g, 0.0), params.f_max)
+                events.append((k, "attitude-singular:thrust"))
 
-        if k + 1 == block_rows.stop:  # finish the block
-            block, x_rows = trace.block[block_rows], trace.x[block_rows]
-            block[:, 1:] = np.frombuffer(record).reshape(len(block), -1)
-            block[:, 0] = t_col
-            euler = trace.euler[block_rows]
-            euler[:, 0], euler[:, 1] = roll_pitch_of_R(x_rows[:, 3:12])
-            for spec in scenario.barriers:
-                on = (spec.active_from <= t_col) & (t_col < until[spec])
-                trace.h[spec.domain][block_rows][on] = barrier_h_column(x_rows[on], spec)
-            if consumer is not None:
-                consumer(trace, block_rows)
+            qp_hi_status = ""
+            f_star = f_hat
+            if scenario.filter_high and hi_active:
+                rows = [altitude_row(spec, z, zd, R33, params) for spec in hi_active]
+                qp_rows = qp.finite_rows(hi_active, rows)
+                (f_star,), status, _, _ = qp.solve_qp([f_hat], qp_rows, f_lower, f_upper)
+                if status is qp.QpStatus.INFEASIBLE:
+                    (f_star,) = qp.least_infeasible([f_hat], qp_rows, f_lower, f_upper)
+                    events.append((k, "infeasible:high"))
+                qp_hi_status = status.value
+                for at, (_, _, _, H) in zip(hi_H_at, rows):
+                    cells[at] = H.tolist()
+
+            try:
+                omega_cmd = ctl.attitude_loop(x, r_ddot_cmd, f_star, psi, ref.psi_d, gains,
+                                              params)
+            except (ctl.AttitudeSingular, ctl.ThrustTooSmall) as exc:
+                omega_cmd = [0.0, 0.0, 0.0]
+                kind = ("attitude-singular" if isinstance(exc, ctl.AttitudeSingular)
+                        else "thrust-floor")
+                events.append((k, f"{kind}:rates"))
+            tau_hat = ctl.body_rate_loop(x, omega_cmd, gains, params)
+
+            qp_lo_status = ""
+            m_star = tau_hat[:2]
+            if scenario.filter_low and lo_active:
+                try:
+                    rows = lateral_rows(x, f_star, lo_active, params)
+                except LateralSingular:
+                    qp_lo_status = "singular"
+                    events.append((k, "lateral-singular"))
+                else:
+                    qp_rows = qp.finite_rows(lo_active, rows)
+                    m_star, status, _, _ = qp.solve_qp(tau_hat[:2], qp_rows, tau_lower, tau_upper)
+                    if status is qp.QpStatus.INFEASIBLE:
+                        m_star = qp.least_infeasible(tau_hat[:2], qp_rows, tau_lower, tau_upper)
+                        events.append((k, "infeasible:low"))
+                    qp_lo_status = status.value
+                    for at, (_, _, _, H) in zip(lo_H_at, rows):
+                        cells[at] = H.tolist()
+            record.fromlist([*x, math.nan, math.nan, psi, f_hat, f_star, *tau_hat, *m_star,
+                             *cells])
+            trace.qp_hi_status.append(qp_hi_status)
+            trace.qp_lo_status.append(qp_lo_status)
+            x = advance(x, f_star, [*m_star, tau_hat[2]], params, dt)
+
+        block, x_rows = trace.block[block_rows], trace.x[block_rows]
+        block[:, 1:] = np.frombuffer(record).reshape(len(block), -1)
+        block[:, 0] = t_col
+        trace.euler[block_rows, 0], trace.euler[block_rows, 1] = roll_pitch_of_R(x_rows[:, 3:12])
+        for spec, (start, stop) in windows.items():
+            on = (start <= t_col) & (t_col < stop)
+            trace.h[spec.domain][block_rows][on] = barrier_h_column(x_rows[on], spec)
+        if consumer is not None:
+            consumer(trace, block_rows)
     return trace

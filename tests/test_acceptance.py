@@ -15,7 +15,7 @@ from quadsafe.cli import main
 from quadsafe.config import load_preset
 from quadsafe.oracle import check_all_chains
 from quadsafe.qp import QpStatus, solve_qp
-from quadsafe.sim import reference_at, run
+from quadsafe.sim import reference_rows, run
 
 from conftest import preset_trace
 from kkt import kkt_residual
@@ -61,8 +61,7 @@ def test_a2_altitude_invariance():
         mins[domain] = m
     limit = 2.0
     exceed = sum(
-        1 for t in trace.t.tolist()
-        if abs(reference_at(t, scenario.reference).r_d[2]) > limit
+        1 for ref in reference_rows(trace.t, scenario.reference) if abs(ref.r_d[2]) > limit
     )
     frac = exceed / len(trace)
     assert frac >= 0.20, f"reference exceeds the limit only {frac:.1%} of steps"
@@ -82,8 +81,8 @@ def test_a3_lateral_invariance_and_tracking():
     margin = 2.0 - 0.5
     errs = [
         float(np.hypot(x - ref.r_d[0], y - ref.r_d[1]))
-        for t, (x, y) in zip(trace.t.tolist(), trace.r[:, :2].tolist())
-        for ref in [reference_at(t, scenario.reference)]
+        for t, (x, y), ref in zip(trace.t.tolist(), trace.r[:, :2].tolist(),
+                                  reference_rows(trace.t, scenario.reference))
         if t >= 2.0 and max(abs(ref.r_d[0]), abs(ref.r_d[1])) <= margin
     ]
     worst_err = max(errs)
@@ -101,8 +100,8 @@ def test_a4_mid_flight_tightening():
     # steady tracking while unconstrained).
     errs = [
         max(abs(vx - ref.v_d[0]), abs(vy - ref.v_d[1]))
-        for t, (vx, vy) in zip(trace.t.tolist(), trace.v[:, :2].tolist())
-        for ref in [reference_at(t, scenario.reference)]
+        for t, (vx, vy), ref in zip(trace.t.tolist(), trace.v[:, :2].tolist(),
+                                    reference_rows(trace.t, scenario.reference))
         if 2.0 <= t < t_switch
     ]
     pre_err = max(errs)

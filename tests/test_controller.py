@@ -19,7 +19,9 @@ from quadsafe.controller import (
     position_loop,
     thrust_from_accel,
 )
-from quadsafe.dynamics import QuadParams, QuadState, R_of_euler, euler_of_R, flat_of
+from quadsafe.dynamics import QuadParams, QuadState, R_of_euler, flat_of, yaw_of_R
+
+from conftest import check_refusals
 
 HOVER = flat_of(QuadState())
 
@@ -93,6 +95,10 @@ class TestGains:
             ControllerGains(Kp=np.array([-1.0, 8.0, 12.0]))
         with pytest.raises(ValueError):
             ControllerGains(k_R=0.0)
+
+    def test_every_field_refuses_non_finite_values_and_wrong_sizes(self):
+        for name in ("Kp", "Kd", "k_R", "k_psi", "k_omega"):
+            check_refusals(ControllerGains, name)
 
 
 class TestPositionLoop:
@@ -177,7 +183,7 @@ class TestAttitudeLoop:
         p = QuadParams()
         x = flat_of(QuadState(R=R_of_euler(0.0, 1.5, 0.0)))
         with pytest.raises(AttitudeSingular):
-            attitude_loop(x, np.zeros(3), p.m * p.g, euler_of_R(x)[2], 0.0,
+            attitude_loop(x, np.zeros(3), p.m * p.g, yaw_of_R(x), 0.0,
                           ControllerGains(), p)
 
 
@@ -214,7 +220,7 @@ class TestNominalCommand:
         ref = hover_ref()
         acc = position_loop(HOVER, ref, g)
         f_hat = thrust_from_accel(acc[2], HOVER[11], p)
-        omega_cmd = attitude_loop(HOVER, acc, f_hat, euler_of_R(HOVER)[2], ref.psi_d, g, p)
+        omega_cmd = attitude_loop(HOVER, acc, f_hat, yaw_of_R(HOVER), ref.psi_d, g, p)
         tau_hat = body_rate_loop(HOVER, omega_cmd, g, p)
         assert f_hat == pytest.approx(p.m * p.g)
         assert np.allclose(tau_hat, 0.0, atol=1e-12)
@@ -259,7 +265,7 @@ class TestArrayFormulation:
             pq = (W @ np.array([g.k_R * (R13_cmd - R[0, 2]),
                                 g.k_R * (R23_cmd - R[1, 2])])) / R[2, 2]
             psi = float(np.arctan2(R[1, 0], R[0, 0]))
-            w_cmd = attitude_loop(x, acc, f, euler_of_R(x)[2], ref.psi_d, g, p)
+            w_cmd = attitude_loop(x, acc, f, yaw_of_R(x), ref.psi_d, g, p)
             assert np.array_equal(
                 w_cmd, [pq[0], pq[1], g.k_psi * _wrap_angle(ref.psi_d - psi)])
 
@@ -298,7 +304,7 @@ class TestFloatLoopsAreTheArrayForms:
             assert packed(acc) == packed(old_acc.tolist())
 
             f = float(rng.uniform(0.5, 36.0))
-            psi = euler_of_R(x)[2]
+            psi = yaw_of_R(x)
             w_cmd = attitude_loop(x, acc, f, psi, psi_d, g, p)
             old_w_cmd = old_attitude_loop(x, old_acc, f, psi, psi_d, g, p)
             assert all(type(v) is float for v in w_cmd)

@@ -1,5 +1,6 @@
 """Rigid-body dynamics: vector field, integrator, and rotation utilities."""
 
+import math
 import os
 import subprocess
 import sys
@@ -15,10 +16,24 @@ from quadsafe.dynamics import (
     R_of_euler,
     advance,
     deriv,
-    euler_of_R,
     flat_of,
-    project_to_rotation,
+    project_flat,
+    roll_pitch_of_R,
+    yaw_of_R,
 )
+
+from conftest import check_refusals
+
+
+def euler(x):
+    """Roll, pitch and yaw of the flat state x, as sim.run records them."""
+    (phi,), (theta,) = (col.tolist() for col in roll_pitch_of_R(np.array([x[3:12]])))
+    return phi, theta, yaw_of_R(x)
+
+
+def project(R):
+    """R projected onto SO(3) by project_flat, as a 3x3 array."""
+    return np.array(project_flat([0.0] * 3 + R.ravel().tolist() + [0.0] * 6)[3:12]).reshape(3, 3)
 
 
 def random_state(rng, angle_scale=0.5):
@@ -44,6 +59,12 @@ class TestParams:
     def test_rejects_thrust_below_hover(self):
         with pytest.raises(ValueError):
             QuadParams(f_max=0.45 * 9.81 * 0.5)
+
+    def test_every_field_refuses_non_finite_values_and_wrong_sizes(self):
+        # The actuator bounds may be infinite (no bound), never NaN.
+        for name in ("g", "m", "Ix", "Iy", "Iz", "f_max", "tau_max"):
+            check_refusals(QuadParams, name, infinite=name in ("f_max", "tau_max"))
+        QuadParams(f_max=math.inf, tau_max=(math.inf, math.inf))
 
 
 class TestStateValidation:
@@ -194,8 +215,7 @@ class TestStep:
             new = np.array(advance(flat_of(s), f, tau.tolist(), p, dt))
             assert np.array_equal(new[:3], x1[:3]) and np.array_equal(new[12:15], x1[12:15])
             assert np.array_equal(new[15:], x1[15:])
-            assert np.array_equal(new[3:12].reshape(3, 3),
-                                  project_to_rotation(x1[3:12].reshape(3, 3)))
+            assert np.array_equal(new, project_flat(x1.tolist()))
 
 
 class TestRotationUtilities:
@@ -203,20 +223,20 @@ class TestRotationUtilities:
         rng = np.random.default_rng(11)
         for _ in range(20):
             R = R_of_euler(*rng.uniform(-1, 1, size=3)) + 1e-3 * rng.normal(size=(3, 3))
-            Q = project_to_rotation(R)
+            Q = project(R)
             assert np.allclose(Q @ Q.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
 
     def test_project_fixes_rotations(self):
         R = R_of_euler(0.3, -0.4, 1.2)
-        assert np.allclose(project_to_rotation(R), R, atol=1e-12)
+        assert np.allclose(project(R), R, atol=1e-12)
 
     def test_euler_roundtrip(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             phi, theta, psi = rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4), rng.uniform(-3.1, 3.1)
             R = R_of_euler(phi, theta, psi)
-            phi2, theta2, psi2 = euler_of_R(flat_of(QuadState(R=R)))
+            phi2, theta2, psi2 = euler(flat_of(QuadState(R=R)))
             assert np.allclose(R_of_euler(phi2, theta2, psi2), R, atol=1e-9)
 
     def test_euler_bitwise_equal_to_array_form(self):
@@ -226,30 +246,32 @@ class TestRotationUtilities:
             theta = float(-np.arcsin(np.clip(R[2, 0], -1.0, 1.0)))
             expected = (float(np.arctan2(R[2, 1], R[2, 2])), theta,
                         float(np.arctan2(R[1, 0], R[0, 0])))
-            assert euler_of_R(flat_of(QuadState(R=R))) == expected
+            assert euler(flat_of(QuadState(R=R))) == expected
 
     def test_euler_gimbal_branch(self):
         R = R_of_euler(0.0, np.pi / 2, 0.0)
-        phi, theta, psi = euler_of_R(flat_of(QuadState(R=R)))
+        phi, theta, psi = euler(flat_of(QuadState(R=R)))
         assert theta == pytest.approx(np.pi / 2, abs=1e-6)
         assert np.isfinite(phi) and np.isfinite(psi)
 
 
-# Projects one non-finite input in a fresh interpreter and prints the name of
-# what it raised. LAPACK may not return on an infinite entry, so the test
-# runs it under a timeout: a lost check fails instead of hanging the suite.
+# Steps one state with a non-finite entry in a fresh interpreter and prints
+# the name of what it raised. LAPACK may not return on an infinite entry, so
+# the test runs it under a timeout: a lost check fails instead of hanging
+# the suite.
 _NON_FINITE_CHILD = """
 import sys
 import numpy as np
-from quadsafe.dynamics import QuadParams, project_to_rotation
+from quadsafe.dynamics import QuadParams, advance
 from quadsafe.oracle import flow
 
 value, form = float(sys.argv[1]), sys.argv[2]
 try:
-    if form == "single":
-        R = np.eye(3)
-        R[1, 2] = value
-        project_to_rotation(R)
+    if form == "single":  # advance refuses the stepped state before the SVD
+        x = [0.0] * 18
+        x[3] = x[7] = x[11] = 1.0
+        x[8] = value
+        advance(x, 4.0, [0.0, 0.0, 0.0], QuadParams(), 1e-3)
     else:  # an oracle flow whose stencil end state is not finite
         x = np.zeros((4, 18))
         x[:, [3, 7, 11]] = 1.0

@@ -34,7 +34,6 @@ from quadsafe.dynamics import (
     QuadState,
     R_of_euler,
     deriv,
-    euler_of_R,
     rk4_flat,
     roll_pitch_of_R,
     yaw_of_R,
@@ -188,7 +187,7 @@ def test_rk4_on_float64_columns_is_rk4_on_floats():
 
 
 def test_svd_kernel_is_np_linalg_svd():
-    # project_to_rotation calls svd_f, the gufunc np.linalg.svd runs for
+    # project_flat calls svd_f, the gufunc np.linalg.svd runs for
     # float64 with full matrices, without the wrapper; on one matrix and on a
     # stack it must return the wrapper's bits. A numpy that moves or changes
     # the private kernel fails here (or at import of quadsafe.dynamics).
@@ -366,8 +365,8 @@ def test_reference_columns_are_the_per_step_calls(name):
 
 
 def gimbal_states():
-    """Flat states with |R31| within 1e-9 of 1, where euler_of_R takes its
-    gimbal branch, and just outside it."""
+    """Flat states with |R31| within 1e-9 of 1, where roll_pitch_of_R and
+    yaw_of_R take their gimbal branch, and just outside it."""
     rows = []
     for theta in (math.pi / 2, -math.pi / 2, math.pi / 2 - 1e-6, -math.pi / 2 + 2e-5,
                   math.pi / 2 - 1e-4, -math.pi / 2 + 1e-4):
@@ -378,15 +377,17 @@ def gimbal_states():
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_euler_columns_are_euler_of_R(name):
+def test_euler_columns_are_single_state_calls(name):
     # np.arcsin and np.arctan2 on the roll/pitch columns of EXPORT_ROWS
-    # states, and yaw_of_R's scalar np.arctan2, against euler_of_R's calls
-    # on each state.
+    # states against roll_pitch_of_R on each state alone, and yaw_of_R's
+    # scalar np.arctan2 against np.arctan2 on the yaw columns.
     for x in [*preset_blocks(name), gimbal_states()]:
         phi, theta = roll_pitch_of_R(x[:, 3:12])
-        want = [euler_of_R(row) for row in x.tolist()]
-        same(np.column_stack([phi, theta]), [e[:2] for e in want])
-        same([yaw_of_R(row) for row in x.tolist()], [e[2] for e in want])
+        want = [roll_pitch_of_R(x[i:i + 1, 3:12]) for i in range(len(x))]
+        same(np.column_stack([phi, theta]), [(p[0], t[0]) for p, t in want])
+        yaw = np.where(np.abs(x[:, 9]) > 1.0 - 1e-9, np.arctan2(-x[:, 4], x[:, 7]),
+                       np.arctan2(x[:, 6], x[:, 3]))
+        same([yaw_of_R(row) for row in x.tolist()], yaw)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

@@ -16,14 +16,16 @@ from quadsafe.sim import (
     ReferenceConfig,
     Scenario,
     active_barriers,
-    reference_at,
+    reference_rows,
     run,
 )
 
+from conftest import check_refusals
+
 
 def old_reference_at(t, cfg):
-    # Verbatim copy of the array form reference_at replaced: the same floats,
-    # returned as numpy arrays.
+    # Verbatim copy of the one-time array form that reference_rows replaced:
+    # the same floats, returned as numpy arrays.
     r_d, v_d, a_d = [], [], []
     for a, w in zip(cfg.amplitude.tolist(), cfg.frequency.tolist()):
         wt = w * t
@@ -49,8 +51,8 @@ def alt_barrier(active_from=0.0, half_width=2.0):
 
 class TestReference:
     def test_math_sin_cos_are_numpy_on_every_preset_grid(self):
-        # reference_at evaluates math.sin/math.cos in place of numpy's scalar
-        # np.sin/np.cos; they must agree bit for bit at every w * t a preset
+        # old_reference_at evaluates math.sin/math.cos in place of numpy's
+        # scalar np.sin/np.cos; they must agree bit for bit at every w * t a preset
         # reaches at dt = 1 ms (t = k * dt, as sim.run forms it).
         pack = struct.Struct("<d").pack
         n = 0
@@ -68,17 +70,16 @@ class TestReference:
         cfg = ReferenceConfig()
         eps = 1e-6
         for t in (0.3, 1.7, 12.4):
-            ref = reference_at(t, cfg)
-            rp = reference_at(t + eps, cfg)
-            rm = reference_at(t - eps, cfg)
+            rm, ref, rp = reference_rows(np.array([t - eps, t, t + eps]), cfg)
             assert np.allclose((np.asarray(rp.r_d) - np.asarray(rm.r_d)) / (2 * eps),
                                ref.v_d, atol=1e-6)
             assert np.allclose((np.asarray(rp.v_d) - np.asarray(rm.v_d)) / (2 * eps),
                                ref.a_d, atol=1e-5)
 
     def test_floats_are_the_array_form_on_every_preset_grid(self):
-        # reference_at returns float tuples; on every step a preset takes,
-        # in both yaw modes, they hold the array form's bits.
+        # reference_rows returns float tuples; on every step a preset takes,
+        # in run's blocks of EXPORT_ROWS steps and in both yaw modes, they
+        # hold the array form's bits.
         grids = {}
         for name in PRESETS:
             scenario = load_preset(name)
@@ -90,31 +91,37 @@ class TestReference:
         n_steps = 0
         for cfg, n, dt in grids.values():
             for mode in (cfg, dataclasses.replace(cfg, yaw_mode="constant", yaw_constant=0.7)):
-                for k in range(n):
-                    t = k * dt
-                    new, old = reference_at(t, mode), old_reference_at(t, mode)
-                    got = [*new.r_d, *new.v_d, *new.a_d, new.psi_d]
-                    want = [*old.r_d.tolist(), *old.v_d.tolist(), *old.a_d.tolist(), old.psi_d]
-                    assert all(type(v) is float for v in got), (t, got)
-                    assert struct.pack("<10d", *got) == struct.pack("<10d", *want), (t, mode)
+                for first in range(0, n, sim.EXPORT_ROWS):
+                    t_col = np.arange(first, min(first + sim.EXPORT_ROWS, n)) * dt
+                    for t, new in zip(t_col.tolist(), reference_rows(t_col, mode)):
+                        old = old_reference_at(t, mode)
+                        got = [*new.r_d, *new.v_d, *new.a_d, new.psi_d]
+                        want = [*old.r_d.tolist(), *old.v_d.tolist(), *old.a_d.tolist(),
+                                old.psi_d]
+                        assert all(type(v) is float for v in got), (t, got)
+                        assert struct.pack("<10d", *got) == struct.pack("<10d", *want), (t, mode)
             n_steps += n
         assert n_steps >= 45_000
 
     def test_yaw_tracks_position_direction(self):
         cfg = ReferenceConfig()
-        ref = reference_at(1.0, cfg)
+        (ref,) = reference_rows(np.array([1.0]), cfg)
         assert ref.psi_d == pytest.approx(np.arctan2(ref.r_d[1], ref.r_d[0]))
 
     def test_yaw_at_origin_is_zero(self):
-        assert reference_at(0.0, ReferenceConfig()).psi_d == 0.0
+        assert reference_rows(np.array([0.0]), ReferenceConfig())[0].psi_d == 0.0
 
     def test_constant_yaw_mode(self):
         cfg = ReferenceConfig(yaw_mode="constant", yaw_constant=0.7)
-        assert reference_at(5.0, cfg).psi_d == 0.7
+        assert reference_rows(np.array([5.0]), cfg)[0].psi_d == 0.7
 
     def test_rejects_unknown_yaw_mode(self):
         with pytest.raises(ValueError):
             ReferenceConfig(yaw_mode="spin")
+
+    def test_every_field_refuses_non_finite_values_and_wrong_sizes(self):
+        for name in ("amplitude", "frequency", "yaw_constant"):
+            check_refusals(ReferenceConfig, name)
 
 
 class TestScheduling:
@@ -128,6 +135,24 @@ class TestScheduling:
     def test_not_yet_active(self):
         assert active_barriers((alt_barrier(5.0),), 1.0,
                                (BarrierDomain.ALTITUDE_POSITION,)) == []
+
+    def test_run_follows_the_latest_activation(self):
+        # dt = 1 ms: two specs activate between steps 0 and 1, the second
+        # supersedes the first, and a third takes over at step 5. The run
+        # records the spec each step follows, and a switch event only where
+        # one recorded spec replaces another.
+        specs = tuple(alt_barrier(t0, w) for t0, w in ((0.0001, 1.0), (0.0002, 1.5),
+                                                       (0.005, 3.0)))
+        sc = Scenario(duration=0.01, barriers=specs,
+                      initial_state=QuadState(r=np.array([0.0, 0.0, 0.5])))
+        trace = run(sc)
+        assert trace.events == [(5, "barrier-switch:altitude_position")]
+        h = trace.h[BarrierDomain.ALTITUDE_POSITION]
+        assert np.isnan(h[0])
+        for rows, spec in ((slice(1, 5), specs[1]), (slice(5, None), specs[2])):
+            want = [1.0 - ((z - 0.0) / spec.half_width[0]) ** 4 for z in trace.r[rows, 2]]
+            assert h[rows] == pytest.approx(want, rel=0.0, abs=1e-15)
+        assert not np.isclose(h[1:5], 1.0 - (trace.r[1:5, 2] / 1.0) ** 4).any()
 
     def test_duplicate_activation_rejected(self):
         with pytest.raises(ValueError):
@@ -214,7 +239,7 @@ class TestRun:
         sc = Scenario(duration=8.0, gains=gains,
                       filter_high=False, filter_low=False)
         trace = run(sc)
-        ref = reference_at(trace.t[-1], sc.reference)
+        (ref,) = reference_rows(trace.t[-1:], sc.reference)
         assert abs(trace.v[-1, 0] - ref.v_d[0]) <= 0.05
         assert abs(trace.v[-1, 1] - ref.v_d[1]) <= 0.05
 
