@@ -44,6 +44,8 @@ class ControllerGains:
 
     def __post_init__(self) -> None:
         check_fields(self, {"Kp": 3, "Kd": 3, "k_R": 0, "k_psi": 0, "k_omega": 3})
+        for name in ("Kp", "Kd", "k_omega"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         # Kp = 0 on an axis gives pure velocity tracking there, which the
         # velocity-barrier scenarios rely on; the inner-loop gains need > 0.
         for names, rule, bad in ((("Kp", "Kd"), ">= 0", np.less),

@@ -1,22 +1,21 @@
 """Finite-difference verification of the barrier Lie-derivative chains.
 
 Independent cross-check of the closed-form chains: integrate the dynamics
-under a frozen input and compare central-difference time derivatives of
-each chain entry against the next analytic entry. Entry k of the
+under a frozen input and compare Richardson-extrapolated central differences
+(O(h^4)) of each chain entry against the next analytic entry. Entry k of the
 Lie-derivative vector is thereby certified as the k-th time derivative of
 h along the flow, and the top derivative against
-L_f^d h + L_g L_f^(d-1) h . u. The states are drawn, flowed and evaluated
-a block at a time, for all the checked chains in one pass: one draw per
-distinct drawn block, one flow call for every chain's stencils and one
+L_f^d h + L_g L_f^(d-1) h . u. The states are the points of a seedless
+Kronecker sequence (Roberts 2018; Niederreiter 1992), so the package never
+imports numpy.random; the seed is the index of the first point. They are
+drawn, flowed and evaluated a block at a time, for all the checked chains in
+one pass: one draw per block, one flow call for every stencil point and one
 evaluate_chain call per chain, each a batched call that gives every state
-the bits of its own. The draws come from _Pcg64, the in-package PCG64
-stream, which gives the bits of numpy's default_rng(seed), so the package
-never imports numpy.random.
+the bits of its own.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -32,108 +31,32 @@ from .barriers import (
 )
 from .dynamics import NonFiniteState, QuadParams, R_of_euler, rk4_flat
 
-FD_DT = 1e-4        # central-difference half step
+FD_DT = 1e-4        # Richardson stencil step h: the flows run +h, -h, +2h and -2h
 FD_BLOCK = 256      # states drawn, flowed and evaluated as one batch; bounds memory
+_STENCIL = np.array([1.0, -1.0, 2.0, -2.0]) * FD_DT
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_LANES = 64     # draws per row of one random() call's (rows, lanes) grid
-
-
-def _seed_sequence(seed: int) -> tuple[int, int]:
-    """(initstate, initseq) of numpy's PCG64 seeded with SeedSequence(seed):
-    the seed's little-endian 32-bit words hashed into a pool of 4 words,
-    which then give 4 little-endian 64-bit words."""
-    entropy = [seed & _M32]
-    while seed := seed >> 32:
-        entropy.append(seed & _M32)
-    const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * 0x931E8875 & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const, words = 0x8B51F9DD, []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * 0x58F38DED & _M32
-        value = value * const & _M32
-        words.append(value ^ value >> 16)
-    u = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-    return u[0] << 64 | u[1], u[2] << 64 | u[3]
+# The (low, high) box of each drawn coordinate, in order: r, v, the Euler
+# angles, omega, thrust / (m g), tau. v's lateral pair stays within 0.8 of
+# the lateral-velocity set's half-widths, so every state lies inside all
+# four default safe sets.
+_VX, _VY = (0.8 * p for p in DEFAULTS[BarrierDomain.LATERAL_VELOCITY].half_width)
+_BOX = np.array([(-1.5, 1.5)] * 3 + [(-_VX, _VX), (-_VY, _VY), (-0.6, 0.6)]
+                + [(-0.25, 0.25)] * 3 + [(-1.0, 1.0)] * 3 + [(0.5, 1.8)] + [(-0.5, 0.5)] * 3).T
 
 
-def _halves(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The high and the low 64 bits of 128-bit integers, as uint64 arrays."""
-    return (np.array([v >> 64 for v in values], np.uint64),
-            np.array([v & _M64 for v in values], np.uint64))
+def _kronecker_steps(d: int) -> np.ndarray:
+    """floor(2^64 alpha_j) for alpha_j = phi^-(j+1), j < d, as uint64, where
+    phi is the positive root of x^(d+1) = x + 1 (Roberts 2018). 1/phi is the
+    root in (0, 1) of x^d (1 + x) = 1, found by bisection on 96-bit
+    fixed-point integers."""
+    one, lo, hi = 1 << 96, 0, 1 << 96
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        lo, hi = (mid, hi) if mid**d * (one + mid) <= one ** (d + 1) else (lo, mid)
+    return np.array([lo ** (j + 1) >> (96 * j + 32) for j in range(d)], np.uint64)
 
 
-class _Pcg64:
-    """The stream of numpy's default_rng(seed), for random() only: PCG64
-    (O'Neill 2014), a 128-bit LCG with the XSL-RR output, seeded as
-    SeedSequence(seed) seeds it. random(shape) returns the bits
-    default_rng(seed).random(shape) returns, across calls too, without
-    importing numpy.random."""
-
-    def __init__(self, seed: int):
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
-        initstate, initseq = _seed_sequence(seed)
-        self.inc = (initseq << 1 | 1) & _M128
-        self.state = ((self.inc + initstate) * _PCG_MULT + self.inc) & _M128
-
-    def random(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Uniform floats in [0, 1) of the given shape, in C order: draw k
-        is the state after k + 1 steps s -> s·M + inc mod 2^128, through
-        XSL-RR, its top 53 bits scaled by 2^-53.
-
-        The draws are laid out as a (rows, lanes) grid. The state b_i that
-        starts row i and the map s -> A_j·s + C_j of j + 1 steps come from
-        Python integers; numpy then forms every A_j·b_i + C_j at once."""
-        n = math.prod(shape)
-        lanes = min(_PCG_LANES, n)
-        if not lanes:
-            return np.empty(shape)
-        As, Cs, A, C = [], [], _PCG_MULT, self.inc
-        for _ in range(lanes):
-            As.append(A)
-            Cs.append(C)
-            A, C = A * _PCG_MULT & _M128, (C * _PCG_MULT + self.inc) & _M128
-        bases, b = [], self.state
-        for _ in range(-(-n // lanes)):
-            bases.append(b)
-            b = (As[-1] * b + Cs[-1]) & _M128
-        (a_hi, a_lo), (c_hi, c_lo) = _halves(As), _halves(Cs)
-        b_hi, b_lo = (half[:, None] for half in _halves(bases))
-        # A_j·b_i + C_j mod 2^128 in 64-bit halves, the high half of
-        # b_lo·a_lo from its four 32-bit partial products.
-        a0, a1, b0, b1 = a_lo & _M32, a_lo >> 32, b_lo & _M32, b_lo >> 32
-        t = b1 * a0 + (b0 * a0 >> 32)
-        u = b0 * a1 + (t & _M32)
-        lo = b_lo * a_lo + c_lo
-        hi = b1 * a1 + (t >> 32) + (u >> 32) + b_hi * a_lo + b_lo * a_hi + c_hi + (lo < c_lo)
-        hi, lo = hi.reshape(-1)[:n], lo.reshape(-1)[:n]
-        self.state = int(hi[-1]) << 64 | int(lo[-1])
-        x, rot = hi ^ lo, hi >> 58
-        out = x >> rot | x << (64 - rot & 63)
-        return ((out >> 11) * 2.0**-53).reshape(shape)
+_STEPS = _kronecker_steps(_BOX.shape[1])
 
 
 @dataclass
@@ -142,7 +65,7 @@ class ChainCheck:
     floats; NaN or inf if any state's error is not finite."""
 
     domain: BarrierDomain
-    max_rel_lower: float   # entries of H vs central differences of h
+    max_rel_lower: float   # entries of H vs Richardson differences of h
     max_rel_top: float     # d^delta h/dt^delta vs L_f^d h + L_g L_f^(d-1) h . u
 
 
@@ -179,9 +102,9 @@ def flow(
     states. The steps run together as float64 columns through rk4_flat,
     which gives every flow the bits of its own float step. RK4 is valid for
     negative steps, so backward stencil points integrate the same vector
-    field with a negative step size. One step of FD_DT leaves an O(h^5)
-    error and an O(h^5) drift of R off SO(3), both below rounding, so R is
-    not re-projected. Raises NonFiniteState if an end state is not finite.
+    field with a negative step size. One step of up to 2 FD_DT leaves an
+    O(h^5) error and an O(h^5) drift of R off SO(3), both below rounding,
+    so R is not re-projected. Raises NonFiniteState if an end state is not finite.
     """
     end = np.column_stack(rk4_flat(list(x.T), f, list(tau.T), params, dt))
     if not np.isfinite(end).all():
@@ -194,39 +117,21 @@ def default_spec(domain: BarrierDomain) -> BarrierSpec:
     return BarrierSpec(domain, DEFAULTS[domain].center, DEFAULTS[domain].half_width)
 
 
-def _velocity_scale(spec: BarrierSpec) -> tuple[float, ...] | None:
-    """All that draw_states reads of a spec: the half-widths that scale its
-    drawn lateral velocity, or None where it draws no such pair. Specs with
-    the same scale draw the same states from the same stream."""
-    return spec.p if spec.domain is BarrierDomain.LATERAL_VELOCITY else None
+def draw_states(start: int, k: int, params: QuadParams
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points start .. start + k - 1 of the Kronecker sequence as k flat
+    states inside every default safe set, each with a modest frozen input:
+    x (k, 18), thrusts f (k,) and moments tau (k, 3).
 
-
-def draw_states(
-    rng: _Pcg64, k: int, spec: BarrierSpec, params: QuadParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k random flat states inside the safe set, each with a modest random
-    frozen input: x (k, 18), thrusts f (k,) and moments tau (k, 3).
-
-    rng is any object with random(shape): the checks pass a _Pcg64, and
-    numpy's Generator, whose random gives the same bits, serves too. One
-    rng.random call draws a row per state, and each field is scaled as
-    rng.uniform scales it, low + (high - low) * u, in the order of the
-    state-by-state draw: r, v, (vx, vy) again over the lateral velocity
-    barrier's half-widths, the Euler angles, omega, thrust / (m g), tau. So
-    the rows are the states that per-state rng.uniform calls would draw,
-    bit for bit. Of the spec only _velocity_scale(spec) is read.
+    Coordinate j of point n is frac(n alpha_j): the uint64 product
+    n * _STEPS[j] wraps mod 2^64, and its top 53 bits scaled by 2^-53 give
+    u in [0, 1), exactly for every n < 2^64. Each coordinate is then
+    low + (high - low) * u over its _BOX row.
     """
-    scale = _velocity_scale(spec)
-    velocity = scale is not None
-    fields = [(-1.5, 1.5, 3), (-0.6, 0.6, 3), *([(-0.8, 0.8, 2)] if velocity else []),
-              (-0.25, 0.25, 3), (-1.0, 1.0, 3), (0.5, 1.8, 1), (-0.5, 0.5, 3)]
-    lows, highs, sizes = zip(*fields)
-    low, high = np.repeat(lows, sizes), np.repeat(highs, sizes)
-    u = low + (high - low) * rng.random((k, len(low)))
-    r, v = u[:, 0:3], u[:, 3:6]
-    if velocity:
-        v[:, :2] = u[:, 6:8] * np.array(scale)
-    angles, omega, f, tau = np.split(u[:, 8 if velocity else 6:], [3, 6, 7], axis=1)
+    n = np.uint64(start) + np.arange(k, dtype=np.uint64)
+    low, high = _BOX
+    u = low + (high - low) * ((n[:, None] * _STEPS >> 11) * 2.0**-53)
+    r, v, angles, omega, f, tau = np.split(u, [3, 6, 9, 12, 13], axis=1)
     R = R_of_euler(*angles.T).reshape(k, 9)
     return np.concatenate([r, R, v, omega], axis=1), f[:, 0] * params.m * params.g, tau
 
@@ -240,23 +145,23 @@ def check_chain(domain: BarrierDomain, n_states: int = 100, seed: int = 12345) -
 
 def check_all_chains(n_states: int = 100, seed: int = 12345) -> list[ChainCheck]:
     """Worst-case relative FD errors of every chain, in BarrierDomain's
-    order, each with the family's default spec and QuadParams(), over
-    random in-set states drawn from _Pcg64(seed), which gives the bits of
-    numpy's default_rng(seed) without importing numpy.random.
+    order, each with the family's default spec and QuadParams(), over the
+    n_states points of the Kronecker sequence from index seed on.
 
     Works a block of FD_BLOCK states at a time, in one pass over the
-    chains: draw_states draws the block once for all chains whose spec it
-    reads alike (the same _velocity_scale), each such group from its own
-    stream, so the three families without a drawn lateral velocity share a
-    draw; one flow call integrates the stencil flows (+FD_DT, then -FD_DT)
-    of every distinct block; and one evaluate_chain call per chain
-    evaluates it at its block's states and stencil ends. The errors then
+    chains: draw_states draws the block once for every chain, block j from
+    index seed + j * FD_BLOCK, so a result over fewer states is over a
+    prefix of the same points; one flow call integrates the block's four
+    stencil flows (+FD_DT, -FD_DT, +2 FD_DT, -2 FD_DT); and one
+    evaluate_chain call per chain evaluates it at the block's states and
+    stencil ends. Each derivative is the Richardson difference
+    (8 (H(+h) - H(-h)) - (H(+2h) - H(-2h))) / (12 h). The errors then
     reduce as arrays. Each result is the one a state-by-state loop over
     that chain alone gives, bit for bit, except that a NaN or inf error is
     kept rather than lost in the maximum, and memory does not grow with
     n_states. Raises ValueError if n_states < 1, whose errors of 0.0 would
-    read as a pass without any state checked, or if seed is negative, and
-    TypeError if seed is not an integer.
+    read as a pass without any state checked, or if seed is not in
+    [0, 2^63), and TypeError if seed is not an integer.
     """
     return _check_chains(list(BarrierDomain), n_states, seed)
 
@@ -264,30 +169,24 @@ def check_all_chains(n_states: int = 100, seed: int = 12345) -> list[ChainCheck]
 def _check_chains(domains: list[BarrierDomain], n_states: int, seed: int) -> list[ChainCheck]:
     if n_states < 1:
         raise ValueError(f"n_states must be at least 1, got {n_states}")
+    if not 0 <= operator.index(seed) < 1 << 63:
+        raise ValueError(f"seed must be in [0, 2**63), got {seed}")
     params = QuadParams()
     specs = [default_spec(domain) for domain in domains]
-    # One stream per distinct draw, and the draw each spec reads.
-    draws: dict[tuple[float, ...] | None, tuple[BarrierSpec, _Pcg64]] = {}
-    for spec in specs:
-        draws.setdefault(_velocity_scale(spec), (spec, _Pcg64(seed)))
-    which = [list(draws).index(_velocity_scale(spec)) for spec in specs]
     # Per derivative order of each chain; NaN stays NaN.
     worst = [np.zeros(RELATIVE_DEGREE[spec.domain]) for spec in specs]
     for start in range(0, n_states, FD_BLOCK):
         b = min(FD_BLOCK, n_states - start)
-        # The distinct blocks stacked: (len(draws) * b, ...) each.
-        x, f, tau = map(np.concatenate, zip(*(draw_states(rng, b, spec, params)
-                                              for spec, rng in draws.values())))
-        ends = flow(np.concatenate([x, x]), np.concatenate([f, f]), np.concatenate([tau, tau]),
-                    params, np.repeat([FD_DT, -FD_DT], len(x)))
-        # Each distinct block's states, then its +FD_DT and -FD_DT ends.
-        states = np.concatenate([x, ends]).reshape(3, -1, b, 18)
-        fs, taus = np.tile(f, 3).reshape(3, -1, b), np.tile(tau, (3, 1)).reshape(3, -1, b, 3)
-        for spec, j, w in zip(specs, which, worst):
-            H, top = evaluate_chain(states[:, j].reshape(-1, 18), spec, params,
-                                    fs[:, j].reshape(-1), taus[:, j].reshape(-1, 3))
-            H0, Hp, Hm, top0 = H[:b], H[b:2 * b], H[2 * b:], top[:b]
-            fd = (Hp - Hm) / (2.0 * FD_DT)
+        x, f, tau = draw_states(seed + start, b, params)
+        # The block's states, then its ends at +h, -h, +2h and -2h.
+        states = np.concatenate([x, flow(np.tile(x, (4, 1)), np.tile(f, 4), np.tile(tau, (4, 1)),
+                                         params, np.repeat(_STENCIL, b))])
+        fs, taus = np.tile(f, 5), np.tile(tau, (5, 1))
+        for spec, w in zip(specs, worst):
+            H, top = evaluate_chain(states, spec, params, fs, taus)
+            H0, Hp, Hm, Hp2, Hm2 = np.split(H, 5)
+            top0 = top[:b]
+            fd = (8.0 * (Hp - Hm) - (Hp2 - Hm2)) / (12.0 * FD_DT)
             analytic = np.column_stack([H0[:, 1:], top0])
             scale = np.maximum(np.maximum(1.0, np.abs(H0).max(axis=1)), np.abs(top0))
             rel = np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1e-4 * scale[:, None])

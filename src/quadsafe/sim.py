@@ -51,6 +51,8 @@ class ReferenceConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, {"amplitude": 3, "frequency": 3, "yaw_constant": 0})
+        for name in ("amplitude", "frequency"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.yaw_mode not in ("atan2", "constant"):
             raise ValueError("yaw_mode must be 'atan2' or 'constant'")
 

@@ -272,8 +272,8 @@ def test_runs_without_scipy(tmp_path):
 
 
 def test_oracle_runs_without_numpy_random():
-    # The oracle draws from its own PCG64 stream: numpy.random, whose import
-    # loads OpenSSL among a dozen modules, must never be imported.
+    # The oracle draws its states from a Kronecker sequence: numpy.random,
+    # whose import loads OpenSSL among a dozen modules, must never be imported.
     code = ("import sys; sys.modules['numpy.random'] = None; from quadsafe.cli import main; "
             "sys.exit(main(['oracle', '--states', '5']))")
     src = os.path.dirname(os.path.dirname(quadsafe.__file__))

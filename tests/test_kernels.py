@@ -5,9 +5,9 @@ lateral_rows and the 2-D solver batch many small products into one numpy
 call, each family in the layout the code uses, and must round every product
 as the separate numpy call did; lateral_rows does so across the specs of one
 state and across the states of a block, each state's operands in the single
-state's layout. The oracle draws a block of states with one rng.random call
-and stacked rotations and runs many RK4 steps as float64 columns, and must
-give each state the bits of its own draw and float integration; the SO(3)
+state's layout. The oracle builds a block of states with stacked rotations
+and runs many RK4 steps as float64 columns, and must give each state the
+bits of its own rotation and float integration; the SO(3)
 projection calls numpy's SVD kernel without its Python wrapper. Each test
 here checks one such identity on random data (zeros, -0.0, subnormals and
 scales 1e-150..1e150 included), so that a numpy or BLAS build that breaks
@@ -283,26 +283,6 @@ def test_row_vecdot_is_the_1d_dot():
         same(np.vecdot(H, K), [K @ h for h in H])
     a, tau = sample(rng, 1000, 2), sample(rng, 1000, 3)
     same(np.vecdot(a, tau[:, :2]), [u @ t[:2] for u, t in zip(a, tau)])
-
-
-def test_uniform_is_scaled_random():
-    # rng.uniform(low, high, size) is low + (high - low) * rng.random(size),
-    # from the same stream, for arrays and for a scalar draw; so one
-    # rng.random((k, n)) block scaled per column is k states' uniform draws
-    # in order, the oracle's lateral-velocity pair and scalar thrust included.
-    fields = [(-1.5, 1.5, 3), (-0.6, 0.6, 3), (-0.8, 0.8, 2), (-0.25, 0.25, 3),
-              (-1.0, 1.0, 3), (0.5, 1.8, None), (-0.5, 0.5, 3)]
-    rng = np.random.default_rng(18)
-    fields += [(lo, lo + span, 2) for lo, span in zip(sample(rng, 20).tolist(),
-                                                      np.abs(sample(rng, 20)).tolist())]
-    for seed in range(40):
-        draw, block = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = [np.atleast_1d(draw.uniform(lo, hi, size=n)) for _ in range(7)
-                for lo, hi, n in fields]
-        low = np.repeat([lo for lo, _, _ in fields], [n or 1 for _, _, n in fields])
-        high = np.repeat([hi for _, hi, _ in fields], [n or 1 for _, _, n in fields])
-        got = low + (high - low) * block.random((7, len(low)))
-        same(got.reshape(-1), np.concatenate(want))
 
 
 def test_stacked_rotations_are_the_single_rotation():

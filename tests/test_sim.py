@@ -9,6 +9,7 @@ import pytest
 
 from quadsafe import sim
 from quadsafe.barriers import BarrierDomain, BarrierSpec, InvalidPoles
+from quadsafe.cli import events_csv, trace_csv
 from quadsafe.config import PRESETS, load_preset
 from quadsafe.controller import ControllerGains, Reference
 from quadsafe.dynamics import NonFiniteState, QuadState
@@ -279,3 +280,26 @@ def test_lateral_rows_once_per_step(monkeypatch):
     assert len(trace) == 200
     assert trace.qp_lo_status == ["optimal"] * len(trace)
     assert calls == [2] * len(trace)
+
+
+@pytest.mark.parametrize("sequence", [list, tuple])
+def test_vector_fields_take_lists_and_tuples(sequence):
+    # Each vector field of ControllerGains and ReferenceConfig becomes a float
+    # array, so a 50-step fig7 run built from lists or tuples is the
+    # array-built run byte for byte.
+    base = load_preset("fig7-unified")
+    base = dataclasses.replace(base, duration=50 * base.dt)
+    gains = dataclasses.replace(base.gains, **{
+        name: sequence(getattr(base.gains, name).tolist()) for name in ("Kp", "Kd", "k_omega")})
+    reference = dataclasses.replace(base.reference, **{
+        name: sequence(getattr(base.reference, name).tolist())
+        for name in ("amplitude", "frequency")})
+    for cfg, names in ((gains, ("Kp", "Kd", "k_omega")), (reference, ("amplitude", "frequency"))):
+        for name in names:
+            value = getattr(cfg, name)
+            assert isinstance(value, np.ndarray) and value.dtype == float, name
+    got = run(dataclasses.replace(base, gains=gains, reference=reference))
+    want = run(base)
+    assert len(got) == 50
+    for export in (trace_csv, events_csv):
+        assert "".join(export(got)) == "".join(export(want))
