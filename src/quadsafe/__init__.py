@@ -6,7 +6,7 @@ CBF constraint chains up to relative degree four, and scenario presets
 reproducing the trajectory-rectification experiments.
 """
 
-from .barriers import BarrierDomain, BarrierSpec, pole_place, rectellipse_h
+from .barriers import BarrierDomain, BarrierSpec, pole_place
 from .controller import ControllerGains, Reference
 from .dynamics import QuadParams, QuadState
 from .qp import QpSolution, solve_qp
@@ -23,7 +23,6 @@ __all__ = [
     "Scenario",
     "Trace",
     "pole_place",
-    "rectellipse_h",
     "run",
     "solve_qp",
 ]

@@ -159,16 +159,6 @@ def pole_place(delta: int, poles) -> np.ndarray:
     return coeffs[1:][::-1].copy()  # [k0, ..., k_{delta-1}]
 
 
-def rectellipse_h(values: Sequence[float], spec: BarrierSpec) -> float:
-    """h = 1 - sum_j ((x_j - c_j)/p_j)^4 ; >= 0 inside the safe region."""
-    scaled = [(x - c) / p for x, c, p in zip(values, spec.c, spec.p, strict=True)]
-    # numpy's pow, not float ** 4: the two can round differently.
-    total = 0.0
-    for s4 in np.power(scaled, 4.0).tolist():
-        total += s4
-    return 1.0 - total
-
-
 def altitude_row(
     spec: BarrierSpec,
     z: float | np.ndarray,
@@ -440,19 +430,13 @@ def lateral_rows(
     return rows
 
 
-def barrier_h(x: list[float], specs: Sequence[BarrierSpec]) -> list[float]:
-    """Each spec's barrier value at the flat state x: barrier_h_column of
-    the one state."""
-    row = np.array([x], dtype=float)
-    return [barrier_h_column(row, spec).item() for spec in specs]
-
-
 def barrier_h_column(x: np.ndarray, spec: BarrierSpec) -> np.ndarray:
-    """rectellipse_h of one spec at each row of a block of flat states
-    (n, 18), bit for bit: numpy's pow on a column rounds as on one state's
-    offsets."""
+    """The barrier value h = 1 - sum_j ((x_j - c_j) / p_j)^4 of one spec,
+    >= 0 inside its safe region, at each row of a block of flat states
+    (n, 18). numpy's pow on a column rounds as on each state's own offsets,
+    so a state's h has the same bits in a block as in a one-row block."""
     powers = np.power((x[:, list(spec.idx)] - spec.center) / spec.half_width, 4.0)
-    total = 0.0  # summed in rectellipse_h's order
+    total = 0.0  # summed in constrained-state order
     for col in powers.T:
         total = total + col
     return 1.0 - total

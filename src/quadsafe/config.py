@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections.abc import Hashable
 from contextlib import nullcontext
 from typing import Any
 
@@ -44,21 +45,29 @@ def _check_keys(table: dict, allowed: set | dict, where: str) -> None:
     if not isinstance(table, dict):
         raise ScenarioError(f"'{where}' must be a mapping")
     unknown = set(table).difference(allowed)
-    if unknown:
-        raise ScenarioError(
-            f"unknown key(s) in '{where}': {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
+    if unknown:  # sorted by repr: YAML keys may mix types, as 1 and 'foo'
+        raise ScenarioError(f"unknown key(s) in '{where}': {sorted(unknown, key=repr)}; "
+                            f"allowed: {sorted(allowed)}")
+
+
+def _yaml_hint(values: Any) -> str:
+    """_YAML_HINT if values is a list or tuple holding a string that reads as
+    a finite number, else ''. PyYAML (YAML 1.1) reads 1e-3 as a string: a
+    float needs a dot."""
+    for val in values if isinstance(values, (list, tuple)) else ():
+        try:
+            if isinstance(val, str) and math.isfinite(float(val)):
+                return _YAML_HINT
+        except ValueError:
+            pass
+    return ""
 
 
 def _num(table: dict, key: str, default: float, where: str) -> float:
     val = table.get(key, default)
     if not _is_number(val):
-        try:  # PyYAML (YAML 1.1) reads 1e-3 as a string: a float needs a dot
-            hint = isinstance(val, str) and math.isfinite(float(val))
-        except ValueError:
-            hint = False
         raise ScenarioError(f"'{where}.{key}' must be a number (finite), got {val!r}"
-                            + (_YAML_HINT if hint else ""))
+                            + _yaml_hint([val]))
     return float(val)
 
 
@@ -85,7 +94,8 @@ def _section(data: dict, where: str, defaults: dict[str, Any]) -> list:
         elif isinstance(default, list):
             if not (isinstance(val, (list, tuple)) and len(val) == 3
                     and all(map(_is_number, val))):
-                raise ScenarioError(f"'{where}.{key}' must be a list of 3 numbers")
+                raise ScenarioError(f"'{where}.{key}' must be a list of 3 numbers"
+                                    + _yaml_hint(val))
             val = np.array([float(v) for v in val])
         elif not isinstance(default, str):
             val = _num(table, key, default, where)
@@ -179,17 +189,39 @@ def _barrier_from_dict(entry: dict, where: str) -> BarrierSpec:
             raise ScenarioError(f"'{where}.alpha' only applies to relative-degree-1 barriers")
         poles = entry.get("poles", defaults.poles)
         if not (isinstance(poles, (list, tuple)) and all(map(_is_number, poles))):
-            raise ScenarioError(f"'{where}.poles' must be a list of {delta} numbers")
+            raise ScenarioError(f"'{where}.poles' must be a list of {delta} numbers"
+                                + _yaml_hint(poles))
 
     active_from = _num(entry, "active_from_s", BarrierSpec.active_from, where)
     return _build(where, BarrierSpec, domain, center, half_width, poles, active_from)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a key repeated in one mapping is
+    refused: PyYAML would keep its last value and drop the others."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+        first_line: dict = {}
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":  # '<<' may override
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):  # the base loader refuses it
+                continue
+            line = key_node.start_mark.line + 1
+            if key in first_line:
+                raise ScenarioError(f"duplicate key {key!r} on line {line} "
+                                    f"(first on line {first_line[key]})")
+            first_line[key] = line
+        return super().construct_mapping(node, deep)
+
+
 def load_scenario(source: str | io.TextIOBase) -> Scenario:
-    """Parse a YAML scenario file (path or open stream)."""
+    """Parse a YAML scenario file (path or open stream); a key repeated in
+    one mapping is refused."""
     try:
         with open(source, "rb") if isinstance(source, str) else nullcontext(source) as f:
-            data = yaml.safe_load(f)
+            data = yaml.load(f, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"not valid YAML: {exc}") from None
     if not isinstance(data, (dict, type(None))):

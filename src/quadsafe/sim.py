@@ -21,12 +21,10 @@ import numpy as np
 from . import controller as ctl
 from . import qp
 from .barriers import (
-    RELATIVE_DEGREE,
     BarrierDomain,
     BarrierSpec,
     LateralSingular,
     altitude_row,
-    barrier_h,
     barrier_h_column,
     lateral_rows,
 )
@@ -91,17 +89,18 @@ class Trace:
     """One run's per-step record; row k of every column is step k (t = k dt).
 
     The float columns (t, x, euler, f_hat, f_star, tau_hat, m_star and, per
-    scheduled barrier domain d, h[d] and H[d] = [h, L_f h, ...]) are views
-    into one block that run fills EXPORT_ROWS rows at a time; r, v and
-    omega are slices of the flat state x. h[d] is NaN before the barrier's
-    first activation, H[d] on steps where its level built no row. The lists
+    scheduled barrier domain d, h[d]) are views into one block that run
+    fills EXPORT_ROWS rows at a time; r, v and omega are slices of the flat
+    state x. h[d] is NaN before the barrier's first activation. A chain
+    H = [h, L_f h, ...] is not kept: the row builders give it back from x
+    (and f_star, for the lateral chains). The lists
     qp_hi_status and qp_lo_status hold a string per step, events
     (k, "kind:detail") pairs in step order; dt is the run's step size.
     """
 
     def __init__(self, n_steps: int, domains: list[BarrierDomain], dt: float) -> None:
         self.dt = dt
-        widths = [1, 18, 3, 1, 1, 3, 2] + [1 + RELATIVE_DEGREE[d] for d in domains]
+        widths = [1, 18, 3, 1, 1, 3, 2] + [1] * len(domains)
         try:
             self.block = np.empty((n_steps, sum(widths)))
         except (MemoryError, ValueError) as exc:
@@ -111,8 +110,7 @@ class Trace:
                 for a, b in zip(edges, edges[1:])]
         self.t, self.x, self.euler, self.f_hat, self.f_star, self.tau_hat, self.m_star = cols[:7]
         self.r, self.v, self.omega = self.x[:, :3], self.x[:, 12:15], self.x[:, 15:]
-        self.h = {d: col[:, 0] for d, col in zip(domains, cols[7:])}
-        self.H = {d: col[:, 1:] for d, col in zip(domains, cols[7:])}
+        self.h = dict(zip(domains, cols[7:]))
         self.qp_hi_status, self.qp_lo_status, self.events = [], [], []
 
     def __len__(self) -> int:
@@ -167,13 +165,8 @@ def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = No
     domains = [d for d in BarrierDomain if any(spec.domain is d for spec in scenario.barriers)]
     trace = Trace(n_steps, domains, dt)
     events = trace.events
-    # A step's h and H cells, in block order: d's H at H_cells[d]. The h
-    # cells stay NaN; finishing a block fills them.
-    H_cells, nan_cells = {}, []
-    for d in domains:
-        i = len(nan_cells)
-        H_cells[d] = slice(i + 1, i + 1 + RELATIVE_DEGREE[d])
-        nan_cells += [math.nan] * (1 + RELATIVE_DEGREE[d])
+    # A step's h cells stay NaN; finishing a block fills them.
+    nan_h = [math.nan] * len(domains)
     # The state, as 18 floats [r, R row-major, v, omega].
     x = flat_of(scenario.initial_state)
     prev_active: dict[BarrierDomain, float] = {}
@@ -198,21 +191,19 @@ def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = No
                     if prev_active.get(spec.domain) not in (None, spec.active_from):
                         events.append((k, f"barrier-switch:{spec.domain.value}"))
                     prev_active[spec.domain] = spec.active_from
-                # Each active barrier's constrained states and H cells, so
-                # that the steps look up none.
+                # Each active barrier's constrained states, so that the
+                # steps look up none.
                 offsets = [(i, c, p) for spec in active
                            for i, c, p in zip(spec.idx, spec.c, spec.p)]
-                hi_H_at = [H_cells[spec.domain] for spec in hi_active]
-                lo_H_at = [H_cells[spec.domain] for spec in lo_active]
                 next_switch = min((start for start, _ in windows.values() if start > t),
                                   default=math.inf)
 
             if not all(abs((x[i] - c) / p) < H_FINITE_OFFSET for i, c, p in offsets):
-                for spec, h in zip(active, barrier_h(x, active)):
+                for spec in active:
+                    h = barrier_h_column(np.array([x]), spec).item()
                     if not math.isfinite(h):
                         raise NonFiniteState(f"{spec.domain.value} barrier value is {h}")
 
-            cells = nan_cells.copy()
             psi = yaw_of_R(x)
             z, R33, zd = x[2], x[11], x[14]
             r_ddot_cmd = ctl.position_loop(x, ref, gains)
@@ -232,8 +223,6 @@ def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = No
                     (f_star,) = qp.least_infeasible([f_hat], qp_rows, f_lower, f_upper)
                     events.append((k, "infeasible:high"))
                 qp_hi_status = status.value
-                for at, (_, _, _, H) in zip(hi_H_at, rows):
-                    cells[at] = H.tolist()
 
             try:
                 omega_cmd = ctl.attitude_loop(x, r_ddot_cmd, f_star, psi, ref.psi_d, gains,
@@ -260,10 +249,7 @@ def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = No
                         m_star = qp.least_infeasible(tau_hat[:2], qp_rows, tau_lower, tau_upper)
                         events.append((k, "infeasible:low"))
                     qp_lo_status = status.value
-                    for at, (_, _, _, H) in zip(lo_H_at, rows):
-                        cells[at] = H.tolist()
-            record.fromlist([*x, math.nan, math.nan, psi, f_hat, f_star, *tau_hat, *m_star,
-                             *cells])
+            record.fromlist([*x, math.nan, math.nan, psi, f_hat, f_star, *tau_hat, *m_star, *nan_h])
             trace.qp_hi_status.append(qp_hi_status)
             trace.qp_lo_status.append(qp_lo_status)
             x = advance(x, f_star, [*m_star, tau_hat[2]], params, dt)

@@ -17,10 +17,9 @@ from quadsafe.barriers import (
     InvalidPoles,
     LateralSingular,
     altitude_row,
-    barrier_h,
+    barrier_h_column,
     lateral_rows,
     pole_place,
-    rectellipse_h,
 )
 from quadsafe.config import load_preset
 from quadsafe.dynamics import NonFiniteState, QuadParams, QuadState, R_of_euler, flat_of
@@ -85,7 +84,7 @@ class TestSpecValidation:
                     BarrierSpec(domain, [0.0] * n, [1.0] * n, poles=[-1.0] * count)
 
     def test_posvel_velocity_center_is_zero(self):
-        # altitude_row's posvel h reads zdot about 0 and barrier_h about the
+        # altitude_row's posvel h reads zdot about 0 and barrier_h_column about the
         # center, so a non-zero velocity center would split the two.
         BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.5, 0.0], [2.0, 0.75])
         BarrierSpec(BarrierDomain.ALTITUDE_POSVEL, [0.5, -0.0], [2.0, 0.75])
@@ -123,26 +122,34 @@ def honoured_center(domain, center):
     return center
 
 
+def h_at(values, spec: BarrierSpec) -> float:
+    """barrier_h_column of spec at one flat state whose constrained states
+    are values, every other entry 0, as a float."""
+    x = np.zeros((1, 18))
+    x[0, list(spec.idx)] = values
+    return barrier_h_column(x, spec).item()
+
+
 class TestRectellipse:
     def test_center_value_one(self):
         spec = BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.5, -0.5], [2.0, 3.0])
-        assert rectellipse_h(np.array([0.5, -0.5]), spec) == pytest.approx(1.0)
+        assert h_at([0.5, -0.5], spec) == pytest.approx(1.0)
 
     def test_boundary_zero(self):
         spec = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0])
-        assert rectellipse_h(np.array([2.0]), spec) == pytest.approx(0.0)
-        assert rectellipse_h(np.array([-2.0]), spec) == pytest.approx(0.0)
+        assert h_at([2.0], spec) == pytest.approx(0.0)
+        assert h_at([-2.0], spec) == pytest.approx(0.0)
 
     def test_outside_negative(self):
         spec = BarrierSpec(BarrierDomain.LATERAL_VELOCITY, [0.0, 0.0], [1.25, 0.9])
-        assert rectellipse_h(np.array([1.6, 0.0]), spec) < 0.0
+        assert h_at([1.6, 0.0], spec) < 0.0
 
     def test_flatter_than_ellipse_near_axes(self):
         # The quartic region contains the ellipse with the same semi-axes.
         spec = BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [1.0, 1.0])
         xy = np.array([0.9, 0.5])  # outside the circle, inside the rectellipse
         assert np.sum(xy**2) > 1.0
-        assert rectellipse_h(xy, spec) > 0.0
+        assert h_at(xy, spec) > 0.0
 
     def test_bitwise_equal_to_array_form(self):
         # numpy's vectorized pow can round differently from float ** 4, so
@@ -155,10 +162,8 @@ class TestRectellipse:
             for _ in range(100):
                 vals = rng.normal(size=n) * 3.0
                 s = (vals - spec.center) / spec.half_width
-                assert rectellipse_h(vals, spec) == float(1.0 - np.sum(s**4))
-                assert_same_float(rectellipse_h(vals, spec), ref_rectellipse_h(vals, spec))
-                assert_same_float(rectellipse_h(vals.tolist(), spec),
-                                  ref_rectellipse_h(vals.tolist(), spec))
+                assert h_at(vals, spec) == float(1.0 - np.sum(s**4))
+                assert_same_float(h_at(vals, spec), ref_rectellipse_h(vals.tolist(), spec))
         # Offsets of exactly zero, -0.0, and at scales 1e-4..1e4 and 1e+-80.
         for domain in BarrierDomain:
             n = 1 if domain is BarrierDomain.ALTITUDE_POSITION else 2
@@ -167,25 +172,21 @@ class TestRectellipse:
                 for _ in range(20):
                     vals = (rng.normal(size=n) * scale).tolist()
                     with np.errstate(over="ignore"):
-                        assert_same_float(rectellipse_h(vals, spec),
-                                          ref_rectellipse_h(vals, spec))
+                        assert_same_float(h_at(vals, spec), ref_rectellipse_h(vals, spec))
 
     def test_barrier_h_picks_domain_states(self):
-        x = flat_of(QuadState(r=np.array([0.3, -0.2, 1.0]), v=np.array([0.5, 0.1, -0.4])))
+        x = np.array([flat_of(QuadState(r=np.array([0.3, -0.2, 1.0]),
+                                        v=np.array([0.5, 0.1, -0.4])))])
         spec_z = BarrierSpec(BarrierDomain.ALTITUDE_POSITION, [0.0], [2.0])
-        h_z = pytest.approx(1.0 - (1.0 / 2.0) ** 4)
-        assert barrier_h(x, [spec_z]) == [h_z]
+        assert barrier_h_column(x, spec_z).item() == pytest.approx(1.0 - (1.0 / 2.0) ** 4)
         spec_v = BarrierSpec(BarrierDomain.LATERAL_VELOCITY, [0.0, 0.0], [1.0, 1.0])
-        h_v = pytest.approx(1.0 - 0.5**4 - 0.1**4)
-        assert barrier_h(x, [spec_v]) == [h_v]
-        assert barrier_h(x, [spec_v, spec_z]) == [h_v, h_z]
-        assert barrier_h(x, []) == []
+        assert barrier_h_column(x, spec_v).item() == pytest.approx(1.0 - 0.5**4 - 0.1**4)
 
     def test_barrier_h_is_rectellipse_h_of_each_spec(self):
-        # One pow call over every spec's offsets gives each spec's
-        # rectellipse_h of its own states bit for bit, on random states and
-        # spec lists (all four domains, repeats), with offsets at scales up to
-        # 1e200 (fourth powers overflow to inf) and NaN or infinite entries.
+        # barrier_h_column at a flat state gives the reference h of the spec's
+        # own states bit for bit, on random states and spec lists (all four
+        # domains, repeats), with offsets at scales up to 1e200 (fourth
+        # powers overflow to inf) and NaN or infinite entries.
         rng = np.random.default_rng(37)
         domains = list(BarrierDomain)
         n_checked = 0
@@ -200,8 +201,9 @@ class TestRectellipse:
             for k in rng.choice(18, size=int(rng.integers(0, 4)), replace=False).tolist():
                 x[k] = float(rng.choice([np.nan, np.inf, -np.inf, 1e80, -1e200, 0.0, -0.0]))
             with np.errstate(over="ignore", invalid="ignore"):
-                got = barrier_h(x, specs)
-                want = [rectellipse_h([x[k] for k in STATE_INDEX[s.domain]], s) for s in specs]
+                got = [barrier_h_column(np.array([x]), s).item() for s in specs]
+                want = [ref_rectellipse_h([x[k] for k in STATE_INDEX[s.domain]], s)
+                        for s in specs]
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert_same_float(g, w)
@@ -699,7 +701,7 @@ class TestAltitudeRowsAreEachStatesRow:
 
 @pytest.mark.parametrize("domain", list(BarrierDomain), ids=lambda d: d.value)
 def test_row_h_is_barrier_h(domain):
-    # The trace records barrier_h, and the QP enforces the row built from
+    # The trace records barrier_h_column, and the QP enforces the row built from
     # the row's h: the two must agree to rounding, at random and adversarial
     # states, with non-zero centers wherever the family honours them. Offsets
     # stay below ~1e30, short of where the two forms' fourth powers overflow
@@ -728,7 +730,7 @@ def test_row_h_is_barrier_h(domain):
                     ((_, _, h, _),) = lateral_rows(x, f, [spec], params)
                 except LateralSingular:
                     continue
-            (want,) = barrier_h(x, [spec])
+            want = barrier_h_column(np.array([x], dtype=float), spec).item()
             assert abs(h - want) <= 1e-12 * max(1.0, abs(want)), (kind, spec.c, x, h, want)
             n += 1
     assert n >= 350

@@ -152,6 +152,22 @@ def test_overflow_exits_typed(tmp_path, capsys, where, key, check_code):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1: 2\nfoo: 3\n", "unknown key(s) in '<top level>': ['foo', 1]"),
+    ("run: {1: 2, foo: 3}\n", "unknown key(s) in 'run': ['foo', 1]"),
+    ("barriers:\n  - {domain: altitude_position, 1: 2, foo: 3}\n",
+     "unknown key(s) in 'barriers[0]': ['foo', 1]"),
+], ids=["top", "section", "barrier"])
+def test_check_refuses_mixed_type_keys(tmp_path, capsys, text, message):
+    # Unknown keys of mixed types, an int and a string, cannot be sorted as
+    # they are: the message sorts them by repr, in one typed line.
+    path = tmp_path / "keys.yaml"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}"), err
+
+
 @pytest.mark.parametrize("argv", [
     ["run"], ["oracle", "--states", "abc"], ["check", "presets:fig4-altitude", "--bogus"],
 ], ids=["run-without-scenario", "non-integer-states", "unknown-flag"])

@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 from quadsafe.barriers import RELATIVE_DEGREE, BarrierDomain
 from quadsafe.config import (
@@ -114,6 +115,42 @@ class TestSchema:
             with pytest.raises(ScenarioError) as info:
                 parse(f"run: {{dt_s: {text}}}\n")
             assert "1.0e-3" not in str(info.value)
+
+    @pytest.mark.parametrize("text, key", [
+        ("gains: {kp: [1e0, 1.0, 1.0]}", "'gains.kp' must be a list of 3 numbers"),
+        ("barriers:\n  - {domain: altitude_position, poles: [-3e0, -4e0]}",
+         "'barriers[0].poles' must be a list of 2 numbers"),
+    ], ids=["kp", "poles"])
+    def test_list_entry_without_a_dot_gets_the_hint(self, text, key):
+        # A list's entries are read as a scalar is: 1e0 is a string, refused
+        # with the same hint.
+        with pytest.raises(ScenarioError) as info:
+            parse(text + "\n")
+        assert str(info.value) == key + "; write it unquoted, with a dot and a signed " \
+            "exponent, as in 1.0e-3"
+        with pytest.raises(ScenarioError) as info:
+            parse(text.replace("e0", "x") + "\n")
+        assert str(info.value) == key
+
+    @pytest.mark.parametrize("text, message", [
+        ("barriers:\n  - {domain: altitude_position}\nrun: {duration_s: 1.0}\n"
+         "barriers:\n  - {domain: lateral_position}\n",
+         "duplicate key 'barriers' on line 4 (first on line 1)"),
+        ("barriers:\n  - {domain: altitude_position, p_z_m: 2.0, p_z_m: 0.1}\n",
+         "duplicate key 'p_z_m' on line 2 (first on line 2)"),
+    ], ids=["barriers", "p_z_m"])
+    def test_duplicate_key_refused(self, text, message):
+        # PyYAML keeps a repeated key's last value: the first would be lost.
+        with pytest.raises(ScenarioError) as info:
+            parse(text)
+        assert str(info.value) == message
+        # Only the scenario loader refuses them; PyYAML's own is unpatched.
+        assert yaml.safe_load("{a: 1, a: 2}") == {"a": 2}
+
+    def test_merge_key_may_override(self):
+        # A key that overrides one merged in by '<<' is not a repeat.
+        sc = parse("run: {<<: {duration_s: 2.0, dt_s: 0.002}, duration_s: 1.0}\n")
+        assert (sc.duration, sc.dt) == (1.0, 0.002)
 
 
 class TestBarrierEntries:

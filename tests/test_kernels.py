@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from numpy.linalg._umath_linalg import svd_f
 
-from quadsafe.barriers import BarrierDomain, BarrierSpec, barrier_h, barrier_h_column
+from quadsafe.barriers import BarrierDomain, BarrierSpec, barrier_h_column
 from quadsafe.cli import main
 from quadsafe.config import PRESETS, load_preset
 from quadsafe.controller import ControllerGains, body_rate_loop
@@ -372,14 +372,16 @@ def test_euler_columns_are_single_state_calls(name):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_barrier_h_columns_are_barrier_h(name):
-    # np.power on the scaled offsets of EXPORT_ROWS states against
-    # barrier_h's per-state np.power, for every barrier of the preset.
+    # np.power on the scaled offsets of EXPORT_ROWS states against the
+    # one-row call of the run's step guard on each state, for every barrier
+    # of the preset.
     specs = load_preset(name).barriers
     assert specs
     for x in preset_blocks(name):
         rows = x.tolist()
         for spec in specs:
-            same(barrier_h_column(x, spec), [barrier_h(row, [spec])[0] for row in rows])
+            same(barrier_h_column(x, spec),
+                 [barrier_h_column(np.array([row]), spec).item() for row in rows])
 
 
 def posvel_scenario(z, zd):
@@ -393,15 +395,15 @@ def posvel_scenario(z, zd):
 
 @pytest.mark.parametrize("scale", [1.0 - 1e-15, 1.0, 1.0 + 1e-15, 10.0])
 def test_offsets_about_the_guard_keep_h_finite(scale):
-    # Two offsets z: below H_FINITE_OFFSET the run skips barrier_h, at and
-    # above it the run takes barrier_h's exact value, which is finite while
+    # Two offsets z: below H_FINITE_OFFSET the run skips the guard's h, at
+    # and above it the run takes barrier_h_column's value, which is finite while
     # 2 z^4 is (up to about 9.7e76). The trace records the same h either way.
     z = H_FINITE_OFFSET * scale
     scenario = posvel_scenario(z, z)
     trace = run(scenario)
     h = trace.h[BarrierDomain.ALTITUDE_POSVEL]
     assert np.isfinite(h).all()
-    same(h[0], barrier_h(trace.x[0].tolist(), scenario.barriers)[0])
+    same(h[0], barrier_h_column(np.array([trace.x[0].tolist()]), scenario.barriers[0]).item())
     assert h[0] < -1e299
 
 

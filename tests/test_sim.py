@@ -7,8 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from quadsafe import sim
-from quadsafe.barriers import BarrierDomain, BarrierSpec, InvalidPoles
+from quadsafe import qp, sim
+from quadsafe.barriers import BarrierDomain, BarrierSpec, InvalidPoles, altitude_row, lateral_rows
 from quadsafe.cli import events_csv, trace_csv
 from quadsafe.config import PRESETS, load_preset
 from quadsafe.controller import ControllerGains, Reference
@@ -187,22 +187,20 @@ class TestRun:
         assert len(trace) == 50
         assert trace.t[0] == 0.0
         assert trace.x.shape == (50, 18) and trace.euler.shape == (50, 3)
-        # Only the scheduled barrier has columns; H is as wide as its degree.
-        assert set(trace.h) == set(trace.H) == {BarrierDomain.ALTITUDE_POSITION}
+        # Only the scheduled barrier has a column.
+        assert set(trace.h) == {BarrierDomain.ALTITUDE_POSITION}
+        assert trace.h[BarrierDomain.ALTITUDE_POSITION].shape == (50,)
         assert not np.isnan(trace.h[BarrierDomain.ALTITUDE_POSITION][0])
-        assert trace.H[BarrierDomain.ALTITUDE_POSITION].shape == (50, 2)
-        assert not np.isnan(trace.H[BarrierDomain.ALTITUDE_POSITION][0]).any()
         assert trace.qp_hi_status[0] == "optimal"
         assert trace.qp_lo_status[0] == ""  # no lateral barriers scheduled
 
-    def test_nan_marks_inactive_barriers_and_unbuilt_rows(self):
-        # h is NaN before the barrier's first activation; H is NaN on every
-        # step whose level built no row, here because the filter is off.
+    def test_nan_marks_inactive_barriers(self):
+        # h is NaN before the barrier's first activation, and recorded after
+        # it whether or not its level filters (here it does not).
         sc = Scenario(duration=0.05, barriers=(alt_barrier(0.02),), filter_high=False)
         trace = run(sc)
         h = trace.h[BarrierDomain.ALTITUDE_POSITION]
         assert np.array_equal(np.isnan(h), trace.t < 0.02)
-        assert np.isnan(trace.H[BarrierDomain.ALTITUDE_POSITION]).all()
         assert trace.qp_hi_status == [""] * 50
 
     def test_barrier_switch_event_logged(self):
@@ -280,6 +278,39 @@ def test_lateral_rows_once_per_step(monkeypatch):
     assert len(trace) == 200
     assert trace.qp_lo_status == ["optimal"] * len(trace)
     assert calls == [2] * len(trace)
+
+
+def test_trace_holds_every_row_the_qps_saw(monkeypatch):
+    # The trace keeps no barrier chain, as the recorded state gives each one
+    # back: every (a, b, h, H) row that a QP saw in 2.5 s of fig7 is rebuilt
+    # bit for bit by altitude_row on the trace.x columns and by lateral_rows
+    # on the trace.x and trace.f_star rows. The thrust filter binds from
+    # step 2308, so the lateral rows see an f_star that is not f_hat.
+    seen = []
+    finite_rows = qp.finite_rows
+
+    def capture(specs, rows):
+        seen.append((tuple(specs), rows))
+        return finite_rows(specs, rows)
+
+    monkeypatch.setattr(qp, "finite_rows", capture)
+    scenario = dataclasses.replace(load_preset("fig7-unified"), duration=2.5)
+    trace = run(scenario)
+    assert (trace.f_star != trace.f_hat).any()
+    x, params = trace.x, scenario.params
+    hi_specs, lo_specs = scenario.barriers[:2], scenario.barriers[2:]
+    # Both levels filter on every step: the altitude QP first, then the lateral.
+    assert len(trace) == 2500
+    assert [specs for specs, _ in seen] == [hi_specs, lo_specs] * len(trace)
+    rebuilt = ([altitude_row(spec, x[:, 2], x[:, 14], x[:, 11], params) for spec in hi_specs],
+               lateral_rows(x, trace.f_star, lo_specs, params))
+    for level, want in enumerate(rebuilt):
+        steps = [rows for _, rows in seen[level::2]]
+        for j, row in enumerate(want):
+            for part, column in enumerate(row):  # a, b, h, H
+                got = np.array([step_rows[j][part] for step_rows in steps])
+                assert got.dtype == column.dtype == float
+                assert got.tobytes() == column.tobytes(), (level, j, part)
 
 
 @pytest.mark.parametrize("sequence", [list, tuple])
