@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import math
 import os
 import pickle
 import sys
@@ -221,21 +220,12 @@ def export_trace(trace: Trace, out_dir: str, wall_time_s: float = 0.0) -> None:
 def summary_text(trace: Trace, wall_time_s: float) -> str:
     lines = [f"steps: {len(trace)}", f"wall_time_s: {wall_time_s:.3f}"]
     for domain, col in trace.h.items():
-        # NaN, before the barrier's first activation, fails both tests, so
-        # min_h stays inf for a barrier that never activated.
-        min_h, violation_s = math.inf, 0.0
-        for rows in _row_blocks(len(trace)):
-            for h in col[rows].tolist():
-                if h < min_h:
-                    min_h = h
-                if h < -EPS_NUM:
-                    violation_s += trace.dt
-        if min_h == math.inf:
+        min_h = np.fmin.reduce(col)  # fmin skips the NaN cells before activation
+        if np.isnan(min_h):  # the barrier never activated
             continue
-        lines.append(
-            f"barrier {domain.value}: min_h={min_h:.6f} "
-            f"violation_beyond_eps_s={violation_s:.3f}"
-        )
+        violation_s = np.count_nonzero(col < -EPS_NUM) * trace.dt
+        lines.append(f"barrier {domain.value}: min_h={min_h:.6f} "
+                     f"violation_beyond_eps_s={violation_s:.3f}")
     n_infeasible = len({k for k, ev in trace.events if ev.startswith("infeasible")})
     lines.append(f"infeasible_steps: {n_infeasible}")
     return "\n".join(lines) + "\n"

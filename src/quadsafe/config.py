@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from collections.abc import Hashable
 from contextlib import nullcontext
 from typing import Any
@@ -37,7 +38,6 @@ _REGION_KEYS = {
     "lateral_position": (("c_x_m", "c_y_m"), ("p_x_m", "p_y_m")),
     "lateral_velocity": ((None, None), ("v_x_mps", "v_y_mps")),
 }
-_YAML_HINT = "; write it unquoted, with a dot and a signed exponent, as in 1.0e-3"
 _TOP_KEYS = {"run", "initial", "reference", "filters", "gains", "params", "barriers"}
 
 
@@ -50,24 +50,10 @@ def _check_keys(table: dict, allowed: set | dict, where: str) -> None:
                             f"allowed: {sorted(allowed)}")
 
 
-def _yaml_hint(values: Any) -> str:
-    """_YAML_HINT if values is a list or tuple holding a string that reads as
-    a finite number, else ''. PyYAML (YAML 1.1) reads 1e-3 as a string: a
-    float needs a dot."""
-    for val in values if isinstance(values, (list, tuple)) else ():
-        try:
-            if isinstance(val, str) and math.isfinite(float(val)):
-                return _YAML_HINT
-        except ValueError:
-            pass
-    return ""
-
-
 def _num(table: dict, key: str, default: float, where: str) -> float:
     val = table.get(key, default)
     if not _is_number(val):
-        raise ScenarioError(f"'{where}.{key}' must be a number (finite), got {val!r}"
-                            + _yaml_hint([val]))
+        raise ScenarioError(f"'{where}.{key}' must be a number (finite), got {val!r}")
     return float(val)
 
 
@@ -94,8 +80,7 @@ def _section(data: dict, where: str, defaults: dict[str, Any]) -> list:
         elif isinstance(default, list):
             if not (isinstance(val, (list, tuple)) and len(val) == 3
                     and all(map(_is_number, val))):
-                raise ScenarioError(f"'{where}.{key}' must be a list of 3 numbers"
-                                    + _yaml_hint(val))
+                raise ScenarioError(f"'{where}.{key}' must be a list of 3 numbers")
             val = np.array([float(v) for v in val])
         elif not isinstance(default, str):
             val = _num(table, key, default, where)
@@ -189,8 +174,7 @@ def _barrier_from_dict(entry: dict, where: str) -> BarrierSpec:
             raise ScenarioError(f"'{where}.alpha' only applies to relative-degree-1 barriers")
         poles = entry.get("poles", defaults.poles)
         if not (isinstance(poles, (list, tuple)) and all(map(_is_number, poles))):
-            raise ScenarioError(f"'{where}.poles' must be a list of {delta} numbers"
-                                + _yaml_hint(poles))
+            raise ScenarioError(f"'{where}.poles' must be a list of {delta} numbers")
 
     active_from = _num(entry, "active_from_s", BarrierSpec.active_from, where)
     return _build(where, BarrierSpec, domain, center, half_width, poles, active_from)
@@ -198,7 +182,9 @@ def _barrier_from_dict(entry: dict, where: str) -> BarrierSpec:
 
 class _UniqueKeyLoader(yaml.SafeLoader):
     """PyYAML's safe loader, except that a key repeated in one mapping is
-    refused: PyYAML would keep its last value and drop the others."""
+    refused: PyYAML would keep its last value and drop the others. An
+    exponent float without a dot or an exponent sign (1e-3, 1.0e3), which
+    PyYAML (YAML 1.1) reads as a string, is a float, as in YAML 1.2 and JSON."""
 
     def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
         first_line: dict = {}
@@ -216,14 +202,19 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep)
 
 
+# add_implicit_resolver copies SafeLoader's table first: yaml.safe_load is unchanged.
+_UniqueKeyLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
 def load_scenario(source: str | io.TextIOBase) -> Scenario:
     """Parse a YAML scenario file (path or open stream); a key repeated in
     one mapping is refused."""
     try:
         with open(source, "rb") if isinstance(source, str) else nullcontext(source) as f:
             data = yaml.load(f, Loader=_UniqueKeyLoader)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"not valid YAML: {exc}") from None
+    except yaml.YAMLError as exc:  # its message spans lines: one line here
+        raise ScenarioError(f"not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(data, (dict, type(None))):
         raise ScenarioError("scenario file must contain a YAML mapping")
     return scenario_from_dict(data or {})

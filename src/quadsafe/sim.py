@@ -35,7 +35,6 @@ from .dynamics import (NonFiniteState, QuadParams, QuadState, advance, check_fie
 ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)
 LATERAL_DOMAINS = (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY)
 EXPORT_ROWS = 256  # steps per block: run finishes, and export formats, this many rows at once
-H_FINITE_OFFSET = 1e75  # |(x - c) / p| below it on every state: h is finite (2 * 1e300 is)
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,8 @@ def active_barriers(barriers: tuple[BarrierSpec, ...], t: float, domains) -> lis
 @np.errstate(all="ignore")
 def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = None) -> Trace:
     """Simulate the closed loop; returns the Trace of every step. consumer,
-    if given, gets the trace and the rows of each finished block, in order."""
+    if given, gets the trace and the rows of each finished block, in order,
+    unless a barrier value of the block is not finite: that raises first."""
     from array import array  # a row of C doubles per step, no float objects kept
     params, gains, dt = scenario.params, scenario.gains, scenario.dt
     n_steps = int(round(scenario.duration / dt))
@@ -186,23 +186,12 @@ def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = No
             if t >= next_switch:
                 hi_active = active_barriers(scenario.barriers, t, ALTITUDE_DOMAINS)
                 lo_active = active_barriers(scenario.barriers, t, LATERAL_DOMAINS)
-                active = hi_active + lo_active
-                for spec in active:
+                for spec in hi_active + lo_active:
                     if prev_active.get(spec.domain) not in (None, spec.active_from):
                         events.append((k, f"barrier-switch:{spec.domain.value}"))
                     prev_active[spec.domain] = spec.active_from
-                # Each active barrier's constrained states, so that the
-                # steps look up none.
-                offsets = [(i, c, p) for spec in active
-                           for i, c, p in zip(spec.idx, spec.c, spec.p)]
                 next_switch = min((start for start, _ in windows.values() if start > t),
                                   default=math.inf)
-
-            if not all(abs((x[i] - c) / p) < H_FINITE_OFFSET for i, c, p in offsets):
-                for spec in active:
-                    h = barrier_h_column(np.array([x]), spec).item()
-                    if not math.isfinite(h):
-                        raise NonFiniteState(f"{spec.domain.value} barrier value is {h}")
 
             psi = yaw_of_R(x)
             z, R33, zd = x[2], x[11], x[14]
@@ -260,7 +249,11 @@ def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = No
         trace.euler[block_rows, 0], trace.euler[block_rows, 1] = roll_pitch_of_R(x_rows[:, 3:12])
         for spec, (start, stop) in windows.items():
             on = (start <= t_col) & (t_col < stop)
-            trace.h[spec.domain][block_rows][on] = barrier_h_column(x_rows[on], spec)
+            h = barrier_h_column(x_rows[on], spec)
+            if not np.isfinite(h).all():  # before the consumer sees the block
+                raise NonFiniteState(f"{spec.domain.value} barrier value is "
+                                     f"{h[~np.isfinite(h)][0]}")
+            trace.h[spec.domain][block_rows][on] = h
         if consumer is not None:
             consumer(trace, block_rows)
     return trace

@@ -168,6 +168,17 @@ def test_check_refuses_mixed_type_keys(tmp_path, capsys, text, message):
     assert err.count("\n") == 1 and err.startswith(f"error: {message}"), err
 
 
+@pytest.mark.parametrize("text", ["? [1, 2]\n: 3\n", "run: [1, 2\n"],
+                         ids=["unhashable-key", "unclosed-bracket"])
+def test_yaml_parse_error_is_one_line(tmp_path, capsys, text):
+    # PyYAML's message spans several lines; check prints it on one.
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: not valid YAML: "), err
+
+
 @pytest.mark.parametrize("argv", [
     ["run"], ["oracle", "--states", "abc"], ["check", "presets:fig4-altitude", "--bogus"],
 ], ids=["run-without-scenario", "non-integer-states", "unknown-flag"])

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import io
+import json
 import re
 
 import numpy as np
@@ -102,35 +103,28 @@ class TestSchema:
             parse(text + "\n")
         assert str(info.value) == message
 
-    def test_yaml_exponent_without_a_dot_gets_a_hint(self):
-        # PyYAML reads 1e-3 as a string; it stays refused, with a hint.
-        with pytest.raises(ScenarioError) as info:
-            parse("run: {dt_s: 1e-3}\n")
-        assert str(info.value) == (
-            "'run.dt_s' must be a number (finite), got '1e-3'; "
-            "write it unquoted, with a dot and a signed exponent, as in 1.0e-3"
-        )
-        assert parse("run: {dt_s: 1.0e-3}\n").dt == 1e-3
-        for text in ("fast", "inf", ".nan"):  # no number, or not a finite one
-            with pytest.raises(ScenarioError) as info:
-                parse(f"run: {{dt_s: {text}}}\n")
-            assert "1.0e-3" not in str(info.value)
-
-    @pytest.mark.parametrize("text, key", [
-        ("gains: {kp: [1e0, 1.0, 1.0]}", "'gains.kp' must be a list of 3 numbers"),
+    @pytest.mark.parametrize("text, value", [
+        ("run: {dt_s: 1e-3}", lambda sc: sc.dt == 1e-3),
+        ("run: {duration_s: 4000.0, dt_s: 1.0e3}", lambda sc: sc.dt == 1e3),
+        ("run: {duration_s: 1000.0, dt_s: .5e3}", lambda sc: sc.dt == 500.0),
+        ("gains: {kp: [1e0, 1.0, 1.0]}", lambda sc: sc.gains.Kp.tolist() == [1.0, 1.0, 1.0]),
         ("barriers:\n  - {domain: altitude_position, poles: [-3e0, -4e0]}",
-         "'barriers[0].poles' must be a list of 2 numbers"),
-    ], ids=["kp", "poles"])
-    def test_list_entry_without_a_dot_gets_the_hint(self, text, key):
-        # A list's entries are read as a scalar is: 1e0 is a string, refused
-        # with the same hint.
+         lambda sc: list(sc.barriers[0].poles) == [-3.0, -4.0]),
+        (json.dumps({"run": {"dt_s": 1e-05, "duration_s": 0.01}}), lambda sc: sc.dt == 1e-05),
+    ], ids=["no-dot", "unsigned-exponent", "leading-dot", "kp", "poles", "json"])
+    def test_exponent_floats_read_as_in_yaml_1_2_and_json(self, text, value):
+        # YAML 1.1, and so PyYAML, reads these as strings; JSON and YAML 1.2
+        # read them as numbers, and so does the scenario loader.
+        assert value(parse(text + "\n"))
+
+    def test_quoted_exponent_float_is_refused(self):
         with pytest.raises(ScenarioError) as info:
-            parse(text + "\n")
-        assert str(info.value) == key + "; write it unquoted, with a dot and a signed " \
-            "exponent, as in 1.0e-3"
-        with pytest.raises(ScenarioError) as info:
-            parse(text.replace("e0", "x") + "\n")
-        assert str(info.value) == key
+            parse("run: {dt_s: '1e-3'}\n")
+        assert str(info.value) == "'run.dt_s' must be a number (finite), got '1e-3'"
+
+    def test_safe_load_still_reads_yaml_1_1(self):
+        # The float resolver is the scenario loader's own.
+        assert yaml.safe_load("a: 1e-3") == {"a": "1e-3"}
 
     @pytest.mark.parametrize("text, message", [
         ("barriers:\n  - {domain: altitude_position}\nrun: {duration_s: 1.0}\n"

@@ -147,6 +147,21 @@ def test_summary_counts_the_violation_of_a_one_step_run(tmp_path, duration, viol
     assert f"violation_beyond_eps_s={violation}\n" in summary, summary
 
 
+def test_summary_skips_a_barrier_that_never_activated():
+    # fig7 cut to 0.1 s, its lateral velocity barrier active from 1 s: that
+    # h column is all NaN, and the summary gives it no line.
+    scenario = load_preset("fig7-unified")
+    barriers = tuple(dataclasses.replace(spec, active_from=1.0)
+                     if spec.domain is BarrierDomain.LATERAL_VELOCITY else spec
+                     for spec in scenario.barriers)
+    trace = run(dataclasses.replace(scenario, duration=0.1, barriers=barriers))
+    assert np.isnan(trace.h[BarrierDomain.LATERAL_VELOCITY]).all()
+    named = [line.partition(":")[0] for line in summary_text(trace, 0.0).splitlines()
+             if line.startswith("barrier ")]
+    assert named == ["barrier altitude_position", "barrier altitude_posvel",
+                     "barrier lateral_position"]
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

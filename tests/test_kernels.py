@@ -18,8 +18,10 @@ per-step calls on every step of every preset.
 """
 
 import dataclasses
+import io
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -27,9 +29,10 @@ from numpy.linalg._umath_linalg import svd_f
 
 from quadsafe.barriers import BarrierDomain, BarrierSpec, barrier_h_column
 from quadsafe.cli import main
-from quadsafe.config import PRESETS, load_preset
+from quadsafe.config import PRESETS, load_preset, load_scenario
 from quadsafe.controller import ControllerGains, body_rate_loop
 from quadsafe.dynamics import (
+    NonFiniteState,
     QuadParams,
     QuadState,
     R_of_euler,
@@ -38,7 +41,7 @@ from quadsafe.dynamics import (
     roll_pitch_of_R,
     yaw_of_R,
 )
-from quadsafe.sim import EXPORT_ROWS, H_FINITE_OFFSET, Scenario, reference_rows, run
+from quadsafe.sim import EXPORT_ROWS, Scenario, reference_rows, run
 
 from conftest import preset_trace
 
@@ -372,9 +375,8 @@ def test_euler_columns_are_single_state_calls(name):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_barrier_h_columns_are_barrier_h(name):
-    # np.power on the scaled offsets of EXPORT_ROWS states against the
-    # one-row call of the run's step guard on each state, for every barrier
-    # of the preset.
+    # np.power on the scaled offsets of EXPORT_ROWS states against a
+    # one-row call on each state, for every barrier of the preset.
     specs = load_preset(name).barriers
     assert specs
     for x in preset_blocks(name):
@@ -395,10 +397,9 @@ def posvel_scenario(z, zd):
 
 @pytest.mark.parametrize("scale", [1.0 - 1e-15, 1.0, 1.0 + 1e-15, 10.0])
 def test_offsets_about_the_guard_keep_h_finite(scale):
-    # Two offsets z: below H_FINITE_OFFSET the run skips the guard's h, at
-    # and above it the run takes barrier_h_column's value, which is finite while
-    # 2 z^4 is (up to about 9.7e76). The trace records the same h either way.
-    z = H_FINITE_OFFSET * scale
+    # Two offsets z about 1e75: h = 1 - 2 z^4 is finite while 2 z^4 is (up
+    # to about 9.7e76), and the trace records barrier_h_column's value.
+    z = 1e75 * scale
     scenario = posvel_scenario(z, z)
     trace = run(scenario)
     h = trace.h[BarrierDomain.ALTITUDE_POSVEL]
@@ -407,15 +408,34 @@ def test_offsets_about_the_guard_keep_h_finite(scale):
     assert h[0] < -1e299
 
 
-def test_overflowing_h_exits_2_with_the_barrier_message(tmp_path, capsys):
-    # An offset of 2e77 makes the fourth power, and h, overflow: the run
-    # stops at step 0 with exit 2 and the barrier's own message.
+# An offset of 2e77 makes the fourth power, and h, overflow from step 0.
+HUGE_Z = ("run: {duration_s: 0.01, dt_s: 0.001}\n"
+          "initial: {z_m: 2.0e+77}\n"
+          "barriers:\n  - {domain: altitude_position, c_z_m: 0.0, p_z_m: 1.0}\n")
+
+
+@pytest.mark.parametrize("filters, message", [
+    ("", "altitude_position barrier overflows at z = 2e+77, zdot = 0"),
+    ("filters: {high: false}\n", "altitude_position barrier value is -inf"),
+], ids=["filtered", "unfiltered"])
+def test_overflowing_h_exits_2_with_the_barrier_message(tmp_path, capsys, filters, message):
+    # Filtered, the row builder stops the run at step 0; unfiltered, the
+    # h column of the first block does, before any output is made. Either
+    # way the exit is 2, with the barrier's own message.
     path = tmp_path / "huge.yaml"
-    path.write_text("run: {duration_s: 0.01, dt_s: 0.001}\n"
-                    "initial: {z_m: 2.0e+77}\n"
-                    "barriers:\n  - {domain: altitude_position, c_z_m: 0.0, p_z_m: 1.0}\n")
+    path.write_text(HUGE_Z + filters)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
-        "error: simulation aborted on non-finite state: "
-        "altitude_position barrier value is -inf\n")
+        f"error: simulation aborted on non-finite state: {message}\n")
     assert not (tmp_path / "out").exists()
+    with pytest.raises(ChildProcessError):  # no trace.csv writer was forked
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_overflowing_h_reaches_no_consumer():
+    # The block whose h column is not finite raises before it is handed on.
+    blocks = []
+    with pytest.raises(NonFiniteState, match="altitude_position barrier value is -inf"):
+        run(load_scenario(io.StringIO(HUGE_Z + "filters: {high: false}\n")),
+            lambda trace, rows: blocks.append(rows))
+    assert blocks == []
