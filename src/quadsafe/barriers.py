@@ -1,6 +1,7 @@
 """Rectellipse barrier functions and their exact Lie-derivative chains.
 
-Four barrier families are supported:
+Four barrier families are supported, each one row of FAMILIES; the
+altitude ones are ALTITUDE_DOMAINS, the lateral ones LATERAL_DOMAINS:
 
 * altitude position (relative degree 2, input = thrust)
 * altitude position+velocity (relative degree 1, input = thrust)
@@ -15,9 +16,10 @@ thrust; lateral_rows builds the rows of all active lateral barriers over
 [tau_x, tau_y] at once, from one set of shared kinematic terms, with each
 family of small products (2x2 matrix, matrix-vector, vector-matrix, 2-vector
 dot, pow) in one batched call of the numpy kernel that rounds it, for one
-state or for a block of states at once. All higher
-derivatives of position are closed-form functions of the flat rigid-body
-state; no numerical differentiation is involved.
+state or for a block of states at once; a power that overflows gives a
+block's state non-finite cells. All higher derivatives of position are
+closed-form functions of the flat rigid-body state; no numerical
+differentiation is involved.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import NonFiniteState, QuadParams
+from .dynamics import NonFiniteState, QuadParams, check_fields
 
 DET_MIN = 1e-3  # lower bound on |det W| before the lateral map is declared singular
 _POWERS = np.array([3.0, 3.0, 4.0, 4.0, 3.0, 3.0])  # of (xdot, ydot, xdot, ydot, xddot, yddot)
@@ -52,38 +54,28 @@ class BarrierDomain(enum.Enum):
     LATERAL_VELOCITY = "lateral_velocity"
 
 
-#: Relative degree of each barrier family.
-RELATIVE_DEGREE = {
-    BarrierDomain.ALTITUDE_POSITION: 2,
-    BarrierDomain.ALTITUDE_POSVEL: 1,
-    BarrierDomain.LATERAL_POSITION: 4,
-    BarrierDomain.LATERAL_VELOCITY: 3,
-}
+class Family(NamedTuple):
+    """A barrier family's relative degree, the flat-state indices of its
+    constrained states, and its default region and ECBF poles."""
 
-#: Flat-state indices of each family's constrained states, in the order a
-#: BarrierSpec lists them.
-STATE_INDEX = {
-    BarrierDomain.ALTITUDE_POSITION: (2,),
-    BarrierDomain.ALTITUDE_POSVEL: (2, 14),
-    BarrierDomain.LATERAL_POSITION: (0, 1),
-    BarrierDomain.LATERAL_VELOCITY: (12, 13),
-}
-
-
-class FamilyDefaults(NamedTuple):
+    delta: int
+    idx: tuple[int, ...]
     center: tuple[float, ...]
     half_width: tuple[float, ...]
     poles: tuple[float, ...]
 
 
-#: Each family's default region and ECBF poles (one pole per relative degree).
-DEFAULTS = {
-    BarrierDomain.ALTITUDE_POSITION: FamilyDefaults((0.0,), (2.0,), (-3.0, -4.0)),
-    BarrierDomain.ALTITUDE_POSVEL: FamilyDefaults((0.0, 0.0), (2.0, 0.75), (-1.0,)),
-    BarrierDomain.LATERAL_POSITION: FamilyDefaults(
-        (0.0, 0.0), (2.0, 2.0), (-3.0, -4.0, -5.0, -6.0)),
-    BarrierDomain.LATERAL_VELOCITY: FamilyDefaults((0.0, 0.0), (1.25, 0.9), (-3.0, -4.0, -5.0)),
+FAMILIES = {
+    BarrierDomain.ALTITUDE_POSITION: Family(2, (2,), (0.0,), (2.0,), (-3.0, -4.0)),
+    BarrierDomain.ALTITUDE_POSVEL: Family(1, (2, 14), (0.0, 0.0), (2.0, 0.75), (-1.0,)),
+    BarrierDomain.LATERAL_POSITION: Family(4, (0, 1), (0.0, 0.0), (2.0, 2.0),
+                                           (-3.0, -4.0, -5.0, -6.0)),
+    BarrierDomain.LATERAL_VELOCITY: Family(3, (12, 13), (0.0, 0.0), (1.25, 0.9),
+                                           (-3.0, -4.0, -5.0)),
 }
+# The families of the thrust QP and of the moment QP.
+ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)
+LATERAL_DOMAINS = (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,20 +106,16 @@ class BarrierSpec:
     p4: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        family = FAMILIES[self.domain]
+        n = len(family.idx)
+        check_fields(self, {"center": n, "half_width": n, "active_from": 0})
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "half_width", np.asarray(self.half_width, dtype=float))
-        if not (np.isfinite(self.center).all() and np.isfinite(self.half_width).all()):
-            raise ValueError("center and half_width must be finite")
         if np.any(self.half_width <= 0.0):
             raise ValueError("half_width must be strictly positive")
-        idx = STATE_INDEX[self.domain]
-        if len(self.center) != len(idx) or len(self.half_width) != len(idx):
-            raise ValueError(f"{self.domain.value} expects {len(idx)} constrained state(s)")
         if self.domain is BarrierDomain.ALTITUDE_POSVEL and self.center[1] != 0.0:
             raise ValueError("altitude_posvel's velocity center must be 0")
-        if not math.isfinite(self.active_from):
-            raise ValueError("active_from must be finite")
-        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "idx", family.idx)
         object.__setattr__(self, "c", tuple(self.center.tolist()))
         object.__setattr__(self, "p", tuple(self.half_width.tolist()))
         with np.errstate(over="ignore"):
@@ -136,9 +124,9 @@ class BarrierSpec:
             raise ValueError("half_width is too small: its fourth power underflows to 0")
         if max(self.p4) == math.inf:
             raise ValueError("half_width is too large: its fourth power overflows")
-        poles = DEFAULTS[self.domain].poles if self.poles is None else self.poles
+        poles = family.poles if self.poles is None else self.poles
         object.__setattr__(self, "poles", tuple(float(p) for p in poles))
-        object.__setattr__(self, "K", pole_place(RELATIVE_DEGREE[self.domain], self.poles))
+        object.__setattr__(self, "K", pole_place(family.delta, self.poles))
 
 
 def pole_place(delta: int, poles) -> np.ndarray:
@@ -174,71 +162,51 @@ def altitude_row(
 
     Every power is libm's pow: math.pow of a float, np.float_power of a
     column. For k states K . H is one np.vecdot over the rows of H, which
-    gives each row the bits of the single state's K.dot(H). Raises
-    NonFiniteState where a power of a finite value overflows, which math.pow
-    reports as OverflowError rather than inf; for k states, where any
-    state's does. Columns are computed with numpy's floating-point warnings
-    off, so that none escapes."""
+    gives each row the bits of the single state's K.dot(H). Where a power
+    of a finite value overflows, one state's call raises NonFiniteState
+    (math.pow raises OverflowError rather than give inf), and a state of
+    k gets non-finite cells. Columns are computed with numpy's
+    floating-point warnings off, so that none escapes."""
     if isinstance(z, float):
-        return _altitude_row(spec, z, zd, R33, params, None)
+        try:
+            return _altitude_row(spec, z, zd, R33, params, None)
+        except OverflowError:
+            raise NonFiniteState(
+                f"{spec.domain.value} barrier overflows at z = {z:.3g}, zdot = {zd:.3g}"
+            ) from None
     with np.errstate(all="ignore"):
         return _altitude_row(spec, z, zd, R33, params, len(z))
 
 
-def _column_pow(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e by libm's pow, for altitude_row's columns (and the spec's
-    floats among them); OverflowError, carrying the index of the first
-    state at fault, where a finite entry's power overflows, as math.pow
-    raises."""
-    out = np.float_power(x, e)
-    overflow = np.isinf(out) & np.isfinite(x)
-    if overflow.any():
-        raise OverflowError(int(overflow.argmax()))
-    return out
-
-
 def _altitude_row(spec, z, zd, R33, params, k):
     """altitude_row's body, for floats (k is None) or k-state columns."""
-    pw = math.pow if k is None else _column_pow
-    try:
-        if spec.domain is BarrierDomain.ALTITUDE_POSITION:
-            # ECBF, delta=2, h(z) = 1 - ((z-c)/p_z)^4.
-            (c,), (pz,) = spec.c, spec.p
-            s = z - c
-            pz4 = pw(pz, 4.0)
-            h = 1.0 - pw(s / pz, 4.0)
-            s3 = pw(s, 3.0)
-            Lfh = -4.0 * s3 * zd / pz4
-            Lf2h = -4.0 * s3 * params.g / pz4 - 12.0 * pw(s, 2.0) * pw(zd, 2.0) / pz4
-            a = 4.0 * s3 * R33 / (pz4 * params.m)
-            if k is None:
-                H = np.array([h, Lfh])
-                return a, Lf2h + float(spec.K.dot(H)), h, H
-            H = _pack([h, Lfh], k)
-            return a, Lf2h + np.vecdot(H, spec.K), h, H
-        if spec.domain is BarrierDomain.ALTITUDE_POSVEL:
-            # CBF, delta=1, h(z, zdot) = 1 - ((z-c)/p_z)^4 - (zdot/v_z)^4.
-            cz, (pz, vz) = spec.c[0], spec.p
-            s = z - cz
-            h = 1.0 - pw(s / pz, 4.0) - pw(zd / vz, 4.0)
-            zd3, vz4 = pw(zd, 3.0), pw(vz, 4.0)
-            Lfh = -4.0 * pw(s, 3.0) * zd / pw(pz, 4.0) - 4.0 * zd3 * params.g / vz4
-            a = 4.0 * zd3 * R33 / (vz4 * params.m)
-            H = np.array([h]) if k is None else _pack([h], k)
-            return a, Lfh + spec.K.item(0) * h, h, H
-    except OverflowError as exc:
-        if k is not None:
-            z, zd = z[exc.args[0]], zd[exc.args[0]]
-        raise NonFiniteState(
-            f"{spec.domain.value} barrier overflows at z = {z:.3g}, zdot = {zd:.3g}"
-        ) from None
+    pw = math.pow if k is None else np.float_power
+    if spec.domain is BarrierDomain.ALTITUDE_POSITION:
+        # ECBF, delta=2, h(z) = 1 - ((z-c)/p_z)^4.
+        (c,), (pz,) = spec.c, spec.p
+        s = z - c
+        pz4 = pw(pz, 4.0)
+        h = 1.0 - pw(s / pz, 4.0)
+        s3 = pw(s, 3.0)
+        Lfh = -4.0 * s3 * zd / pz4
+        Lf2h = -4.0 * s3 * params.g / pz4 - 12.0 * pw(s, 2.0) * pw(zd, 2.0) / pz4
+        a = 4.0 * s3 * R33 / (pz4 * params.m)
+        if k is None:
+            H = np.array([h, Lfh])
+            return a, Lf2h + float(spec.K.dot(H)), h, H
+        H = _pack([h, Lfh], k)
+        return a, Lf2h + np.vecdot(H, spec.K), h, H
+    if spec.domain is BarrierDomain.ALTITUDE_POSVEL:
+        # CBF, delta=1, h(z, zdot) = 1 - ((z-c)/p_z)^4 - (zdot/v_z)^4.
+        cz, (pz, vz) = spec.c[0], spec.p
+        s = z - cz
+        h = 1.0 - pw(s / pz, 4.0) - pw(zd / vz, 4.0)
+        zd3, vz4 = pw(zd, 3.0), pw(vz, 4.0)
+        Lfh = -4.0 * pw(s, 3.0) * zd / pw(pz, 4.0) - 4.0 * zd3 * params.g / vz4
+        a = 4.0 * zd3 * R33 / (vz4 * params.m)
+        H = np.array([h]) if k is None else _pack([h], k)
+        return a, Lfh + spec.K.item(0) * h, h, H
     raise ValueError(f"not an altitude barrier: {spec.domain}")
-
-
-#: The number of 2-vector dots in each entry L_f h, ..., L_f^delta h of
-#: lateral_rows' chains.
-_DOT_COUNTS = {BarrierDomain.LATERAL_POSITION: (1, 2, 3, 5),
-               BarrierDomain.LATERAL_VELOCITY: (1, 2, 3)}
 
 
 def _pack(values: list, k: int | None, shape: tuple[int, ...] | None = None,
@@ -362,6 +330,7 @@ def lateral_rows(
     # in the order numpy took them one by one: the first dot minus the rest.
     # chain holds, per entry, u0, u1, w0, w1 of each of its dots; eta3 holds
     # each row's eta3, for fm4 (eta3 @ L).
+    chains = []
     pairs: list = []
     eta3: list = []
     h_values = []
@@ -404,6 +373,7 @@ def lateral_rows(
             )
         else:
             raise ValueError(f"not a lateral barrier: {spec.domain}")
+        chains.append(chain)
         for entry in chain:
             pairs += entry
     vecs = _pack(pairs + eta3, k, (-1, 2, 2))
@@ -416,9 +386,10 @@ def lateral_rows(
 
     rows = []
     j = 0
-    for a, spec, h in zip(a_rows, specs, h_values):
+    for a, spec, chain, h in zip(a_rows, specs, chains, h_values):
         entries = []
-        for count in _DOT_COUNTS[spec.domain]:
+        for entry in chain:
+            count = len(entry) // 4
             value = dots[j]
             for d in dots[j + 1:j + count]:
                 value = value - d

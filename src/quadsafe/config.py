@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .barriers import DEFAULTS, RELATIVE_DEGREE, BarrierDomain, BarrierSpec
+from .barriers import FAMILIES, BarrierDomain, BarrierSpec
 from .controller import ControllerGains
 from .dynamics import QuadParams, QuadState, R_of_euler
 from .sim import ReferenceConfig, Scenario
@@ -152,29 +152,28 @@ def _barrier_from_dict(entry: dict, where: str) -> BarrierSpec:
     allowed = {"domain", "active_from_s", "poles", "alpha", *center_keys, *half_width_keys}
     _check_keys(entry, allowed - {None}, where)
     domain = BarrierDomain(domain_name)
-    delta = RELATIVE_DEGREE[domain]
-    defaults = DEFAULTS[domain]
+    family = FAMILIES[domain]
     center = [d if key is None else _num(entry, key, d, where)
-              for key, d in zip(center_keys, defaults.center)]
+              for key, d in zip(center_keys, family.center)]
     half_width = [_num(entry, key, d, where)
-                  for key, d in zip(half_width_keys, defaults.half_width)]
+                  for key, d in zip(half_width_keys, family.half_width)]
 
-    if delta == 1:
+    if family.delta == 1:
         if "poles" in entry:
             raise ScenarioError(
                 f"'{where}.poles' only applies to barriers of relative degree 2 or more; "
                 "set 'alpha'"
             )
-        alpha = _num(entry, "alpha", -defaults.poles[0], where)
+        alpha = _num(entry, "alpha", -family.poles[0], where)
         if alpha <= 0:
             raise ScenarioError(f"'{where}.alpha' must be positive")
         poles = (-alpha,)
     else:
         if "alpha" in entry:
             raise ScenarioError(f"'{where}.alpha' only applies to relative-degree-1 barriers")
-        poles = entry.get("poles", defaults.poles)
+        poles = entry.get("poles", family.poles)
         if not (isinstance(poles, (list, tuple)) and all(map(_is_number, poles))):
-            raise ScenarioError(f"'{where}.poles' must be a list of {delta} numbers")
+            raise ScenarioError(f"'{where}.poles' must be a list of {family.delta} numbers")
 
     active_from = _num(entry, "active_from_s", BarrierSpec.active_from, where)
     return _build(where, BarrierSpec, domain, center, half_width, poles, active_from)

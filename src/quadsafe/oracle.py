@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import (
-    DEFAULTS,
-    RELATIVE_DEGREE,
+    ALTITUDE_DOMAINS,
+    FAMILIES,
     BarrierDomain,
     BarrierSpec,
     altitude_row,
@@ -39,7 +39,7 @@ _STENCIL = np.array([1.0, -1.0, 2.0, -2.0]) * FD_DT
 # angles, omega, thrust / (m g), tau. v's lateral pair stays within 0.8 of
 # the lateral-velocity set's half-widths, so every state lies inside all
 # four default safe sets.
-_VX, _VY = (0.8 * p for p in DEFAULTS[BarrierDomain.LATERAL_VELOCITY].half_width)
+_VX, _VY = (0.8 * p for p in FAMILIES[BarrierDomain.LATERAL_VELOCITY].half_width)
 _BOX = np.array([(-1.5, 1.5)] * 3 + [(-_VX, _VX), (-_VY, _VY), (-0.6, 0.6)]
                 + [(-0.25, 0.25)] * 3 + [(-1.0, 1.0)] * 3 + [(0.5, 1.8)] + [(-0.5, 0.5)] * 3).T
 
@@ -80,9 +80,10 @@ def evaluate_chain(
     x ((k, 18)) under thrusts f ((k,)) and moments tau ((k, 3)): H is
     (k, delta) and the top derivative (k,), row i the bits of state i's
     single evaluation. Each chain's rows come from one call of its row
-    builder over all k states: altitude_row on the (z, zdot, R33) columns,
-    or lateral_rows on the block."""
-    if spec.domain in (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL):
+    builder over all k states: altitude_row on the (z, zdot, R33) columns
+    (ALTITUDE_DOMAINS), or lateral_rows on the block; a power that
+    overflows gives its state non-finite cells."""
+    if spec.domain in ALTITUDE_DOMAINS:
         a, b, _, H = altitude_row(spec, x[:, 2], x[:, 14], x[:, 11], params)
         a_dot_u = a * f
     else:
@@ -114,7 +115,7 @@ def flow(
 
 def default_spec(domain: BarrierDomain) -> BarrierSpec:
     """The family's default region and poles."""
-    return BarrierSpec(domain, DEFAULTS[domain].center, DEFAULTS[domain].half_width)
+    return BarrierSpec(domain, FAMILIES[domain].center, FAMILIES[domain].half_width)
 
 
 def draw_states(start: int, k: int, params: QuadParams
@@ -174,7 +175,7 @@ def _check_chains(domains: list[BarrierDomain], n_states: int, seed: int) -> lis
     params = QuadParams()
     specs = [default_spec(domain) for domain in domains]
     # Per derivative order of each chain; NaN stays NaN.
-    worst = [np.zeros(RELATIVE_DEGREE[spec.domain]) for spec in specs]
+    worst = [np.zeros(FAMILIES[spec.domain].delta) for spec in specs]
     for start in range(0, n_states, FD_BLOCK):
         b = min(FD_BLOCK, n_states - start)
         x, f, tau = draw_states(seed + start, b, params)

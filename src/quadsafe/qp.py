@@ -111,7 +111,7 @@ def _solve_interval(u_hat: float, rows: list[Row], lower: float, upper: float) -
     for i, ((a,), b) in enumerate(rows):
         if abs(a) < _A_EPS:
             if b < -_FEAS_TOL:
-                return QpSolution([min(max(u_hat, lo), hi)], QpStatus.INFEASIBLE)
+                return QpSolution([min(max(u_hat, lower), upper)], QpStatus.INFEASIBLE)
             continue
         bound = -b / a
         if a > 0.0:

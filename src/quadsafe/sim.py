@@ -21,6 +21,8 @@ import numpy as np
 from . import controller as ctl
 from . import qp
 from .barriers import (
+    ALTITUDE_DOMAINS,
+    LATERAL_DOMAINS,
     BarrierDomain,
     BarrierSpec,
     LateralSingular,
@@ -32,8 +34,6 @@ from .controller import ControllerGains, Reference
 from .dynamics import (NonFiniteState, QuadParams, QuadState, advance, check_fields, flat_of,
                        roll_pitch_of_R, yaw_of_R)
 
-ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)
-LATERAL_DOMAINS = (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY)
 EXPORT_ROWS = 256  # steps per block: run finishes, and export formats, this many rows at once
 
 

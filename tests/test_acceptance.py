@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from quadsafe.barriers import BarrierDomain
+from quadsafe.barriers import ALTITUDE_DOMAINS, BarrierDomain
 from quadsafe.cli import main
 from quadsafe.config import load_preset
 from quadsafe.oracle import check_all_chains
@@ -21,7 +21,6 @@ from conftest import preset_trace
 from kkt import kkt_residual
 
 EPS_NUM = 0.02          # discretization slack on barrier invariance
-ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSVEL)
 
 
 def h_series(trace, domain):

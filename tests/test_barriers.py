@@ -1,6 +1,7 @@
 """Barrier functions, pole placement, and Lie-derivative constraint chains."""
 
 import dataclasses
+import functools
 import struct
 import warnings
 from dataclasses import dataclass
@@ -10,8 +11,7 @@ import pytest
 
 from quadsafe.barriers import (
     DET_MIN,
-    RELATIVE_DEGREE,
-    STATE_INDEX,
+    FAMILIES,
     BarrierDomain,
     BarrierSpec,
     InvalidPoles,
@@ -25,6 +25,8 @@ from quadsafe.config import load_preset
 from quadsafe.dynamics import NonFiniteState, QuadParams, QuadState, R_of_euler, flat_of
 from quadsafe.oracle import check_chain
 from quadsafe.sim import run
+
+from conftest import check_refusals
 
 
 class TestPolePlace:
@@ -76,8 +78,8 @@ class TestSpecValidation:
 
     def test_gains_degree_bounds(self):
         # Every domain takes exactly one pole per relative degree.
-        for domain, delta in RELATIVE_DEGREE.items():
-            n = len(STATE_INDEX[domain])
+        for domain, family in FAMILIES.items():
+            delta, n = family.delta, len(family.idx)
             assert len(BarrierSpec(domain, [0.0] * n, [1.0] * n).K) == delta
             for count in (delta - 1, delta + 1):
                 with pytest.raises(InvalidPoles, match="one pole per relative degree"):
@@ -105,6 +107,11 @@ class TestSpecValidation:
         BarrierSpec(**kwargs)
         with pytest.raises(ValueError, match="finite"):
             BarrierSpec(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("name", ["center", "half_width", "active_from"])
+    def test_refuses_nonfinite_and_miscounted_fields(self, name):
+        check_refusals(functools.partial(BarrierSpec, BarrierDomain.LATERAL_POSITION,
+                                         center=[0.0, 0.0], half_width=[2.0, 2.0]), name)
 
     def test_equality_and_hash_are_identity(self):
         # The generated ones would compare and hash the array fields.
@@ -194,7 +201,7 @@ class TestRectellipse:
             specs = []
             for _ in range(int(rng.integers(1, 7))):
                 d = domains[int(rng.integers(0, 4))]
-                n = len(STATE_INDEX[d])
+                n = len(FAMILIES[d].idx)
                 specs.append(BarrierSpec(d, honoured_center(d, rng.normal(size=n)),
                                          rng.uniform(0.1, 5.0, size=n)))
             x = (rng.normal(size=18) * 10.0 ** rng.uniform(-3, 3, size=18)).tolist()
@@ -202,7 +209,7 @@ class TestRectellipse:
                 x[k] = float(rng.choice([np.nan, np.inf, -np.inf, 1e80, -1e200, 0.0, -0.0]))
             with np.errstate(over="ignore", invalid="ignore"):
                 got = [barrier_h_column(np.array([x]), s).item() for s in specs]
-                want = [ref_rectellipse_h([x[k] for k in STATE_INDEX[s.domain]], s)
+                want = [ref_rectellipse_h([x[k] for k in FAMILIES[s.domain].idx], s)
                         for s in specs]
             assert len(got) == len(want)
             for g, w in zip(got, want):
@@ -298,10 +305,10 @@ def test_chain_matches_finite_differences(domain):
 
 
 def test_relative_degrees():
-    assert RELATIVE_DEGREE[BarrierDomain.ALTITUDE_POSITION] == 2
-    assert RELATIVE_DEGREE[BarrierDomain.ALTITUDE_POSVEL] == 1
-    assert RELATIVE_DEGREE[BarrierDomain.LATERAL_POSITION] == 4
-    assert RELATIVE_DEGREE[BarrierDomain.LATERAL_VELOCITY] == 3
+    assert FAMILIES[BarrierDomain.ALTITUDE_POSITION].delta == 2
+    assert FAMILIES[BarrierDomain.ALTITUDE_POSVEL].delta == 1
+    assert FAMILIES[BarrierDomain.LATERAL_POSITION].delta == 4
+    assert FAMILIES[BarrierDomain.LATERAL_VELOCITY].delta == 3
 
 
 def test_chain_h_sizes():
@@ -603,7 +610,7 @@ class TestLateralRowsAreBitwiseTheReference:
                 assert len(got) == len(specs)
                 for row, (a, b, h, H) in enumerate(got):
                     assert a.shape == (len(block), 2) and b.shape == h.shape == (len(block),)
-                    assert H.shape == (len(block), RELATIVE_DEGREE[specs[row].domain])
+                    assert H.shape == (len(block), FAMILIES[specs[row].domain].delta)
                     for i, (_, _, want) in enumerate(block):
                         a_i, b_i, h_i, H_i = want[row]
                         assert_same_array(a[i], a_i)
@@ -663,9 +670,11 @@ class TestAltitudeRowsAreEachStatesRow:
     @pytest.mark.parametrize("domain", [BarrierDomain.ALTITUDE_POSITION,
                                         BarrierDomain.ALTITUDE_POSVEL], ids=lambda d: d.value)
     def test_many_states_are_each_states_rows(self, domain, kind):
-        # And a block holding one state whose float call overflows raises
-        # NonFiniteState, as that call does. No numpy warning may escape the
-        # column calls; the float calls' numpy parts may warn on NaN and inf.
+        # In a block that also holds a state whose float call overflows (and
+        # raises NonFiniteState), that state's h, b and H cells are
+        # non-finite instead and every other row is still its float call's.
+        # No numpy warning may escape the column calls; the float calls'
+        # numpy parts may warn on NaN and inf.
         rng = np.random.default_rng(sum(map(ord, kind + domain.value)))
         spec, _, _, _ = adversarial_altitude_case(kind, domain, rng)
         params = QuadParams(m=float(rng.uniform(0.5, 2.0)))
@@ -677,23 +686,26 @@ class TestAltitudeRowsAreEachStatesRow:
                     states.append(((z, zd, R33), altitude_row(spec, z, zd, R33, params)))
                 except NonFiniteState:
                     overflowing.append((z, zd, R33))
-        delta = RELATIVE_DEGREE[domain]
+        delta = FAMILIES[domain].delta
+        blocks = [states, states[:1]]
+        if overflowing:
+            blocks.append([states[0], (overflowing[0], None), states[-1]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for block in (states, states[:1]):
+            for block in blocks:
                 z, zd, R33 = map(np.array, zip(*(state for state, _ in block)))
                 a, b, h, H = altitude_row(spec, z, zd, R33, params)
                 assert a.shape == b.shape == h.shape == (len(block),)
                 assert H.shape == (len(block), delta)
-                for i, (_, (a_i, b_i, h_i, H_i)) in enumerate(block):
+                for i, (_, want) in enumerate(block):
+                    if want is None:  # the overflowing state
+                        assert not (np.isfinite(h[i]) or np.isfinite(b[i]) or np.isfinite(H[i]).all())
+                        continue
+                    a_i, b_i, h_i, H_i = want
                     assert_same_float(a[i], a_i)
                     assert_same_float(b[i], b_i)
                     assert_same_float(h[i], h_i)
                     assert_same_array(H[i], H_i)
-            if overflowing:
-                z, zd, R33 = map(np.array, zip(states[0][0], overflowing[0], states[-1][0]))
-                with pytest.raises(NonFiniteState, match="overflows"):
-                    altitude_row(spec, z, zd, R33, params)
         assert len(states) >= 100
         if kind == "overflow":
             assert overflowing

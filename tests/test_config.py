@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from quadsafe.barriers import RELATIVE_DEGREE, BarrierDomain
+from quadsafe.barriers import FAMILIES, BarrierDomain
 from quadsafe.config import (
     PRESETS,
     ScenarioError,
@@ -338,10 +338,10 @@ def test_no_section_key_is_dead(sec, key):
 @pytest.mark.parametrize("domain, key", [
     (d, k) for d, k in FAMILY_KEYS
     # domain picks the family; the key a family refuses has its own test.
-    if k not in ("domain", "poles" if RELATIVE_DEGREE[d] == 1 else "alpha")
+    if k not in ("domain", "poles" if FAMILIES[d].delta == 1 else "alpha")
 ], ids=lambda v: getattr(v, "value", v))
 def test_no_barrier_key_is_dead(domain, key):
-    poles = [-1.5 - i for i in range(RELATIVE_DEGREE[domain])]
+    poles = [-1.5 - i for i in range(FAMILIES[domain].delta)]
     value = {"poles": poles, "alpha": 2.0}.get(key, 0.5)
     (base,) = scenario_from_dict({"barriers": [{"domain": domain.value}]}).barriers
     (got,) = scenario_from_dict(with_key(domain.value, key, value)).barriers

@@ -22,7 +22,7 @@ import pytest
 
 import quadsafe.oracle as oracle
 from quadsafe.barriers import (
-    RELATIVE_DEGREE,
+    FAMILIES,
     BarrierDomain,
     BarrierSpec,
     altitude_row,
@@ -106,7 +106,7 @@ def ref_flow(x, f, tau, params, dt):
 def ref_check_chain(domain, params=None, n_states=100, seed=12345, spec=None):
     params = params or QuadParams()
     spec = spec or default_spec(domain)
-    delta = RELATIVE_DEGREE[domain]
+    delta = FAMILIES[domain].delta
     worst_lower = 0.0
     worst_top = 0.0
     for n in range(seed, seed + n_states):
@@ -202,7 +202,7 @@ def test_block_evaluation_is_the_state_by_state_evaluation(domain):
     H, top = evaluate_chain(x, spec, params, f, tau)
     want = [ref_evaluate_chain(xi, spec, params, fi, taui)
             for xi, fi, taui in zip(x.tolist(), f.tolist(), tau)]
-    assert H.shape == (200, RELATIVE_DEGREE[domain])
+    assert H.shape == (200, FAMILIES[domain].delta)
     assert H.tobytes() == np.array([H for H, _ in want]).tobytes()
     assert top.tobytes() == np.array([top for _, top in want]).tobytes()
 
@@ -354,7 +354,7 @@ def test_a_wrong_lower_entry_fails_a1(monkeypatch):
     # altitude_posvel has relative degree 1: it has no lower entry to scale.
     scaled_chains(monkeypatch, 1 + 1e-3, 1.0)
     for chk in check_all_chains():
-        if RELATIVE_DEGREE[chk.domain] > 1:
+        if FAMILIES[chk.domain].delta > 1:
             assert chk.max_rel_lower > 1e-4, chk
 
 

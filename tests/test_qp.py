@@ -78,6 +78,15 @@ class TestScalar:
         sol = solve_qp(*problem_1d(5.0, [row(0.0, -1.0)]))
         assert sol.status is QpStatus.INFEASIBLE
 
+    @pytest.mark.parametrize("rows", [[row(1.0, -30.0), row(0.0, -1.0)],
+                                      [row(0.0, -1.0), row(1.0, -30.0)]], ids=["after", "before"])
+    def test_infeasible_is_box_clamped_nominal_in_any_row_order(self, rows):
+        # The zero-gain row makes the problem infeasible; the bound u >= 30
+        # met before it must not move the returned input off the nominal.
+        sol = solve_qp(*problem_1d(5.0, rows))
+        assert sol.status is QpStatus.INFEASIBLE
+        assert sol.u_star == [5.0]
+
     def test_box_clamps_nominal(self):
         sol = solve_qp(*problem_1d(50.0, []))
         assert sol.u_star[0] == 36.0

@@ -226,6 +226,25 @@ class TestRun:
         worst = np.linalg.norm(on.r - off.r, axis=1).max()
         assert worst <= 1e-3
 
+    @pytest.mark.parametrize("name, duration", [
+        ("fig4-altitude", 2.0), ("fig5-lateral-pos", 2.0), ("fig6-velocity-switch", 20.5),
+        ("fig7-unified", 2.0)])
+    def test_barriers_that_never_bind_leave_the_run_unchanged(self, name, duration):
+        # Every half-width 50 times the preset's: the QPs pass the nominal
+        # through, so the run is, bit for bit, the one with no barriers and
+        # both filters off. fig6 runs across its barrier switch at 20 s.
+        sc = dataclasses.replace(load_preset(name), duration=duration)
+        wide = dataclasses.replace(sc, barriers=tuple(
+            dataclasses.replace(s, half_width=50.0 * s.half_width) for s in sc.barriers))
+        on = run(wide)
+        off = run(dataclasses.replace(sc, barriers=(), filter_high=False, filter_low=False))
+        for column in ("x", "f_star", "m_star"):
+            assert np.array_equal(getattr(on, column), getattr(off, column)), column
+        assert [e for e in on.events if not e[1].startswith("barrier-switch:")] == off.events
+        for runs, statuses in ((sc.filter_high, on.qp_hi_status), (sc.filter_low, on.qp_lo_status)):
+            if runs:
+                assert set(statuses) == {"optimal"}
+
     def test_initial_state_respected(self):
         s0 = QuadState(r=np.array([0.0, 0.0, 0.5]), v=np.array([1.6, 0.0, 1.2]))
         sc = Scenario(duration=0.002, initial_state=s0)
