@@ -89,37 +89,31 @@ class BarrierSpec:
     gains K = pole_place(delta, poles), and for delta = 1 the condition is
     hdot + alpha h >= 0 with alpha = K[0] = -pole. The spec is active from
     ``active_from`` to the next activation on its domain, which supersedes it.
-    Specs compare and hash by identity, as their fields hold arrays.
+    Specs compare and hash by identity: K is an array, and run keys windows by spec.
     """
 
     domain: BarrierDomain
-    center: np.ndarray
-    half_width: np.ndarray
+    center: tuple[float, ...]
+    half_width: tuple[float, ...]
     poles: tuple[float, ...] | None = None
     active_from: float = 0.0
     K: np.ndarray = field(init=False, repr=False)
     # For the per-step kernels: the constrained states' flat-state indices,
-    # and float copies of center, half_width and half_width ** 4 (numpy's pow).
+    # and half_width ** 4 by numpy's pow.
     idx: tuple[int, ...] = field(init=False, repr=False)
-    c: tuple[float, ...] = field(init=False, repr=False)
-    p: tuple[float, ...] = field(init=False, repr=False)
     p4: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         family = FAMILIES[self.domain]
         n = len(family.idx)
         check_fields(self, {"center": n, "half_width": n, "active_from": 0})
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "half_width", np.asarray(self.half_width, dtype=float))
-        if np.any(self.half_width <= 0.0):
+        if min(self.half_width) <= 0.0:
             raise ValueError("half_width must be strictly positive")
         if self.domain is BarrierDomain.ALTITUDE_POSVEL and self.center[1] != 0.0:
             raise ValueError("altitude_posvel's velocity center must be 0")
         object.__setattr__(self, "idx", family.idx)
-        object.__setattr__(self, "c", tuple(self.center.tolist()))
-        object.__setattr__(self, "p", tuple(self.half_width.tolist()))
         with np.errstate(over="ignore"):
-            object.__setattr__(self, "p4", tuple((self.half_width**4).tolist()))
+            object.__setattr__(self, "p4", tuple((np.array(self.half_width)**4).tolist()))
         if min(self.p4) == 0.0:  # the chains divide by it
             raise ValueError("half_width is too small: its fourth power underflows to 0")
         if max(self.p4) == math.inf:
@@ -183,7 +177,7 @@ def _altitude_row(spec, z, zd, R33, params, k):
     pw = math.pow if k is None else np.float_power
     if spec.domain is BarrierDomain.ALTITUDE_POSITION:
         # ECBF, delta=2, h(z) = 1 - ((z-c)/p_z)^4.
-        (c,), (pz,) = spec.c, spec.p
+        (c,), (pz,) = spec.center, spec.half_width
         s = z - c
         pz4 = pw(pz, 4.0)
         h = 1.0 - pw(s / pz, 4.0)
@@ -198,7 +192,7 @@ def _altitude_row(spec, z, zd, R33, params, k):
         return a, Lf2h + np.vecdot(H, spec.K), h, H
     if spec.domain is BarrierDomain.ALTITUDE_POSVEL:
         # CBF, delta=1, h(z, zdot) = 1 - ((z-c)/p_z)^4 - (zdot/v_z)^4.
-        cz, (pz, vz) = spec.c[0], spec.p
+        cz, (pz, vz) = spec.center[0], spec.half_width
         s = z - cz
         h = 1.0 - pw(s / pz, 4.0) - pw(zd / vz, 4.0)
         zd3, vz4 = pw(zd, 3.0), pw(vz, 4.0)
@@ -335,7 +329,7 @@ def lateral_rows(
     eta3: list = []
     h_values = []
     for spec in specs:
-        (ix, iy), (cx, cy), (px4, py4) = spec.idx, spec.c, spec.p4
+        (ix, iy), (cx, cy), (px4, py4) = spec.idx, spec.center, spec.p4
         # The offsets from the center; their powers 0 and 1 are exactly 1.0
         # and the offset.
         sx, sy = x[ix] - cx, x[iy] - cy

@@ -68,7 +68,7 @@ def _is_number(val: Any) -> bool:
 
 def _section(data: dict, where: str, defaults: dict[str, Any]) -> list:
     """Section ``where`` of ``data``: one value per key of ``defaults``, in its
-    order; a key's type is its default's, and a list is a 3-vector (an array)."""
+    order; a key's type is its default's, and a tuple is a 3-vector."""
     table = data.get(where, {})
     _check_keys(table, defaults, where)
     values = []
@@ -77,11 +77,10 @@ def _section(data: dict, where: str, defaults: dict[str, Any]) -> list:
         if isinstance(default, bool):
             if not isinstance(val, bool):
                 raise ScenarioError(f"'{where}.{key}' must be a boolean")
-        elif isinstance(default, list):
+        elif isinstance(default, tuple):
             if not (isinstance(val, (list, tuple)) and len(val) == 3
                     and all(map(_is_number, val))):
                 raise ScenarioError(f"'{where}.{key}' must be a list of 3 numbers")
-            val = np.array([float(v) for v in val])
         elif not isinstance(default, str):
             val = _num(table, key, default, where)
         values.append(val)
@@ -110,19 +109,18 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
 
     ref = sc.reference
     *aw, yaw_mode, yaw_constant = _section(data, "reference", {
-        **dict(zip(("a_x_m", "a_y_m", "a_z_m"), ref.amplitude.tolist())),
-        **dict(zip(("w_x_radps", "w_y_radps", "w_z_radps"), ref.frequency.tolist())),
+        **dict(zip(("a_x_m", "a_y_m", "a_z_m"), ref.amplitude)),
+        **dict(zip(("w_x_radps", "w_y_radps", "w_z_radps"), ref.frequency)),
         "yaw_mode": ref.yaw_mode, "psi_const_rad": ref.yaw_constant,
     })
     reference = _build("reference.yaw_mode", ReferenceConfig,
-                       np.array(aw[0:3]), np.array(aw[3:6]), yaw_mode, yaw_constant)
+                       aw[0:3], aw[3:6], yaw_mode, yaw_constant)
 
     high, low = _section(data, "filters", {"high": sc.filter_high, "low": sc.filter_low})
 
     g = sc.gains
     gains = _build("gains", ControllerGains, *_section(data, "gains", {
-        "kp": g.Kp.tolist(), "kd": g.Kd.tolist(), "k_r": g.k_R, "k_psi": g.k_psi,
-        "k_omega": g.k_omega.tolist()}))
+        "kp": g.Kp, "kd": g.Kd, "k_r": g.k_R, "k_psi": g.k_psi, "k_omega": g.k_omega}))
 
     p = sc.params
     *prm, tau_x, tau_y = _section(data, "params", {

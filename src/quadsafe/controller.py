@@ -10,7 +10,7 @@ call, because float arithmetic does not round it as numpy does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,20 +32,15 @@ class ThrustTooSmall(ValueError):
 
 @dataclass(frozen=True)
 class ControllerGains:
-    Kp: np.ndarray = field(default_factory=lambda: np.array([8.0, 8.0, 12.0]))
-    Kd: np.ndarray = field(default_factory=lambda: np.array([5.0, 5.0, 7.0]))
+    # check_fields stores each vector as 3 floats, which the per-step loops read.
+    Kp: tuple[float, ...] = (8.0, 8.0, 12.0)
+    Kd: tuple[float, ...] = (5.0, 5.0, 7.0)
     k_R: float = 8.0
     k_psi: float = 2.0
-    k_omega: np.ndarray = field(default_factory=lambda: np.array([25.0, 25.0, 10.0]))
-    # For the per-step loops: float copies of Kp, Kd and k_omega.
-    kp: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    kd: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    kw: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    k_omega: tuple[float, ...] = (25.0, 25.0, 10.0)
 
     def __post_init__(self) -> None:
         check_fields(self, {"Kp": 3, "Kd": 3, "k_R": 0, "k_psi": 0, "k_omega": 3})
-        for name in ("Kp", "Kd", "k_omega"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         # Kp = 0 on an axis gives pure velocity tracking there, which the
         # velocity-barrier scenarios rely on; the inner-loop gains need > 0.
         for names, rule, bad in ((("Kp", "Kd"), ">= 0", np.less),
@@ -54,9 +49,6 @@ class ControllerGains:
                 gain = np.asarray(getattr(self, name))
                 if np.any(bad(gain, 0)):
                     raise ValueError(f"{name} must be {rule}, got {gain.tolist()}")
-        object.__setattr__(self, "kp", tuple(self.Kp.tolist()))
-        object.__setattr__(self, "kd", tuple(self.Kd.tolist()))
-        object.__setattr__(self, "kw", tuple(self.k_omega.tolist()))
 
 
 class Reference(NamedTuple):
@@ -73,7 +65,7 @@ def position_loop(x: list[float], ref: Reference, gains: ControllerGains) -> lis
     return [
         a + kp * (rd - r) + kd * (vd - v)
         for a, kp, rd, r, kd, vd, v in zip(
-            ref.a_d, gains.kp, ref.r_d, x[:3], gains.kd, ref.v_d, x[12:15],
+            ref.a_d, gains.Kp, ref.r_d, x[:3], gains.Kd, ref.v_d, x[12:15],
         )
     ]
 
@@ -128,7 +120,7 @@ def body_rate_loop(
     """Nominal moments: tau = I*wdot_cmd + w x I w, clamped to actuator
     bounds; tau_z shares the y bound tau_max[1]."""
     p, q, r = x[15:18]
-    kp, kq, kr = gains.kw
+    kp, kq, kr = gains.k_omega
     p_cmd, q_cmd, r_cmd = omega_cmd
     Ix, Iy, Iz = params.Ix, params.Iy, params.Iz
     bound_x, bound_y = params.tau_max

@@ -23,18 +23,23 @@ class NonFiniteState(RuntimeError):
 
 
 def check_fields(obj, sizes: dict[str, int], infinite: tuple[str, ...] = ()) -> None:
-    """Refuse, by a ValueError naming it, a field of obj that is not sizes[name]
-    numbers (a number if 0) or holds a NaN, or an infinity unless in infinite."""
+    """Refuse, by a ValueError naming it, a field of obj that is not sizes[name] numbers
+    (a number if 0: an int or a float, numpy's too, not a bool) or holds a NaN, or an
+    infinity unless in infinite; then store it as a tuple of floats (a float if 0)."""
     for name, size in sizes.items():
-        value = np.asarray(getattr(obj, name), dtype=float)
-        got = value.tolist()
-        if value.shape != ((size,) if size else ()):
+        value = getattr(obj, name)
+        entries = (list(value) if np.iterable(value) else []) if size else [value]
+        if len(entries) != max(size, 1) or not all(
+                isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+                for v in entries):
             what = f"{size} numbers" if size else "a number"
-            raise ValueError(f"{name} must be {what}, got {got}")
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        got = [float(v) for v in entries] if size else float(value)
         for v in got if size else [got]:
             if math.isnan(v) or (math.isinf(v) and name not in infinite):
                 rule = "not be NaN" if name in infinite else "be finite"
                 raise ValueError(f"{name} must {rule}, got {got}")
+        object.__setattr__(obj, name, tuple(got) if size else got)
 
 
 @dataclass(frozen=True)
@@ -78,14 +83,14 @@ class QuadState:
     v: np.ndarray = field(default_factory=lambda: np.zeros(3))
     omega: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         for arr in (self.r, self.R, self.v, self.omega):
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteState("non-finite state field")
         err = np.max(np.abs(self.R.T @ self.R - np.eye(3)))
-        if err > tol:
+        if err > 1e-6:
             raise ValueError(f"R not orthonormal: max |R'R - I| = {err:.3e}")
-        if abs(np.linalg.det(self.R) - 1.0) > tol:
+        if abs(np.linalg.det(self.R) - 1.0) > 1e-6:
             raise ValueError("det(R) != 1")
 
 

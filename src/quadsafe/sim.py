@@ -41,15 +41,13 @@ EXPORT_ROWS = 256  # steps per block: run finishes, and export formats, this man
 class ReferenceConfig:
     """Sinusoidal trajectory source: r_d = a * sin(w t) per axis."""
 
-    amplitude: np.ndarray = field(default_factory=lambda: np.array([2.5, 2.5, 2.5]))
-    frequency: np.ndarray = field(default_factory=lambda: np.array([0.4, 0.5, 0.3]))
+    amplitude: tuple[float, ...] = (2.5, 2.5, 2.5)
+    frequency: tuple[float, ...] = (0.4, 0.5, 0.3)
     yaw_mode: str = "atan2"          # "atan2" -> psi_d = atan2(y_d, x_d)
     yaw_constant: float = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self, {"amplitude": 3, "frequency": 3, "yaw_constant": 0})
-        for name in ("amplitude", "frequency"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.yaw_mode not in ("atan2", "constant"):
             raise ValueError("yaw_mode must be 'atan2' or 'constant'")
 
@@ -120,7 +118,7 @@ def reference_rows(t: np.ndarray, cfg: ReferenceConfig) -> list[Reference]:
     """The closed-form reference position/velocity/acceleration and yaw at
     each time of the float64 column t, as floats; numpy's sin, cos and
     arctan2 on columns round as on each single time."""
-    a, w = cfg.amplitude[:, None], cfg.frequency[:, None]
+    a, w = np.array(cfg.amplitude)[:, None], np.array(cfg.frequency)[:, None]
     wt = w * t
     sin, cos = np.sin(wt), np.cos(wt)
     r_d = a * sin
@@ -161,7 +159,7 @@ def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = No
     from array import array  # a row of C doubles per step, no float objects kept
     params, gains, dt = scenario.params, scenario.gains, scenario.dt
     n_steps = int(round(scenario.duration / dt))
-    scenario.initial_state.validate(tol=1e-6)
+    scenario.initial_state.validate()
     domains = [d for d in BarrierDomain if any(spec.domain is d for spec in scenario.barriers)]
     trace = Trace(n_steps, domains, dt)
     events = trace.events

@@ -114,7 +114,8 @@ class TestSpecValidation:
                                          center=[0.0, 0.0], half_width=[2.0, 2.0]), name)
 
     def test_equality_and_hash_are_identity(self):
-        # The generated ones would compare and hash the array fields.
+        # The generated ones would compare and hash the array K; sim.run keys
+        # each spec's activation window by the spec.
         a, b = (BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0])
                 for _ in range(2))
         assert a == a and a != b
@@ -342,7 +343,7 @@ def test_chain_h_sizes():
 def ref_rectellipse_h(values, spec: BarrierSpec) -> float:
     """h = 1 - sum_j ((x_j - c_j)/p_j)^4 ; >= 0 inside the safe region."""
     total = 0.0
-    for x, c, p in zip(values, spec.center.tolist(), spec.half_width.tolist(), strict=True):
+    for x, c, p in zip(values, spec.center, spec.half_width, strict=True):
         # numpy's pow, not float ** 4: the two can round differently.
         total += float(np.power((x - c) / p, 4.0))
     return 1.0 - total
@@ -414,8 +415,8 @@ def ref_lateral_row(
     xy_dd = -(f / params.m) * np.array([x[5], x[8]])
     xy_ddd = -(f / params.m) * x[11] * (terms.V @ terms.A)
     fm4 = 4.0 * f / params.m
-    cx, cy = spec.center
-    px4, py4 = spec.half_width**4
+    cx, cy = np.asarray(spec.center)
+    px4, py4 = np.asarray(spec.half_width)**4
     if spec.domain is BarrierDomain.LATERAL_POSITION:
         sx, sy = x[0] - cx, x[1] - cy
     elif spec.domain is BarrierDomain.LATERAL_VELOCITY:
@@ -731,7 +732,7 @@ def test_row_h_is_barrier_h(domain):
                 x, f, _, params = adversarial_lateral_case("plain", rng)
                 spec = BarrierSpec(domain, rng.normal(size=2), rng.uniform(0.3, 3.0, size=2))
                 zero = int(rng.integers(0, 2))  # the offset that is exactly 0
-                for j, (i, c, p) in enumerate(zip(spec.idx, spec.c, spec.p)):
+                for j, (i, c, p) in enumerate(zip(spec.idx, spec.center, spec.half_width)):
                     if kind == "zero_offset" and j == zero:
                         x[i] = c
                     elif kind == "at_half_width":
@@ -743,6 +744,6 @@ def test_row_h_is_barrier_h(domain):
                 except LateralSingular:
                     continue
             want = barrier_h_column(np.array([x], dtype=float), spec).item()
-            assert abs(h - want) <= 1e-12 * max(1.0, abs(want)), (kind, spec.c, x, h, want)
+            assert abs(h - want) <= 1e-12 * max(1.0, abs(want)), (kind, spec.center, x, h, want)
             n += 1
     assert n >= 350

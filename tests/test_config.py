@@ -107,7 +107,7 @@ class TestSchema:
         ("run: {dt_s: 1e-3}", lambda sc: sc.dt == 1e-3),
         ("run: {duration_s: 4000.0, dt_s: 1.0e3}", lambda sc: sc.dt == 1e3),
         ("run: {duration_s: 1000.0, dt_s: .5e3}", lambda sc: sc.dt == 500.0),
-        ("gains: {kp: [1e0, 1.0, 1.0]}", lambda sc: sc.gains.Kp.tolist() == [1.0, 1.0, 1.0]),
+        ("gains: {kp: [1e0, 1.0, 1.0]}", lambda sc: sc.gains.Kp == (1.0, 1.0, 1.0)),
         ("barriers:\n  - {domain: altitude_position, poles: [-3e0, -4e0]}",
          lambda sc: list(sc.barriers[0].poles) == [-3.0, -4.0]),
         (json.dumps({"run": {"dt_s": 1e-05, "duration_s": 0.01}}), lambda sc: sc.dt == 1e-05),
@@ -217,8 +217,8 @@ class TestBarrierEntries:
         (spec,) = parse(MINIMAL + f"barriers:\n  - {{domain: {domain.value}}}\n").barriers
         want = default_spec(domain)
         assert spec.domain is want.domain
-        assert spec.center.tolist() == want.center.tolist()
-        assert spec.half_width.tolist() == want.half_width.tolist()
+        assert spec.center == want.center
+        assert spec.half_width == want.half_width
         assert spec.poles == want.poles
         assert spec.K.tolist() == want.K.tolist()
 

@@ -33,8 +33,8 @@ def old_position_loop(x, ref, gains):
     return np.array([
         a + kp * (rd - r) + kd * (vd - v)
         for a, kp, rd, r, kd, vd, v in zip(
-            ref.a_d.tolist(), gains.Kp.tolist(), ref.r_d.tolist(), x[:3],
-            gains.Kd.tolist(), ref.v_d.tolist(), x[12:15],
+            ref.a_d.tolist(), gains.Kp, ref.r_d.tolist(), x[:3],
+            gains.Kd, ref.v_d.tolist(), x[12:15],
         )
     ])
 
@@ -59,7 +59,7 @@ def old_attitude_loop(x, r_ddot_cmd, f, psi, psi_d, gains, params):
 
 def old_body_rate_loop(x, omega_cmd, gains, params):
     p, q, r = x[15:18]
-    kp, kq, kr = gains.k_omega.tolist()
+    kp, kq, kr = gains.k_omega
     p_cmd, q_cmd, r_cmd = np.asarray(omega_cmd, float).tolist()
     Ix, Iy, Iz = params.Ix, params.Iy, params.Iz
     bound_x, bound_y = params.tau_max

@@ -309,7 +309,7 @@ def preset_blocks(name):
 def reference_floats(t, cfg):
     # The per-step reference: math's sin and cos, numpy's scalar arctan2.
     r_d, v_d, a_d = [], [], []
-    for a, w in zip(cfg.amplitude.tolist(), cfg.frequency.tolist()):
+    for a, w in zip(cfg.amplitude, cfg.frequency):
         sin, cos = math.sin(w * t), math.cos(w * t)
         r_d.append(a * sin)
         v_d.append(a * w * cos)
@@ -333,7 +333,7 @@ def test_reference_columns_are_the_per_step_calls(name):
     for first in range(0, n, EXPORT_ROWS):
         t = np.arange(first, min(first + EXPORT_ROWS, n)) * dt
         same(t, [k * dt for k in range(first, first + len(t))])
-        for w in cfg.frequency.tolist():
+        for w in cfg.frequency:
             wt = w * t
             same(np.sin(wt), [math.sin(v) for v in wt.tolist()])
             same(np.cos(wt), [math.cos(v) for v in wt.tolist()])

@@ -89,7 +89,7 @@ def ref_random_state_and_input(n: int, params: QuadParams
     def uniform(low, high, size):
         return np.array([low + (high - low) * next(u) for _ in range(size)])
 
-    vx, vy = (0.8 * p for p in default_spec(BarrierDomain.LATERAL_VELOCITY).half_width.tolist())
+    vx, vy = (0.8 * p for p in default_spec(BarrierDomain.LATERAL_VELOCITY).half_width)
     r = uniform(-1.5, 1.5, 3)
     v = np.concatenate([uniform(-vx, vx, 1), uniform(-vy, vy, 1), uniform(-0.6, 0.6, 1)])
     angles = uniform(-0.25, 0.25, 3)

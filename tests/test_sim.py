@@ -12,7 +12,7 @@ from quadsafe.barriers import BarrierDomain, BarrierSpec, InvalidPoles, altitude
 from quadsafe.cli import events_csv, trace_csv
 from quadsafe.config import PRESETS, load_preset
 from quadsafe.controller import ControllerGains, Reference
-from quadsafe.dynamics import NonFiniteState, QuadState
+from quadsafe.dynamics import NonFiniteState, QuadParams, QuadState
 from quadsafe.sim import (
     ReferenceConfig,
     Scenario,
@@ -21,14 +21,14 @@ from quadsafe.sim import (
     run,
 )
 
-from conftest import check_refusals
+from conftest import check_refusals, preset_trace
 
 
 def old_reference_at(t, cfg):
     # Verbatim copy of the one-time array form that reference_rows replaced:
     # the same floats, returned as numpy arrays.
     r_d, v_d, a_d = [], [], []
-    for a, w in zip(cfg.amplitude.tolist(), cfg.frequency.tolist()):
+    for a, w in zip(cfg.amplitude, cfg.frequency):
         wt = w * t
         # math's sin/cos equal numpy's on every preset's w * t (checked in
         # tests/test_sim.py); math.atan2 differs from np.arctan2, which stays.
@@ -60,7 +60,7 @@ class TestReference:
         for name in PRESETS:
             scenario = load_preset(name)
             dt = 1e-3
-            for w in scenario.reference.frequency.tolist():
+            for w in scenario.reference.frequency:
                 wt = [w * (k * dt) for k in range(int(round(scenario.duration / dt)))]
                 assert [pack(math.sin(v)) for v in wt] == [pack(float(np.sin(v))) for v in wt]
                 assert [pack(math.cos(v)) for v in wt] == [pack(float(np.cos(v))) for v in wt]
@@ -85,7 +85,7 @@ class TestReference:
         for name in PRESETS:
             scenario = load_preset(name)
             cfg = scenario.reference
-            key = (tuple(cfg.amplitude.tolist()), tuple(cfg.frequency.tolist()), scenario.dt)
+            key = (cfg.amplitude, cfg.frequency, scenario.dt)
             n = int(round(scenario.duration / scenario.dt))
             if n > grids.get(key, (None, 0, 0.0))[1]:
                 grids[key] = (cfg, n, scenario.dt)
@@ -235,7 +235,7 @@ class TestRun:
         # both filters off. fig6 runs across its barrier switch at 20 s.
         sc = dataclasses.replace(load_preset(name), duration=duration)
         wide = dataclasses.replace(sc, barriers=tuple(
-            dataclasses.replace(s, half_width=50.0 * s.half_width) for s in sc.barriers))
+            dataclasses.replace(s, half_width=50.0 * np.array(s.half_width)) for s in sc.barriers))
         on = run(wide)
         off = run(dataclasses.replace(sc, barriers=(), filter_high=False, filter_low=False))
         for column in ("x", "f_star", "m_star"):
@@ -244,6 +244,42 @@ class TestRun:
         for runs, statuses in ((sc.filter_high, on.qp_hi_status), (sc.filter_low, on.qp_lo_status)):
             if runs:
                 assert set(statuses) == {"optimal"}
+
+    @pytest.mark.parametrize("name, duration", [
+        ("fig5-lateral-pos", 10.0), ("fig6-velocity-switch", 22.0)])
+    def test_mirror_y_is_the_mirrored_run(self, name, duration):
+        # The closed loop is equivariant under the reflection y -> -y,
+        # S = diag(1, -1, 1): r and v map by S, R by S R S and omega by
+        # -S omega (a pseudovector), so (tau_x, tau_y) maps to (-tau_x,
+        # tau_y) and f is unchanged. The scenario mirrored (a_y and every
+        # lateral y center negated, the initial state mapped) runs, mapped
+        # back, as the preset's first rows, to 1e-9 on every entry, with
+        # equal events and QP statuses. Not bit for bit: _wrap_angle's
+        # floor-mod, project_flat's SVD and lateral_rows' b do not round
+        # sign-symmetrically. fig6 runs across its switch at 20 s.
+        sc = load_preset(name)
+        flip = np.ones(18)
+        flip[[1, 4, 6, 8, 10, 13, 15, 17]] = -1.0  # y, S R S's off-signs, vy, wx, wz
+        s0, S = sc.initial_state, np.diag([1.0, -1.0, 1.0])
+        mirrored = dataclasses.replace(
+            sc, duration=duration,
+            initial_state=QuadState(r=S @ s0.r, R=S @ s0.R @ S, v=S @ s0.v,
+                                    omega=-S @ s0.omega),
+            reference=dataclasses.replace(sc.reference, amplitude=S @ sc.reference.amplitude),
+            barriers=tuple(dataclasses.replace(b, center=S[:2, :2] @ b.center)
+                           if b.domain in (BarrierDomain.LATERAL_POSITION,
+                                           BarrierDomain.LATERAL_VELOCITY) else b
+                           for b in sc.barriers))
+        got = run(mirrored)
+        want = preset_trace(name)[0]
+        n = len(got)
+        assert n == round(duration / sc.dt)
+        assert np.abs(got.x * flip - want.x[:n]).max() <= 1e-9
+        assert np.abs(got.f_star - want.f_star[:n]).max() <= 1e-9
+        assert np.abs(got.m_star * [-1.0, 1.0] - want.m_star[:n]).max() <= 1e-9
+        assert got.events == [e for e in want.events if e[0] < n]
+        assert got.qp_hi_status == want.qp_hi_status[:n]
+        assert got.qp_lo_status == want.qp_lo_status[:n]
 
     def test_initial_state_respected(self):
         s0 = QuadState(r=np.array([0.0, 0.0, 0.5]), v=np.array([1.6, 0.0, 1.2]))
@@ -334,22 +370,41 @@ def test_trace_holds_every_row_the_qps_saw(monkeypatch):
 
 @pytest.mark.parametrize("sequence", [list, tuple])
 def test_vector_fields_take_lists_and_tuples(sequence):
-    # Each vector field of ControllerGains and ReferenceConfig becomes a float
-    # array, so a 50-step fig7 run built from lists or tuples is the
-    # array-built run byte for byte.
+    # Each vector field of ControllerGains and ReferenceConfig is stored as a
+    # tuple of floats, so a 50-step fig7 run built from lists or tuples of
+    # numpy floats is the preset's run byte for byte.
     base = load_preset("fig7-unified")
     base = dataclasses.replace(base, duration=50 * base.dt)
     gains = dataclasses.replace(base.gains, **{
-        name: sequence(getattr(base.gains, name).tolist()) for name in ("Kp", "Kd", "k_omega")})
+        name: sequence(np.array(getattr(base.gains, name))) for name in ("Kp", "Kd", "k_omega")})
     reference = dataclasses.replace(base.reference, **{
-        name: sequence(getattr(base.reference, name).tolist())
+        name: sequence(np.array(getattr(base.reference, name)))
         for name in ("amplitude", "frequency")})
     for cfg, names in ((gains, ("Kp", "Kd", "k_omega")), (reference, ("amplitude", "frequency"))):
         for name in names:
             value = getattr(cfg, name)
-            assert isinstance(value, np.ndarray) and value.dtype == float, name
+            assert type(value) is tuple and {type(v) for v in value} == {float}, name
     got = run(dataclasses.replace(base, gains=gains, reference=reference))
     want = run(base)
     assert len(got) == 50
     for export in (trace_csv, events_csv):
         assert "".join(export(got)) == "".join(export(want))
+
+
+@pytest.mark.parametrize("sequence", [list, tuple, np.array])
+@pytest.mark.parametrize("cls, names", [
+    (ControllerGains, ("Kp", "Kd", "k_omega")),
+    (ReferenceConfig, ("amplitude", "frequency")),
+    (QuadParams, ("tau_max",)),
+], ids=["ControllerGains", "ReferenceConfig", "QuadParams"])
+def test_parameters_compare_and_hash_by_value(cls, names, sequence):
+    # Built from a list, a tuple or an array of its defaults' values, ints
+    # where they are whole, a parameter class is == to its default and has
+    # its hash: every vector is stored as the same tuple of floats.
+    default = cls()
+    built = cls(**{name: sequence([int(v) if v == int(v) else v for v in getattr(default, name)])
+                   for name in names})
+    assert built == default and hash(built) == hash(default)
+    for name in names:
+        assert getattr(built, name) == getattr(default, name)
+        assert {type(v) for v in getattr(built, name)} == {float}
