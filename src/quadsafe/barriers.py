@@ -78,7 +78,7 @@ ALTITUDE_DOMAINS = (BarrierDomain.ALTITUDE_POSITION, BarrierDomain.ALTITUDE_POSV
 LATERAL_DOMAINS = (BarrierDomain.LATERAL_POSITION, BarrierDomain.LATERAL_VELOCITY)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BarrierSpec:
     """One rectellipse safety region, its ECBF poles and its activation time.
 
@@ -86,10 +86,9 @@ class BarrierSpec:
     the domain lists them: (z,) / (z, zdot) / (x, y) / (xdot, ydot).
     Velocity states in mixed barriers are always centered at zero.
     ``poles`` (default: the family's) are one per relative degree; the chain
-    gains K = pole_place(delta, poles), and for delta = 1 the condition is
+    gains K are pole_place(delta, poles) as floats; for delta = 1 the condition is
     hdot + alpha h >= 0 with alpha = K[0] = -pole. The spec is active from
     ``active_from`` to the next activation on its domain, which supersedes it.
-    Specs compare and hash by identity: K is an array, and run keys windows by spec.
     """
 
     domain: BarrierDomain
@@ -97,10 +96,8 @@ class BarrierSpec:
     half_width: tuple[float, ...]
     poles: tuple[float, ...] | None = None
     active_from: float = 0.0
-    K: np.ndarray = field(init=False, repr=False)
-    # For the per-step kernels: the constrained states' flat-state indices,
-    # and half_width ** 4 by numpy's pow.
-    idx: tuple[int, ...] = field(init=False, repr=False)
+    K: tuple[float, ...] = field(init=False, repr=False)
+    # For the per-step kernels: half_width ** 4 by numpy's pow.
     p4: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -111,7 +108,6 @@ class BarrierSpec:
             raise ValueError("half_width must be strictly positive")
         if self.domain is BarrierDomain.ALTITUDE_POSVEL and self.center[1] != 0.0:
             raise ValueError("altitude_posvel's velocity center must be 0")
-        object.__setattr__(self, "idx", family.idx)
         with np.errstate(over="ignore"):
             object.__setattr__(self, "p4", tuple((np.array(self.half_width)**4).tolist()))
         if min(self.p4) == 0.0:  # the chains divide by it
@@ -120,7 +116,7 @@ class BarrierSpec:
             raise ValueError("half_width is too large: its fourth power overflows")
         poles = family.poles if self.poles is None else self.poles
         object.__setattr__(self, "poles", tuple(float(p) for p in poles))
-        object.__setattr__(self, "K", pole_place(family.delta, self.poles))
+        object.__setattr__(self, "K", tuple(pole_place(family.delta, self.poles).tolist()))
 
 
 def pole_place(delta: int, poles) -> np.ndarray:
@@ -156,7 +152,7 @@ def altitude_row(
 
     Every power is libm's pow: math.pow of a float, np.float_power of a
     column. For k states K . H is one np.vecdot over the rows of H, which
-    gives each row the bits of the single state's K.dot(H). Where a power
+    gives each row the bits of the single state's H.dot(K). Where a power
     of a finite value overflows, one state's call raises NonFiniteState
     (math.pow raises OverflowError rather than give inf), and a state of
     k gets non-finite cells. Columns are computed with numpy's
@@ -187,7 +183,7 @@ def _altitude_row(spec, z, zd, R33, params, k):
         a = 4.0 * s3 * R33 / (pz4 * params.m)
         if k is None:
             H = np.array([h, Lfh])
-            return a, Lf2h + float(spec.K.dot(H)), h, H
+            return a, Lf2h + float(H.dot(spec.K)), h, H
         H = _pack([h, Lfh], k)
         return a, Lf2h + np.vecdot(H, spec.K), h, H
     if spec.domain is BarrierDomain.ALTITUDE_POSVEL:
@@ -199,7 +195,7 @@ def _altitude_row(spec, z, zd, R33, params, k):
         Lfh = -4.0 * pw(s, 3.0) * zd / pw(pz, 4.0) - 4.0 * zd3 * params.g / vz4
         a = 4.0 * zd3 * R33 / (vz4 * params.m)
         H = np.array([h]) if k is None else _pack([h], k)
-        return a, Lfh + spec.K.item(0) * h, h, H
+        return a, Lfh + spec.K[0] * h, h, H
     raise ValueError(f"not an altitude barrier: {spec.domain}")
 
 
@@ -329,7 +325,7 @@ def lateral_rows(
     eta3: list = []
     h_values = []
     for spec in specs:
-        (ix, iy), (cx, cy), (px4, py4) = spec.idx, spec.center, spec.p4
+        (ix, iy), (cx, cy), (px4, py4) = FAMILIES[spec.domain].idx, spec.center, spec.p4
         # The offsets from the center; their powers 0 and 1 are exactly 1.0
         # and the offset.
         sx, sy = x[ix] - cx, x[iy] - cy
@@ -390,7 +386,7 @@ def lateral_rows(
             entries.append(value)
             j += count
         H = _pack([h, *entries[:-1]], k)
-        KH = float(spec.K @ H) if k is None else np.vecdot(H, spec.K)
+        KH = float(H.dot(spec.K)) if k is None else np.vecdot(H, spec.K)
         rows.append((a, entries[-1] + KH, h, H))
     return rows
 
@@ -400,7 +396,7 @@ def barrier_h_column(x: np.ndarray, spec: BarrierSpec) -> np.ndarray:
     >= 0 inside its safe region, at each row of a block of flat states
     (n, 18). numpy's pow on a column rounds as on each state's own offsets,
     so a state's h has the same bits in a block as in a one-row block."""
-    powers = np.power((x[:, list(spec.idx)] - spec.center) / spec.half_width, 4.0)
+    powers = np.power((x[:, list(FAMILIES[spec.domain].idx)] - spec.center) / spec.half_width, 4.0)
     total = 0.0  # summed in constrained-state order
     for col in powers.T:
         total = total + col

@@ -17,7 +17,6 @@ from collections.abc import Hashable
 from contextlib import nullcontext
 from typing import Any
 
-import numpy as np
 import yaml
 
 from .barriers import FAMILIES, BarrierDomain, BarrierSpec
@@ -104,8 +103,7 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     init = _section(data, "initial", dict.fromkeys((
         "x_m", "y_m", "z_m", "vx_mps", "vy_mps", "vz_mps",
         "phi_rad", "theta_rad", "psi_rad", "p_radps", "q_radps", "r_radps"), 0.0))
-    initial_state = QuadState(r=np.array(init[0:3]), R=R_of_euler(*init[6:9]),
-                              v=np.array(init[3:6]), omega=np.array(init[9:12]))
+    initial_state = QuadState(r=init[0:3], R=R_of_euler(*init[6:9]), v=init[3:6], omega=init[9:12])
 
     ref = sc.reference
     *aw, yaw_mode, yaw_constant = _section(data, "reference", {

@@ -12,7 +12,7 @@ f = m*g/R33.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg._umath_linalg import svd_f
@@ -22,10 +22,10 @@ class NonFiniteState(RuntimeError):
     """Raised when an integration step produces NaN or Inf."""
 
 
-def check_fields(obj, sizes: dict[str, int], infinite: tuple[str, ...] = ()) -> None:
+def check_fields(obj, sizes: dict[str, int]) -> None:
     """Refuse, by a ValueError naming it, a field of obj that is not sizes[name] numbers
-    (a number if 0: an int or a float, numpy's too, not a bool) or holds a NaN, or an
-    infinity unless in infinite; then store it as a tuple of floats (a float if 0)."""
+    (a number if 0: an int or a float, numpy's too, not a bool) or is not finite; then
+    store it as a tuple of floats (a float if 0)."""
     for name, size in sizes.items():
         value = getattr(obj, name)
         entries = (list(value) if np.iterable(value) else []) if size else [value]
@@ -34,12 +34,13 @@ def check_fields(obj, sizes: dict[str, int], infinite: tuple[str, ...] = ()) -> 
                 for v in entries):
             what = f"{size} numbers" if size else "a number"
             raise ValueError(f"{name} must be {what}, got {value!r}")
-        got = [float(v) for v in entries] if size else float(value)
-        for v in got if size else [got]:
-            if math.isnan(v) or (math.isinf(v) and name not in infinite):
-                rule = "not be NaN" if name in infinite else "be finite"
-                raise ValueError(f"{name} must {rule}, got {got}")
-        object.__setattr__(obj, name, tuple(got) if size else got)
+        try:
+            got = [float(v) for v in entries]
+        except OverflowError:  # float() of an int beyond the largest float
+            raise ValueError(f"{name} must be finite, got an int too large for a float") from None
+        if not all(map(math.isfinite, got)):
+            raise ValueError(f"{name} must be finite, got {got if size else got[0]}")
+        object.__setattr__(obj, name, tuple(got) if size else got[0])
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,7 @@ class QuadParams:
     tau_max: tuple[float, float] = (20.0, 20.0)  # N m, bounds about x_B, y_B
 
     def __post_init__(self) -> None:
-        check_fields(self, {"g": 0, "m": 0, "Ix": 0, "Iy": 0, "Iz": 0, "f_max": 0, "tau_max": 2},
-                     infinite=("f_max", "tau_max"))
+        check_fields(self, {"g": 0, "m": 0, "Ix": 0, "Iy": 0, "Iz": 0, "f_max": 0, "tau_max": 2})
         for name in ("g", "m", "Ix", "Iy", "Iz"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -74,23 +74,24 @@ class QuadParams:
 class QuadState:
     """Full rigid-body state: r [m], R (body-to-world), v [m/s], omega [rad/s].
 
-    The validated initial state of a scenario; the step loop and its
-    kernels run on its flat form (flat_of).
+    A scenario's initial state, kept as flat_of's floats: R (a rotation to
+    1e-6, given as a 3x3 or as 9 numbers) as its 9 row-major entries.
     """
 
-    r: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    R: np.ndarray = field(default_factory=lambda: np.eye(3))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    omega: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    r: tuple[float, ...] = (0.0, 0.0, 0.0)
+    R: tuple[float, ...] = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    v: tuple[float, ...] = (0.0, 0.0, 0.0)
+    omega: tuple[float, ...] = (0.0, 0.0, 0.0)
 
-    def validate(self) -> None:
-        for arr in (self.r, self.R, self.v, self.omega):
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteState("non-finite state field")
-        err = np.max(np.abs(self.R.T @ self.R - np.eye(3)))
+    def __post_init__(self) -> None:
+        if np.iterable(self.R) and all(map(np.iterable, self.R)):  # a matrix, as rows
+            object.__setattr__(self, "R", [v for row in self.R for v in row])
+        check_fields(self, {"r": 3, "R": 9, "v": 3, "omega": 3})
+        R = np.reshape(self.R, (3, 3))
+        err = np.max(np.abs(R.T @ R - np.eye(3)))
         if err > 1e-6:
             raise ValueError(f"R not orthonormal: max |R'R - I| = {err:.3e}")
-        if abs(np.linalg.det(self.R) - 1.0) > 1e-6:
+        if abs(np.linalg.det(R) - 1.0) > 1e-6:
             raise ValueError("det(R) != 1")
 
 
@@ -154,7 +155,7 @@ def rk4_flat(
 
 def flat_of(state: QuadState) -> list[float]:
     """The 18 state floats [r, R row-major, v, omega]."""
-    return np.concatenate([state.r, state.R.ravel(), state.v, state.omega], dtype=float).tolist()
+    return [*state.r, *state.R, *state.v, *state.omega]
 
 
 def project_flat(x: list[float]) -> list[float]:

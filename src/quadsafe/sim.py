@@ -65,12 +65,18 @@ class Scenario:
     filter_low: bool = True
 
     def __post_init__(self) -> None:
+        check_fields(self, {"duration": 0, "dt": 0})
+        for name, kind in (("initial_state", QuadState), ("reference", ReferenceConfig),
+                           ("gains", ControllerGains), ("params", QuadParams),
+                           ("filter_high", bool), ("filter_low", bool), ("barriers", tuple)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         steps = self.duration / self.dt if self.dt > 0 else math.nan
         if not (self.duration > 0 and math.isfinite(steps) and round(steps) >= 1):
-            raise ValueError(
-                f"duration ({self.duration} s) and dt ({self.dt} s) must be positive "
-                "and give at least one step"
-            )
+            raise ValueError(f"duration ({self.duration} s) and dt ({self.dt} s) must be "
+                             "positive and give at least one step")
+        if not all(isinstance(spec, BarrierSpec) for spec in self.barriers):
+            raise ValueError(f"barriers must be a tuple of BarrierSpecs, got {self.barriers!r}")
         for spec in self.barriers:
             starts = sorted(s.active_from for s in self.barriers if s.domain is spec.domain)
             if len(starts) != len(set(starts)):
@@ -159,7 +165,6 @@ def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = No
     from array import array  # a row of C doubles per step, no float objects kept
     params, gains, dt = scenario.params, scenario.gains, scenario.dt
     n_steps = int(round(scenario.duration / dt))
-    scenario.initial_state.validate()
     domains = [d for d in BarrierDomain if any(spec.domain is d for spec in scenario.barriers)]
     trace = Trace(n_steps, domains, dt)
     events = trace.events
@@ -197,7 +202,7 @@ def run(scenario: Scenario, consumer: Callable[[Trace, slice], None] | None = No
             try:
                 f_hat = ctl.thrust_from_accel(r_ddot_cmd[2], R33, params)
             except ctl.AttitudeSingular:
-                f_hat = min(max(params.m * params.g, 0.0), params.f_max)
+                f_hat = params.m * params.g  # hover: QuadParams has f_max > m g > 0
                 events.append((k, "attitude-singular:thrust"))
 
             qp_hi_status = ""

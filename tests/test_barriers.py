@@ -24,7 +24,7 @@ from quadsafe.barriers import (
 from quadsafe.config import load_preset
 from quadsafe.dynamics import NonFiniteState, QuadParams, QuadState, R_of_euler, flat_of
 from quadsafe.oracle import check_chain
-from quadsafe.sim import run
+from quadsafe.sim import Scenario, run
 
 from conftest import check_refusals
 
@@ -113,13 +113,17 @@ class TestSpecValidation:
         check_refusals(functools.partial(BarrierSpec, BarrierDomain.LATERAL_POSITION,
                                          center=[0.0, 0.0], half_width=[2.0, 2.0]), name)
 
-    def test_equality_and_hash_are_identity(self):
-        # The generated ones would compare and hash the array K; sim.run keys
-        # each spec's activation window by the spec.
-        a, b = (BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0])
-                for _ in range(2))
-        assert a == a and a != b
-        assert hash(a) == hash(a) and len({a, b}) == 2
+    def test_equality_and_hash_are_by_value(self):
+        # sim.run keys each spec's activation window by the spec: two equal
+        # specs share a domain and an activation time, which Scenario refuses.
+        a = BarrierSpec(BarrierDomain.LATERAL_POSITION, [0.0, 0.0], [2.0, 2.0])
+        b = BarrierSpec(BarrierDomain.LATERAL_POSITION, np.zeros(2), np.array([2.0, 2.0]))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a.K == b.K and all(type(k) is float for k in a.K)
+        later = dataclasses.replace(a, active_from=1.0)
+        assert later != a and len({a, later}) == 2
+        with pytest.raises(ValueError, match="overlapping schedule"):
+            Scenario(barriers=(a, b))
 
 
 def honoured_center(domain, center):
@@ -134,7 +138,7 @@ def h_at(values, spec: BarrierSpec) -> float:
     """barrier_h_column of spec at one flat state whose constrained states
     are values, every other entry 0, as a float."""
     x = np.zeros((1, 18))
-    x[0, list(spec.idx)] = values
+    x[0, list(FAMILIES[spec.domain].idx)] = values
     return barrier_h_column(x, spec).item()
 
 
@@ -732,7 +736,8 @@ def test_row_h_is_barrier_h(domain):
                 x, f, _, params = adversarial_lateral_case("plain", rng)
                 spec = BarrierSpec(domain, rng.normal(size=2), rng.uniform(0.3, 3.0, size=2))
                 zero = int(rng.integers(0, 2))  # the offset that is exactly 0
-                for j, (i, c, p) in enumerate(zip(spec.idx, spec.center, spec.half_width)):
+                for j, (i, c, p) in enumerate(zip(FAMILIES[domain].idx, spec.center,
+                                                  spec.half_width)):
                     if kind == "zero_offset" and j == zero:
                         x[i] = c
                     elif kind == "at_half_width":

@@ -1,7 +1,6 @@
 """Scenario file parsing: schema validation and built-in presets."""
 
 import ast
-import dataclasses
 import io
 import json
 import re
@@ -215,12 +214,7 @@ class TestBarrierEntries:
     def test_domain_alone_is_the_oracle_default(self, domain):
         # config and the oracle read one table of per-family defaults.
         (spec,) = parse(MINIMAL + f"barriers:\n  - {{domain: {domain.value}}}\n").barriers
-        want = default_spec(domain)
-        assert spec.domain is want.domain
-        assert spec.center == want.center
-        assert spec.half_width == want.half_width
-        assert spec.poles == want.poles
-        assert spec.K.tolist() == want.K.tolist()
+        assert spec == default_spec(domain)
 
 
 class TestPresets:
@@ -251,6 +245,14 @@ class TestPresets:
         starts = sorted(spec.active_from for spec in sc.barriers)
         assert starts == [0.0, 20.0]
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_a_preset_is_a_value(self, name):
+        # A scenario compares and hashes by value: a second parse of a preset
+        # is equal to the first, and every other preset differs.
+        sc = load_preset(name)
+        assert sc == load_preset(name) and hash(sc) == hash(load_preset(name))
+        assert all(sc != load_preset(other) for other in PRESETS if other != name)
+
     def test_unified_preset_has_all_domains(self):
         sc = load_preset("fig7-unified")
         assert {spec.domain for spec in sc.barriers} == set(BarrierDomain)
@@ -263,23 +265,7 @@ def test_scenario_from_dict_direct():
 
 def test_empty_dict_is_the_dataclass_defaults():
     # config keeps no default of its own: an empty file is Scenario().
-    got, want = scenario_from_dict({}), Scenario()
-    for f in dataclasses.fields(Scenario):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if dataclasses.is_dataclass(a):
-            for g in dataclasses.fields(a):
-                assert np.array_equal(getattr(a, g.name), getattr(b, g.name)), (f.name, g.name)
-        else:
-            assert a == b, f.name
-
-
-def same(a, b):
-    """Field by field, through nested dataclasses and tuples of them."""
-    if dataclasses.is_dataclass(a):
-        return all(same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
-    if isinstance(a, tuple) and a and dataclasses.is_dataclass(a[0]):
-        return len(a) == len(b) and all(map(same, a, b))
-    return np.array_equal(a, b)
+    assert scenario_from_dict({}) == Scenario()
 
 
 def allowed_keys(data):
@@ -331,8 +317,7 @@ def test_wrong_type_names_its_location_once(where, key):
 
 @pytest.mark.parametrize("sec, key", SECTION_KEYS, ids=lambda v: v)
 def test_no_section_key_is_dead(sec, key):
-    assert not same(scenario_from_dict(with_key(sec, key, CHANGED[sec][key])),
-                    scenario_from_dict({}))
+    assert scenario_from_dict(with_key(sec, key, CHANGED[sec][key])) != scenario_from_dict({})
 
 
 @pytest.mark.parametrize("domain, key", [
@@ -345,4 +330,4 @@ def test_no_barrier_key_is_dead(domain, key):
     value = {"poles": poles, "alpha": 2.0}.get(key, 0.5)
     (base,) = scenario_from_dict({"barriers": [{"domain": domain.value}]}).barriers
     (got,) = scenario_from_dict(with_key(domain.value, key, value)).barriers
-    assert not same(got, base)
+    assert got != base

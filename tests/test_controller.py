@@ -258,7 +258,7 @@ class TestArrayFormulation:
                 acc, ref.a_d + g.Kp * (ref.r_d - s.r) + g.Kd * (ref.v_d - s.v))
 
             f = float(rng.uniform(1.0, 30.0))
-            R = s.R
+            R = np.reshape(s.R, (3, 3))
             R13_cmd = np.clip(-acc[0] * p.m / f, -0.9, 0.9)
             R23_cmd = np.clip(-acc[1] * p.m / f, -0.9, 0.9)
             W = np.array([[R[1, 0], -R[0, 0]], [R[1, 1], -R[0, 1]]])
@@ -269,7 +269,7 @@ class TestArrayFormulation:
             assert np.array_equal(
                 w_cmd, [pq[0], pq[1], g.k_psi * _wrap_angle(ref.psi_d - psi)])
 
-            w = s.omega
+            w = np.array(s.omega)
             gyro = np.array([(p.Iz - p.Iy) * w[1] * w[2], (p.Ix - p.Iz) * w[0] * w[2],
                              (p.Iy - p.Ix) * w[0] * w[1]])
             tau = np.array([p.Ix, p.Iy, p.Iz]) * (g.k_omega * (w_cmd - w)) + gyro

@@ -1,5 +1,6 @@
 """Rigid-body dynamics: vector field, integrator, and rotation utilities."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -61,25 +62,47 @@ class TestParams:
             QuadParams(f_max=0.45 * 9.81 * 0.5)
 
     def test_every_field_refuses_non_finite_values_and_wrong_sizes(self):
-        # The actuator bounds may be infinite (no bound), never NaN.
+        # The actuator bounds must be finite too: the least-violation LP has
+        # no vertex along an unbounded axis.
         for name in ("g", "m", "Ix", "Iy", "Iz", "f_max", "tau_max"):
-            check_refusals(QuadParams, name, infinite=name in ("f_max", "tau_max"))
-        QuadParams(f_max=math.inf, tau_max=(math.inf, math.inf))
+            check_refusals(QuadParams, name)
+        for bounds in ({"f_max": math.inf}, {"tau_max": (math.inf, math.inf)}):
+            with pytest.raises(ValueError, match="must be finite"):
+                QuadParams(**bounds)
 
 
 class TestStateValidation:
     def test_default_state_is_valid(self):
-        QuadState().validate()
+        s = QuadState()
+        assert (s.r, s.v, s.omega) == ((0.0, 0.0, 0.0),) * 3
+        assert s.R == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
     def test_rejects_non_rotation(self):
-        s = QuadState(R=np.eye(3) * 1.1)
-        with pytest.raises(ValueError):
-            s.validate()
+        with pytest.raises(ValueError, match="R not orthonormal"):
+            QuadState(R=np.eye(3) * 1.1)
 
     def test_rejects_reflection(self):
         R = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(ValueError):
-            QuadState(R=R).validate()
+        with pytest.raises(ValueError, match=r"^det\(R\) != 1$"):
+            QuadState(R=R)
+
+    def test_every_field_refuses_non_finite_values_and_wrong_sizes(self):
+        for name in ("r", "R", "v", "omega"):
+            check_refusals(QuadState, name)
+
+    def test_R_as_3x3_or_9_floats_reads_back_as_the_9_row_major_floats(self):
+        R = R_of_euler(0.3, -0.2, 1.1)
+        for given in (R, R.tolist(), R.ravel(), tuple(R.ravel().tolist())):
+            s = QuadState(R=given)
+            assert s.R == tuple(R.ravel().tolist())
+            assert all(type(v) is float for v in s.R)
+            assert s == QuadState(R=R) and hash(s) == hash(QuadState(R=R))
+
+    def test_replace_checks_and_stores_the_new_field(self):
+        s = dataclasses.replace(QuadState(R=R_of_euler(0.1, 0.2, 0.3)), r=np.array([1, 2, 3]))
+        assert s.r == (1.0, 2.0, 3.0) and s.R == QuadState(R=R_of_euler(0.1, 0.2, 0.3)).R
+        with pytest.raises(ValueError, match="^v must be 3 numbers"):
+            dataclasses.replace(s, v=[0.0])
 
 
 class TestVectorField:
@@ -133,7 +156,7 @@ class TestVectorField:
             w_hat = np.cross(s.omega, np.eye(3)).T
             assert np.allclose(w_hat, -w_hat.T)
             d = self.field(s, 4.0, rng.normal(size=3), p)
-            assert np.allclose(d[3:12].reshape(3, 3), s.R @ w_hat, atol=1e-12)
+            assert np.allclose(d[3:12].reshape(3, 3), np.reshape(s.R, (3, 3)) @ w_hat, atol=1e-12)
             assert np.array_equal(d[:3], s.v)
 
 
@@ -206,7 +229,7 @@ class TestStep:
             s = random_state(rng)
             f, tau = float(rng.uniform(0.0, 36.0)), rng.normal(size=3)
             dt = float(rng.uniform(1e-4, 1e-2))
-            x0 = np.concatenate([s.r, s.R.ravel(), s.v, s.omega])
+            x0 = np.concatenate([s.r, s.R, s.v, s.omega])
             k1 = vector_field(x0, f, tau)
             k2 = vector_field(x0 + 0.5 * dt * k1, f, tau)
             k3 = vector_field(x0 + 0.5 * dt * k2, f, tau)

@@ -263,8 +263,8 @@ class TestRun:
         s0, S = sc.initial_state, np.diag([1.0, -1.0, 1.0])
         mirrored = dataclasses.replace(
             sc, duration=duration,
-            initial_state=QuadState(r=S @ s0.r, R=S @ s0.R @ S, v=S @ s0.v,
-                                    omega=-S @ s0.omega),
+            initial_state=QuadState(r=S @ s0.r, R=S @ np.reshape(s0.R, (3, 3)) @ S,
+                                    v=S @ s0.v, omega=-S @ s0.omega),
             reference=dataclasses.replace(sc.reference, amplitude=S @ sc.reference.amplitude),
             barriers=tuple(dataclasses.replace(b, center=S[:2, :2] @ b.center)
                            if b.domain in (BarrierDomain.LATERAL_POSITION,
@@ -306,6 +306,21 @@ class TestRun:
             Scenario(duration=0.0004, dt=1e-3)
         with pytest.raises(ValueError):
             Scenario(dt=float("nan"))
+
+    def test_duration_and_dt_refuse_non_finite_values_and_non_numbers(self):
+        for name in ("duration", "dt"):
+            check_refusals(Scenario, name)
+
+    @pytest.mark.parametrize("name, value", [
+        ("filter_high", "no"), ("filter_low", 1), ("initial_state", None),
+        ("reference", None), ("gains", None), ("params", ControllerGains()),
+        ("barriers", None), ("barriers", [alt_barrier(0.0)]), ("barriers", (alt_barrier(0.0), 1)),
+    ], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
+    def test_refuses_a_field_of_another_type_by_name(self, name, value):
+        # Each would fail inside run, or (a list of specs) make the scenario
+        # unhashable, or (a string) turn a filter on.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            Scenario(**{name: value})
 
     def test_non_finite_barrier_value_stops_the_run(self):
         # With its level's filter off, a barrier's h is only recorded: the
